@@ -2,12 +2,15 @@
 
 Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
-set partitions. These paths share no code with the package internals.
+set partitions, and the pure-Python centrality loops the array code in
+`newsnet.centrality` replaced. These paths share no code with the package
+internals.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -179,6 +182,59 @@ def dense_betweenness(nodes, edges) -> dict:
         on_path[:, v] = False
         contrib = np.outer(sigma[:, v], sigma[v, :]) / safe_sigma
         bc[nodes[v]] = float(contrib[on_path].sum())
+    return bc
+
+
+def _bfs_distances(start, neighbors) -> dict:
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def python_closeness(nodes, neighbors) -> dict:
+    out = {}
+    for v in nodes:
+        dist = _bfs_distances(v, neighbors)
+        reachable = len(dist) - 1
+        total = sum(dist.values())
+        out[v] = reachable / total if total > 0 else 0.0
+    return out
+
+
+def python_brandes(nodes, out_neighbors) -> dict:
+    # Brandes (2001) with integer sigma and reverse-order dependency passes.
+    bc = {v: 0.0 for v in nodes}
+    for s in nodes:
+        stack = []
+        preds = {v: [] for v in nodes}
+        sigma = {v: 0 for v in nodes}
+        dist = {v: -1 for v in nodes}
+        sigma[s] = 1
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            stack.append(u)
+            for w in sorted(out_neighbors[u]):
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        delta = {v: 0.0 for v in nodes}
+        while stack:
+            w = stack.pop()
+            for u in preds[w]:
+                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
     return bc
 
 

@@ -1,10 +1,24 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsnet.centrality import MEASURES, centralities
 from newsnet.corpus import SocialGraph
+from newsnet.synth import SyntheticSpec, generate
 
 from oracles import (dense_betweenness, dense_closeness, dense_hits_authority,
-                     random_corpus)
+                     python_brandes, python_closeness, random_corpus)
+
+
+def assert_equals_python_oracles(graph):
+    """Betweenness and closeness equal the pure-Python loops bit for bit."""
+    nodes = graph.sorted_nodes()
+    scores = centralities(graph)
+    assert scores.of("betweenness") == python_brandes(nodes, graph.out_neighbors)
+    assert scores.of("out_closeness") == python_closeness(nodes, graph.out_neighbors)
+    assert scores.of("in_closeness") == python_closeness(nodes, graph.in_neighbors)
 
 
 def test_three_cycle_symmetry():
@@ -89,3 +103,100 @@ def test_empty_graph_rejected():
     graph = SocialGraph.from_edges([])
     with pytest.raises(ValueError):
         centralities(graph)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_equals_python_oracles_on_random_corpora(seed):
+    graph, _ = random_corpus(seed)
+    assert_equals_python_oracles(graph)
+
+
+def _grid(width, height):
+    """Directed grid, edges right and down: binomially many shortest paths."""
+    edges = []
+    for x in range(width):
+        for y in range(height):
+            if x + 1 < width:
+                edges.append((f"g{x}{y}", f"g{x + 1}{y}"))
+            if y + 1 < height:
+                edges.append((f"g{x}{y}", f"g{x}{y + 1}"))
+    return SocialGraph.from_edges(edges)
+
+
+def _diamonds(n_blocks, width):
+    """A chain of diamonds: each hub fans out to `width` nodes that rejoin."""
+    edges = []
+    for b in range(n_blocks):
+        for k in range(width):
+            edges += [(f"h{b}", f"m{b}_{k}"), (f"m{b}_{k}", f"h{b + 1}")]
+    edges.append((f"h{n_blocks}", "h0"))
+    return SocialGraph.from_edges(edges)
+
+
+@pytest.mark.parametrize("graph", [
+    SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "d")]),
+    SocialGraph.from_edges([(f"leaf{i}", "hub") for i in range(6)]
+                           + [("hub", f"leaf{i}") for i in range(0, 6, 2)]),
+    SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")]),
+    SocialGraph.from_edges([("a", "b"), ("b", "a"), ("b", "c"),
+                            ("x", "y"), ("y", "z"), ("z", "x")]),
+    SocialGraph.from_edges([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "lone"]),
+    _grid(5, 4),
+    _diamonds(4, 3),
+], ids=["path", "star", "three_cycle", "two_components", "isolated_node",
+        "grid", "diamonds"])
+def test_equals_python_oracles_on_small_shapes(graph):
+    assert_equals_python_oracles(graph)
+
+
+def test_equals_python_oracles_on_synthetic_corpus():
+    graph = generate(SyntheticSpec(n_users=200, news_per_class=5, seed=3)).graph
+    assert_equals_python_oracles(graph)
+
+
+def test_betweenness_finite_past_int64_path_counts():
+    # A root feeding 26 layers of 7 nodes, consecutive layers joined as K7,7:
+    # the root reaches the last layer by 7**25 (about 1.3e21) shortest paths,
+    # past both 2**53 and the int64 range.
+    layers = [[f"l{i:02d}_{j}" for j in range(7)] for i in range(26)]
+    edges = [("root", v) for v in layers[0]]
+    for upper, lower in zip(layers, layers[1:]):
+        edges += [(u, v) for u in upper for v in lower]
+    graph = SocialGraph.from_edges(edges)
+    fast = centralities(graph).of("betweenness")
+    slow = python_brandes(graph.sorted_nodes(), graph.out_neighbors)
+    for v in graph.nodes:
+        assert math.isfinite(fast[v])
+        assert fast[v] == pytest.approx(slow[v], rel=1e-12, abs=0.0)
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 25))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=120, unique=True)
+                  if pairs else st.just([]))
+    nodes = [f"v{i:02d}" for i in range(n)]
+    return SocialGraph.from_edges([(nodes[u], nodes[v]) for u, v in chosen],
+                                  nodes=nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs())
+def test_property_equals_python_oracles(graph):
+    assert_equals_python_oracles(graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraphs(), st.integers(1, 50))
+def test_property_order_preserving_relabel(graph, stride):
+    nodes = graph.sorted_nodes()
+    rename = {v: f"user{i * stride:05d}" for i, v in enumerate(nodes)}
+    relabeled = SocialGraph.from_edges(
+        [(rename[u], rename[v]) for u, v in graph.edges],
+        nodes=list(rename.values()))
+    scores = centralities(graph)
+    renamed_scores = centralities(relabeled)
+    for measure in MEASURES:
+        assert ([scores.of(measure)[v] for v in nodes]
+                == [renamed_scores.of(measure)[rename[v]] for v in nodes])

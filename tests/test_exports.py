@@ -1,6 +1,5 @@
 """Smoke tests for the optional CSV export surfaces of each module."""
 
-from newsnet.centrality import MEASURES, centralities, write_centralities
 from newsnet.diffusion import build_network, write_network
 from newsnet.louvain import global_communities, write_communities
 from newsnet.susceptibility import fit, write_scores
@@ -31,16 +30,6 @@ def test_susceptibility_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "user_id,score,class"
     assert len(lines) == len(table.users()) + 1
-
-
-def test_centrality_export(tmp_path):
-    graph, _ = random_corpus(2)
-    scores = centralities(graph)
-    path = tmp_path / "centralities.csv"
-    write_centralities(scores, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "user_id," + ",".join(MEASURES)
-    assert len(lines) == graph.n_nodes + 1
 
 
 def test_community_export(tmp_path):
