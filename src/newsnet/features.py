@@ -25,6 +25,7 @@ finite. Extraction is pure: identical inputs give bit-identical vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .susceptibility import (BY_FREQUENCY, BY_NEWS, METHODS, NORMAL, SUSCEPTIBLE
                              UNKNOWN, SusceptibilityModel)
 from .triads import TRIAD_CLASSES, census, enumerate_triangles, triad_features
 from .util import derive_seed, median, safe_ratio, write_csv
+from .wl import IDENTITY, SimilarityIndex, normalized_gram
 
 MORE_SPREADERS = "more_spreaders"
 FARTHER_DISTANCE = "farther_distance"
@@ -161,11 +163,15 @@ class FeatureMatrix:
     labels: tuple
     X: np.ndarray  # shape (n_news, 142)
 
+    @cached_property
+    def _row_index(self) -> dict:
+        return {news: i for i, news in enumerate(self.news_ids)}
+
     def row(self, news_id) -> np.ndarray:
-        return self.X[self.news_ids.index(news_id)]
+        return self.X[self._row_index[news_id]]
 
     def rows_for(self, news_ids) -> tuple:
-        idx = [self.news_ids.index(n) for n in news_ids]
+        idx = [self._row_index[n] for n in news_ids]
         return self.X[idx], [self.labels[i] for i in idx]
 
     def column(self, name: str) -> np.ndarray:
@@ -189,9 +195,9 @@ class FeatureExtractor:
     """Feature assembly over one corpus.
 
     Label-independent inputs (centralities, flow matrices, communities,
-    triangle enumeration, distance statistics) are computed once and cached;
-    susceptibility-dependent features are recomputed for every training fold
-    and threshold.
+    triangle enumeration, distance statistics, the identity-labelled WL Gram
+    matrix) are computed once and cached; susceptibility-dependent features
+    are recomputed for every training fold and threshold.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
@@ -207,6 +213,7 @@ class FeatureExtractor:
         self.seed = seed
         self._static: dict = {}
         self._triangles: dict = {}
+        self._wl_identity = None
 
     @classmethod
     def build(cls, graph: SocialGraph, table: EngagementTable,
@@ -236,6 +243,11 @@ class FeatureExtractor:
         return self._triangles[news_id]
 
     # ---- label-independent block ----
+
+    def _identity_gram(self) -> np.ndarray:
+        if self._wl_identity is None:
+            self._wl_identity = normalized_gram(self.networks, IDENTITY, h=self.h)
+        return self._wl_identity
 
     def _static_features(self, news_id) -> dict:
         if news_id in self._static:
@@ -391,10 +403,9 @@ def extract_matrix(extractor: FeatureExtractor, training_news, theta: float,
     models = susceptibility.fit_all(extractor.table, training_news, theta)
     sim_index = None
     if similarity:
-        from .wl import SimilarityIndex
-
         sim_index = SimilarityIndex(extractor.networks, training_news,
-                                    models[BY_NEWS], h=extractor.h)
+                                    models[BY_NEWS], h=extractor.h,
+                                    _identity=extractor._identity_gram())
     news_ids = sorted(extractor.networks)
     vectors = []
     for news in news_ids:

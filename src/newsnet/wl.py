@@ -6,12 +6,21 @@ raw labels; each following iteration relabels every node with the compression
 of (own label, sorted multiset of neighbor labels). All graphs that will be
 compared must share one compression dictionary. The kernel is the sum over
 iterations of histogram inner products; the normalized variant lies in [0, 1].
+
+That kernel is a linear kernel on per-iteration label counts (Shervashidze
+et al., JMLR 2011), so SimilarityIndex takes every pairwise value from one
+Gram matrix per labelling: the sum over iterations of A_i A_iᵀ, with A_i the
+networks x labels count block of iteration i. The sums are exact integers,
+and the normalization keeps the pairwise function's Python `** 0.5`, so each
+entry equals wl_kernel_normalized bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .diffusion import DiffusionNetwork
 
@@ -111,77 +120,88 @@ def wl_kernel_normalized(a: WLSignature, b: WLSignature) -> float:
     return k / (kaa * kbb) ** 0.5
 
 
-def similarity_features(target: DiffusionNetwork, training_fake, training_true,
-                        model, h: int = 3) -> tuple:
-    """Mean normalized kernel of the target to each training reference class.
+def _gram(signatures: list) -> np.ndarray:
+    """Exact kernel matrix: entry [t, r] is wl_kernel(signatures[t], signatures[r]).
 
-    Returns (fake_identity, true_identity, fake_class, true_class), each in
-    [0, 1]; a feature is 0 when its reference set is empty.
+    Iteration i adds A_i A_iᵀ, where A_i[t, c] is the count of label c in
+    network t's iteration-i histogram. Every iteration keeps its own columns:
+    a raw label containing "|" (a user id may) can share its dictionary id
+    with a later iteration's label, and pooling the iterations would then
+    match labels across iterations. A label held by a single network adds
+    only count² to that network's diagonal, so A_i keeps shared labels only:
+    N x D_i float64, with D_i the labels two or more networks hold. Counts
+    are small integers and every sum is an exact integer below 2**53, so BLAS
+    summation order does not matter.
     """
-    fakes = sorted(training_fake, key=lambda n: n.news_id)
-    trues = sorted(training_true, key=lambda n: n.news_id)
-    values = []
-    for scheme in (IDENTITY, SUSCEPTIBILITY_CLASS):
-        dictionary = WLDictionary()
-        sig_target = wl_signature(labeled_graph(target, scheme, model), h, dictionary)
-        sims = {}
-        for name, refs in (("fake", fakes), ("true", trues)):
-            if not refs:
-                sims[name] = 0.0
-                continue
-            total = 0.0
-            for ref in refs:
-                sig_ref = wl_signature(labeled_graph(ref, scheme, model), h, dictionary)
-                total += wl_kernel_normalized(sig_target, sig_ref)
-            sims[name] = total / len(refs)
-        values.extend((sims["fake"], sims["true"]))
-    return tuple(values)
+    n = len(signatures)
+    gram = np.zeros((n, n))
+    diagonal = np.arange(n)
+    for hists in zip(*(sig.histograms for sig in signatures)):
+        entries = [(t, label, count) for t, hist in enumerate(hists)
+                   for label, count in hist.items()]
+        rows, labels, counts = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        _, label_ids, holders = np.unique(labels, return_inverse=True,
+                                          return_counts=True)
+        private = holders[label_ids] == 1
+        gram[diagonal, diagonal] += np.bincount(rows[private],
+                                                weights=counts[private] ** 2,
+                                                minlength=n)
+        kept = ~private
+        column = (np.cumsum(holders > 1) - 1)[label_ids[kept]]
+        block = np.zeros((n, np.count_nonzero(holders > 1)))
+        block[rows[kept], column] = counts[kept]
+        gram += block @ block.T
+    return gram
+
+
+def normalized_gram(networks: dict, scheme: str, model=None, h: int = 3) -> np.ndarray:
+    """wl_kernel_normalized between every pair of networks, in sorted news order.
+
+    All signatures share one dictionary. Entry [t, r] equals the pairwise
+    function's value bit for bit: the square root is Python's float `** 0.5`
+    (libm pow), which differs from np.sqrt in the last place on some products.
+    """
+    dictionary = WLDictionary()
+    gram = _gram([wl_signature(labeled_graph(networks[news], scheme, model), h,
+                               dictionary) for news in sorted(networks)])
+    diag = np.diag(gram)
+    roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
+    root = np.array(roots).reshape(gram.shape)
+    return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
 
 
 class SimilarityIndex:
-    """Batch form of similarity_features for one training fold.
+    """Mean normalized kernel of every network to one fold's training references.
 
-    Signatures for every network are computed once per labeling scheme with
-    one shared dictionary, then each target is compared against the training
-    references by label.
+    features(news) is (fake_identity, true_identity, fake_class, true_class),
+    each in [0, 1]; a value is 0 when its reference class is empty. The
+    kernels come from one normalized Gram matrix per labelling scheme. The
+    identity-labelled one depends on the networks and h only, so a caller
+    building several indexes over the same networks passes it as `_identity`.
     """
 
-    def __init__(self, networks: dict, training_news, model, h: int = 3):
+    def __init__(self, networks: dict, training_news, model, h: int = 3,
+                 _identity=None):
         training = set(training_news)
         self.h = h
         order = sorted(networks)
-        self._sigs = {}
-        for scheme in LABELING_SCHEMES:
-            dictionary = WLDictionary()
-            self._sigs[scheme] = {
-                news: wl_signature(labeled_graph(networks[news], scheme, model),
-                                   h, dictionary)
-                for news in order
-            }
-        self._fake_refs = [n for n in order
-                           if n in training and networks[n].label == "fake"]
-        self._true_refs = [n for n in order
-                           if n in training and networks[n].label == "true"]
+        if _identity is None:
+            _identity = normalized_gram(networks, IDENTITY, h=h)
+        grams = (_identity, normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
+        refs = [[i for i, news in enumerate(order)
+                 if news in training and networks[news].label == label]
+                for label in ("fake", "true")]
+        columns = []
+        for gram in grams:
+            for cols in refs:
+                if not cols:
+                    columns.append([0.0] * len(order))
+                    continue
+                # Python's sum over each row adds the kernels in sorted news
+                # order, exactly as the pairwise loop did
+                columns.append([sum(row) / len(cols)
+                                for row in gram[:, cols].tolist()])
+        self._values = dict(zip(order, zip(*columns)))
 
     def features(self, news_id) -> tuple:
-        values = []
-        for scheme in LABELING_SCHEMES:
-            sigs = self._sigs[scheme]
-            target = sigs[news_id]
-            for refs in (self._fake_refs, self._true_refs):
-                if not refs:
-                    values.append(0.0)
-                    continue
-                total = sum(wl_kernel_normalized(target, sigs[r]) for r in refs)
-                values.append(total / len(refs))
-        return tuple(values)
-
-
-def write_gram_matrix(signatures: dict, path) -> None:
-    """Normalized Gram matrix over a batch of signatures, for diagnostics."""
-    from .util import write_csv
-
-    names = sorted(signatures)
-    rows = [[a] + [wl_kernel_normalized(signatures[a], signatures[b]) for b in names]
-            for a in names]
-    write_csv(path, ["graph"] + names, rows)
+        return self._values[news_id]

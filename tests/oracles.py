@@ -2,8 +2,10 @@
 
 Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
-set partitions, and the pure-Python centrality loops the array code in
-`newsnet.centrality` replaced. These paths share no code with the package
+set partitions, the pure-Python centrality loops the array code in
+`newsnet.centrality` replaced, and the pairwise WL similarity loops the Gram
+matrices in `newsnet.wl` replaced. Apart from the WL signatures and pairwise
+kernel those loops call, these paths share no code with the package
 internals.
 """
 
@@ -16,7 +18,10 @@ from itertools import combinations
 import numpy as np
 
 from newsnet.corpus import EngagementTable, SocialGraph
+from newsnet.diffusion import DiffusionNetwork
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
+from newsnet.wl import (IDENTITY, LABELING_SCHEMES, SUSCEPTIBILITY_CLASS, WLDictionary,
+                        labeled_graph, wl_kernel_normalized, wl_signature)
 
 
 def random_corpus(seed):
@@ -236,6 +241,72 @@ def python_brandes(nodes, out_neighbors) -> dict:
             if w != s:
                 bc[w] += delta[w]
     return bc
+
+
+def similarity_features(target: DiffusionNetwork, training_fake, training_true,
+                        model, h: int = 3) -> tuple:
+    """Mean normalized kernel of the target to each training reference class.
+
+    Returns (fake_identity, true_identity, fake_class, true_class), each in
+    [0, 1]; a feature is 0 when its reference set is empty.
+    """
+    fakes = sorted(training_fake, key=lambda n: n.news_id)
+    trues = sorted(training_true, key=lambda n: n.news_id)
+    values = []
+    for scheme in (IDENTITY, SUSCEPTIBILITY_CLASS):
+        dictionary = WLDictionary()
+        sig_target = wl_signature(labeled_graph(target, scheme, model), h, dictionary)
+        sims = {}
+        for name, refs in (("fake", fakes), ("true", trues)):
+            if not refs:
+                sims[name] = 0.0
+                continue
+            total = 0.0
+            for ref in refs:
+                sig_ref = wl_signature(labeled_graph(ref, scheme, model), h, dictionary)
+                total += wl_kernel_normalized(sig_target, sig_ref)
+            sims[name] = total / len(refs)
+        values.extend((sims["fake"], sims["true"]))
+    return tuple(values)
+
+
+class PairwiseSimilarityIndex:
+    """Batch form of similarity_features for one training fold.
+
+    Signatures for every network are computed once per labeling scheme with
+    one shared dictionary, then each target is compared against the training
+    references by label.
+    """
+
+    def __init__(self, networks: dict, training_news, model, h: int = 3):
+        training = set(training_news)
+        self.h = h
+        order = sorted(networks)
+        self._sigs = {}
+        for scheme in LABELING_SCHEMES:
+            dictionary = WLDictionary()
+            self._sigs[scheme] = {
+                news: wl_signature(labeled_graph(networks[news], scheme, model),
+                                   h, dictionary)
+                for news in order
+            }
+        self._fake_refs = [n for n in order
+                           if n in training and networks[n].label == "fake"]
+        self._true_refs = [n for n in order
+                           if n in training and networks[n].label == "true"]
+
+    def features(self, news_id) -> tuple:
+        values = []
+        for scheme in LABELING_SCHEMES:
+            sigs = self._sigs[scheme]
+            target = sigs[news_id]
+            for refs in (self._fake_refs, self._true_refs):
+                if not refs:
+                    values.append(0.0)
+                    continue
+                total = sum(wl_kernel_normalized(target, sigs[r]) for r in refs)
+                values.append(total / len(refs))
+        return tuple(values)
 
 
 def dense_hits_authority(nodes, edges) -> dict:

@@ -4,8 +4,6 @@ from newsnet.diffusion import build_network, write_network
 from newsnet.louvain import global_communities, write_communities
 from newsnet.susceptibility import fit, write_scores
 from newsnet.triads import census, write_census
-from newsnet.wl import (WLDictionary, labeled_graph, wl_signature,
-                        write_gram_matrix)
 
 from oracles import random_corpus
 
@@ -52,15 +50,3 @@ def test_census_export(tmp_path):
     assert lines[0] == "news_id,class,count"
     assert len(lines) == 12 + 3 + 1  # classes + diagnostics + total + header
 
-
-def test_gram_export(tmp_path):
-    graph, table = random_corpus(5)
-    dictionary = WLDictionary()
-    sigs = {}
-    for news in table.news_ids()[:4]:
-        net = build_network(graph, table, news)
-        sigs[news] = wl_signature(labeled_graph(net, "identity"), 2, dictionary)
-    path = tmp_path / "gram.csv"
-    write_gram_matrix(sigs, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(sigs) + 1

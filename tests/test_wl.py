@@ -2,12 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newsnet.diffusion import DiffusionNetwork
+from newsnet import susceptibility
+from newsnet.diffusion import DiffusionNetwork, build_all_networks
+from newsnet.features import extract_matrix
+from newsnet.ml.crossval import stratified_folds
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
 from newsnet.wl import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, SimilarityIndex,
-                        WLDictionary, labeled_graph, similarity_features, wl_kernel,
+                        WLDictionary, labeled_graph, normalized_gram, wl_kernel,
                         wl_kernel_normalized, wl_signature)
+
+from oracles import PairwiseSimilarityIndex, random_corpus, similarity_features
 
 
 class TwoClassModel:
@@ -187,3 +194,157 @@ def test_planted_density_separates_classes(strong_extractor):
         sims = index.features(news)
         fake_margin.append(sims[2] - sims[3])  # class-labeled scheme
     assert sum(fake_margin) / len(fake_margin) > 0.0
+
+
+def assert_equals_pairwise_oracle(networks, training, model, h=3, identity=None):
+    """Every similarity value equals the pairwise loop's bit for bit."""
+    fast = SimilarityIndex(networks, training, model, h=h, _identity=identity)
+    slow = PairwiseSimilarityIndex(networks, training, model, h=h)
+    for news in sorted(networks):
+        assert fast.features(news) == slow.features(news)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_equals_pairwise_oracle_on_random_corpora(seed):
+    graph, table = random_corpus(seed)
+    networks = build_all_networks(graph, table)
+    identity = normalized_gram(networks, IDENTITY, h=3)
+    news = sorted(networks)
+    for fold in range(3):
+        training = [n for i, n in enumerate(news) if i % 3 != fold]
+        for theta in (0.0, 0.5, 1.0):
+            model = susceptibility.fit(table, training, "by_news", theta)
+            assert_equals_pairwise_oracle(networks, training, model, identity=identity)
+    assert_equals_pairwise_oracle(networks, training, model)
+
+
+def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
+    networks = strong_extractor.networks
+    split = stratified_folds({n: net.label for n, net in networks.items()}, seed=7)
+    training = split.train_news(0)
+    model = susceptibility.fit(strong_extractor.table, training, "by_news", 0.5)
+    slow = PairwiseSimilarityIndex(networks, training, model, h=strong_extractor.h)
+    matrix = extract_matrix(strong_extractor, training, 0.5)
+    for news in sorted(networks):
+        assert tuple(matrix.row(news)[138:].tolist()) == slow.features(news)
+
+
+def test_identity_gram_cached_per_extractor(small_strong_extractor):
+    extractor = small_strong_extractor
+    gram = extractor._identity_gram()
+    assert extractor._identity_gram() is gram
+    assert np.array_equal(gram, normalized_gram(extractor.networks, IDENTITY,
+                                                h=extractor.h))
+    dropped = min(extractor.networks)
+    fewer = {n: net for n, net in extractor.networks.items() if n != dropped}
+    assert np.array_equal(extractor.with_networks(fewer)._identity_gram(),
+                          normalized_gram(fewer, IDENTITY, h=extractor.h))
+
+
+def test_empty_reference_class_is_zero():
+    networks = {"n1": _net("n1", [("a", "b")], label="fake"),
+                "n2": _net("n2", [("b", "c")], label="true"),
+                "n3": _net("n3", [("a", "c")], label="fake")}
+    model = TwoClassModel({"a"})
+    fast = SimilarityIndex(networks, ["n1", "n3"], model)
+    assert fast.features("n2")[1] == fast.features("n2")[3] == 0.0
+    assert_equals_pairwise_oracle(networks, ["n1", "n3"], model)
+    assert_equals_pairwise_oracle(networks, [], model)
+
+
+def test_isolated_nodes_edgeless_and_empty_networks():
+    networks = {
+        "n1": _net("n1", [("a", "b")], nodes={"a", "b", "c", "d"}),
+        "n2": _net("n2", [], nodes={"c", "d"}, label="true"),
+        "n3": _net("n3", [("b", "c"), ("c", "d")], nodes={"b", "c", "d", "e"}),
+        "n4": _net("n4", [], nodes={"a"}, label="true"),
+        "n5": _net("n5", [], nodes=set(), label="true"),
+    }
+    model = TwoClassModel({"a", "c"})
+    for h in (0, 1, 3):
+        assert_equals_pairwise_oracle(networks, sorted(networks), model, h=h)
+    assert SimilarityIndex(networks, sorted(networks), model).features("n5") \
+        == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_iterations_keep_separate_label_spaces():
+    # The user id "0|" is the string iteration 1 compresses a lone node with
+    # iteration-0 id 0 to, so dictionary id 1 is n1's iteration-1 label and
+    # n2's iteration-0 label. The kernel compares iterations separately, so
+    # the two networks share nothing; pooling the iterations would give 0.5.
+    networks = {"n1": _net("n1", [], nodes={"x"}, label="fake"),
+                "n2": _net("n2", [], nodes={"0|"}, label="true")}
+    d = WLDictionary()
+    s1, s2 = (wl_signature(labeled_graph(networks[n], IDENTITY), 1, d)
+              for n in ("n1", "n2"))
+    assert set(s1.histograms[1]) == set(s2.histograms[0]) == {1}
+    gram = normalized_gram(networks, IDENTITY, h=1)
+    assert gram.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert_equals_pairwise_oracle(networks, ["n1", "n2"], TwoClassModel(set()), h=1)
+
+
+def test_normalization_keeps_python_pow():
+    # Edgeless identity-labelled networks at h = 0 have self-kernels equal to
+    # their sizes. On glibc, 23 * 127 = 2921 is the smallest product whose
+    # `** 0.5` differs from np.sqrt in the last place.
+    users = [f"u{i:03d}" for i in range(127)]
+    networks = {"n1": _net("n1", [], nodes=users[:23], label="fake"),
+                "n2": _net("n2", [], nodes=users, label="true")}
+    gram = normalized_gram(networks, IDENTITY, h=0)
+    assert gram[0, 1] == 23 / 2921 ** 0.5
+    assert_equals_pairwise_oracle(networks, ["n1", "n2"], TwoClassModel(users[:5]), h=0)
+
+
+def test_reference_means_add_in_sorted_order():
+    # Twenty references per class: numpy's pairwise sum over the rows of a
+    # contiguous block rounds some of these means differently from adding
+    # the kernels one at a time.
+    rng = random.Random(0)
+    networks = {}
+    for i in range(40):
+        nodes = [f"u{k:02d}" for k in rng.sample(range(30), rng.randint(2, 12))]
+        edges = {(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.3}
+        networks[f"n{i:02d}"] = _net(f"n{i:02d}", edges, nodes=nodes,
+                                     label="fake" if i % 2 else "true")
+    model = TwoClassModel({f"u{k:02d}" for k in range(0, 30, 3)})
+    assert_equals_pairwise_oracle(networks, sorted(networks), model)
+
+
+@st.composite
+def corpora(draw):
+    """A few small networks over a shared user pool, a fold and a two-class model."""
+    users = [f"u{i:02d}" for i in range(draw(st.integers(1, 10)))]
+    networks = {}
+    for i in range(draw(st.integers(1, 7))):
+        nodes = draw(st.lists(st.sampled_from(users), unique=True, max_size=len(users)))
+        pairs = [(u, v) for u in nodes for v in nodes if u != v]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)
+                     if pairs else st.just([]))
+        label = draw(st.sampled_from(["fake", "true"]))
+        networks[f"n{i}"] = _net(f"n{i}", edges, nodes=nodes, label=label)
+    training = draw(st.lists(st.sampled_from(sorted(networks)), unique=True))
+    susceptible = draw(st.lists(st.sampled_from(users), unique=True))
+    return networks, training, TwoClassModel(susceptible), draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora())
+def test_property_equals_pairwise_oracle(corpus):
+    networks, training, model, h = corpus
+    assert_equals_pairwise_oracle(networks, training, model, h=h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora(), st.integers(1, 50))
+def test_property_order_preserving_relabel(corpus, stride):
+    networks, training, model, h = corpus
+    users = sorted({v for net in networks.values() for v in net.nodes})
+    rename = {v: f"user{i * stride:05d}" for i, v in enumerate(users)}
+    renamed = {n: _net(n, [(rename[u], rename[v]) for u, v in net.edges],
+                       nodes=[rename[v] for v in net.nodes], label=net.label)
+               for n, net in networks.items()}
+    renamed_model = TwoClassModel(rename[v] for v in model.susceptible if v in rename)
+    before = SimilarityIndex(networks, training, model, h=h)
+    after = SimilarityIndex(renamed, training, renamed_model, h=h)
+    for news in sorted(networks):
+        assert before.features(news) == after.features(news)
