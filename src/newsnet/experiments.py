@@ -24,7 +24,7 @@ from .features import (FARTHER_DISTANCE, DENSER_NETWORKS, FEATURE_REGISTRY,
                        MORE_SPREADERS, PATTERNS, SIMILARITY, STRONGER_ENGAGEMENT,
                        FeatureExtractor, FeatureMatrix, pattern_mask)
 from .diffusion import subsample
-from .ml.crossval import CLASSIFIERS, cross_validate, evaluate_masks
+from .ml.crossval import check_params, cross_validate, evaluate_masks
 from .util import derive_seed
 
 
@@ -93,8 +93,12 @@ class ExperimentConfig:
     synthetic: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.classifier not in CLASSIFIERS:
-            raise ConfigError(f"unknown classifier {self.classifier!r}")
+        if not isinstance(self.classifier_params, dict):
+            raise ConfigError("classifier_params must be a JSON object")
+        try:
+            check_params(self.classifier, self.classifier_params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name in ("theta_grid", "proportions", "balance_fractions"):
             values = getattr(self, name)
             if not values:

@@ -392,14 +392,12 @@ def extract(network: DiffusionNetwork, models: dict, extractor: FeatureExtractor
 
 
 def extract_matrix(extractor: FeatureExtractor, training_news, theta: float,
-                   methods=METHODS, similarity: bool = True) -> FeatureMatrix:
+                   similarity: bool = True) -> FeatureMatrix:
     """Leakage-safe feature matrix for the whole corpus under one training fold.
 
     Susceptibility models and WL reference sets are fit on `training_news`
     only; test-fold labels never influence any value.
     """
-    if tuple(methods) != METHODS:
-        raise ValueError(f"feature contract requires both methods {METHODS}")
     models = susceptibility.fit_all(extractor.table, training_news, theta)
     sim_index = None
     if similarity:

@@ -1,7 +1,7 @@
 from .baselines import GaussianNBClassifier, KNNClassifier, MinMaxScaler
 from .crossval import (CLASSIFIERS, DatasetSplit, EvalReport, cross_validate,
-                       encode_labels, evaluate_masks, fit_baseline, fit_classifier,
-                       fit_random_forest, stratified_folds)
+                       encode_labels, evaluate_masks, fit_classifier,
+                       stratified_folds)
 from .forest import DecisionTreeClassifier, RandomForestClassifier
 from .relief import relief_rank, relief_weights
 
@@ -17,9 +17,7 @@ __all__ = [
     "cross_validate",
     "encode_labels",
     "evaluate_masks",
-    "fit_baseline",
     "fit_classifier",
-    "fit_random_forest",
     "relief_rank",
     "relief_weights",
     "stratified_folds",

@@ -11,18 +11,44 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from ..corpus import FAKE
 from ..features import FeatureExtractor, N_FEATURES, extract_matrix
-from ..susceptibility import METHODS
 from ..util import derive_seed
 from .baselines import GaussianNBClassifier, KNNClassifier
 from .forest import DecisionTreeClassifier, RandomForestClassifier
 
-CLASSIFIERS = ("random_forest", "decision_tree", "knn", "gaussian_nb")
 N_FOLDS = 5
+
+
+def _int_at_least(low):
+    return lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= low
+
+
+_positive = _int_at_least(1)
+
+
+# kind -> (class, accepted parameters, takes the fit seed)
+CLASSIFIERS = {
+    "random_forest": (RandomForestClassifier,
+                      ("n_trees", "max_features", "max_depth", "min_leaf", "bootstrap"),
+                      True),
+    "decision_tree": (DecisionTreeClassifier, ("max_depth", "min_leaf"), True),
+    "knn": (KNNClassifier, ("k",), False),
+    "gaussian_nb": (GaussianNBClassifier, (), False),
+}
+# parameter -> (value check, what the check expects)
+_PARAM_RULES = {
+    "n_trees": (_positive, "an int >= 1"),
+    "max_features": (lambda v: v == "sqrt" or _positive(v), '"sqrt" or an int >= 1'),
+    "max_depth": (lambda v: v is None or _int_at_least(0)(v), "null or an int >= 0"),
+    "min_leaf": (_positive, "an int >= 1"),
+    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+    "k": (_positive, "an int >= 1"),
+}
 
 
 def encode_labels(labels) -> np.ndarray:
@@ -33,7 +59,6 @@ def encode_labels(labels) -> np.ndarray:
 class DatasetSplit:
     folds: dict  # news_id -> fold index
     n_folds: int
-    seed: int
 
     def train_news(self, fold) -> list:
         return sorted(n for n, f in self.folds.items() if f != fold)
@@ -54,7 +79,7 @@ def stratified_folds(labels: dict, n_folds: int = N_FOLDS, seed: int = 0) -> Dat
         rng.shuffle(ids)
         for pos, news in enumerate(ids):
             assignment[news] = pos % n_folds
-    return DatasetSplit(folds=assignment, n_folds=n_folds, seed=seed)
+    return DatasetSplit(folds=assignment, n_folds=n_folds)
 
 
 def confusion(y_true, y_pred) -> dict:
@@ -109,40 +134,31 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def fit_random_forest(X, y, n_trees=100, max_features="sqrt", max_depth=None,
-                      min_leaf=1, bootstrap=True, seed=0) -> RandomForestClassifier:
-    _check_training_set(y)
-    clf = RandomForestClassifier(n_trees=n_trees, max_features=max_features,
-                                 max_depth=max_depth, min_leaf=min_leaf,
-                                 bootstrap=bootstrap, seed=seed)
-    return clf.fit(X, y)
-
-
-def fit_baseline(kind: str, X, y, **params):
-    _check_training_set(y)
-    if kind == "decision_tree":
-        clf = DecisionTreeClassifier(max_depth=params.get("max_depth"),
-                                     min_leaf=params.get("min_leaf", 1),
-                                     seed=params.get("seed", 0))
-    elif kind == "knn":
-        clf = KNNClassifier(k=params.get("k", 5))
-    elif kind == "gaussian_nb":
-        clf = GaussianNBClassifier()
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    return clf.fit(X, y)
-
-
 def fit_classifier(kind: str, X, y, seed: int = 0, params: dict | None = None):
+    """Fit a fresh `kind` classifier; seeded kinds get `seed`."""
     params = dict(params or {})
-    if kind == "random_forest":
-        params.setdefault("seed", seed)
-        return fit_random_forest(X, y, **params)
-    if kind in ("decision_tree",):
-        params.setdefault("seed", seed)
+    check_params(kind, params)
+    _check_training_set(y)
+    cls, _, seeded = CLASSIFIERS[kind]
+    if seeded:
+        params["seed"] = seed
+    return cls(**params).fit(X, y)
+
+
+def check_params(kind: str, params: dict) -> None:
+    """Raise ValueError for an unknown kind, or a parameter `kind` does not
+    accept or whose value is out of range."""
     if kind not in CLASSIFIERS:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    return fit_baseline(kind, X, y, **params)
+    accepted = CLASSIFIERS[kind][1]
+    for name, value in params.items():
+        if name not in accepted:
+            raise ValueError(f"{kind} does not take parameter {name!r} "
+                             f"(accepted: {', '.join(accepted) or 'none'})")
+        valid, expected = _PARAM_RULES[name]
+        if not valid(value):
+            raise ValueError(f"{kind} parameter {name!r} must be {expected}, "
+                             f"got {value!r}")
 
 
 def _check_training_set(y):
@@ -162,7 +178,7 @@ class _MaskState:
 
 def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
                    theta: float, seed: int, params: dict | None = None,
-                   split: DatasetSplit | None = None, methods=METHODS) -> dict:
+                   split: DatasetSplit | None = None) -> dict:
     """Cross-validate several feature masks sharing one extraction per fold.
 
     `masks` maps a row name to a list of 1-based feature indices. Returns
@@ -170,8 +186,7 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     only on the master seed, never on the mask, so masks over identical
     feature values produce identical reports.
     """
-    if classifier not in CLASSIFIERS:
-        raise ValueError(f"unknown classifier kind {classifier!r}")
+    check_params(classifier, params or {})
     # split over the extractor's networks: a restricted corpus sees only its news
     labels = {news: extractor.table.labels[news] for news in extractor.networks}
     if split is None:
@@ -180,7 +195,7 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     for fold in range(split.n_folds):
         train_news = split.train_news(fold)
         test_news = split.test_news(fold)
-        matrix = extract_matrix(extractor, train_news, theta, methods=methods)
+        matrix = extract_matrix(extractor, train_news, theta)
         X_train, lab_train = matrix.rows_for(train_news)
         X_test, lab_test = matrix.rows_for(test_news)
         y_train = encode_labels(lab_train)
@@ -208,11 +223,10 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
 
 def cross_validate(extractor: FeatureExtractor, *, classifier: str = "random_forest",
                    mask=None, theta: float = 0.5, seed: int = 0,
-                   params: dict | None = None, split: DatasetSplit | None = None,
-                   methods=METHODS) -> EvalReport:
+                   params: dict | None = None,
+                   split: DatasetSplit | None = None) -> EvalReport:
     if mask is None:
         mask = list(range(1, N_FEATURES + 1))
     reports = evaluate_masks(extractor, {"all": list(mask)}, classifier=classifier,
-                             theta=theta, seed=seed, params=params, split=split,
-                             methods=methods)
+                             theta=theta, seed=seed, params=params, split=split)
     return reports["all"]

@@ -1,9 +1,38 @@
 """Gini decision trees and a bootstrap random forest, binary labels 0/1.
 
 Label 1 is the fake class; every tie (leaf majority, forest vote) breaks
-toward it deterministically. Split search scans candidate features in index
-order and keeps the first strictly best weighted Gini, so fitting is fully
-reproducible for a given seed.
+toward it deterministically.
+
+`fit` sorts every column of the n × d training matrix once (a stable
+argsort plus the sorted values). A node is an int64 weight vector over the n
+training rows: at the root it holds the bootstrap multiplicities (ones
+without bootstrap), and a split hands its children the parent's weights
+masked by `X[:, f] < threshold` and by its complement, so no row subset is
+ever copied. A node stops as a leaf when it is pure, at `max_depth`, or
+smaller than `2 * min_leaf`; otherwise it draws its candidate features and
+takes the split with the lowest weighted Gini, unless that is no lower than
+its own Gini.
+
+The split search takes a batch of nodes, each with its own candidate
+features, and computes them all in one array pass over the presorted
+columns. Running sums of w and w·y give the left-side row and fake counts
+at every sorted position. A cut lies after a present row (w > 0) whose value
+is strictly below the next present non-NaN value, and leaves at least
+`min_leaf` rows on each side. The threshold is the midpoint of those two
+values, or the upper one where the midpoint would not separate them (after
+-inf, between neighbouring floats, or on overflow). The winner is the first minimum in (candidate feature, ascending
+value) order. The trees of a forest grow together: each step takes the next
+node in depth-first preorder from every unfinished tree, draws that node's
+candidate features from its own tree's generator and searches the batch in
+chunks of `_CHUNK` nodes, which bounds the n × chunk × k temporaries.
+
+The result is bit-identical to growing each tree recursively on a copy of its
+bootstrap rows (the reference in `tests/oracles.py`). A cut's counts depend
+only on the multiset of (value, label) pairs on each side, which the weights
+give as the same int64 values. The Gini and threshold use the same
+elementwise float formulas. The first minimum is the reference's "first
+strictly best" rule over sorted candidates. Each tree still draws from its
+own generator in depth-first preorder, so every draw is the same.
 """
 
 from __future__ import annotations
@@ -14,58 +43,140 @@ import numpy as np
 
 from ..util import derive_seed
 
-
-class _Leaf:
-    __slots__ = ("prediction",)
-
-    def __init__(self, counts):
-        # counts = (n_true, n_fake); ties predict fake
-        self.prediction = 1 if counts[1] >= counts[0] else 0
+_CHUNK = 8  # nodes per split search
 
 
-class _Split:
-    __slots__ = ("feature", "threshold", "left", "right")
+class _Trees:
+    """Trees as flat node arrays; tree t's root is node t.
 
-    def __init__(self, feature, threshold, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    Node i is a leaf predicting `prediction[i]` when `feature[i]` is -1;
+    otherwise a row goes to `left[i]` if its `feature[i]` value is below
+    `threshold[i]`, else to `right[i]` (so NaN goes right).
+    """
+
+    def __init__(self, n_trees, nodes):
+        self.n_trees = n_trees
+        feature, threshold, left, right, prediction = zip(*nodes) if nodes else [()] * 5
+        self.feature = np.array(feature, dtype=np.int64)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.int64)
+        self.right = np.array(right, dtype=np.int64)
+        self.prediction = np.array(prediction, dtype=np.int64)
+
+    def predict_each(self, X) -> np.ndarray:
+        """(n_trees, n_rows) leaf predictions."""
+        m = X.shape[0]
+        node = np.repeat(np.arange(self.n_trees), m).reshape(self.n_trees, m)
+        row = np.broadcast_to(np.arange(m), node.shape)
+        inner = self.feature[node] >= 0
+        while inner.any():
+            at = node[inner]
+            goes_left = X[row[inner], self.feature[at]] < self.threshold[at]
+            node[inner] = np.where(goes_left, self.left[at], self.right[at])
+            inner = self.feature[node] >= 0
+        return self.prediction[node]
 
 
-def _gini_best_split(X, y, rows, features, min_leaf):
-    """Best (weighted_gini, feature, threshold) over the candidate features."""
-    n = rows.size
-    best = (math.inf, -1, 0.0)
-    for f in features:
-        col = X[rows, f]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        ys = y[rows][order]
-        cuts = np.nonzero(cs[:-1] < cs[1:])[0]
-        if cuts.size == 0:
-            continue
-        left_n = cuts + 1
-        right_n = n - left_n
-        keep = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not keep.any():
-            continue
-        cuts = cuts[keep]
-        left_n = left_n[keep]
-        right_n = right_n[keep]
-        pos = np.cumsum(ys)
-        left_pos = pos[cuts]
-        right_pos = pos[-1] - left_pos
-        p_l = left_pos / left_n
-        p_r = right_pos / right_n
-        gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
-        gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
-        weighted = (left_n * gini_l + right_n * gini_r) / n
-        i = int(np.argmin(weighted))
-        if weighted[i] < best[0]:
-            threshold = (cs[cuts[i]] + cs[cuts[i] + 1]) / 2.0
-            best = (float(weighted[i]), f, float(threshold))
-    return best
+class _Presorted:
+    """The training columns sorted once: row order, values and labels, (d, n)."""
+
+    def __init__(self, X, y):
+        d = X.shape[1]
+        self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+        self.values = X.T[np.arange(d)[:, None], self.order]
+        self.labels = y[self.order]
+        self.not_nan = ~np.isnan(self.values)
+
+    def best_splits(self, W, F, min_leaf):
+        """First best (weighted Gini, feature, threshold) of each node.
+
+        W is (B, n) node weights and F (B, k) candidate features. A node
+        without any cut gets Gini inf and feature -1.
+        """
+        B = W.shape[0]
+        b = np.arange(B)
+        ws = W[b[:, None, None], self.order[F]]  # (B, k, n) in sorted order
+        vs = self.values[F]
+        left_n = np.cumsum(ws, axis=2)
+        left_pos = np.cumsum(ws * self.labels[F], axis=2)
+        n_node = left_n[:, :, -1:]
+        right_n = n_node - left_n
+        right_pos = left_pos[:, :, -1:] - left_pos
+        # value of the next present non-NaN row after each position (fmin
+        # skips NaN), and the weight of the present non-NaN rows
+        after = np.fmin.accumulate(np.where(ws > 0, vs, np.inf)[:, :, ::-1],
+                                   axis=2)[:, :, ::-1]
+        numbered = np.where(self.not_nan[F], ws, 0).sum(axis=2, keepdims=True)
+        left_n, left_pos = left_n[:, :, :-1], left_pos[:, :, :-1]
+        right_n, right_pos = right_n[:, :, :-1], right_pos[:, :, :-1]
+        here, after = vs[:, :, :-1], after[:, :, 1:]
+        cut = ((ws[:, :, :-1] > 0) & (here < after) & (left_n < numbered)
+               & (left_n >= min_leaf) & (right_n >= min_leaf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_l = left_pos / left_n
+            p_r = right_pos / right_n
+            gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
+            gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
+            weighted = (left_n * gini_l + right_n * gini_r) / n_node
+        weighted = np.where(cut, weighted, np.inf).reshape(B, -1)
+        best = weighted.argmin(axis=1)
+        j, i = np.divmod(best, here.shape[2])
+        gini = weighted[b, best]
+        lo, hi = here[b, j, i], after[b, j, i]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = (lo + hi) / 2.0
+        threshold = np.where((lo < mid) & (mid <= hi), mid, hi)
+        feature = np.where(gini < np.inf, F[b, j], -1)
+        return gini, feature, threshold
+
+
+def _grow(X, y, roots, rngs, n_candidates, max_depth, min_leaf) -> _Trees:
+    """Grow one tree per root weight vector, all trees in lockstep.
+
+    Tree t draws its candidate features from rngs[t]: n_candidates of the
+    d columns, or every column without a draw when n_candidates is None or
+    at least d.
+    """
+    d = X.shape[1]
+    presorted = _Presorted(X, y)
+    draw = n_candidates is not None and n_candidates < d
+    everything = np.arange(d)
+    nodes = [None] * len(roots)  # (feature, threshold, left, right, prediction)
+    stacks = [[(t, w, 0)] for t, w in enumerate(roots)]
+    while True:
+        batch = []  # (tree, node, weights, depth, n_rows, n_fake, features)
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, w, depth = stack.pop()
+                n_rows, n_fake = int(w.sum()), int(w @ y)
+                if (n_fake == 0 or n_fake == n_rows
+                        or (max_depth is not None and depth >= max_depth)
+                        or n_rows < 2 * min_leaf):
+                    nodes[node] = (-1, 0.0, -1, -1, int(2 * n_fake >= n_rows))
+                    continue
+                candidates = (np.sort(rngs[t].choice(d, size=n_candidates, replace=False))
+                              if draw else everything)
+                batch.append((t, node, w, depth, n_rows, n_fake, candidates))
+                break
+        if not batch:
+            return _Trees(len(roots), nodes)
+        for start in range(0, len(batch), _CHUNK):
+            chunk = batch[start:start + _CHUNK]
+            ginis, features, thresholds = presorted.best_splits(
+                np.stack([item[2] for item in chunk]),
+                np.stack([item[6] for item in chunk]), min_leaf)
+            for (t, node, w, depth, n_rows, n_fake, _), gini, f, thr in zip(
+                    chunk, ginis.tolist(), features.tolist(), thresholds.tolist()):
+                p = n_fake / n_rows
+                if f < 0 or gini >= 1.0 - p ** 2 - (1.0 - p) ** 2:
+                    nodes[node] = (-1, 0.0, -1, -1, int(2 * n_fake >= n_rows))
+                    continue
+                goes_left = X[:, f] < thr
+                left, right = len(nodes), len(nodes) + 1
+                nodes[node] = (f, thr, left, right, -1)
+                nodes += [None, None]
+                stacks[t].append((right, w * ~goes_left, depth + 1))
+                stacks[t].append((left, w * goes_left, depth + 1))
 
 
 class DecisionTreeClassifier:
@@ -76,51 +187,18 @@ class DecisionTreeClassifier:
         self.min_leaf = min_leaf
         self.max_features = max_features
         self.seed = seed
-        self._root = None
+        self._trees = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        rng = np.random.default_rng(self.seed)
-        n_features = X.shape[1]
-        self._root = self._grow(X, y, np.arange(X.shape[0]), 0, rng, n_features)
+        self._trees = _grow(X, y, [np.ones(X.shape[0], dtype=np.int64)],
+                            [np.random.default_rng(self.seed)], self.max_features,
+                            self.max_depth, self.min_leaf)
         return self
 
-    def _candidate_features(self, rng, n_features):
-        if self.max_features is None or self.max_features >= n_features:
-            return list(range(n_features))
-        picked = rng.choice(n_features, size=self.max_features, replace=False)
-        return sorted(int(f) for f in picked)
-
-    def _grow(self, X, y, rows, depth, rng, n_features):
-        counts = (int(np.sum(y[rows] == 0)), int(np.sum(y[rows] == 1)))
-        if counts[0] == 0 or counts[1] == 0:
-            return _Leaf(counts)
-        if self.max_depth is not None and depth >= self.max_depth:
-            return _Leaf(counts)
-        if rows.size < 2 * self.min_leaf:
-            return _Leaf(counts)
-        n = rows.size
-        p = counts[1] / n
-        parent_gini = 1.0 - p ** 2 - (1.0 - p) ** 2
-        features = self._candidate_features(rng, n_features)
-        gini, feature, threshold = _gini_best_split(X, y, rows, features, self.min_leaf)
-        if feature < 0 or gini >= parent_gini:
-            return _Leaf(counts)
-        mask = X[rows, feature] < threshold
-        left = self._grow(X, y, rows[mask], depth + 1, rng, n_features)
-        right = self._grow(X, y, rows[~mask], depth + 1, rng, n_features)
-        return _Split(feature, threshold, left, right)
-
     def predict(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            node = self._root
-            while isinstance(node, _Split):
-                node = node.left if X[i, node.feature] < node.threshold else node.right
-            out[i] = node.prediction
-        return out
+        return self._trees.predict_each(np.asarray(X, dtype=np.float64))[0]
 
 
 class RandomForestClassifier:
@@ -134,7 +212,7 @@ class RandomForestClassifier:
         self.min_leaf = min_leaf
         self.bootstrap = bootstrap
         self.seed = seed
-        self._trees = []
+        self._trees = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
@@ -144,22 +222,20 @@ class RandomForestClassifier:
             per_split = math.ceil(math.sqrt(d))
         else:
             per_split = min(int(self.max_features), d)
-        self._trees = []
+        roots, rngs = [], []
         for t in range(self.n_trees):
             tree_seed = derive_seed(self.seed, "tree", t)
-            rng = np.random.default_rng(tree_seed)
-            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTreeClassifier(max_depth=self.max_depth,
-                                          min_leaf=self.min_leaf,
-                                          max_features=per_split,
-                                          seed=derive_seed(tree_seed, "splits"))
-            tree.fit(X[rows], y[rows])
-            self._trees.append(tree)
+            if self.bootstrap:
+                rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
+                roots.append(np.bincount(rows, minlength=n))
+            else:
+                roots.append(np.ones(n, dtype=np.int64))
+            rngs.append(np.random.default_rng(derive_seed(tree_seed, "splits")))
+        self._trees = _grow(X, y, roots, rngs, per_split, self.max_depth,
+                            self.min_leaf)
         return self
 
     def predict(self, X):
         X = np.asarray(X, dtype=np.float64)
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self._trees:
-            votes += tree.predict(X)
-        return (2 * votes >= len(self._trees)).astype(np.int64)
+        votes = self._trees.predict_each(X).sum(axis=0)
+        return (2 * votes >= self.n_trees).astype(np.int64)

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.features import FeatureExtractor
 from newsnet.ml.crossval import cross_validate
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
+
+# Wall-clock deadlines flake on small shared hosts; example counts stay per test.
+settings.register_profile("newsnet", deadline=None)
+settings.load_profile("newsnet")
 
 
 def make_graph(edges, nodes=None) -> SocialGraph:

@@ -3,14 +3,16 @@
 Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
 set partitions, the pure-Python centrality loops the array code in
-`newsnet.centrality` replaced, and the pairwise WL similarity loops the Gram
-matrices in `newsnet.wl` replaced. Apart from the WL signatures and pairwise
-kernel those loops call, these paths share no code with the package
-internals.
+`newsnet.centrality` replaced, the pairwise WL similarity loops the Gram
+matrices in `newsnet.wl` replaced, and the recursive per-node tree growth the
+presorted batched grower in `newsnet.ml.forest` replaced. Apart from the WL
+signatures and pairwise kernel those loops call, these paths share no code
+with the package internals.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -20,6 +22,7 @@ import numpy as np
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
+from newsnet.util import derive_seed
 from newsnet.wl import (IDENTITY, LABELING_SCHEMES, SUSCEPTIBILITY_CLASS, WLDictionary,
                         labeled_graph, wl_kernel_normalized, wl_signature)
 
@@ -370,3 +373,163 @@ def best_partition(nodes, weighted_edges):
             best_q = q
             best = partition
     return best, best_q
+
+
+# Gini trees grown recursively, one node at a time, on a copy of the
+# bootstrap rows: the reference for newsnet.ml.forest. This is the code the
+# batched grower replaced, with one change: a midpoint threshold that does not
+# lie in (lo, hi] is replaced by hi. Such a midpoint (after -inf, between
+# neighbouring floats, or overflowing to inf) sent every row to one side, so
+# the child equalled its parent and the recursion never ended.
+
+class _Leaf:
+    __slots__ = ("prediction",)
+
+    def __init__(self, counts):
+        # counts = (n_true, n_fake); ties predict fake
+        self.prediction = 1 if counts[1] >= counts[0] else 0
+
+
+class _Split:
+    __slots__ = ("feature", "threshold", "left", "right")
+
+    def __init__(self, feature, threshold, left, right):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+
+
+def _gini_best_split(X, y, rows, features, min_leaf):
+    """Best (weighted_gini, feature, threshold) over the candidate features."""
+    n = rows.size
+    best = (math.inf, -1, 0.0)
+    for f in features:
+        col = X[rows, f]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        ys = y[rows][order]
+        cuts = np.nonzero(cs[:-1] < cs[1:])[0]
+        if cuts.size == 0:
+            continue
+        left_n = cuts + 1
+        right_n = n - left_n
+        keep = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not keep.any():
+            continue
+        cuts = cuts[keep]
+        left_n = left_n[keep]
+        right_n = right_n[keep]
+        pos = np.cumsum(ys)
+        left_pos = pos[cuts]
+        right_pos = pos[-1] - left_pos
+        p_l = left_pos / left_n
+        p_r = right_pos / right_n
+        gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
+        gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
+        weighted = (left_n * gini_l + right_n * gini_r) / n
+        i = int(np.argmin(weighted))
+        if weighted[i] < best[0]:
+            lo, hi = cs[cuts[i]], cs[cuts[i] + 1]
+            threshold = (lo + hi) / 2.0
+            if not lo < threshold <= hi:  # the one change: see the note above
+                threshold = hi
+            best = (float(weighted[i]), f, float(threshold))
+    return best
+
+
+class ReferenceDecisionTree:
+    """CART-style classifier; axis-aligned splits, Gini impurity."""
+
+    def __init__(self, max_depth=None, min_leaf=1, max_features=None, seed=0):
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.max_features = max_features
+        self.seed = seed
+        self._root = None
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        rng = np.random.default_rng(self.seed)
+        n_features = X.shape[1]
+        self._root = self._grow(X, y, np.arange(X.shape[0]), 0, rng, n_features)
+        return self
+
+    def _candidate_features(self, rng, n_features):
+        if self.max_features is None or self.max_features >= n_features:
+            return list(range(n_features))
+        picked = rng.choice(n_features, size=self.max_features, replace=False)
+        return sorted(int(f) for f in picked)
+
+    def _grow(self, X, y, rows, depth, rng, n_features):
+        counts = (int(np.sum(y[rows] == 0)), int(np.sum(y[rows] == 1)))
+        if counts[0] == 0 or counts[1] == 0:
+            return _Leaf(counts)
+        if self.max_depth is not None and depth >= self.max_depth:
+            return _Leaf(counts)
+        if rows.size < 2 * self.min_leaf:
+            return _Leaf(counts)
+        n = rows.size
+        p = counts[1] / n
+        parent_gini = 1.0 - p ** 2 - (1.0 - p) ** 2
+        features = self._candidate_features(rng, n_features)
+        gini, feature, threshold = _gini_best_split(X, y, rows, features, self.min_leaf)
+        if feature < 0 or gini >= parent_gini:
+            return _Leaf(counts)
+        mask = X[rows, feature] < threshold
+        left = self._grow(X, y, rows[mask], depth + 1, rng, n_features)
+        right = self._grow(X, y, rows[~mask], depth + 1, rng, n_features)
+        return _Split(feature, threshold, left, right)
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for i in range(X.shape[0]):
+            node = self._root
+            while isinstance(node, _Split):
+                node = node.left if X[i, node.feature] < node.threshold else node.right
+            out[i] = node.prediction
+        return out
+
+
+class ReferenceRandomForest:
+    """Bootstrap forest of Gini trees; majority vote, ties to fake."""
+
+    def __init__(self, n_trees=100, max_features="sqrt", max_depth=None,
+                 min_leaf=1, bootstrap=True, seed=0):
+        self.n_trees = n_trees
+        self.max_features = max_features
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.bootstrap = bootstrap
+        self.seed = seed
+        self._trees = []
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        n, d = X.shape
+        if self.max_features == "sqrt":
+            per_split = math.ceil(math.sqrt(d))
+        else:
+            per_split = min(int(self.max_features), d)
+        self._trees = []
+        for t in range(self.n_trees):
+            tree_seed = derive_seed(self.seed, "tree", t)
+            rng = np.random.default_rng(tree_seed)
+            rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            tree = ReferenceDecisionTree(max_depth=self.max_depth,
+                                         min_leaf=self.min_leaf,
+                                         max_features=per_split,
+                                         seed=derive_seed(tree_seed, "splits"))
+            tree.fit(X[rows], y[rows])
+            self._trees.append(tree)
+        return self
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        votes = np.zeros(X.shape[0], dtype=np.int64)
+        for tree in self._trees:
+            votes += tree.predict(X)
+        return (2 * votes >= len(self._trees)).astype(np.int64)

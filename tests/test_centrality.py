@@ -181,13 +181,13 @@ def digraphs(draw):
                                   nodes=nodes)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(digraphs())
 def test_property_equals_python_oracles(graph):
     assert_equals_python_oracles(graph)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(digraphs(), st.integers(1, 50))
 def test_property_order_preserving_relabel(graph, stride):
     nodes = graph.sorted_nodes()

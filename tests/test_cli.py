@@ -118,6 +118,42 @@ def test_exit_code_config_error(tmp_path):
     assert main(["evaluate", "--config", str(missing_paths)]) == 2
 
 
+@pytest.mark.parametrize("classifier,params,message", [
+    ("random_forest", {"n_trees": 0}, "'n_trees' must be an int >= 1"),
+    ("random_forest", {"n_tree": 5}, "does not take parameter 'n_tree'"),
+    ("random_forest", {"max_features": "log2"}, "'max_features' must be"),
+    ("random_forest", {"max_depth": -1}, "'max_depth' must be"),
+    ("random_forest", {"min_leaf": 0}, "'min_leaf' must be"),
+    ("random_forest", {"bootstrap": 1}, "'bootstrap' must be"),
+    ("random_forest", {"seed": 3}, "does not take parameter 'seed'"),
+    ("decision_tree", {"max_features": 3}, "does not take parameter 'max_features'"),
+    ("knn", {"k": 0}, "'k' must be an int >= 1"),
+    ("knn", {"n_trees": 5}, "does not take parameter 'n_trees'"),
+    ("gaussian_nb", {"k": 3}, "does not take parameter 'k'"),
+])
+def test_classifier_params_rejected_as_config_error(corpus_dir, tmp_path, capsys,
+                                                     classifier, params, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": classifier,
+                                  "classifier_params": params}))
+    code = main(["evaluate", "--config", str(config), "--out", str(tmp_path / "out")]
+                + _corpus_flags(corpus_dir))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_classifier_params_accepted(corpus_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier_params": {
+        "n_trees": 7, "max_features": 3, "max_depth": None, "min_leaf": 2,
+        "bootstrap": False}}))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(config), "--out", str(out), "--seed", "5"]
+                + _corpus_flags(corpus_dir)) == 0
+    assert len(json.loads((out / "evaluation.json").read_text())["fold_f1"]) == 5
+
+
 def test_malformed_corpus_exit_one(tmp_path):
     (tmp_path / "edges.csv").write_text("follower,followee\nu1,u1\n")
     (tmp_path / "engagements.csv").write_text("news_id,user_id,count\nn1,u9,1\n")

@@ -166,6 +166,8 @@ def test_config_validation_errors():
         _config(susceptibility_methods=("by_news",))
     with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_dict({"bogus": 1})
+    with pytest.raises(ConfigError, match="classifier_params"):
+        _config(classifier_params=[("n_trees", 5)])
 
 
 def test_config_json_round_trip(tmp_path):

@@ -163,10 +163,3 @@ def test_matrix_csv_round_shape(tmp_path):
     assert lines[0].startswith("news_id,label,f001")
     assert lines[0].endswith("f142")
     assert len(lines) == len(matrix.news_ids) + 1
-
-
-def test_methods_restriction_rejected():
-    graph, table = random_corpus(1)
-    ex = _extractor(graph, table)
-    with pytest.raises(ValueError, match="both methods"):
-        extract_matrix(ex, table.news_ids(), 0.5, methods=("by_news",))

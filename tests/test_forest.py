@@ -1,0 +1,172 @@
+"""The presorted, tree-batched forest against the recursive reference trees.
+
+Every comparison is exact: the same split features, bit-identical thresholds
+(compared by their hex form, which also tells -0.0 from 0.0), the same leaf
+predictions and the same `predict` output.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from newsnet.experiments import DEFAULT_SWEEP_SUBSETS, SUBSET_BY_NAME
+from newsnet.features import extract_matrix, pattern_mask
+from newsnet.ml.crossval import encode_labels, fit_classifier, stratified_folds
+from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier
+from newsnet.util import derive_seed
+
+from oracles import ReferenceDecisionTree, ReferenceRandomForest, _Leaf
+
+KINDS = ("ties", "continuous", "inf", "nan")
+FOREST_CASES = (
+    {},
+    {"bootstrap": False},
+    {"max_depth": 0},
+    {"max_depth": 1, "max_features": 1},
+    {"max_depth": 2, "min_leaf": 2},
+    {"max_depth": 5, "min_leaf": 3, "max_features": 3},
+    {"max_features": 100, "bootstrap": False},
+    {"min_leaf": 2, "max_features": 2},
+)
+TREE_CASES = (
+    {},
+    {"max_depth": 0},
+    {"max_depth": 1},
+    {"min_leaf": 3},
+    {"max_features": 1},
+    {"max_features": 2, "max_depth": 3, "min_leaf": 2},
+    {"max_features": 50},
+)
+
+
+def reference_structure(node):
+    if isinstance(node, _Leaf):
+        return node.prediction
+    return (node.feature, node.threshold.hex(),
+            reference_structure(node.left), reference_structure(node.right))
+
+
+def structure(trees, node):
+    if trees.feature[node] < 0:
+        return int(trees.prediction[node])
+    return (int(trees.feature[node]), float(trees.threshold[node]).hex(),
+            structure(trees, trees.left[node]), structure(trees, trees.right[node]))
+
+
+def assert_same_forest(fast, ref, X):
+    assert ([structure(fast._trees, t) for t in range(fast._trees.n_trees)]
+            == [reference_structure(tree._root) for tree in ref._trees])
+    assert np.array_equal(fast.predict(X), ref.predict(X))
+
+
+def assert_same_tree(fast, ref, X):
+    assert structure(fast._trees, 0) == reference_structure(ref._root)
+    assert np.array_equal(fast.predict(X), ref.predict(X))
+
+
+def random_matrix(seed, kind):
+    """Seeded (X, y, X_new); both classes present, column 0 duplicated last."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(6, 40)), int(rng.integers(1, 8))
+    if kind == "continuous":
+        X = rng.normal(size=(n + 10, d))
+    else:
+        X = rng.integers(0, 4, size=(n + 10, d)).astype(np.float64)
+    if kind in ("inf", "nan"):
+        X[rng.random(X.shape) < 0.15] = np.inf
+        X[rng.random(X.shape) < 0.15] = -np.inf
+    if kind == "nan":
+        X[rng.random(X.shape) < 0.2] = np.nan
+    if d > 1:
+        X[:, -1] = X[:, 0]  # equal Gini on two candidates: the first must win
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    return X[:n], y, X[n:]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", range(len(FOREST_CASES)))
+@pytest.mark.parametrize("seed", range(3))
+def test_forest_equals_reference(kind, case, seed):
+    X, y, X_new = random_matrix(100 * seed + case, kind)
+    params = dict(FOREST_CASES[case], n_trees=12, seed=seed)
+    fast = RandomForestClassifier(**params).fit(X, y)
+    ref = ReferenceRandomForest(**params).fit(X, y)
+    assert_same_forest(fast, ref, np.vstack([X, X_new]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", range(len(TREE_CASES)))
+def test_tree_equals_reference(kind, case):
+    X, y, X_new = random_matrix(1000 + case, kind)
+    params = dict(TREE_CASES[case], seed=case)
+    fast = DecisionTreeClassifier(**params).fit(X, y)
+    ref = ReferenceDecisionTree(**params).fit(X, y)
+    assert_same_tree(fast, ref, np.vstack([X, X_new]))
+
+
+@pytest.mark.parametrize("params", [{}, {"max_depth": 1}, {"max_depth": None, "min_leaf": 2}])
+def test_decision_tree_baseline_equals_reference(params):
+    X, y, X_new = random_matrix(7, "ties")
+    fast = fit_classifier("decision_tree", X, y, seed=5, params=params)
+    ref = ReferenceDecisionTree(seed=5, **params).fit(X, y)
+    assert_same_tree(fast, ref, np.vstack([X, X_new]))
+
+
+def test_strong_corpus_fold_under_sweep_masks(strong_extractor):
+    labels = {n: strong_extractor.table.labels[n] for n in strong_extractor.networks}
+    split = stratified_folds(labels, 5, seed=11)
+    train_news, test_news = split.train_news(0), split.test_news(0)
+    matrix = extract_matrix(strong_extractor, train_news, 0.5)
+    X_train, lab_train = matrix.rows_for(train_news)
+    X_test, _ = matrix.rows_for(test_news)
+    y_train = encode_labels(lab_train)
+    seed = derive_seed(11, "clf", "random_forest", 0)
+    for name in DEFAULT_SWEEP_SUBSETS:
+        cols = [i - 1 for i in pattern_mask(SUBSET_BY_NAME[name])]
+        fast = fit_classifier("random_forest", X_train[:, cols], y_train, seed=seed)
+        ref = ReferenceRandomForest(seed=seed).fit(X_train[:, cols], y_train)
+        assert_same_forest(fast, ref, X_test[:, cols])
+
+
+@pytest.mark.parametrize("lo,hi", [(-np.inf, 5.0), (-np.inf, np.inf),
+                                   (1.0, np.nextafter(1.0, 2.0)), (1e308, 1.7e308)])
+def test_threshold_separates_when_the_midpoint_does_not(lo, hi):
+    # (lo + hi) / 2 is -inf, NaN, lo itself or inf here: no row would change
+    # side. The depth cap turns a regression into a failure instead of a hang.
+    X, y = np.array([[lo], [hi]]), np.array([0, 1])
+    fast = DecisionTreeClassifier(max_depth=8).fit(X, y)
+    ref = ReferenceDecisionTree(max_depth=8).fit(X, y)
+    assert ref._root.threshold == hi
+    assert_same_tree(fast, ref, X)
+    assert np.array_equal(fast.predict(X), y)
+
+
+VALUES = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan])
+
+
+@st.composite
+def small_problems(draw):
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(VALUES, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    y[:2] = (0, 1)
+    params = {
+        "n_trees": draw(st.integers(1, 5)),
+        "bootstrap": draw(st.booleans()),
+        "max_depth": draw(st.one_of(st.none(), st.integers(0, 3))),
+        "min_leaf": draw(st.integers(1, 3)),
+        "max_features": draw(st.one_of(st.just("sqrt"), st.integers(1, 5))),
+        "seed": draw(st.integers(0, 2 ** 32)),
+    }
+    return X, y, params
+
+
+@given(small_problems())
+def test_property_forest_equals_reference(problem):
+    X, y, params = problem
+    fast = RandomForestClassifier(**params).fit(X, y)
+    ref = ReferenceRandomForest(**params).fit(X, y)
+    assert_same_forest(fast, ref, X)

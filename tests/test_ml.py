@@ -5,8 +5,7 @@ from newsnet.corpus import EngagementTable
 from newsnet.features import FeatureExtractor, extract_matrix
 from newsnet.ml.baselines import GaussianNBClassifier, KNNClassifier, MinMaxScaler
 from newsnet.ml.crossval import (accuracy_from, confusion, cross_validate,
-                                 encode_labels, f1_from, fit_baseline,
-                                 fit_classifier, fit_random_forest,
+                                 encode_labels, f1_from, fit_classifier,
                                  stratified_folds)
 from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier
 from newsnet.synth import SyntheticSpec, generate
@@ -22,14 +21,14 @@ def _separable(n=40, seed=0):
 
 def test_forest_memorizes_training_set():
     X, y = _separable()
-    clf = fit_random_forest(X, y, n_trees=30, seed=1)
+    clf = fit_classifier("random_forest", X, y, seed=1, params={"n_trees": 30})
     assert (clf.predict(X) == y).mean() >= 0.99
 
 
 def test_forest_uses_perfect_feature():
     X = np.array([[0.0, 1.0], [0.1, 2.0], [0.0, 8.0], [0.1, 9.0]])
     y = np.array([0, 0, 1, 1])
-    clf = fit_random_forest(X, y, n_trees=50, seed=3)
+    clf = fit_classifier("random_forest", X, y, seed=3, params={"n_trees": 50})
     assert (clf.predict(X) == y).all()
     grid = np.array([[0.05, v] for v in (0.0, 3.0, 6.0, 12.0)])
     assert list(clf.predict(grid)) == [0, 0, 1, 1]
@@ -37,15 +36,16 @@ def test_forest_uses_perfect_feature():
 
 def test_forest_deterministic():
     X, y = _separable(seed=4)
-    p1 = fit_random_forest(X, y, seed=9).predict(X)
-    p2 = fit_random_forest(X, y, seed=9).predict(X)
+    p1 = fit_classifier("random_forest", X, y, seed=9).predict(X)
+    p2 = fit_classifier("random_forest", X, y, seed=9).predict(X)
     assert (p1 == p2).all()
 
 
 def test_forest_tie_breaks_to_fake():
     X = np.array([[0.0], [0.0], [1.0], [1.0]])
     y = np.array([0, 1, 0, 1])
-    clf = fit_random_forest(X, y, n_trees=2, bootstrap=False, max_features=1, seed=0)
+    clf = fit_classifier("random_forest", X, y, seed=0,
+                         params={"n_trees": 2, "bootstrap": False, "max_features": 1})
     # indistinguishable classes: every leaf ties, prediction must be fake
     assert (clf.predict(X) == 1).all()
 
@@ -53,28 +53,28 @@ def test_forest_tie_breaks_to_fake():
 def test_single_class_training_rejected():
     X = np.zeros((4, 2))
     with pytest.raises(ValueError, match="single-class"):
-        fit_random_forest(X, np.ones(4, dtype=int))
+        fit_classifier("random_forest", X, np.ones(4, dtype=int))
     with pytest.raises(ValueError, match="single-class"):
-        fit_baseline("knn", X, np.zeros(4, dtype=int))
+        fit_classifier("knn", X, np.zeros(4, dtype=int))
 
 
 def test_decision_tree_depth_one_threshold():
     X = np.array([[0.1], [0.2], [0.8], [0.9]])
     y = np.array([0, 0, 1, 1])
-    clf = fit_baseline("decision_tree", X, y, max_depth=1)
+    clf = fit_classifier("decision_tree", X, y, params={"max_depth": 1})
     assert (clf.predict(X) == y).all()
 
 
 def test_knn_training_recall_k1():
     X, y = _separable(seed=2)
-    clf = fit_baseline("knn", X, y, k=1)
+    clf = fit_classifier("knn", X, y, params={"k": 1})
     assert (clf.predict(X) == y).all()
 
 
 def test_knn_equidistant_prefers_fake():
     X = np.array([[0.0], [2.0]])
     y = np.array([0, 1])
-    clf = fit_baseline("knn", X, y, k=1)
+    clf = fit_classifier("knn", X, y, params={"k": 1})
     assert clf.predict(np.array([[1.0]]))[0] == 1
 
 
@@ -84,7 +84,7 @@ def test_gaussian_nb_matches_analytic_posterior():
     X1 = rng.normal(3.0, 1.0, size=(50, 1))
     X = np.vstack([X0, X1])
     y = np.array([0] * 50 + [1] * 50)
-    clf = fit_baseline("gaussian_nb", X, y)
+    clf = fit_classifier("gaussian_nb", X, y)
     assert (clf.predict(X) == y).mean() == 1.0
     # analytic oracle on the scaled axis: posterior argmax by class density
     Xs = clf.scaler.transform(X)
@@ -206,3 +206,5 @@ def test_tree_and_forest_classes():
     assert isinstance(fit_classifier("gaussian_nb", X, y), GaussianNBClassifier)
     with pytest.raises(ValueError, match="unknown"):
         fit_classifier("svm", X, y)
+    with pytest.raises(ValueError, match="'n_tree'"):
+        fit_classifier("random_forest", X, y, params={"n_tree": 5})

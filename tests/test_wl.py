@@ -327,14 +327,14 @@ def corpora(draw):
     return networks, training, TwoClassModel(susceptible), draw(st.integers(0, 3))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(corpora())
 def test_property_equals_pairwise_oracle(corpus):
     networks, training, model, h = corpus
     assert_equals_pairwise_oracle(networks, training, model, h=h)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(corpora(), st.integers(1, 50))
 def test_property_order_preserving_relabel(corpus, stride):
     networks, training, model, h = corpus
