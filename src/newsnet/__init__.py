@@ -3,9 +3,8 @@
 from .corpus import (CorpusError, CorpusStats, EngagementTable, SocialGraph,
                      corpus_stats, load_corpus, save_corpus)
 from .diffusion import DiffusionNetwork, build_all_networks, build_network, subsample
-from .features import (FeatureExtractor, FeatureMatrix, FeatureVector,
-                       FEATURE_REGISTRY, PATTERNS, extract, extract_matrix,
-                       pattern_mask)
+from .features import (FEATURE_REGISTRY, PATTERNS, FeatureExtractor, FeatureMatrix,
+                       extract, extract_matrix, pattern_mask)
 from .susceptibility import SusceptibilityModel
 from .susceptibility import fit as fit_susceptibility
 
@@ -19,7 +18,6 @@ __all__ = [
     "FEATURE_REGISTRY",
     "FeatureExtractor",
     "FeatureMatrix",
-    "FeatureVector",
     "PATTERNS",
     "SocialGraph",
     "SusceptibilityModel",

@@ -135,9 +135,13 @@ def cmd_sweep_threshold(args) -> int:
 
 def cmd_sample_study(args) -> int:
     config = _build_config(args)
+    modes = args.modes.split(",")
+    unknown = [mode for mode in modes if mode not in experiments.SAMPLING_MODES]
+    if unknown:
+        raise ConfigError(f"unknown sampling mode(s): {unknown}")
     extractor = _build_extractor(config)
     out = _out_dir(config)
-    for mode in args.modes.split(","):
+    for mode in modes:
         header, rows = experiments.run_sampling_study(extractor, config, mode)
         write_csv(out / f"sampling_{mode}.csv", header, rows)
         print(f"wrote {out / f'sampling_{mode}.csv'} ({len(rows)} rows)")

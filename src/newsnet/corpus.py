@@ -84,9 +84,6 @@ class SocialGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u, v) -> bool:
-        return (u, v) in self.edges
-
     def sorted_nodes(self) -> list:
         return sorted(self.nodes)
 
@@ -121,9 +118,6 @@ class EngagementTable:
     def news_ids(self) -> list:
         return sorted(self.labels)
 
-    def users(self) -> list:
-        return sorted(self.user_news)
-
     @property
     def n_records(self) -> int:
         return sum(len(by_user) for by_user in self.counts.values())
@@ -133,9 +127,6 @@ class EngagementTable:
 
     def label(self, news_id) -> str:
         return self.labels[news_id]
-
-    def news_with_label(self, label) -> list:
-        return sorted(n for n, lab in self.labels.items() if lab == label)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 
 from .corpus import EngagementTable, SocialGraph
-from .util import write_csv
 
 SUBSAMPLE_MODES = ("nodes", "edges")
 
@@ -84,10 +83,3 @@ def subsample(network: DiffusionNetwork, mode: str, proportion: float, seed: int
     kept_edges = frozenset(rng.sample(population, k))
     return DiffusionNetwork(network.news_id, network.label, network.nodes,
                             kept_edges, dict(network.counts))
-
-
-def write_network(network: DiffusionNetwork, nodes_path, edges_path) -> None:
-    """Dump a network as two CSVs for inspection."""
-    write_csv(nodes_path, ("user_id", "count"),
-              [(u, network.counts[u]) for u in network.sorted_nodes()])
-    write_csv(edges_path, ("source", "target"), sorted(network.edges))

@@ -8,6 +8,9 @@ turns flow into an edge length
     d(i, j) = 1 - ln(F_ij / sum_l F_lj)
 
 which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges.
+
+`distance_stats` measures hop counts (geodesic distance) when it is given
+no flow matrix, and effective distance over the flow matrix it is given.
 """
 
 from __future__ import annotations
@@ -25,20 +28,9 @@ SHARED_NEWS = "shared_news"
 SHARED_FREQUENCY = "shared_frequency"
 FLOW_DEFINITIONS = (SHARED_NEWS, SHARED_FREQUENCY)
 
-GEODESIC = "geodesic"
-EFFECTIVE_SHARED_NEWS = "effective_shared_news"
-EFFECTIVE_SHARED_FREQUENCY = "effective_shared_frequency"
-DISTANCE_METRICS = (GEODESIC, EFFECTIVE_SHARED_NEWS, EFFECTIVE_SHARED_FREQUENCY)
-
-_METRIC_FLOW = {
-    EFFECTIVE_SHARED_NEWS: SHARED_NEWS,
-    EFFECTIVE_SHARED_FREQUENCY: SHARED_FREQUENCY,
-}
-
 
 @dataclass(frozen=True)
 class FlowMatrix:
-    definition: str
     flows: dict  # (i, j) -> flow > 0, support within the social edge set
     inflow: dict  # j -> sum of flows into j
 
@@ -48,7 +40,6 @@ class FlowMatrix:
 
 @dataclass(frozen=True)
 class DistanceStats:
-    metric: str
     maximum: float
     mean: float
     median: float
@@ -73,7 +64,7 @@ def flow_matrix(graph: SocialGraph, networks, definition: str) -> FlowMatrix:
     for edge in sorted(flows):
         j = edge[1]
         inflow[j] = inflow.get(j, 0.0) + flows[edge]
-    return FlowMatrix(definition=definition, flows=flows, inflow=inflow)
+    return FlowMatrix(flows=flows, inflow=inflow)
 
 
 def effective_distance(flow: FlowMatrix, i, j) -> float:
@@ -117,34 +108,27 @@ def _dijkstra_pairs(nodes, weighted_adjacency):
                 yield d
 
 
-def distance_stats(network: DiffusionNetwork, metric: str,
+def distance_stats(network: DiffusionNetwork,
                    flow: FlowMatrix | None = None) -> DistanceStats:
-    """Max / mean / median over all finite ordered-pair distances in a network."""
-    if metric not in DISTANCE_METRICS:
-        raise ValueError(f"metric must be one of {DISTANCE_METRICS}, got {metric!r}")
+    """Max / mean / median over all finite ordered-pair distances in a network.
+
+    Geodesic without `flow`, effective distance over `flow` otherwise.
+    """
     nodes = network.sorted_nodes()
-    if metric == GEODESIC:
-        adjacency = {v: [] for v in nodes}
+    adjacency = {v: [] for v in nodes}
+    if flow is None:
         for u, v in sorted(network.edges):
             adjacency[u].append(v)
         values = list(_geodesic_pairs(nodes, adjacency))
     else:
-        if flow is None:
-            raise ValueError(f"{metric} requires a flow matrix")
-        expected = _METRIC_FLOW[metric]
-        if flow.definition != expected:
-            raise ValueError(f"{metric} needs a {expected!r} flow matrix, "
-                             f"got {flow.definition!r}")
-        adjacency = {v: [] for v in nodes}
         for u, v in sorted(network.edges):
             w = effective_distance(flow, u, v)
             if math.isfinite(w):
                 adjacency[u].append((v, w))
         values = list(_dijkstra_pairs(nodes, adjacency))
     if not values:
-        return DistanceStats(metric=metric, maximum=0.0, mean=0.0, median=0.0)
+        return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
     return DistanceStats(
-        metric=metric,
         maximum=max(values),
         mean=sum(values) / len(values),
         median=median(values),

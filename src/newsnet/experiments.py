@@ -23,13 +23,21 @@ from .corpus import FAKE, TRUE
 from .features import (FARTHER_DISTANCE, DENSER_NETWORKS, FEATURE_REGISTRY,
                        MORE_SPREADERS, PATTERNS, SIMILARITY, STRONGER_ENGAGEMENT,
                        FeatureExtractor, FeatureMatrix, pattern_mask)
-from .diffusion import subsample
+from .diffusion import SUBSAMPLE_MODES, subsample
 from .ml.crossval import check_params, cross_validate, evaluate_masks
 from .util import derive_seed
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _DEFAULT_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
@@ -63,6 +71,8 @@ ABLATION_SUBSETS = (
 )
 SUBSET_BY_NAME = dict(ABLATION_SUBSETS)
 
+SAMPLING_MODES = ("news_count", "class_balance")
+
 DEFAULT_SWEEP_SUBSETS = (
     "more_spreaders", "farther_distance", "stronger_engagement",
     "denser_networks", "similarity_only", "all_patterns", "all_plus_similarity",
@@ -78,7 +88,6 @@ class ExperimentConfig:
     classifier_params: dict = field(default_factory=dict)
     theta: float = 0.5
     theta_grid: tuple = tuple(round(0.1 * k, 1) for k in range(11))
-    susceptibility_methods: tuple = ("by_news", "by_frequency")
     wl_iterations: int = 3
     patterns: tuple = PATTERNS
     sweep_subsets: tuple = DEFAULT_SWEEP_SUBSETS
@@ -99,36 +108,38 @@ class ExperimentConfig:
             check_params(self.classifier, self.classifier_params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("theta_grid", "proportions", "balance_fractions"):
-            values = getattr(self, name)
-            if not values:
-                raise ConfigError(f"{name} must be nonempty")
-            if any(not 0.0 <= v <= 1.0 for v in values):
-                raise ConfigError(f"{name} values must lie in [0, 1]")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError("theta must lie in [0, 1]")
-        unknown = set(self.patterns) - set(PATTERNS)
-        if unknown:
-            raise ConfigError(f"unknown pattern(s): {sorted(unknown)}")
-        # the 142-index contract carries both scoring methods
-        if tuple(self.susceptibility_methods) != ("by_news", "by_frequency"):
-            raise ConfigError("susceptibility_methods must be "
-                              "['by_news', 'by_frequency']: the feature vector "
-                              "contains columns for both")
-        unknown = set(self.sweep_subsets) - set(SUBSET_BY_NAME)
-        if unknown:
-            raise ConfigError(f"unknown sweep subset(s): {sorted(unknown)}")
-        for mode in self.modes:
-            if mode not in ("nodes", "edges"):
-                raise ConfigError(f"unknown subsample mode {mode!r}")
+        for name in ("edges", "engagements", "labels", "out"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name != "out")):
+                raise ConfigError(f"{name} must be a path string")
+        for name in ("seed", "jobs", "repetitions", "wl_iterations"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an int")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.wl_iterations < 0:
             raise ConfigError("wl_iterations must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if self.seed is None:
-            raise ConfigError("seed is required")
+        if self.balance_total is not None and not (_is_int(self.balance_total)
+                                                   and self.balance_total >= 1):
+            raise ConfigError("balance_total must be null or an int >= 1")
+        for name in ("theta_grid", "proportions", "balance_fractions", "patterns",
+                     "sweep_subsets", "modes"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"{name} must be a nonempty list")
+        for name in ("theta_grid", "proportions", "balance_fractions"):
+            if any(not _is_real(v) or not 0.0 <= v <= 1.0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be numbers in [0, 1]")
+        if not _is_real(self.theta) or not 0.0 <= self.theta <= 1.0:
+            raise ConfigError("theta must be a number in [0, 1]")
+        for name, known in (("patterns", PATTERNS),
+                            ("sweep_subsets", tuple(SUBSET_BY_NAME)),
+                            ("modes", SUBSAMPLE_MODES)):
+            unknown = [v for v in getattr(self, name) if v not in known]
+            if unknown:
+                raise ConfigError(f"unknown {name} value(s): {unknown}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -228,7 +239,7 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     Balanced runs report accuracy as headline metric, unbalanced runs F1;
     rows whose sample cannot be stratified are flagged and skipped.
     """
-    if mode not in ("news_count", "class_balance"):
+    if mode not in SAMPLING_MODES:
         raise ConfigError(f"unknown sampling mode {mode!r}")
     mask = pattern_mask(config.patterns)
     fake_pop = sorted(n for n in extractor.networks

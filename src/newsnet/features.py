@@ -20,6 +20,10 @@ The index contract is frozen (1-based):
 Wherever a feature exists per scoring method, the by_news value immediately
 precedes the by_frequency value. All 0/0 ratios are 0 so every value is
 finite. Extraction is pure: identical inputs give bit-identical vectors.
+
+`extract` returns one network's vector as a plain 142-tuple in index order;
+`extract_matrix` stacks the vectors of every network under one training fold,
+WL similarity included.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from . import susceptibility
 from .centrality import MEASURES, CentralityScores, centralities
 from .corpus import EngagementTable, SocialGraph
 from .diffusion import DiffusionNetwork, build_all_networks
-from .distances import (EFFECTIVE_SHARED_FREQUENCY, EFFECTIVE_SHARED_NEWS, GEODESIC,
-                        SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matrix)
+from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matrix
 from .louvain import global_communities, local_communities
 from .susceptibility import (BY_FREQUENCY, BY_NEWS, METHODS, NORMAL, SUSCEPTIBLE,
                              UNKNOWN, SusceptibilityModel)
@@ -148,16 +151,6 @@ def registry_json() -> list:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    news_id: str
-    label: str
-    values: tuple  # length 142, finite floats
-
-    def value(self, name: str) -> float:
-        return self.values[feature_index(name) - 1]
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     news_ids: tuple
     labels: tuple
@@ -173,9 +166,6 @@ class FeatureMatrix:
     def rows_for(self, news_ids) -> tuple:
         idx = [self._row_index[n] for n in news_ids]
         return self.X[idx], [self.labels[i] for i in idx]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.X[:, feature_index(name) - 1]
 
     def write_csv(self, path) -> None:
         header = ["news_id", "label"] + [f"f{i:03d}" for i in range(1, N_FEATURES + 1)]
@@ -197,17 +187,20 @@ class FeatureExtractor:
     Label-independent inputs (centralities, flow matrices, communities,
     triangle enumeration, distance statistics, the identity-labelled WL Gram
     matrix) are computed once and cached; susceptibility-dependent features
-    are recomputed for every training fold and threshold.
+    are recomputed for every training fold and threshold. The flow matrices
+    are built here from the graph and the networks: they encode which news
+    stories an edge appears in, so they change with the networks.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
-                 cents: CentralityScores, flows: dict, global_comm,
-                 h: int = 3, seed: int = 0):
+                 cents: CentralityScores, global_comm, h: int = 3, seed: int = 0):
         self.graph = graph
         self.table = table
         self.networks = networks
         self.centralities = cents
-        self.flows = flows  # definition -> FlowMatrix
+        nets = [networks[n] for n in sorted(networks)]
+        self.flows = {d: flow_matrix(graph, nets, d)  # definition -> FlowMatrix
+                      for d in (SHARED_NEWS, SHARED_FREQUENCY)}
         self.global_comm = global_comm
         self.h = h
         self.seed = seed
@@ -220,22 +213,13 @@ class FeatureExtractor:
               h: int = 3, seed: int = 0) -> "FeatureExtractor":
         networks = build_all_networks(graph, table)
         cents = centralities(graph)
-        nets = [networks[n] for n in sorted(networks)]
-        flows = {d: flow_matrix(graph, nets, d) for d in (SHARED_NEWS, SHARED_FREQUENCY)}
         global_comm = global_communities(graph, derive_seed(seed, "louvain_global"))
-        return cls(graph, table, networks, cents, flows, global_comm, h=h, seed=seed)
+        return cls(graph, table, networks, cents, global_comm, h=h, seed=seed)
 
     def with_networks(self, networks: dict) -> "FeatureExtractor":
-        """Same corpus and global inputs, different (e.g. subsampled) networks.
-
-        Flow matrices are rebuilt from the replacement networks: they encode
-        which news stories an edge appears in, which changes with the networks.
-        """
-        nets = [networks[n] for n in sorted(networks)]
-        flows = {d: flow_matrix(self.graph, nets, d)
-                 for d in (SHARED_NEWS, SHARED_FREQUENCY)}
+        """Same corpus and global inputs, different (e.g. subsampled) networks."""
         return FeatureExtractor(self.graph, self.table, networks, self.centralities,
-                                flows, self.global_comm, h=self.h, seed=self.seed)
+                                self.global_comm, h=self.h, seed=self.seed)
 
     def triangle_index(self, news_id):
         if news_id not in self._triangles:
@@ -265,14 +249,12 @@ class FeatureExtractor:
                 else:
                     out[f"median_{measure}"] = median(values)
 
-        geo = distance_stats(net, GEODESIC)
+        geo = distance_stats(net)
         out["geodesic_max"] = geo.maximum
         out["geodesic_mean"] = geo.mean
         out["geodesic_median"] = geo.median
-        for tag, metric, definition in (("news", EFFECTIVE_SHARED_NEWS, SHARED_NEWS),
-                                        ("freq", EFFECTIVE_SHARED_FREQUENCY,
-                                         SHARED_FREQUENCY)):
-            eff = distance_stats(net, metric, self.flows[definition])
+        for tag, definition in (("news", SHARED_NEWS), ("freq", SHARED_FREQUENCY)):
+            eff = distance_stats(net, self.flows[definition])
             out[f"effective_max_{tag}"] = eff.maximum
             out[f"effective_mean_{tag}"] = eff.mean
             out[f"effective_median_{tag}"] = eff.median
@@ -361,8 +343,7 @@ class FeatureExtractor:
                 out[f"n_edges_{cls}_{tag}"] = float(count)
                 out[f"pct_edges_{cls}_{tag}"] = safe_ratio(count, n_edges)
 
-            cens = census(net, model, index=tri)
-            tri_feats = triad_features(cens, n)
+            tri_feats = triad_features(census(net, model, index=tri))
             for cls in TRIAD_CLASSES:
                 out[f"n_triad_{cls}_{tag}"] = tri_feats[f"n_triad_{cls}"]
                 out[f"pct_triad_{cls}_{tag}"] = tri_feats[f"pct_triad_{cls}"]
@@ -370,12 +351,12 @@ class FeatureExtractor:
 
 
 def extract(network: DiffusionNetwork, models: dict, extractor: FeatureExtractor,
-            references: tuple | None = None) -> FeatureVector:
-    """Assemble one network's full 142-value feature vector.
+            references: tuple) -> tuple:
+    """Assemble one network's full 142-value feature vector, in index order.
 
     `models` maps both method names to fitted SusceptibilityModels;
-    `references` is the precomputed 4-tuple of WL similarity values (zeros
-    when omitted, e.g. for purely structural analyses).
+    `references` is the network's 4-tuple of WL similarity values
+    (SimilarityIndex.features).
     """
     missing = [m for m in METHODS if m not in models]
     if missing:
@@ -383,32 +364,25 @@ def extract(network: DiffusionNetwork, models: dict, extractor: FeatureExtractor
     named = {}
     named.update(extractor._static_features(network.news_id))
     named.update(extractor._dynamic_features(network.news_id, models))
-    sims = references if references is not None else (0.0, 0.0, 0.0, 0.0)
     for name, value in zip(("sim_fake_id", "sim_true_id",
-                            "sim_fake_class", "sim_true_class"), sims):
+                            "sim_fake_class", "sim_true_class"), references):
         named[name] = float(value)
-    values = tuple(named[name] for name in FEATURE_NAMES)
-    return FeatureVector(news_id=network.news_id, label=network.label, values=values)
+    return tuple(named[name] for name in FEATURE_NAMES)
 
 
-def extract_matrix(extractor: FeatureExtractor, training_news, theta: float,
-                   similarity: bool = True) -> FeatureMatrix:
+def extract_matrix(extractor: FeatureExtractor, training_news,
+                   theta: float) -> FeatureMatrix:
     """Leakage-safe feature matrix for the whole corpus under one training fold.
 
     Susceptibility models and WL reference sets are fit on `training_news`
     only; test-fold labels never influence any value.
     """
     models = susceptibility.fit_all(extractor.table, training_news, theta)
-    sim_index = None
-    if similarity:
-        sim_index = SimilarityIndex(extractor.networks, training_news,
-                                    models[BY_NEWS], h=extractor.h,
-                                    _identity=extractor._identity_gram())
+    sim_index = SimilarityIndex(extractor.networks, training_news, models[BY_NEWS],
+                                h=extractor.h, _identity=extractor._identity_gram())
     news_ids = sorted(extractor.networks)
-    vectors = []
-    for news in news_ids:
-        refs = sim_index.features(news) if sim_index is not None else None
-        vectors.append(extract(extractor.networks[news], models, extractor, refs))
-    X = np.array([v.values for v in vectors], dtype=np.float64)
-    return FeatureMatrix(news_ids=tuple(news_ids),
-                         labels=tuple(v.label for v in vectors), X=X)
+    X = np.array([extract(extractor.networks[news], models, extractor,
+                          sim_index.features(news)) for news in news_ids],
+                 dtype=np.float64)
+    labels = tuple(extractor.networks[news].label for news in news_ids)
+    return FeatureMatrix(news_ids=tuple(news_ids), labels=labels, X=X)

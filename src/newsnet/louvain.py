@@ -9,6 +9,11 @@ seeded shuffle and candidate communities are scanned in sorted order.
 
 Directed follow edges are symmetrized first (weight 1 per unordered connected
 pair, reciprocal pairs also weight 1).
+
+The result is the node -> community map alone: the feature vector reads
+community counts at two scopes, the whole follow graph
+(`global_communities`) and one diffusion network (`local_communities`), and
+never the modularity of the final partition.
 """
 
 from __future__ import annotations
@@ -20,15 +25,10 @@ from .util import derive_seed
 
 MIN_GAIN = 1e-7
 
-GLOBAL = "global"
-LOCAL = "local"
-
 
 @dataclass(frozen=True)
 class CommunityAssignment:
     communities: dict  # node -> community index (0..k-1)
-    modularity: float
-    scope: str
 
     @property
     def n_communities(self) -> int:
@@ -43,32 +43,6 @@ def symmetrize(directed_edges) -> list:
             continue
         pairs.add((u, v) if u <= v else (v, u))
     return [(u, v, 1.0) for u, v in sorted(pairs)]
-
-
-def modularity(nodes, weighted_edges, partition) -> float:
-    """Newman modularity of a partition; each undirected edge counted once."""
-    m = 0.0
-    degree = {n: 0.0 for n in nodes}
-    internal: dict = {}
-    total_deg: dict = {}
-    for u, v, w in weighted_edges:
-        m += w
-        if u == v:
-            degree[u] += 2.0 * w
-        else:
-            degree[u] += w
-            degree[v] += w
-        if partition[u] == partition[v]:
-            internal[partition[u]] = internal.get(partition[u], 0.0) + w
-    if m == 0.0:
-        return 0.0
-    for n in nodes:
-        c = partition[n]
-        total_deg[c] = total_deg.get(c, 0.0) + degree[n]
-    q = 0.0
-    for c in total_deg:
-        q += internal.get(c, 0.0) / m - (total_deg[c] / (2.0 * m)) ** 2
-    return q
 
 
 class _Level:
@@ -169,7 +143,7 @@ class _Level:
         return [(a, b, w) for (a, b), w in sorted(edges.items())]
 
 
-def louvain(nodes, weighted_edges, seed: int, scope: str = LOCAL) -> CommunityAssignment:
+def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
     """Detect communities; nodes without edges end up as singletons."""
     node_list = sorted(set(nodes))
     if not node_list:
@@ -210,22 +184,12 @@ def louvain(nodes, weighted_edges, seed: int, scope: str = LOCAL) -> CommunityAs
         if c not in relabel:
             relabel[c] = len(relabel)
         communities[node] = relabel[c]
-    q = modularity(node_list, [(node_list[u], node_list[v], w) for u, v, w in edges],
-                   communities)
-    return CommunityAssignment(communities=communities, modularity=q, scope=scope)
+    return CommunityAssignment(communities=communities)
 
 
 def global_communities(graph, seed: int) -> CommunityAssignment:
-    assign = louvain(graph.nodes, symmetrize(graph.edges), seed, scope=GLOBAL)
-    return assign
+    return louvain(graph.nodes, symmetrize(graph.edges), seed)
 
 
 def local_communities(network, seed: int) -> CommunityAssignment:
-    return louvain(network.nodes, symmetrize(network.edges), seed, scope=LOCAL)
-
-
-def write_communities(assignment: CommunityAssignment, path) -> None:
-    from .util import write_csv
-
-    write_csv(path, ("node_id", "community"),
-              [(n, assignment.communities[n]) for n in sorted(assignment.communities)])
+    return louvain(network.nodes, symmetrize(network.edges), seed)

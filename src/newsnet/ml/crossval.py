@@ -36,7 +36,7 @@ CLASSIFIERS = {
     "random_forest": (RandomForestClassifier,
                       ("n_trees", "max_features", "max_depth", "min_leaf", "bootstrap"),
                       True),
-    "decision_tree": (DecisionTreeClassifier, ("max_depth", "min_leaf"), True),
+    "decision_tree": (DecisionTreeClassifier, ("max_depth", "min_leaf"), False),
     "knn": (KNNClassifier, ("k",), False),
     "gaussian_nb": (GaussianNBClassifier, (), False),
 }

@@ -134,8 +134,8 @@ def _grow(X, y, roots, rngs, n_candidates, max_depth, min_leaf) -> _Trees:
     """Grow one tree per root weight vector, all trees in lockstep.
 
     Tree t draws its candidate features from rngs[t]: n_candidates of the
-    d columns, or every column without a draw when n_candidates is None or
-    at least d.
+    d columns, or every column without a draw (rngs[t] unused) when
+    n_candidates is None or at least d.
     """
     d = X.shape[1]
     presorted = _Presorted(X, y)
@@ -182,19 +182,16 @@ def _grow(X, y, roots, rngs, n_candidates, max_depth, min_leaf) -> _Trees:
 class DecisionTreeClassifier:
     """CART-style classifier; axis-aligned splits, Gini impurity."""
 
-    def __init__(self, max_depth=None, min_leaf=1, max_features=None, seed=0):
+    def __init__(self, max_depth=None, min_leaf=1):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
-        self.max_features = max_features
-        self.seed = seed
         self._trees = None
 
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self._trees = _grow(X, y, [np.ones(X.shape[0], dtype=np.int64)],
-                            [np.random.default_rng(self.seed)], self.max_features,
-                            self.max_depth, self.min_leaf)
+        self._trees = _grow(X, y, [np.ones(X.shape[0], dtype=np.int64)], [None],
+                            None, self.max_depth, self.min_leaf)
         return self
 
     def predict(self, X):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import FAKE, EngagementTable
-from .util import write_csv
 
 BY_NEWS = "by_news"
 BY_FREQUENCY = "by_frequency"
@@ -30,9 +29,7 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class SusceptibilityModel:
-    method: str
     theta: float
-    training_news: frozenset
     scores: dict  # user_id -> score, only for users with training history
 
     def score(self, user) -> float:
@@ -80,15 +77,9 @@ def fit(table: EngagementTable, training_news, method: str, theta: float) -> Sus
             scores[user] = fake_n / total_n
         else:
             scores[user] = fake_t / total_t
-    return SusceptibilityModel(method=method, theta=float(theta),
-                               training_news=training, scores=scores)
+    return SusceptibilityModel(theta=float(theta), scores=scores)
 
 
 def fit_all(table: EngagementTable, training_news, theta: float) -> dict:
     """Fit one model per scoring method; keys are the method names."""
     return {m: fit(table, training_news, m, theta) for m in METHODS}
-
-
-def write_scores(model: SusceptibilityModel, path, users) -> None:
-    write_csv(path, ("user_id", "score", "class"),
-              [(u, model.score(u), model.classify(u)) for u in sorted(users)])

@@ -113,32 +113,16 @@ def census(network: DiffusionNetwork, model,
                        reciprocal=index.reciprocal, unknown=unknown)
 
 
-def triad_features(cens: TriadCensus, n_nodes: int) -> dict:
-    """Triangle-count features plus per-class counts and proportions.
+def triad_features(cens: TriadCensus) -> dict:
+    """Per-class triad counts and proportions.
 
-    Proportions are over the classified total (the 12 classes); every ratio
-    with a zero denominator is 0.
+    Proportions are over the classified total (the 12 classes), 0 when no
+    triangle is classified.
     """
-    n = n_nodes
-    possible = n * (n - 1) * (n - 2) / 6.0 if n >= 3 else 0.0
     classified = cens.classified_total()
-    out = {
-        "n_triangles": float(cens.total),
-        "triangles_per_spreader": cens.total / n if n else 0.0,
-        "triad_density": cens.total / possible if possible else 0.0,
-    }
+    out = {}
     for name in TRIAD_CLASSES:
         out[f"n_triad_{name}"] = float(cens.class_counts[name])
         out[f"pct_triad_{name}"] = (cens.class_counts[name] / classified
                                     if classified else 0.0)
     return out
-
-
-def write_census(cens: TriadCensus, news_id, path) -> None:
-    from .util import write_csv
-
-    rows = [(news_id, name, cens.class_counts[name]) for name in TRIAD_CLASSES]
-    rows.append((news_id, "reciprocal_excluded", cens.reciprocal))
-    rows.append((news_id, "unknown_excluded", cens.unknown))
-    rows.append((news_id, "total", cens.total))
-    write_csv(path, ("news_id", "class", "count"), rows)

@@ -40,16 +40,12 @@ class WLDictionary:
             self._ids[label] = len(self._ids)
         return self._ids[label]
 
-    def __len__(self) -> int:
-        return len(self._ids)
-
 
 @dataclass(frozen=True)
 class LabeledGraph:
     nodes: tuple
     adjacency: dict  # node -> tuple of neighbors (undirected, sorted)
     labels: dict  # node -> label string
-    scheme: str
 
 
 def labeled_graph(network: DiffusionNetwork, scheme: str, model=None) -> LabeledGraph:
@@ -70,7 +66,6 @@ def labeled_graph(network: DiffusionNetwork, scheme: str, model=None) -> Labeled
         nodes=nodes,
         adjacency={v: tuple(sorted(und[v])) for v in nodes},
         labels=labels,
-        scheme=scheme,
     )
 
 

@@ -64,10 +64,7 @@ def test_criterion_1_oracle_equivalence():
             flow = flow_matrix(graph, nets, definition)
             assert flow.flows == brute_flow(graph, nets, definition)
 
-        ex = FeatureExtractor(graph, table, networks, scores,
-                              {d: flow_matrix(graph, nets, d)
-                               for d in ("shared_news", "shared_frequency")},
-                              None, seed=seed)
+        ex = FeatureExtractor(graph, table, networks, scores, None, seed=seed)
         models = fit_all(table, table.news_ids(), 0.5)
         for net in nets:
             assert net.edges == brute_induced_edges(graph, net.nodes)
@@ -135,8 +132,7 @@ def test_criterion_3_wl_kernel():
         return LabeledGraph(nodes=nodes,
                             adjacency={v: tuple(sorted(adjacency[v]))
                                        for v in nodes},
-                            labels={v: rng.choice("ABC") for v in nodes},
-                            scheme="identity")
+                            labels={v: rng.choice("ABC") for v in nodes})
 
     graphs = [rand_graph(i) for i in range(20)]
     dictionary = WLDictionary()
@@ -154,8 +150,7 @@ def test_criterion_3_wl_kernel():
     iso = LG(nodes=renamed_nodes,
              adjacency={rename[v]: tuple(sorted(rename[u] for u in base.adjacency[v]))
                         for v in base.nodes},
-             labels={rename[v]: base.labels[v] for v in base.nodes},
-             scheme="identity")
+             labels={rename[v]: base.labels[v] for v in base.nodes})
     shared = WLDictionary()
     assert wl_signature(base, 3, shared).histograms \
         == wl_signature(iso, 3, shared).histograms

@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import newsnet
 from newsnet.cli import main
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 
@@ -143,6 +145,49 @@ def test_classifier_params_rejected_as_config_error(corpus_dir, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,config,message", [
+    ("evaluate", {"patterns": []}, "patterns must be a nonempty list"),
+    ("sweep-threshold", {"sweep_subsets": []},
+     "sweep_subsets must be a nonempty list"),
+    ("early-detect", {"modes": []}, "modes must be a nonempty list"),
+    ("evaluate", {"jobs": "2"}, "jobs must be an int"),
+    ("evaluate", {"jobs": True}, "jobs must be an int"),
+    ("evaluate", {"seed": 1.0}, "seed must be an int"),
+    ("early-detect", {"repetitions": "5"}, "repetitions must be an int"),
+    ("evaluate", {"wl_iterations": 1.5}, "wl_iterations must be an int"),
+    ("evaluate", {"theta": "0.5"}, "theta must be a number"),
+    ("evaluate", {"theta": False}, "theta must be a number"),
+    ("sweep-threshold", {"theta_grid": [0.1, "0.5"]},
+     "theta_grid values must be numbers"),
+    ("early-detect", {"proportions": [True]}, "proportions values must be numbers"),
+    ("sample-study", {"balance_total": "20"}, "balance_total must be null or an int"),
+    ("sample-study", {"balance_total": 0}, "balance_total must be null or an int >= 1"),
+    ("sample-study", {"balance_fractions": 0.5},
+     "balance_fractions must be a nonempty list"),
+])
+def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
+                                                  command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)]
+                + _corpus_flags(corpus_dir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert message in err
+    assert not out.exists()
+
+
+def test_bad_sampling_mode_exits_two_before_output(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sample-study", "--out", str(out), "--repetitions", "1",
+                 "--modes", "news_count,bogus"] + _corpus_flags(corpus_dir))
+    assert code == 2
+    assert "unknown sampling mode(s): ['bogus']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classifier_params_accepted(corpus_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier_params": {
@@ -163,10 +208,13 @@ def test_malformed_corpus_exit_one(tmp_path):
 
 def test_byte_identical_across_hash_seeds(corpus_dir, tmp_path):
     """Re-running in fresh interpreters with different hash seeds must agree."""
+    # the child imports the same newsnet as this process, installed or not
+    src = str(Path(newsnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     outputs = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"run{hash_seed}"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         cmd = [sys.executable, "-m", "newsnet.cli", "evaluate",
                "--seed", "5", "--out", str(out)] + _corpus_flags(corpus_dir)
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)

@@ -5,9 +5,8 @@ import pytest
 
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import build_all_networks, build_network
-from newsnet.distances import (EFFECTIVE_SHARED_NEWS, GEODESIC, SHARED_FREQUENCY,
-                               SHARED_NEWS, distance_stats, effective_distance,
-                               flow_matrix)
+from newsnet.distances import (SHARED_FREQUENCY, SHARED_NEWS, distance_stats,
+                               effective_distance, flow_matrix)
 
 from oracles import brute_flow, dense_distances, random_corpus
 
@@ -91,7 +90,7 @@ def test_geodesic_stats_on_path():
     table = EngagementTable.from_records(
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     net = build_network(graph, table, "n1")
-    stats = distance_stats(net, GEODESIC)
+    stats = distance_stats(net)
     # finite ordered pairs: a-b=1, b-c=1, a-c=2
     assert stats.maximum == 2.0
     assert stats.mean == pytest.approx(4 / 3)
@@ -102,7 +101,7 @@ def test_single_node_stats_zero():
     graph = SocialGraph.from_edges([("a", "b")])
     table = EngagementTable.from_records({("n1", "a"): 1}, {"n1": "fake"})
     net = build_network(graph, table, "n1")
-    stats = distance_stats(net, GEODESIC)
+    stats = distance_stats(net)
     assert (stats.maximum, stats.mean, stats.median) == (0.0, 0.0, 0.0)
 
 
@@ -113,8 +112,8 @@ def test_cycle_uniform_flow_effective_equals_geodesic():
     nets = _networks(graph, table)
     flow = flow_matrix(graph, nets, SHARED_NEWS)
     net = nets[0]
-    eff = distance_stats(net, EFFECTIVE_SHARED_NEWS, flow)
-    geo = distance_stats(net, GEODESIC)
+    eff = distance_stats(net, flow)
+    geo = distance_stats(net)
     assert eff.maximum == pytest.approx(geo.maximum, abs=1e-12)
     assert eff.mean == pytest.approx(geo.mean, abs=1e-12)
     assert eff.median == pytest.approx(geo.median, abs=1e-12)
@@ -127,7 +126,7 @@ def test_geodesic_stats_match_floyd_warshall():
             nodes = net.sorted_nodes()
             d = dense_distances(nodes, net.edges)
             finite = d[np.isfinite(d) & (d > 0)]
-            stats = distance_stats(net, GEODESIC)
+            stats = distance_stats(net)
             if finite.size == 0:
                 assert (stats.maximum, stats.mean, stats.median) == (0.0, 0.0, 0.0)
             else:
@@ -148,21 +147,9 @@ def test_effective_stats_match_floyd_warshall():
             d = dense_distances(nodes, net.edges, weights)
             off_diag = ~np.eye(len(nodes), dtype=bool)
             finite = d[np.isfinite(d) & off_diag]
-            stats = distance_stats(net, EFFECTIVE_SHARED_NEWS, flow)
+            stats = distance_stats(net, flow)
             if finite.size == 0:
                 assert stats.maximum == 0.0
             else:
                 assert stats.maximum == pytest.approx(finite.max(), abs=1e-9)
                 assert stats.mean == pytest.approx(finite.mean(), abs=1e-9)
-
-
-def test_metric_flow_mismatch_rejected():
-    graph = SocialGraph.from_edges([("a", "b")])
-    table = EngagementTable.from_records(
-        {("n1", "a"): 1, ("n1", "b"): 1}, {"n1": "fake"})
-    nets = _networks(graph, table)
-    flow = flow_matrix(graph, nets, SHARED_FREQUENCY)
-    with pytest.raises(ValueError, match="shared_news"):
-        distance_stats(nets[0], EFFECTIVE_SHARED_NEWS, flow)
-    with pytest.raises(ValueError, match="flow matrix"):
-        distance_stats(nets[0], EFFECTIVE_SHARED_NEWS, None)

@@ -56,10 +56,10 @@ def test_threshold_sweep_distance_subset_constant(small_strong_extractor):
 def test_theta_boundary_degeneracy(small_strong_extractor):
     ex = small_strong_extractor
     news = sorted(ex.networks)
-    at_zero = extract_matrix(ex, news, 0.0, similarity=False)
+    at_zero = extract_matrix(ex, news, 0.0)
     # normal requires S < 0: impossible
     assert (at_zero.X[:, feature_index("n_normal_spreaders_news") - 1] == 0).all()
-    at_one = extract_matrix(ex, news, 1.0, similarity=False)
+    at_one = extract_matrix(ex, news, 1.0)
     assert (at_one.X[:, feature_index("n_susceptible_spreaders_news") - 1] == 0).all()
 
 
@@ -162,10 +162,15 @@ def test_config_validation_errors():
         _config(proportions=(1.5,))
     with pytest.raises(ConfigError, match="sweep"):
         _config(sweep_subsets=("nonexistent",))
-    with pytest.raises(ConfigError, match="both"):
-        _config(susceptibility_methods=("by_news",))
+    # no key chooses scoring methods: the feature vector always carries both
+    with pytest.raises(ConfigError, match="unknown config key"):
+        ExperimentConfig.from_dict({"susceptibility_methods": ["by_news", "by_frequency"]})
     with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_dict({"bogus": 1})
+    with pytest.raises(ConfigError, match="edges must be a path string"):
+        ExperimentConfig.from_dict({"edges": 5})
+    with pytest.raises(ConfigError, match="out must be a path string"):
+        ExperimentConfig.from_dict({"out": ["runs"]})
     with pytest.raises(ConfigError, match="classifier_params"):
         _config(classifier_params=[("n_trees", 5)])
 

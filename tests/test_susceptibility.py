@@ -67,7 +67,7 @@ def test_scores_in_unit_interval():
         training = set(table.news_ids()[: max(1, len(table.news_ids()) // 2)])
         for method in METHODS:
             model = fit(table, training, method, 0.3)
-            for user in table.users():
+            for user in sorted(table.user_news):
                 assert 0.0 <= model.score(user) <= 1.0
 
 
@@ -109,14 +109,14 @@ def test_methods_agree_when_all_counts_one():
 def test_theta_extremes():
     _, table = random_corpus(4)
     training = set(table.news_ids())
-    fakes = set(table.news_with_label("fake"))
+    fakes = {n for n, label in table.labels.items() if label == "fake"}
     at_zero = fit(table, training, BY_NEWS, 0.0)
-    for user in table.users():
+    for user in sorted(table.user_news):
         spread_fake = any(n in fakes for n in table.user_news[user])
         if spread_fake:
             assert at_zero.classify(user) == SUSCEPTIBLE  # S > 0
     at_one = fit(table, training, BY_NEWS, 1.0)
-    for user in table.users():
+    for user in sorted(table.user_news):
         spread_true = any(n not in fakes for n in table.user_news[user])
         if spread_true:
             assert at_one.classify(user) == NORMAL  # S < 1

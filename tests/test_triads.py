@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork, build_network
+from newsnet.features import FeatureExtractor
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE, UNKNOWN
 from newsnet.triads import TRIAD_CLASSES, census, enumerate_triangles, triad_features
 
@@ -125,20 +127,29 @@ def test_enumeration_order_independent():
     assert census(n1, model).class_counts == census(n2, model).class_counts
 
 
+def _static_block(edges, nodes):
+    """The label-free features of one network spread by every node."""
+    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    table = EngagementTable.from_records({("n1", v): 1 for v in nodes}, {"n1": "fake"})
+    return FeatureExtractor.build(graph, table)._static_features("n1")
+
+
 def test_triad_features_density():
-    net = _net([("a", "b"), ("b", "c"), ("a", "c")])
-    cens = census(net, FixedLabels({}))
-    feats = triad_features(cens, 3)
-    assert feats["triad_density"] == 1.0
-    assert feats["n_triangles"] == 1.0
-    assert feats["triangles_per_spreader"] == pytest.approx(1 / 3)
+    # the triangle totals are label-free: the static block holds them, and
+    # triad_features adds only the per-class counts and proportions
+    static = _static_block([("a", "b"), ("b", "c"), ("a", "c")], "abc")
+    assert static["triad_density"] == 1.0
+    assert static["n_triangles"] == 1.0
+    assert static["triangles_per_spreader"] == pytest.approx(1 / 3)
+    feats = triad_features(census(_net([("a", "b"), ("b", "c"), ("a", "c")]),
+                                  FixedLabels({})))
+    assert sorted(feats) == sorted(f"{kind}_triad_{name}" for kind in ("n", "pct")
+                                   for name in TRIAD_CLASSES)
 
 
 def test_triad_features_degenerate_denominator():
-    net = _net([("a", "b")], nodes={"a", "b"})
-    cens = census(net, FixedLabels({}))
-    feats = triad_features(cens, 2)
-    assert feats["triad_density"] == 0.0
+    static = _static_block([("a", "b")], "ab")
+    assert static["triad_density"] == 0.0
 
 
 def test_proportions_sum_to_one_when_classified():
@@ -148,7 +159,7 @@ def test_proportions_sum_to_one_when_classified():
         model = FixedLabels({v: (NORMAL if i % 2 else SUSCEPTIBLE)
                              for i, v in enumerate(sorted(net.nodes))})
         cens = census(net, model)
-        feats = triad_features(cens, net.n_nodes)
+        feats = triad_features(cens)
         total = sum(feats[f"pct_triad_{name}"] for name in TRIAD_CLASSES)
         if cens.classified_total():
             assert total == pytest.approx(1.0, abs=1e-12)

@@ -38,7 +38,7 @@ def _labeled(nodes, undirected_edges, labels):
         adjacency[v].add(u)
     return LabeledGraph(nodes=tuple(sorted(nodes)),
                         adjacency={v: tuple(sorted(adjacency[v])) for v in nodes},
-                        labels=dict(labels), scheme=IDENTITY)
+                        labels=dict(labels))
 
 
 def test_zero_iterations_is_label_histogram():
