@@ -186,6 +186,8 @@ def cmd_feature_stats(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _build_config(args)
+    if not isinstance(config.synthetic, dict):
+        raise ConfigError("synthetic must be a JSON object")
     spec_data = dict(config.synthetic)
     if args.seed is not None:
         spec_data["seed"] = args.seed
@@ -195,7 +197,8 @@ def cmd_synth(args) -> int:
         spec_data.update(STRONG_EFFECTS)
     try:
         spec = SyntheticSpec(**spec_data)
-    except TypeError as exc:
+        spec.validate()
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic spec: {exc}") from None
     corpus = generate(spec)
     paths = write_corpus(corpus, config.out)

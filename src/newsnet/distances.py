@@ -7,32 +7,85 @@ turns flow into an edge length
 
     d(i, j) = 1 - ln(F_ij / sum_l F_lj)
 
-which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges.
+which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges. A
+`FlowMatrix` holds these lengths for every edge with flow, computed once with
+`math.log` when the matrix is built.
 
-`distance_stats` measures hop counts (geodesic distance) when it is given
-no flow matrix, and effective distance over the flow matrix it is given.
+`distance_stats` measures hop counts (geodesic distance) when it is given no
+flow matrix, and effective distance over the flow matrix it is given. It
+reports the max, mean and median over all finite ordered pairs (s, t), s != t.
+The three floats equal, bit for bit, those of one breadth-first search
+(geodesic) or binary-heap Dijkstra (effective) per source, sources in sorted
+order, with the mean taken by Python's `sum` (see the last paragraph).
+
+Algorithm. Nodes are the ranks of their ids in `sorted_nodes()`, and only
+edges of finite length take part. A block of sources is relaxed at once,
+Bellman-Ford style, on a nodes x sources distance array: each round sets
+d(s, v) to the minimum of itself and of d(s, u) + w(u, v) over the in-edges
+(u, v), and the rounds stop when nothing improves. Geodesic distance is the
+case w = 1.0. The per-target minimum runs over the edges in slot-major
+order (the first in-edge of every target, then the second of every target
+with two or more, ...), as one contiguous `np.minimum` per slot.
+
+Exactness. Rounded addition is monotone, and every length is >= 1, so
+fl(d + w) > d for every finite d below 2**53. Under these two conditions the
+fixed point of the relaxation is, for every pair, the least over paths of
+the path length summed left to right in floating point, and Dijkstra's
+algorithm returns the same values (Knuth, "A generalization of Dijkstra's
+algorithm", IPL 1977). The distances therefore equal the heap's bit for bit,
+whatever order the relaxations take.
+
+The mean. Max and median do not depend on the order of the values, and
+geodesic distances are small integers, whose float sum is exact in any order.
+The effective mean is a left-to-right sum over sources in sorted order and,
+within a source, over targets in the order the heap Dijkstra first touches
+them. That order is recovered from the final distances alone:
+
+  - the heap pops nodes in (distance, id) order, because every length is
+    >= 1: a stable argsort of each source's distances, whose inverse is each
+    node's pop rank;
+  - a target is first touched by its in-neighbour of smallest pop rank, and
+    the targets one node touches come in ascending id order, as its
+    adjacency list is sorted;
+  - sorted by (source, parent's pop rank, target), the distances are summed
+    with `np.cumsum(...)[-1]`, which adds one value at a time.
+
+That is the order and the rounding of CPython 3.11's `sum` over a list of
+floats. Python 3.12 made the float `sum` compensated, so there a plain `sum`
+of the same list can differ from this mean in the last bits.
+
+Memory. Sources are taken in blocks: as many as keep each dense nodes x
+sources or edges x sources array at or under `_BLOCK` entries (512 KB), and
+never fewer than `_MIN_WIDTH`, below which per-call overhead dominates. The
+arrays of a call thus stay small on the benchmark's networks, and under
+64 MB for networks of up to a million nodes or edges. Only the finite
+distances themselves, 8 bytes per reachable pair, are kept whole, for the
+median.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import SocialGraph
 from .diffusion import DiffusionNetwork
-from .util import median
 
 SHARED_NEWS = "shared_news"
 SHARED_FREQUENCY = "shared_frequency"
 FLOW_DEFINITIONS = (SHARED_NEWS, SHARED_FREQUENCY)
+
+_BLOCK = 1 << 16  # entries of one (nodes or edges) x sources array: 512 KB
+_MIN_WIDTH = 8  # sources per block on large networks; fewer run at per-call overhead
 
 
 @dataclass(frozen=True)
 class FlowMatrix:
     flows: dict  # (i, j) -> flow > 0, support within the social edge set
     inflow: dict  # j -> sum of flows into j
+    lengths: dict  # (i, j) -> effective distance, for every edge with flow > 0
 
     def flow(self, i, j) -> float:
         return self.flows.get((i, j), 0.0)
@@ -64,48 +117,76 @@ def flow_matrix(graph: SocialGraph, networks, definition: str) -> FlowMatrix:
     for edge in sorted(flows):
         j = edge[1]
         inflow[j] = inflow.get(j, 0.0) + flows[edge]
-    return FlowMatrix(flows=flows, inflow=inflow)
+    lengths = {edge: 1.0 - math.log(f / inflow[edge[1]])
+               for edge, f in flows.items() if f > 0.0}
+    return FlowMatrix(flows=flows, inflow=inflow, lengths=lengths)
 
 
 def effective_distance(flow: FlowMatrix, i, j) -> float:
     """Edge length from flow; infinite when the edge carries no flow."""
-    f = flow.flow(i, j)
-    if f <= 0.0:
-        return math.inf
-    return 1.0 - math.log(f / flow.inflow[j])
+    return flow.lengths.get((i, j), math.inf)
 
 
-def _geodesic_pairs(nodes, adjacency):
-    for source in nodes:
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for target, d in dist.items():
-            if target != source:
-                yield float(d)
+def _in_edge_slots(src, dst, n) -> tuple:
+    """Slot-major edge order, the targets by in-degree, and the slot widths.
+
+    Targets (`heads`) come by in-degree, largest first, ties by rank. Slot k
+    lists the k-th in-edge of each of the first widths[k] targets, which are
+    exactly the targets with more than k in-edges.
+    """
+    in_degree = np.bincount(dst, minlength=n)
+    heads = np.argsort(-in_degree, kind="stable")[:np.count_nonzero(in_degree)]
+    position = np.empty(n, dtype=np.int64)
+    position[heads] = np.arange(heads.size)
+    by_target = np.argsort(dst, kind="stable")
+    grouped = dst[by_target]
+    slot = np.empty_like(by_target)
+    slot[by_target] = np.arange(dst.size) - np.searchsorted(grouped, grouped)
+    return np.lexsort((position[dst], slot)), heads, np.bincount(slot).tolist()
 
 
-def _dijkstra_pairs(nodes, weighted_adjacency):
-    for source in nodes:
-        dist = {source: 0.0}
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            for v, w in weighted_adjacency[u]:
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        for target, d in dist.items():
-            if target != source:
-                yield d
+def _slot_min(values, widths):
+    """Per target, in `heads` order, the minimum of its in-edges' rows.
+
+    `values` holds one row per edge, in slot-major order (`_in_edge_slots`).
+    """
+    least = values[:widths[0]].copy()
+    offset = widths[0]
+    for width in widths[1:]:
+        np.minimum(least[:width], values[offset:offset + width], out=least[:width])
+        offset += width
+    return least
+
+
+def _relax(dist, src, heads, widths, step) -> None:
+    """Bellman-Ford rounds on dist (nodes x sources) until nothing improves."""
+    while True:
+        candidates = dist[src]
+        candidates += step
+        reach = _slot_min(candidates, widths)
+        current = dist[heads]
+        if not (reach < current).any():
+            return
+        dist[heads] = np.minimum(current, reach)
+
+
+def _touch_order_sum(total, dist, src, heads, widths) -> float:
+    """Continue Python's left-to-right sum over a block of sources.
+
+    Within a source (a column of dist), the finite distances are added in the
+    order a binary-heap Dijkstra first touches their targets. Entries that
+    are not counted are added as 0.0, which leaves every partial sum as is:
+    the source itself and unreachable targets.
+    """
+    n, width = dist.shape
+    popped = np.argsort(dist, axis=0, kind="stable")
+    pop_rank = np.empty_like(popped)
+    pop_rank[popped, np.arange(width)] = np.arange(n)[:, None]
+    parent = _slot_min(pop_rank[src], widths)
+    touched = np.argsort(parent * n + heads[:, None], axis=0)
+    values = np.take_along_axis(dist[heads], touched, axis=0)
+    values[np.isinf(values)] = 0.0
+    return float(np.cumsum(np.append(total, values.T))[-1])
 
 
 def distance_stats(network: DiffusionNetwork,
@@ -115,21 +196,46 @@ def distance_stats(network: DiffusionNetwork,
     Geodesic without `flow`, effective distance over `flow` otherwise.
     """
     nodes = network.sorted_nodes()
-    adjacency = {v: [] for v in nodes}
+    rank = {v: i for i, v in enumerate(nodes)}
     if flow is None:
-        for u, v in sorted(network.edges):
-            adjacency[u].append(v)
-        values = list(_geodesic_pairs(nodes, adjacency))
+        edges = list(network.edges)
     else:
-        for u, v in sorted(network.edges):
-            w = effective_distance(flow, u, v)
-            if math.isfinite(w):
-                adjacency[u].append((v, w))
-        values = list(_dijkstra_pairs(nodes, adjacency))
-    if not values:
+        edges = [edge for edge in network.edges if edge in flow.lengths]
+    if not edges:
         return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
-    return DistanceStats(
-        maximum=max(values),
-        mean=sum(values) / len(values),
-        median=median(values),
-    )
+    n = len(nodes)
+    src, dst = np.array([(rank[u], rank[v]) for u, v in edges], dtype=np.int64).T
+    slot_major, heads, widths = _in_edge_slots(src, dst, n)
+    src = src[slot_major]
+    if flow is None:
+        step = 1.0
+    else:
+        step = np.array([flow.lengths[edge] for edge in edges])[slot_major, None]
+
+    width = max(_MIN_WIDTH, _BLOCK // max(n, len(edges)))
+    values = np.empty(n * (n - 1))  # pages are touched only as values are found
+    count = 0
+    total = 0.0
+    for first in range(0, n, width):
+        sources = np.arange(first, min(first + width, n))
+        dist = np.full((n, sources.size), math.inf)
+        dist[sources, np.arange(sources.size)] = 0.0
+        _relax(dist, src, heads, widths, step)
+        finite = dist[(dist > 0.0) & (dist < math.inf)]
+        values[count:count + finite.size] = finite
+        count += finite.size
+        if flow is not None:
+            total = _touch_order_sum(total, dist, src, heads, widths)
+    if not count:
+        return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
+    values = values[:count]
+    values.sort()
+    if flow is None:
+        total = float(values.sum())  # integers below 2**53: exact in any order
+    mid = values.size // 2
+    if values.size % 2:
+        middle = float(values[mid])
+    else:
+        middle = (float(values[mid - 1]) + float(values[mid])) / 2.0
+    return DistanceStats(maximum=float(values[-1]), mean=total / count,
+                         median=middle)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds, kind = ((int, "an int") if f.type == "int"
+                           else ((int, float), "a finite number"))
+            if (isinstance(value, bool) or not isinstance(value, kinds)
+                    or (isinstance(value, float) and not math.isfinite(value))):
+                raise ValueError(f"{f.name} must be {kind}")
         if self.n_users < 2:
             raise ValueError("need at least 2 users")
         if not 0.0 <= self.edge_prob <= 1.0:

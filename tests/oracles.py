@@ -3,15 +3,18 @@
 Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
 set partitions, the pure-Python centrality loops the array code in
-`newsnet.centrality` replaced, the pairwise WL similarity loops the Gram
-matrices in `newsnet.wl` replaced, and the recursive per-node tree growth the
-presorted batched grower in `newsnet.ml.forest` replaced. Apart from the WL
-signatures and pairwise kernel those loops call, these paths share no code
-with the package internals.
+`newsnet.centrality` replaced, the per-source BFS and heap Dijkstra the
+all-sources array relaxation in `newsnet.distances` replaced, the pairwise WL
+similarity loops the Gram matrices in `newsnet.wl` replaced, and the recursive
+per-node tree growth the presorted batched grower in `newsnet.ml.forest`
+replaced. Apart from the WL signatures and pairwise kernel those loops call
+and `newsnet.util.median`, these paths share no code with the package
+internals.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -21,8 +24,9 @@ import numpy as np
 
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
+from newsnet.distances import DistanceStats
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
-from newsnet.util import derive_seed
+from newsnet.util import derive_seed, median
 from newsnet.wl import (IDENTITY, LABELING_SCHEMES, SUSCEPTIBILITY_CLASS, WLDictionary,
                         labeled_graph, wl_kernel_normalized, wl_signature)
 
@@ -142,6 +146,69 @@ def dense_distances(nodes, edges, weights=None) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
     return d
+
+
+def _geodesic_pairs(nodes, adjacency):
+    for source in nodes:
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in adjacency[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for target, d in dist.items():
+            if target != source:
+                yield float(d)
+
+
+def _dijkstra_pairs(nodes, weighted_adjacency):
+    for source in nodes:
+        dist = {source: 0.0}
+        heap = [(0.0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, math.inf):
+                continue
+            for v, w in weighted_adjacency[u]:
+                nd = d + w
+                if nd < dist.get(v, math.inf):
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        for target, d in dist.items():
+            if target != source:
+                yield d
+
+
+def _python_effective_distance(flow, i, j) -> float:
+    f = flow.flow(i, j)
+    if f <= 0.0:
+        return math.inf
+    return 1.0 - math.log(f / flow.inflow[j])
+
+
+def python_distance_stats(network, flow=None) -> DistanceStats:
+    """One BFS (geodesic) or heap Dijkstra (effective) per source, Python `sum`."""
+    nodes = network.sorted_nodes()
+    adjacency = {v: [] for v in nodes}
+    if flow is None:
+        for u, v in sorted(network.edges):
+            adjacency[u].append(v)
+        values = list(_geodesic_pairs(nodes, adjacency))
+    else:
+        for u, v in sorted(network.edges):
+            w = _python_effective_distance(flow, u, v)
+            if math.isfinite(w):
+                adjacency[u].append((v, w))
+        values = list(_dijkstra_pairs(nodes, adjacency))
+    if not values:
+        return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
+    return DistanceStats(
+        maximum=max(values),
+        mean=sum(values) / len(values),
+        median=median(values),
+    )
 
 
 def dense_closeness(nodes, edges, direction) -> dict:

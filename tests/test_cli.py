@@ -179,6 +179,32 @@ def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("synthetic,message", [
+    ({"n_users": "80"}, "n_users must be an int"),
+    ({"n_users": 80.0}, "n_users must be an int"),
+    ({"news_per_class": True}, "news_per_class must be an int"),
+    ({"edge_prob": "0.1"}, "edge_prob must be a finite number"),
+    ({"depth_effect": None}, "depth_effect must be a finite number"),
+    ({"depth_effect": float("nan")}, "depth_effect must be a finite number"),
+    ({"n_users": -5}, "need at least 2 users"),
+    ({"edge_prob": 2.0}, "edge_prob must be in [0, 1]"),
+    ({"spreader_ratio": 0.5}, "spreader_ratio must be >= 1"),
+    ({"base_spreaders": 500}, "infeasible spec"),
+    ([["n_users", 80]], "synthetic must be a JSON object"),
+])
+def test_bad_synthetic_spec_exits_two_before_output(tmp_path, capsys, synthetic,
+                                                    message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"synthetic": synthetic}))
+    out = tmp_path / "out"
+    code = main(["synth", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_bad_sampling_mode_exits_two_before_output(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sample-study", "--out", str(out), "--repetitions", "1",

@@ -1,14 +1,31 @@
 import math
+import platform
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from newsnet import distances
 from newsnet.corpus import EngagementTable, SocialGraph
-from newsnet.diffusion import build_all_networks, build_network
-from newsnet.distances import (SHARED_FREQUENCY, SHARED_NEWS, distance_stats,
-                               effective_distance, flow_matrix)
+from newsnet.diffusion import (DiffusionNetwork, build_all_networks, build_network,
+                               subsample)
+from newsnet.distances import (FLOW_DEFINITIONS, SHARED_FREQUENCY, SHARED_NEWS,
+                               distance_stats, effective_distance, flow_matrix)
+from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
+from newsnet.util import derive_seed
 
-from oracles import brute_flow, dense_distances, random_corpus
+from oracles import brute_flow, dense_distances, python_distance_stats, random_corpus
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# The oracle's mean is Python's `sum`. CPython 3.11 adds floats one at a time,
+# in the order and rounding distance_stats reproduces; 3.12 and later
+# compensate the float `sum`, so there the means are not compared.
+PLAIN_FLOAT_SUM = (platform.python_implementation() == "CPython"
+                   and sys.version_info[:2] == (3, 11))
 
 
 def _networks(graph, table):
@@ -153,3 +170,134 @@ def test_effective_stats_match_floyd_warshall():
             else:
                 assert stats.maximum == pytest.approx(finite.max(), abs=1e-9)
                 assert stats.mean == pytest.approx(finite.mean(), abs=1e-9)
+
+
+def test_lengths_are_math_log_of_flow_share():
+    for seed in range(10):
+        graph, table = random_corpus(seed)
+        nets = _networks(graph, table)
+        for definition in FLOW_DEFINITIONS:
+            flow = flow_matrix(graph, nets, definition)
+            assert flow.lengths.keys() == flow.flows.keys()
+            for (i, j), f in flow.flows.items():
+                assert flow.lengths[(i, j)] == 1.0 - math.log(f / flow.inflow[j])
+
+
+def assert_equals_oracle(net, flow=None):
+    fast = distance_stats(net, flow)
+    slow = python_distance_stats(net, flow)
+    assert (fast.maximum, fast.median) == (slow.maximum, slow.median), net.news_id
+    if PLAIN_FLOAT_SUM:
+        assert fast.mean == slow.mean, net.news_id
+
+
+def assert_network_set_equals_oracle(graph, nets, flow_nets=None):
+    """Geodesic and both effective distances; flows from `flow_nets` (default nets)."""
+    flows = [flow_matrix(graph, flow_nets or nets, d) for d in FLOW_DEFINITIONS]
+    for net in nets:
+        for flow in [None] + flows:
+            assert_equals_oracle(net, flow)
+
+
+def _subsampled(nets, mode):
+    # the early-detection seeds at master seed 7, proportion 0.5, repetition 0
+    return [subsample(net, mode, 0.5, derive_seed(7, "early", mode, repr(0.5), 0,
+                                                  net.news_id))
+            for net in nets]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_equals_oracle_on_random_corpora(seed):
+    graph, table = random_corpus(seed)
+    nets = _networks(graph, table)
+    assert_network_set_equals_oracle(graph, nets)
+    for mode in ("nodes", "edges"):
+        assert_network_set_equals_oracle(graph, _subsampled(nets, mode))
+
+
+@pytest.mark.parametrize("workload", ["sweep_demo", "early_bignets", "build_graph"])
+def test_equals_oracle_on_benchmark_corpora(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    spec = workloads.WORKLOADS[workload].spec
+    corpus = generate(SyntheticSpec(**spec, **STRONG_EFFECTS, seed=workloads.CORPUS_SEED))
+    nets = _networks(corpus.graph, corpus.table)
+    assert_network_set_equals_oracle(corpus.graph, nets)
+    for mode in ("nodes", "edges"):
+        assert_network_set_equals_oracle(corpus.graph, _subsampled(nets, mode))
+
+
+def test_equals_oracle_with_zero_flow_edges():
+    # Flows from the edge-subsampled first half of the stories leave many
+    # edges of the whole networks without flow: their length is infinite.
+    zero_flow = 0
+    for seed in range(10):
+        graph, table = random_corpus(seed)
+        nets = _networks(graph, table)
+        sparse = _subsampled(nets[:len(nets) // 2], "edges")
+        flow = flow_matrix(graph, sparse, SHARED_NEWS)
+        zero_flow += sum(e not in flow.lengths for net in nets for e in net.edges)
+        assert_network_set_equals_oracle(graph, nets, flow_nets=sparse)
+    assert zero_flow > 0
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_source_blocks_continue_the_sum(monkeypatch, width):
+    monkeypatch.setattr(distances, "_BLOCK", 0)  # blocks of exactly `width` sources
+    monkeypatch.setattr(distances, "_MIN_WIDTH", width)
+    for seed in (0, 4, 9):
+        graph, table = random_corpus(seed)
+        nets = _networks(graph, table)
+        assert_network_set_equals_oracle(graph, nets)
+        assert_network_set_equals_oracle(graph, _subsampled(nets, "edges"))
+
+
+def _network(nodes, edges):
+    return DiffusionNetwork("n", "fake", frozenset(nodes), frozenset(edges),
+                            {v: 1 for v in nodes})
+
+
+@pytest.mark.parametrize("nodes,edges", [
+    ([], []),
+    (["a"], []),
+    (["a", "b", "c"], []),
+    (["a", "b", "c", "d"], [("a", "b"), ("c", "d")]),
+    (["a", "b", "c", "d", "e"], [("b", "a"), ("c", "a"), ("e", "d")]),
+    (["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")]),
+], ids=["empty", "single_node", "edgeless", "two_pairs", "in_star_and_pair",
+        "bidirected_path"])
+def test_degenerate_networks_equal_oracle(nodes, edges):
+    net = _network(nodes, edges)
+    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    assert_network_set_equals_oracle(graph, [net])
+
+
+@st.composite
+def flow_digraphs(draw):
+    """A network over up to 14 nodes, and the networks its flows come from."""
+    n = draw(st.integers(1, 14))
+    nodes = [f"v{i:02d}" for i in range(n)]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=60, unique=True)
+                 if pairs else st.just([]))
+    counts = {v: draw(st.integers(1, 4)) for v in nodes}
+    net = DiffusionNetwork("n", "fake", frozenset(nodes), frozenset(edges), counts)
+    others = []
+    for k in range(draw(st.integers(0, 3))):
+        kept = draw(st.lists(st.sampled_from(edges), unique=True) if edges
+                    else st.just([]))
+        others.append(DiffusionNetwork(f"m{k}", "true", frozenset(nodes),
+                                       frozenset(kept), counts))
+    if draw(st.booleans()):
+        others.append(net)  # otherwise edges used by no other network carry no flow
+    return SocialGraph.from_edges(edges, nodes=nodes), net, others
+
+
+@settings(max_examples=150)
+@given(flow_digraphs())
+def test_property_equals_oracle(case):
+    graph, net, flow_nets = case
+    assert_equals_oracle(net)
+    for definition in FLOW_DEFINITIONS:
+        assert_equals_oracle(net, flow_matrix(graph, flow_nets, definition))

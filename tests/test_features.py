@@ -170,3 +170,30 @@ def test_matrix_csv_round_shape(tmp_path):
     assert lines[0].startswith("news_id,label,f001")
     assert lines[0].endswith("f142")
     assert len(lines) == len(matrix.news_ids) + 1
+
+
+def _relabel_users(graph, table, rename):
+    graph2 = SocialGraph.from_edges([(rename[u], rename[v]) for u, v in graph.edges],
+                                    nodes=[rename[v] for v in graph.nodes])
+    records = {(news, rename[user]): count
+               for news, by_user in table.counts.items()
+               for user, count in by_user.items()}
+    return graph2, EngagementTable.from_records(records, dict(table.labels))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_order_preserving_user_relabel_keeps_every_value(seed):
+    # New ids of other lengths and characters, in the same sorted order: no
+    # value may depend on the id strings beyond their order.
+    graph, table = random_corpus(seed)
+    gaps = np.random.default_rng(seed).integers(1, 1000, len(graph.nodes))
+    rename = {v: f"user-{int(k):07d}"
+              for v, k in zip(graph.sorted_nodes(), np.cumsum(gaps))}
+    training = table.news_ids()[:max(2, len(table.news_ids()) // 2)]
+    before = extract_matrix(_extractor(graph, table, seed=seed), training, 0.5)
+    after = extract_matrix(_extractor(*_relabel_users(graph, table, rename), seed=seed),
+                           training, 0.5)
+    assert after.news_ids == before.news_ids
+    assert after.labels == before.labels
+    for news in before.news_ids:
+        assert after.row(news).tolist() == before.row(news).tolist(), news

@@ -4,9 +4,13 @@ A refactor that claims byte-identical outputs must keep these digests; a
 change that alters an output on purpose updates them and says so. Python
 3.12 made the float `sum` compensated, which changes the last bits of
 some means, so the pins hold on CPython 3.11 only.
+
+`extract` and `evaluate` see the whole diffusion networks; `early-detect`
+sees node- and edge-subsampled ones, which are often disconnected.
 """
 
 import hashlib
+import json
 import platform
 import sys
 
@@ -19,20 +23,44 @@ PINNED = {
     "features.csv": "8d0550f4bb8c4d901e5949ace7f73d0c3670c2295754c172aa5b935a6cafa927",
     "evaluation.json": "c279027ff53b3a92d1595eb9fa85c3e82b5fb937cd914346b5e7ec21e027f0e0",
 }
+EARLY_CONFIG = {"proportions": [0.3, 0.6], "repetitions": 1}
+EARLY_PINNED = {
+    "early_detection.csv":
+        "e4612e91d43608e58b4239135ad021d8074bcf3e3d98e56120e3d4270ab1acbd",
+}
 
 
-@pytest.mark.skipif(platform.python_implementation() != "CPython"
-                    or sys.version_info[:2] != (3, 11),
-                    reason="pinned on CPython 3.11; 3.12's float sum is compensated")
-def test_extract_and_evaluate_outputs_are_pinned(tmp_path):
+ON_CPYTHON_311 = pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="pinned on CPython 3.11; 3.12's float sum is compensated")
+
+
+def _corpus_flags(tmp_path) -> list:
     corpus = generate(SyntheticSpec(n_users=80, news_per_class=15, seed=21,
                                     **STRONG_EFFECTS))
     write_corpus(corpus, tmp_path / "corpus")
     flags = ["--out", str(tmp_path / "out")]
     for name in ("edges", "engagements", "labels"):
         flags += [f"--{name}", str(tmp_path / "corpus" / f"{name}.csv")]
+    return flags
+
+
+def _digests(out, names) -> dict:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+@ON_CPYTHON_311
+def test_extract_and_evaluate_outputs_are_pinned(tmp_path):
+    flags = _corpus_flags(tmp_path)
     assert main(["extract"] + flags) == 0
     assert main(["evaluate"] + flags) == 0
-    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-               for name in PINNED}
-    assert digests == PINNED
+    assert _digests(tmp_path / "out", PINNED) == PINNED
+
+
+@ON_CPYTHON_311
+def test_early_detection_output_is_pinned(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(EARLY_CONFIG))
+    assert main(["early-detect", "--config", str(config)] + _corpus_flags(tmp_path)) == 0
+    assert _digests(tmp_path / "out", EARLY_PINNED) == EARLY_PINNED
