@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SocialGraph
+from .corpus import CorpusError, SocialGraph
 
 MEASURES = (
     "in_degree",
@@ -171,7 +171,7 @@ def _hits(nodes, succ, preds) -> tuple:
 
 def centralities(graph: SocialGraph) -> CentralityScores:
     if not graph.nodes:
-        raise ValueError("centralities require a nonempty graph")
+        raise CorpusError("centralities require a nonempty graph")
     nodes = graph.sorted_nodes()
     succ = {v: sorted(graph.out_neighbors[v]) for v in nodes}
     preds = {v: sorted(graph.in_neighbors[v]) for v in nodes}

@@ -52,6 +52,8 @@ def _require_corpus(config: ExperimentConfig):
 
 def _build_extractor(config: ExperimentConfig) -> FeatureExtractor:
     graph, table = _require_corpus(config)
+    if not table.labels:
+        raise CorpusError("no labeled news", file=Path(config.labels).name)
     return FeatureExtractor.build(graph, table, h=config.wl_iterations,
                                   seed=config.seed)
 
@@ -259,9 +261,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -293,20 +293,25 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
 
 
 def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
-    """Subsample every network per (mode, proportion), re-extract, evaluate."""
+    """Subsample every network per (mode, proportion), re-extract, evaluate.
+
+    Either mode keeps every network whole at p = 1.0, whatever the seed, so
+    that point is evaluated once and counted for every mode and repetition.
+    """
     mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")
-    tasks = []
+    tasks: dict = {}  # distinct run -> its task
     points = []
     for mode in config.modes:
         for p in config.proportions:
             for rep in range(config.repetitions):
-                tasks.append((extractor, config, mask, mode, p, rep))
-                points.append((mode, p))
-    results = _run_jobs(_early_task, tasks, config.jobs)
+                run = (p,) if p == 1.0 else (mode, p, rep)
+                tasks.setdefault(run, (extractor, config, mask, mode, p, rep))
+                points.append(((mode, p), run))
+    results = dict(zip(tasks, _run_jobs(_early_task, list(tasks.values()), config.jobs)))
     grouped: dict = {}
-    for point, (acc, f1) in zip(points, results):
-        grouped.setdefault(point, []).append((acc, f1))
+    for point, run in points:
+        grouped.setdefault(point, []).append(results[run])
     rows = []
     for mode in config.modes:
         for p in config.proportions:

@@ -43,7 +43,7 @@ from .susceptibility import (BY_FREQUENCY, BY_NEWS, METHODS, NORMAL, SUSCEPTIBLE
                              UNKNOWN, SusceptibilityModel)
 from .triads import TRIAD_CLASSES, census, enumerate_triangles, triad_features
 from .util import derive_seed, median, safe_ratio, write_csv
-from .wl import IDENTITY, SimilarityIndex, normalized_gram
+from .wl import SimilarityIndex, WLNetworks
 
 MORE_SPREADERS = "more_spreaders"
 FARTHER_DISTANCE = "farther_distance"
@@ -185,11 +185,12 @@ class FeatureExtractor:
     """Feature assembly over one corpus.
 
     Label-independent inputs (centralities, flow matrices, communities,
-    triangle enumeration, distance statistics, the identity-labelled WL Gram
-    matrix) are computed once and cached; susceptibility-dependent features
-    are recomputed for every training fold and threshold. The flow matrices
-    are built here from the graph and the networks: they encode which news
-    stories an edge appears in, so they change with the networks.
+    triangle enumeration, distance statistics, the WL node table and its
+    identity-labelled Gram matrix) are computed once and cached;
+    susceptibility-dependent features are recomputed for every training fold
+    and threshold. The flow matrices are built here from the graph and the
+    networks: they encode which news stories an edge appears in, so they
+    change with the networks.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
@@ -206,7 +207,6 @@ class FeatureExtractor:
         self.seed = seed
         self._static: dict = {}
         self._triangles: dict = {}
-        self._wl_identity = None
 
     @classmethod
     def build(cls, graph: SocialGraph, table: EngagementTable,
@@ -228,10 +228,10 @@ class FeatureExtractor:
 
     # ---- label-independent block ----
 
-    def _identity_gram(self) -> np.ndarray:
-        if self._wl_identity is None:
-            self._wl_identity = normalized_gram(self.networks, IDENTITY, h=self.h)
-        return self._wl_identity
+    @cached_property
+    def wl_networks(self) -> WLNetworks:
+        """The networks' undirected adjacency over one node numbering."""
+        return WLNetworks(self.networks, self.h)
 
     def _static_features(self, news_id) -> dict:
         if news_id in self._static:
@@ -378,8 +378,7 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
     only; test-fold labels never influence any value.
     """
     models = susceptibility.fit_all(extractor.table, training_news, theta)
-    sim_index = SimilarityIndex(extractor.networks, training_news, models[BY_NEWS],
-                                h=extractor.h, _identity=extractor._identity_gram())
+    sim_index = SimilarityIndex(extractor.wl_networks, training_news, models[BY_NEWS])
     news_ids = sorted(extractor.networks)
     X = np.array([extract(extractor.networks[news], models, extractor,
                           sim_index.features(news)) for news in news_ids],

@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from ..corpus import FAKE
+from ..corpus import FAKE, CorpusError
 from ..features import FeatureExtractor, N_FEATURES, extract_matrix
 from ..util import derive_seed
 from .baselines import GaussianNBClassifier, KNNClassifier
@@ -74,8 +74,8 @@ def stratified_folds(labels: dict, n_folds: int = N_FOLDS, seed: int = 0) -> Dat
     for label in sorted(set(labels.values())):
         ids = sorted(n for n, lab in labels.items() if lab == label)
         if len(ids) < n_folds:
-            raise ValueError(f"too few {label!r} news to stratify into "
-                             f"{n_folds} folds ({len(ids)})")
+            raise CorpusError(f"too few {label!r} news to stratify into "
+                              f"{n_folds} folds ({len(ids)})")
         rng.shuffle(ids)
         for pos, news in enumerate(ids):
             assignment[news] = pos % n_folds
@@ -164,9 +164,9 @@ def check_params(kind: str, params: dict) -> None:
 def _check_training_set(y):
     y = np.asarray(y)
     if y.size < 2:
-        raise ValueError("need at least 2 training samples")
+        raise CorpusError("need at least 2 training samples")
     if len(set(y.tolist())) < 2:
-        raise ValueError("single-class training set")
+        raise CorpusError("single-class training set")
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..corpus import CorpusError
 from ..util import derive_seed
 from .baselines import MinMaxScaler
 
@@ -21,7 +22,7 @@ def relief_weights(X, y, m=None, seed=0):
     n = X.shape[0]
     for c in (0, 1):
         if int(np.sum(y == c)) < 2:
-            raise ValueError("relief requires at least 2 samples per class")
+            raise CorpusError("relief requires at least 2 samples per class")
     Xs = MinMaxScaler().fit_transform(X)
     if m is None or m >= n:
         picks = np.arange(n)

@@ -1,95 +1,44 @@
-"""Weisfeiler-Lehman subtree signatures and kernel over labeled graphs.
+"""Weisfeiler-Lehman subtree similarity between diffusion networks.
 
-Diffusion networks are symmetrized and labeled either by user identity or by
-susceptibility class. Signature: at iteration 0 the histogram of compressed
-raw labels; each following iteration relabels every node with the compression
-of (own label, sorted multiset of neighbor labels). All graphs that will be
-compared must share one compression dictionary. The kernel is the sum over
-iterations of histogram inner products; the normalized variant lies in [0, 1].
+Networks are symmetrized and labeled by user identity or susceptibility
+class. The kernel (Shervashidze et al., JMLR 2011) sums, over iterations
+0..h, the inner products of two networks' label histograms; iteration 0 uses
+the raw labels, and each later one relabels every node with (own label,
+sorted multiset of neighbor labels). The normalized kernel lies in [0, 1].
 
-That kernel is a linear kernel on per-iteration label counts (Shervashidze
-et al., JMLR 2011), so SimilarityIndex takes every pairwise value from one
-Gram matrix per labelling: the sum over iterations of A_i A_iᵀ, with A_i the
-networks x labels count block of iteration i. The sums are exact integers,
-and the normalization keeps the pairwise function's Python `** 0.5`, so each
-entry equals wl_kernel_normalized bit for bit.
+WLNetworks numbers every network's nodes once (news in sorted order, nodes
+sorted within a network) and refines integers: a node's new label is
+`ids.setdefault((own, sorted neighbor labels), len(ids))`, with one fresh
+`ids` per iteration shared by all networks. Two nodes of any networks then
+share an iteration's label exactly when any injective relabelling, such as
+the string one `tests/oracles.py` keeps as the reference, gives them one.
+
+All pairwise values come from one Gram matrix per labelling: the sum over
+iterations of A_i A_iᵀ, with A_i the networks x labels count block of
+iteration i. It depends only on which nodes share a label within an
+iteration, and its entries are exact integer sums, so it is the same matrix
+for every injective relabelling. The normalization keeps Python's `** 0.5`,
+so each entry equals wl_kernel_normalized of the string signatures bit for bit.
+
+WLSignature, wl_kernel and wl_kernel_normalized are that pairwise reference.
+No package code calls them, but the benchmark's tracer counts
+wl_kernel_normalized by this module path, so they stay here until the
+benchmark stops naming them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-from .diffusion import DiffusionNetwork
-
-IDENTITY = "identity"
-SUSCEPTIBILITY_CLASS = "susceptibility_class"
-LABELING_SCHEMES = (IDENTITY, SUSCEPTIBILITY_CLASS)
-
-
-class WLDictionary:
-    """Shared label-compression table; assigns dense ids in first-seen order."""
-
-    def __init__(self):
-        self._ids: dict = {}
-
-    def encode(self, label: str) -> int:
-        if label not in self._ids:
-            self._ids[label] = len(self._ids)
-        return self._ids[label]
-
-
-@dataclass(frozen=True)
-class LabeledGraph:
-    nodes: tuple
-    adjacency: dict  # node -> tuple of neighbors (undirected, sorted)
-    labels: dict  # node -> label string
-
-
-def labeled_graph(network: DiffusionNetwork, scheme: str, model=None) -> LabeledGraph:
-    if scheme not in LABELING_SCHEMES:
-        raise ValueError(f"scheme must be one of {LABELING_SCHEMES}, got {scheme!r}")
-    und = {v: set() for v in network.nodes}
-    for u, v in network.edges:
-        und[u].add(v)
-        und[v].add(u)
-    nodes = tuple(network.sorted_nodes())
-    if scheme == IDENTITY:
-        labels = {v: v for v in nodes}
-    else:
-        if model is None:
-            raise ValueError("susceptibility_class labeling requires a model")
-        labels = {v: model.classify(v) for v in nodes}
-    return LabeledGraph(
-        nodes=nodes,
-        adjacency={v: tuple(sorted(und[v])) for v in nodes},
-        labels=labels,
-    )
 
 
 @dataclass(frozen=True)
 class WLSignature:
     h: int
-    dictionary: WLDictionary
+    dictionary: object  # the compression table the histograms' label ids index
     histograms: tuple  # one Counter per iteration 0..h
-
-
-def wl_signature(graph: LabeledGraph, h: int, dictionary: WLDictionary) -> WLSignature:
-    if h < 0:
-        raise ValueError("h must be >= 0")
-    current = {v: dictionary.encode(graph.labels[v]) for v in graph.nodes}
-    histograms = [Counter(current.values())]
-    for _ in range(h):
-        relabeled = {}
-        for v in graph.nodes:
-            neighborhood = ",".join(str(c) for c in
-                                    sorted(current[u] for u in graph.adjacency[v]))
-            relabeled[v] = dictionary.encode(f"{current[v]}|{neighborhood}")
-        current = relabeled
-        histograms.append(Counter(current.values()))
-    return WLSignature(h=h, dictionary=dictionary, histograms=tuple(histograms))
 
 
 def wl_kernel(a: WLSignature, b: WLSignature) -> float:
@@ -115,54 +64,93 @@ def wl_kernel_normalized(a: WLSignature, b: WLSignature) -> float:
     return k / (kaa * kbb) ** 0.5
 
 
-def _gram(signatures: list) -> np.ndarray:
-    """Exact kernel matrix: entry [t, r] is wl_kernel(signatures[t], signatures[r]).
+def _gram(network: np.ndarray, iterations, n: int) -> np.ndarray:
+    """Exact kernel matrix of n networks from every iteration's node labels.
 
-    Iteration i adds A_i A_iᵀ, where A_i[t, c] is the count of label c in
-    network t's iteration-i histogram. Every iteration keeps its own columns:
-    a raw label containing "|" (a user id may) can share its dictionary id
-    with a later iteration's label, and pooling the iterations would then
-    match labels across iterations. A label held by a single network adds
-    only count² to that network's diagonal, so A_i keeps shared labels only:
-    N x D_i float64, with D_i the labels two or more networks hold. Counts
-    are small integers and every sum is an exact integer below 2**53, so BLAS
-    summation order does not matter.
+    `network[k]` is node k's network and each entry of `iterations` is every
+    node's label id, ids dense from 0. Iteration i adds A_i A_iᵀ, where
+    A_i[t, c] counts the nodes of network t labelled c. A label held by a
+    single network adds only count² to that network's diagonal, so A_i keeps
+    shared labels only: N x D_i float64, with D_i the labels two or more
+    networks hold. Counts are small integers and every sum is an exact
+    integer below 2**53, so BLAS summation order does not matter.
     """
-    n = len(signatures)
     gram = np.zeros((n, n))
     diagonal = np.arange(n)
-    for hists in zip(*(sig.histograms for sig in signatures)):
-        entries = [(t, label, count) for t, hist in enumerate(hists)
-                   for label, count in hist.items()]
-        rows, labels, counts = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-        _, label_ids, holders = np.unique(labels, return_inverse=True,
-                                          return_counts=True)
-        private = holders[label_ids] == 1
+    for labels in iterations:
+        # one entry per (label, network) pair that occurs, with its node count
+        pairs, counts = np.unique(np.asarray(labels, dtype=np.int64) * n + network,
+                                  return_counts=True)
+        labels, rows = np.divmod(pairs, n)
+        shared = np.bincount(labels) > 1
+        private = ~shared[labels]
         gram[diagonal, diagonal] += np.bincount(rows[private],
                                                 weights=counts[private] ** 2,
                                                 minlength=n)
         kept = ~private
-        column = (np.cumsum(holders > 1) - 1)[label_ids[kept]]
-        block = np.zeros((n, np.count_nonzero(holders > 1)))
-        block[rows[kept], column] = counts[kept]
+        block = np.zeros((n, np.count_nonzero(shared)))
+        block[rows[kept], (np.cumsum(shared) - 1)[labels[kept]]] = counts[kept]
         gram += block @ block.T
     return gram
 
 
-def normalized_gram(networks: dict, scheme: str, model=None, h: int = 3) -> np.ndarray:
-    """wl_kernel_normalized between every pair of networks, in sorted news order.
+class WLNetworks:
+    """A corpus's diffusion networks as one undirected node table for h iterations.
 
-    All signatures share one dictionary. Entry [t, r] equals the pairwise
-    function's value bit for bit: the square root is Python's float `** 0.5`
-    (libm pow), which differs from np.sqrt in the last place on some products.
+    Node k belongs to network `network[k]` (an index into `order`, the sorted
+    news ids) and is user `users[k]`; `neighbours[k]` holds the node numbers
+    adjacent to it in either direction. The identity-labelled Gram matrix
+    depends on the networks and h only and is built on first use.
     """
-    dictionary = WLDictionary()
-    gram = _gram([wl_signature(labeled_graph(networks[news], scheme, model), h,
-                               dictionary) for news in sorted(networks)])
-    diag = np.diag(gram)
-    roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
-    root = np.array(roots).reshape(gram.shape)
-    return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
+
+    def __init__(self, networks: dict, h: int = 3):
+        if h < 0:
+            raise ValueError("h must be >= 0")
+        self.networks = networks
+        self.h = h
+        self.order = sorted(networks)
+        self.users = []
+        self.neighbours = []
+        network = []
+        for t, news in enumerate(self.order):
+            net = networks[news]
+            first = len(self.users)
+            number = {v: first + i for i, v in enumerate(net.sorted_nodes())}
+            adjacent = {k: set() for k in number.values()}
+            for u, v in net.edges:
+                adjacent[number[u]].add(number[v])
+                adjacent[number[v]].add(number[u])
+            self.users.extend(number)
+            self.neighbours.extend(adjacent.values())
+            network.extend([t] * len(number))
+        self.network = np.array(network, dtype=np.int64)
+
+    @cached_property
+    def identity_gram(self) -> np.ndarray:
+        return self.normalized_gram(self.users)
+
+    def normalized_gram(self, labels) -> np.ndarray:
+        """wl_kernel_normalized between every pair of networks, in `order`.
+
+        `labels` holds every node's raw label, in node order. Entry [t, r]
+        equals the pairwise function's value bit for bit: the square root is
+        Python's float `** 0.5` (libm pow), which differs from np.sqrt in the
+        last place on some products.
+        """
+        ids: dict = {}
+        current = [ids.setdefault(label, len(ids)) for label in labels]
+        iterations = [current]
+        for _ in range(self.h):
+            previous, ids = current, {}
+            current = [ids.setdefault((own, tuple(sorted([previous[u] for u in adjacent]))),
+                                      len(ids))
+                       for own, adjacent in zip(previous, self.neighbours)]
+            iterations.append(current)
+        gram = _gram(self.network, iterations, len(self.order))
+        diag = np.diag(gram)
+        roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
+        root = np.array(roots).reshape(gram.shape)
+        return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
 
 
 class SimilarityIndex:
@@ -170,21 +158,17 @@ class SimilarityIndex:
 
     features(news) is (fake_identity, true_identity, fake_class, true_class),
     each in [0, 1]; a value is 0 when its reference class is empty. The
-    kernels come from one normalized Gram matrix per labelling scheme. The
-    identity-labelled one depends on the networks and h only, so a caller
-    building several indexes over the same networks passes it as `_identity`.
+    kernels come from the identity-labelled Gram matrix `graphs` keeps and one
+    Gram matrix of the nodes' susceptibility classes under `model`.
     """
 
-    def __init__(self, networks: dict, training_news, model, h: int = 3,
-                 _identity=None):
+    def __init__(self, graphs: WLNetworks, training_news, model):
         training = set(training_news)
-        self.h = h
-        order = sorted(networks)
-        if _identity is None:
-            _identity = normalized_gram(networks, IDENTITY, h=h)
-        grams = (_identity, normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
+        order = graphs.order
+        grams = (graphs.identity_gram,
+                 graphs.normalized_gram([model.classify(user) for user in graphs.users]))
         refs = [[i for i, news in enumerate(order)
-                 if news in training and networks[news].label == label]
+                 if news in training and graphs.networks[news].label == label]
                 for label in ("fake", "true")]
         columns = []
         for gram in grams:

@@ -4,12 +4,13 @@ Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
 set partitions, the pure-Python centrality loops the array code in
 `newsnet.centrality` replaced, the per-source BFS and heap Dijkstra the
-all-sources array relaxation in `newsnet.distances` replaced, the pairwise WL
-similarity loops the Gram matrices in `newsnet.wl` replaced, and the recursive
-per-node tree growth the presorted batched grower in `newsnet.ml.forest`
-replaced. Apart from the WL signatures and pairwise kernel those loops call
-and `newsnet.util.median`, these paths share no code with the package
-internals.
+all-sources array relaxation in `newsnet.distances` replaced, the WL
+signatures by string relabelling through one shared dictionary and the
+pairwise similarity loops over them that the integer refinement and Gram
+matrices in `newsnet.wl` replaced, and the recursive per-node tree growth the
+presorted batched grower in `newsnet.ml.forest` replaced. Apart from the
+pairwise WL kernel and `newsnet.util.median`, these paths share no code with
+the package internals.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
+from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -27,8 +29,77 @@ from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
 from newsnet.util import derive_seed, median
-from newsnet.wl import (IDENTITY, LABELING_SCHEMES, SUSCEPTIBILITY_CLASS, WLDictionary,
-                        labeled_graph, wl_kernel_normalized, wl_signature)
+from newsnet.wl import WLSignature, wl_kernel_normalized
+
+IDENTITY = "identity"
+SUSCEPTIBILITY_CLASS = "susceptibility_class"
+LABELING_SCHEMES = (IDENTITY, SUSCEPTIBILITY_CLASS)
+
+
+class WLDictionary:
+    """Shared label-compression table; assigns dense ids in first-seen order."""
+
+    def __init__(self):
+        self._ids: dict = {}
+
+    def encode(self, label: str) -> int:
+        if label not in self._ids:
+            self._ids[label] = len(self._ids)
+        return self._ids[label]
+
+
+@dataclass(frozen=True)
+class LabeledGraph:
+    nodes: tuple
+    adjacency: dict  # node -> tuple of neighbors (undirected, sorted)
+    labels: dict  # node -> label string
+
+
+def labeled_graph(network: DiffusionNetwork, scheme: str, model=None) -> LabeledGraph:
+    if scheme not in LABELING_SCHEMES:
+        raise ValueError(f"scheme must be one of {LABELING_SCHEMES}, got {scheme!r}")
+    und = {v: set() for v in network.nodes}
+    for u, v in network.edges:
+        und[u].add(v)
+        und[v].add(u)
+    nodes = tuple(network.sorted_nodes())
+    if scheme == IDENTITY:
+        labels = {v: v for v in nodes}
+    else:
+        if model is None:
+            raise ValueError("susceptibility_class labeling requires a model")
+        labels = {v: model.classify(v) for v in nodes}
+    return LabeledGraph(
+        nodes=nodes,
+        adjacency={v: tuple(sorted(und[v])) for v in nodes},
+        labels=labels,
+    )
+
+
+def wl_signature(graph: LabeledGraph, h: int, dictionary: WLDictionary) -> WLSignature:
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    current = {v: dictionary.encode(graph.labels[v]) for v in graph.nodes}
+    histograms = [Counter(current.values())]
+    for _ in range(h):
+        relabeled = {}
+        for v in graph.nodes:
+            neighborhood = ",".join(str(c) for c in
+                                    sorted(current[u] for u in graph.adjacency[v]))
+            relabeled[v] = dictionary.encode(f"{current[v]}|{neighborhood}")
+        current = relabeled
+        histograms.append(Counter(current.values()))
+    return WLSignature(h=h, dictionary=dictionary, histograms=tuple(histograms))
+
+
+def string_normalized_gram(networks: dict, scheme: str, model=None, h: int = 3):
+    """wl_kernel_normalized between the string signatures of every pair of
+    networks, in sorted news order, all signatures sharing one dictionary."""
+    dictionary = WLDictionary()
+    sigs = [wl_signature(labeled_graph(networks[news], scheme, model), h, dictionary)
+            for news in sorted(networks)]
+    return np.array([[wl_kernel_normalized(a, b) for b in sigs]
+                     for a in sigs]).reshape(len(sigs), len(sigs))
 
 
 def random_corpus(seed):

@@ -30,10 +30,11 @@ from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, fit, fit_all
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.triads import TRIAD_CLASSES, census
 from newsnet.util import write_csv
-from newsnet.wl import WLDictionary, wl_kernel, wl_kernel_normalized, wl_signature
+from newsnet.wl import wl_kernel, wl_kernel_normalized
 
-from oracles import (brute_census, brute_ego_delta, brute_flow, brute_induced_edges,
-                     dense_betweenness, dense_closeness, random_corpus)
+from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
+                     brute_induced_edges, dense_betweenness, dense_closeness, random_corpus,
+                     wl_signature)
 
 EGO_DELTA_CLASSES = ("nn", "ns", "sn", "ss", "delta_pos", "delta_zero", "delta_neg")
 
@@ -118,7 +119,6 @@ def test_criterion_2_formula_checks():
 
 def test_criterion_3_wl_kernel():
     rng = random.Random(23)
-    from newsnet.wl import LabeledGraph
 
     def rand_graph(idx):
         n = rng.randint(3, 10)
@@ -145,9 +145,7 @@ def test_criterion_3_wl_kernel():
     base = graphs[0]
     renamed_nodes = tuple(f"x{i}" for i in range(len(base.nodes)))
     rename = dict(zip(base.nodes, renamed_nodes))
-    from newsnet.wl import LabeledGraph as LG
-
-    iso = LG(nodes=renamed_nodes,
+    iso = LabeledGraph(nodes=renamed_nodes,
              adjacency={rename[v]: tuple(sorted(rename[u] for u in base.adjacency[v]))
                         for v in base.nodes},
              labels={rename[v]: base.labels[v] for v in base.nodes})

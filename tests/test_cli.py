@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import newsnet
+from newsnet import cli
 from newsnet.cli import main
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 
@@ -230,6 +231,52 @@ def test_malformed_corpus_exit_one(tmp_path):
     (tmp_path / "engagements.csv").write_text("news_id,user_id,count\nn1,u9,1\n")
     (tmp_path / "labels.csv").write_text("news_id,label\nn1,fake\n")
     assert main(["stats"] + _corpus_flags(tmp_path)) == 1
+
+
+def _relabelled_flags(corpus_dir, tmp_path, n_true):
+    """corpus_dir's corpus with all but its first n_true true news labelled fake."""
+    lines = (corpus_dir / "labels.csv").read_text().splitlines()
+    true = [i for i, line in enumerate(lines) if line.endswith(",true")]
+    for i in true[n_true:]:
+        lines[i] = lines[i].removesuffix("true") + "fake"
+    (tmp_path / "labels.csv").write_text("\n".join(lines) + "\n")
+    return ["--edges", str(corpus_dir / "edges.csv"),
+            "--engagements", str(corpus_dir / "engagements.csv"),
+            "--labels", str(tmp_path / "labels.csv")]
+
+
+@pytest.mark.parametrize("command,n_true,message", [
+    ("evaluate", 0, "single-class training set"),
+    ("evaluate", 4, "too few 'true' news to stratify"),
+    ("rank-features", 1, "relief requires at least 2 samples per class"),
+])
+def test_unusable_labels_exit_one(corpus_dir, tmp_path, capsys, command, n_true,
+                                  message):
+    flags = _relabelled_flags(corpus_dir, tmp_path, n_true)
+    assert main([command, "--out", str(tmp_path / "out")] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+
+
+@pytest.mark.parametrize("command,edges,labels,message", [
+    ("extract", "", "n1,fake\n", "centralities require a nonempty graph"),
+    ("extract", "u1,u2\n", "", "labels.csv: no labeled news"),
+])
+def test_empty_corpus_files_exit_one(tmp_path, capsys, command, edges, labels, message):
+    (tmp_path / "edges.csv").write_text("follower,followee\n" + edges)
+    (tmp_path / "engagements.csv").write_text("news_id,user_id,count\n")
+    (tmp_path / "labels.csv").write_text("news_id,label\n" + labels)
+    assert main([command, "--out", str(tmp_path / "out")] + _corpus_flags(tmp_path)) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_internal_value_error_is_not_an_input_error(corpus_dir, monkeypatch):
+    def broken(graph, table):
+        raise ValueError("a program bug")
+
+    monkeypatch.setattr(cli, "corpus_stats", broken)
+    with pytest.raises(ValueError, match="a program bug"):
+        main(["stats"] + _corpus_flags(corpus_dir))
 
 
 def test_byte_identical_across_hash_seeds(corpus_dir, tmp_path):

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsnet.corpus import EngagementTable, SocialGraph
-from newsnet.diffusion import build_all_networks, build_network, subsample
+from newsnet.diffusion import SUBSAMPLE_MODES, build_all_networks, build_network, subsample
 
 from oracles import brute_induced_edges, random_corpus
 
@@ -53,6 +55,16 @@ def test_subsample_identity():
         assert same.nodes == net.nodes
         assert same.edges == net.edges
         assert same.counts == net.counts
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 29), st.sampled_from(SUBSAMPLE_MODES), st.integers(0, 2**64 - 1))
+def test_property_full_subsample_keeps_the_network(corpus_seed, mode, seed):
+    # early detection evaluates p = 1.0 once for every mode and seed
+    graph, table = random_corpus(corpus_seed)
+    for net in build_all_networks(graph, table).values():
+        same = subsample(net, mode, 1.0, seed)
+        assert (same.nodes, same.edges, same.counts) == (net.nodes, net.edges, net.counts)
 
 
 def test_subsample_zero_edges():

@@ -1,10 +1,11 @@
 import pytest
 
+from newsnet import experiments
 from newsnet.experiments import (ABLATION_SUBSETS, ConfigError, ExperimentConfig,
                                  feature_class_stats, run_ablation,
                                  run_early_detection, run_sampling_study,
                                  run_threshold_sweep)
-from newsnet.features import extract_matrix, feature_index
+from newsnet.features import extract_matrix, feature_index, pattern_mask
 from newsnet.ml.crossval import cross_validate
 from newsnet.util import write_csv
 
@@ -103,6 +104,32 @@ def test_early_detection_full_proportion_equals_full_corpus(small_strong_extract
     assert rows[0][0] == "nodes" and rows[0][1] == 1.0
     assert rows[0][3] == full.accuracy
     assert rows[0][4] == full.f1
+
+
+def test_early_detection_runs_the_whole_networks_once(small_strong_extractor,
+                                                      monkeypatch):
+    config = _config(proportions=(0.5, 1.0), modes=("nodes", "edges"), repetitions=2)
+    task = experiments._early_task
+    runs = []
+
+    def counted(args):
+        runs.append(args[3:])
+        return task(args)
+
+    monkeypatch.setattr(experiments, "_early_task", counted)
+    header, rows = run_early_detection(small_strong_extractor, config)
+    assert runs == [("nodes", 0.5, 0), ("nodes", 0.5, 1), ("nodes", 1.0, 0),
+                    ("edges", 0.5, 0), ("edges", 0.5, 1)]
+    # every (mode, proportion, repetition) evaluated on its own, as before
+    mask = pattern_mask(config.patterns)
+    expected = []
+    for mode in config.modes:
+        for p in config.proportions:
+            values = [task((small_strong_extractor, config, mask, mode, p, rep))
+                      for rep in range(config.repetitions)]
+            expected.append((mode, p, 2, experiments._mean([a for a, _ in values]),
+                             experiments._mean([f for _, f in values])))
+    assert rows == expected
 
 
 def test_early_detection_degrades_gracefully(strong_extractor):

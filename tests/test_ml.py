@@ -148,6 +148,26 @@ def test_shuffled_labels_drop_to_chance(strong_corpus):
     assert abs(report.accuracy - 0.5) <= 0.15
 
 
+def test_leakage_invariance_every_fold_and_theta():
+    corpus = generate(SyntheticSpec(n_users=60, news_per_class=10, seed=2,
+                                    spreader_ratio=2.0))
+    labels = dict(corpus.table.labels)
+    split = stratified_folds(labels, 5, seed=5)
+    records = {(n, u): c for n, by_user in corpus.table.counts.items()
+               for u, c in by_user.items()}
+    ex = FeatureExtractor.build(corpus.graph, corpus.table, seed=1)
+    for fold in range(5):
+        flipped = dict(labels)
+        for n in split.test_news(fold):
+            flipped[n] = "true" if flipped[n] == "fake" else "fake"
+        ex_flipped = FeatureExtractor.build(
+            corpus.graph, EngagementTable.from_records(records, flipped), seed=1)
+        train_news = split.train_news(fold)
+        for theta in (0.0, 0.5, 1.0):
+            assert extract_matrix(ex, train_news, theta).X.tobytes() \
+                == extract_matrix(ex_flipped, train_news, theta).X.tobytes()
+
+
 def test_leakage_invariance_fold_zero():
     corpus = generate(SyntheticSpec(n_users=60, news_per_class=10, seed=2,
                                     spreader_ratio=2.0))

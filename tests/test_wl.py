@@ -10,11 +10,11 @@ from newsnet.diffusion import DiffusionNetwork, build_all_networks
 from newsnet.features import extract_matrix
 from newsnet.ml.crossval import stratified_folds
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
-from newsnet.wl import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, SimilarityIndex,
-                        WLDictionary, labeled_graph, normalized_gram, wl_kernel,
-                        wl_kernel_normalized, wl_signature)
+from newsnet.wl import SimilarityIndex, WLNetworks, wl_kernel, wl_kernel_normalized
 
-from oracles import PairwiseSimilarityIndex, random_corpus, similarity_features
+from oracles import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, PairwiseSimilarityIndex,
+                     WLDictionary, labeled_graph, random_corpus, similarity_features,
+                     string_normalized_gram, wl_signature)
 
 
 class TwoClassModel:
@@ -170,7 +170,7 @@ def test_similarity_index_matches_standalone():
                                  label="fake" if i % 2 else "true")
     model = TwoClassModel({f"u{k}" for k in range(6)})
     training = ["n0", "n1", "n2", "n3"]
-    index = SimilarityIndex(networks, training, model, h=3)
+    index = SimilarityIndex(WLNetworks(networks, 3), training, model)
     fakes = [networks[n] for n in training if networks[n].label == "fake"]
     trues = [networks[n] for n in training if networks[n].label == "true"]
     for news, net in networks.items():
@@ -186,7 +186,7 @@ def test_planted_density_separates_classes(strong_extractor):
 
     training = sorted(networks)
     model = fit(strong_extractor.table, training, "by_news", 0.5)
-    index = SimilarityIndex(networks, training, model, h=3)
+    index = SimilarityIndex(WLNetworks(networks, 3), training, model)
     fake_margin = []
     for news in sorted(networks):
         if networks[news].label != "fake":
@@ -196,9 +196,15 @@ def test_planted_density_separates_classes(strong_extractor):
     assert sum(fake_margin) / len(fake_margin) > 0.0
 
 
-def assert_equals_pairwise_oracle(networks, training, model, h=3, identity=None):
-    """Every similarity value equals the pairwise loop's bit for bit."""
-    fast = SimilarityIndex(networks, training, model, h=h, _identity=identity)
+def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
+    """Both Gram matrices equal the string WL's, and every similarity value
+    the pairwise loop's, bit for bit."""
+    graphs = graphs or WLNetworks(networks, h)
+    assert np.array_equal(graphs.identity_gram,
+                          string_normalized_gram(networks, IDENTITY, h=h))
+    assert np.array_equal(graphs.normalized_gram([model.classify(u) for u in graphs.users]),
+                          string_normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
+    fast = SimilarityIndex(graphs, training, model)
     slow = PairwiseSimilarityIndex(networks, training, model, h=h)
     for news in sorted(networks):
         assert fast.features(news) == slow.features(news)
@@ -208,14 +214,15 @@ def assert_equals_pairwise_oracle(networks, training, model, h=3, identity=None)
 def test_equals_pairwise_oracle_on_random_corpora(seed):
     graph, table = random_corpus(seed)
     networks = build_all_networks(graph, table)
-    identity = normalized_gram(networks, IDENTITY, h=3)
+    graphs = WLNetworks(networks, 3)
     news = sorted(networks)
     for fold in range(3):
         training = [n for i, n in enumerate(news) if i % 3 != fold]
         for theta in (0.0, 0.5, 1.0):
             model = susceptibility.fit(table, training, "by_news", theta)
-            assert_equals_pairwise_oracle(networks, training, model, identity=identity)
-    assert_equals_pairwise_oracle(networks, training, model)
+            assert_equals_pairwise_oracle(networks, training, model, graphs=graphs)
+    for h in (0, 1, 3):
+        assert_equals_pairwise_oracle(networks, training, model, h=h)
 
 
 def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
@@ -231,14 +238,15 @@ def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
 
 def test_identity_gram_cached_per_extractor(small_strong_extractor):
     extractor = small_strong_extractor
-    gram = extractor._identity_gram()
-    assert extractor._identity_gram() is gram
-    assert np.array_equal(gram, normalized_gram(extractor.networks, IDENTITY,
-                                                h=extractor.h))
+    graphs = extractor.wl_networks
+    gram = graphs.identity_gram
+    assert extractor.wl_networks is graphs and graphs.identity_gram is gram
+    assert np.array_equal(gram, string_normalized_gram(extractor.networks, IDENTITY,
+                                                       h=extractor.h))
     dropped = min(extractor.networks)
     fewer = {n: net for n, net in extractor.networks.items() if n != dropped}
-    assert np.array_equal(extractor.with_networks(fewer)._identity_gram(),
-                          normalized_gram(fewer, IDENTITY, h=extractor.h))
+    assert np.array_equal(extractor.with_networks(fewer).wl_networks.identity_gram,
+                          string_normalized_gram(fewer, IDENTITY, h=extractor.h))
 
 
 def test_empty_reference_class_is_zero():
@@ -246,7 +254,7 @@ def test_empty_reference_class_is_zero():
                 "n2": _net("n2", [("b", "c")], label="true"),
                 "n3": _net("n3", [("a", "c")], label="fake")}
     model = TwoClassModel({"a"})
-    fast = SimilarityIndex(networks, ["n1", "n3"], model)
+    fast = SimilarityIndex(WLNetworks(networks), ["n1", "n3"], model)
     assert fast.features("n2")[1] == fast.features("n2")[3] == 0.0
     assert_equals_pairwise_oracle(networks, ["n1", "n3"], model)
     assert_equals_pairwise_oracle(networks, [], model)
@@ -263,7 +271,7 @@ def test_isolated_nodes_edgeless_and_empty_networks():
     model = TwoClassModel({"a", "c"})
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, sorted(networks), model, h=h)
-    assert SimilarityIndex(networks, sorted(networks), model).features("n5") \
+    assert SimilarityIndex(WLNetworks(networks), sorted(networks), model).features("n5") \
         == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -278,9 +286,24 @@ def test_iterations_keep_separate_label_spaces():
     s1, s2 = (wl_signature(labeled_graph(networks[n], IDENTITY), 1, d)
               for n in ("n1", "n2"))
     assert set(s1.histograms[1]) == set(s2.histograms[0]) == {1}
-    gram = normalized_gram(networks, IDENTITY, h=1)
+    gram = WLNetworks(networks, 1).identity_gram
     assert gram.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert_equals_pairwise_oracle(networks, ["n1", "n2"], TwoClassModel(set()), h=1)
+
+
+def test_user_ids_with_separators():
+    # The string oracle joins ids with "|" and ","; raw ids holding them must
+    # still partition the nodes as the integer refinement does.
+    ids = ["0|", "0|1", "1,2", "|", ",", "0|1,2", "a"]
+    networks = {
+        "n1": _net("n1", [("0|", "1,2"), ("1,2", "|")], nodes={"0|", "1,2", "|", "a"}),
+        "n2": _net("n2", [(",", "0|1"), ("0|1", "0|1,2")], nodes=ids[:6], label="true"),
+        "n3": _net("n3", [("0|", "a"), ("a", "0|")], label="true"),
+        "n4": _net("n4", [], nodes={"0|1,2"}),
+    }
+    for h in (0, 1, 3):
+        assert_equals_pairwise_oracle(networks, ["n1", "n2", "n3"],
+                                      TwoClassModel({"0|", ",", "a"}), h=h)
 
 
 def test_normalization_keeps_python_pow():
@@ -290,7 +313,7 @@ def test_normalization_keeps_python_pow():
     users = [f"u{i:03d}" for i in range(127)]
     networks = {"n1": _net("n1", [], nodes=users[:23], label="fake"),
                 "n2": _net("n2", [], nodes=users, label="true")}
-    gram = normalized_gram(networks, IDENTITY, h=0)
+    gram = WLNetworks(networks, 0).identity_gram
     assert gram[0, 1] == 23 / 2921 ** 0.5
     assert_equals_pairwise_oracle(networks, ["n1", "n2"], TwoClassModel(users[:5]), h=0)
 
@@ -312,8 +335,12 @@ def test_reference_means_add_in_sorted_order():
 
 @st.composite
 def corpora(draw):
-    """A few small networks over a shared user pool, a fold and a two-class model."""
-    users = [f"u{i:02d}" for i in range(draw(st.integers(1, 10)))]
+    """A few small networks over a shared user pool, a fold and a two-class model.
+
+    User ids are drawn over an alphabet holding the string oracle's "|" and
+    "," separators."""
+    users = draw(st.lists(st.text("0|,", min_size=1, max_size=3), unique=True,
+                          min_size=1, max_size=10))
     networks = {}
     for i in range(draw(st.integers(1, 7))):
         nodes = draw(st.lists(st.sampled_from(users), unique=True, max_size=len(users)))
@@ -344,7 +371,7 @@ def test_property_order_preserving_relabel(corpus, stride):
                        nodes=[rename[v] for v in net.nodes], label=net.label)
                for n, net in networks.items()}
     renamed_model = TwoClassModel(rename[v] for v in model.susceptible if v in rename)
-    before = SimilarityIndex(networks, training, model, h=h)
-    after = SimilarityIndex(renamed, training, renamed_model, h=h)
+    before = SimilarityIndex(WLNetworks(networks, h), training, model)
+    after = SimilarityIndex(WLNetworks(renamed, h), training, renamed_model)
     for news in sorted(networks):
         assert before.features(news) == after.features(news)
