@@ -132,6 +132,10 @@ class ExperimentConfig:
         for name in ("theta_grid", "proportions", "balance_fractions"):
             if any(not _is_real(v) or not 0.0 <= v <= 1.0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be numbers in [0, 1]")
+        if self.balance_total is None and max(self.balance_fractions) == 0.0:
+            raise ConfigError("balance_fractions need a value above 0 when "
+                              "balance_total is null (the total is derived from "
+                              "the largest fraction)")
         if not _is_real(self.theta) or not 0.0 <= self.theta <= 1.0:
             raise ConfigError("theta must be a number in [0, 1]")
         for name, known in (("patterns", PATTERNS),

@@ -21,9 +21,32 @@ Wherever a feature exists per scoring method, the by_news value immediately
 precedes the by_frequency value. All 0/0 ratios are 0 so every value is
 finite. Extraction is pure: identical inputs give bit-identical vectors.
 
-`extract` returns one network's vector as a plain 142-tuple in index order;
-`extract_matrix` stacks the vectors of every network under one training fold,
-WL similarity included.
+The values fall in three blocks (FeatureSpec.block), one per invariance level:
+
+    static      38 values, label-free: once per network and extractor
+    dynamic     100 values (2-13, 40-47, 49-52, 56-83, 87-134): per training
+                fold and threshold, from the spreaders' scores and classes
+    similarity  4 values (139-142): per training fold and threshold
+
+The dynamic block is computed for all networks at once on a `NodeTable`, the
+extractor's networks numbered once (news sorted, nodes sorted within a
+network) with each node's network, interned user and engagement count, plus
+edge endpoint and oriented-triangle arrays. Per (fold, threshold) and
+scoring method, one score and one class-code vector over the interned users
+give every node's score and class; counts are `np.bincount`s over network ×
+class keys, the median susceptibility reads a `lexsort` by (network, score),
+and the triad counts are one `triads.census`. Every count is an exact
+integer and every ratio one float division, so the values equal the
+per-network dict loops kept in `tests/oracles.py` bit for bit. The mean
+susceptibility is the one sum of floats: it is taken as a `cumsum` along a
+zero-padded networks × max-nodes matrix, which adds each network's scores
+left to right in sorted-node order like Python's `sum` on CPython 3.11 (the
+trailing zeros add exactly). CPython 3.12's `sum` is compensated, so there
+the oracle can differ in the last bits.
+
+`extract` assembles one network's vector, a float64 array of 142 values in
+index order; `extract_matrix` stacks the vectors of every network under one
+training fold, WL similarity included.
 """
 
 from __future__ import annotations
@@ -39,9 +62,8 @@ from .corpus import EngagementTable, SocialGraph
 from .diffusion import DiffusionNetwork, build_all_networks
 from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matrix
 from .louvain import global_communities, local_communities
-from .susceptibility import (BY_FREQUENCY, BY_NEWS, METHODS, NORMAL, SUSCEPTIBLE,
-                             UNKNOWN, SusceptibilityModel)
-from .triads import TRIAD_CLASSES, census, enumerate_triangles, triad_features
+from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, UNKNOWN
+from .triads import TRIAD_CLASSES, Triangles, census, enumerate_triangles
 from .util import derive_seed, median, safe_ratio, write_csv
 from .wl import SimilarityIndex, WLNetworks
 
@@ -53,8 +75,13 @@ SIMILARITY = "similarity"
 PATTERNS = (MORE_SPREADERS, FARTHER_DISTANCE, STRONGER_ENGAGEMENT,
             DENSER_NETWORKS, SIMILARITY)
 
+STATIC = "static"
+DYNAMIC = "dynamic"
+
 N_FEATURES = 142
 _METHOD_TAGS = (("news", BY_NEWS), ("freq", BY_FREQUENCY))
+EDGE_CLASSES = ("nn", "ns", "sn", "ss")  # (follower, followee) classes
+DELTA_CLASSES = ("delta_pos", "delta_zero", "delta_neg")
 
 
 @dataclass(frozen=True)
@@ -62,22 +89,23 @@ class FeatureSpec:
     index: int  # 1-based
     name: str
     pattern: str
+    block: str  # STATIC, DYNAMIC or SIMILARITY
 
 
 def _build_registry() -> tuple:
     entries = []
 
-    def add(name, pattern):
-        entries.append(FeatureSpec(len(entries) + 1, name, pattern))
+    def add(name, pattern, block=STATIC):
+        entries.append(FeatureSpec(len(entries) + 1, name, pattern, block))
 
     add("n_spreaders", MORE_SPREADERS)
     for stem in ("n_normal_spreaders", "n_susceptible_spreaders",
                  "pct_normal_spreaders", "pct_susceptible_spreaders"):
         for tag, _ in _METHOD_TAGS:
-            add(f"{stem}_{tag}", MORE_SPREADERS)
+            add(f"{stem}_{tag}", MORE_SPREADERS, DYNAMIC)
     for stem in ("mean_susceptibility", "median_susceptibility"):
         for tag, _ in _METHOD_TAGS:
-            add(f"{stem}_{tag}", MORE_SPREADERS)
+            add(f"{stem}_{tag}", MORE_SPREADERS, DYNAMIC)
     for agg in ("mean", "median"):
         for measure in MEASURES:
             add(f"{agg}_{measure}", MORE_SPREADERS)
@@ -90,37 +118,31 @@ def _build_registry() -> tuple:
     for stem in ("n_normal_engagements", "n_susceptible_engagements",
                  "pct_normal_engagements", "pct_susceptible_engagements"):
         for tag, _ in _METHOD_TAGS:
-            add(f"{stem}_{tag}", STRONGER_ENGAGEMENT)
+            add(f"{stem}_{tag}", STRONGER_ENGAGEMENT, DYNAMIC)
     add("mean_engagements", STRONGER_ENGAGEMENT)
     for stem in ("mean_normal_engagements", "mean_susceptible_engagements"):
         for tag, _ in _METHOD_TAGS:
-            add(f"{stem}_{tag}", STRONGER_ENGAGEMENT)
+            add(f"{stem}_{tag}", STRONGER_ENGAGEMENT, DYNAMIC)
     add("n_edges", DENSER_NETWORKS)
     add("edges_per_spreader", DENSER_NETWORKS)
     add("ego_density", DENSER_NETWORKS)
-    for cls in ("nn", "ns", "sn", "ss"):
+    for cls in EDGE_CLASSES + DELTA_CLASSES:
         for stem in ("n_edges", "pct_edges"):
             for tag, _ in _METHOD_TAGS:
-                add(f"{stem}_{cls}_{tag}", DENSER_NETWORKS)
-    for cls in ("delta_pos", "delta_zero", "delta_neg"):
-        for stem in ("n_edges", "pct_edges"):
-            for tag, _ in _METHOD_TAGS:
-                add(f"{stem}_{cls}_{tag}", DENSER_NETWORKS)
+                add(f"{stem}_{cls}_{tag}", DENSER_NETWORKS, DYNAMIC)
     add("n_triangles", DENSER_NETWORKS)
     add("triangles_per_spreader", DENSER_NETWORKS)
     add("triad_density", DENSER_NETWORKS)
-    for cls in TRIAD_CLASSES:
-        for tag, _ in _METHOD_TAGS:
-            add(f"n_triad_{cls}_{tag}", DENSER_NETWORKS)
-    for cls in TRIAD_CLASSES:
-        for tag, _ in _METHOD_TAGS:
-            add(f"pct_triad_{cls}_{tag}", DENSER_NETWORKS)
+    for stem in ("n_triad", "pct_triad"):
+        for cls in TRIAD_CLASSES:
+            for tag, _ in _METHOD_TAGS:
+                add(f"{stem}_{cls}_{tag}", DENSER_NETWORKS, DYNAMIC)
     add("n_communities_global", DENSER_NETWORKS)
     add("n_communities_local", DENSER_NETWORKS)
     add("community_density_global", DENSER_NETWORKS)
     add("community_density_local", DENSER_NETWORKS)
     for name in ("sim_fake_id", "sim_true_id", "sim_fake_class", "sim_true_class"):
-        add(name, SIMILARITY)
+        add(name, SIMILARITY, SIMILARITY)
     assert len(entries) == N_FEATURES
     return tuple(entries)
 
@@ -128,6 +150,11 @@ def _build_registry() -> tuple:
 FEATURE_REGISTRY = _build_registry()
 FEATURE_NAMES = tuple(spec.name for spec in FEATURE_REGISTRY)
 _NAME_TO_INDEX = {spec.name: spec.index for spec in FEATURE_REGISTRY}
+_COLUMNS = {block: np.array([spec.index - 1 for spec in FEATURE_REGISTRY
+                             if spec.block == block])
+            for block in (STATIC, DYNAMIC, SIMILARITY)}
+DYNAMIC_NAMES = tuple(FEATURE_NAMES[i] for i in _COLUMNS[DYNAMIC])
+_STATIC_NAMES = tuple(FEATURE_NAMES[i] for i in _COLUMNS[STATIC])
 
 
 def feature_index(name: str) -> int:
@@ -174,23 +201,144 @@ class FeatureMatrix:
         write_csv(path, header, rows)
 
 
-def _class_maps(network: DiffusionNetwork, model: SusceptibilityModel):
-    nodes = network.sorted_nodes()
-    classes = {v: model.classify(v) for v in nodes}
-    scores = {v: model.score(v) for v in nodes}
-    return classes, scores
+class NodeTable:
+    """A corpus's diffusion networks as node, edge and triangle arrays.
+
+    Networks are numbered in sorted news order (`order`), nodes in sorted
+    order within a network and networks one after another, as in
+    `wl.WLNetworks`. Node k is user `users[user[k]]` (`users` holds the
+    distinct spreaders, sorted), lies in network `network[k]` at position
+    `position[k]` and spread it `count[k]` times. Edge j runs from node
+    `source[j]` to node `target[j]` in network `edge_network[j]`; the
+    oriented triangles come from each network's TriangleIndex.
+    """
+
+    def __init__(self, networks: dict, triangle_index):
+        self.order = sorted(networks)
+        nets = [networks[news] for news in self.order]
+        self.users = sorted(set().union(*(net.nodes for net in nets)))
+        intern = {v: i for i, v in enumerate(self.users)}
+        user, count, sizes, totals = [], [], [], []
+        source, target, edge_network = [], [], []
+        tri_network, cyclic, roles = [], [], []
+        for t, net in enumerate(nets):
+            nodes = net.sorted_nodes()
+            number = {v: len(user) + i for i, v in enumerate(nodes)}
+            user += [intern[v] for v in nodes]
+            count += [net.counts[v] for v in nodes]
+            sizes.append(len(nodes))
+            totals.append(float(sum(net.counts.values())))
+            for u, v in net.edges:
+                source.append(number[u])
+                target.append(number[v])
+            edge_network += [t] * net.n_edges
+            for kind, tri in triangle_index(net.news_id).oriented:
+                tri_network.append(t)
+                cyclic.append(kind == "cyclic")
+                roles.append([number[v] for v in tri])
+        n = len(nets)
+        self.user = np.array(user, dtype=np.int64)
+        self.count = np.array(count, dtype=np.float64)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        self.network = np.repeat(np.arange(n), self.sizes)
+        self.position = np.arange(len(user)) - (np.cumsum(self.sizes) - self.sizes)[self.network]
+        self.engagements = np.array(totals)
+        self.source = np.array(source, dtype=np.int64)
+        self.target = np.array(target, dtype=np.int64)
+        self.edge_network = np.array(edge_network, dtype=np.int64)
+        self.n_edges = np.bincount(self.edge_network, minlength=n)
+        self.triangles = Triangles(np.array(tri_network, dtype=np.int64),
+                                   np.array(cyclic, dtype=bool),
+                                   np.array(roles, dtype=np.int64).reshape(-1, 3), n)
+
+
+def _per_network(network, key, width: int, n: int, weights=None) -> np.ndarray:
+    """(n, width) sums of `weights` (or counts) per (network, key)."""
+    return np.bincount(network * width + key, weights=weights,
+                       minlength=n * width).reshape(n, width)
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0: util.safe_ratio on arrays."""
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=np.float64),
+                                   np.asarray(den, dtype=np.float64))
+    return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+
+
+def _sorted_median(values, network, sizes) -> np.ndarray:
+    """util.median of each network's values; 0 for an empty network."""
+    ranked = np.append(values[np.lexsort((values, network))], 0.0)
+    mid = np.cumsum(sizes) - sizes + sizes // 2
+    upper = ranked[mid]
+    middle = (ranked[mid - 1] + upper) / 2.0  # mid - 1 is -1 only when empty
+    return np.where(sizes % 2 == 1, upper, np.where(sizes > 0, middle, 0.0))
+
+
+def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
+    """The dynamic block of every network, (networks, 100) in DYNAMIC_NAMES order.
+
+    `vectors` maps each scoring method to its (scores, class codes) over
+    `table.users` (SusceptibilityModel.classify_all). Rows follow
+    `table.order`.
+    """
+    n = len(table.order)
+    unknown = CLASSES.index(UNKNOWN)
+    kinds = ("normal", "susceptible")  # class codes 0 and 1
+    columns: dict = {}
+
+    def put(stems, block):
+        for j, stem in enumerate(stems):
+            columns[f"{stem}_{tag}"] = block[:, j]
+
+    padded = np.zeros((n, int(table.sizes.max(initial=0)) + 1))
+    for tag, method in _METHOD_TAGS:
+        user_scores, user_codes = vectors[method]
+        scores = user_scores[table.user]
+        codes = user_codes[table.user]
+        spreaders = _per_network(table.network, codes, len(CLASSES), n)[:, :2]
+        engaged = _per_network(table.network, codes, len(CLASSES), n,
+                               weights=table.count)[:, :2]
+        # each row's last cumsum entry is its scores added left to right
+        padded[table.network, table.position] = scores
+        mean = np.cumsum(padded, axis=1)[:, -1]
+        put([f"n_{k}_spreaders" for k in kinds], spreaders)
+        put([f"pct_{k}_spreaders" for k in kinds], _ratio(spreaders, table.sizes[:, None]))
+        put(["mean_susceptibility", "median_susceptibility"],
+            np.column_stack([_ratio(mean, table.sizes),
+                             _sorted_median(scores, table.network, table.sizes)]))
+        put([f"n_{k}_engagements" for k in kinds], engaged)
+        put([f"pct_{k}_engagements" for k in kinds],
+            _ratio(engaged, table.engagements[:, None]))
+        put([f"mean_{k}_engagements" for k in kinds], _ratio(engaged, spreaders))
+
+        follower, followee = codes[table.source], codes[table.target]
+        known = (follower != unknown) & (followee != unknown)
+        ego = _per_network(table.edge_network[known], 2 * follower[known] + followee[known],
+                           len(EDGE_CLASSES), n)
+        # sign +1, 0, -1 -> delta_pos, delta_zero, delta_neg
+        sign = np.sign(scores[table.source] - scores[table.target]).astype(np.int64)
+        delta = _per_network(table.edge_network, 1 - sign, len(DELTA_CLASSES), n)
+        for classes, counts in ((EDGE_CLASSES, ego), (DELTA_CLASSES, delta)):
+            put([f"n_edges_{cls}" for cls in classes], counts)
+            put([f"pct_edges_{cls}" for cls in classes], _ratio(counts, table.n_edges[:, None]))
+
+        triads = census(table.triangles, codes)
+        put([f"n_triad_{cls}" for cls in TRIAD_CLASSES], triads)
+        put([f"pct_triad_{cls}" for cls in TRIAD_CLASSES],
+            _ratio(triads, triads.sum(axis=1, keepdims=True)))
+    return np.column_stack([columns[name] for name in DYNAMIC_NAMES]).astype(np.float64)
 
 
 class FeatureExtractor:
     """Feature assembly over one corpus.
 
     Label-independent inputs (centralities, flow matrices, communities,
-    triangle enumeration, distance statistics, the WL node table and its
-    identity-labelled Gram matrix) are computed once and cached;
-    susceptibility-dependent features are recomputed for every training fold
-    and threshold. The flow matrices are built here from the graph and the
-    networks: they encode which news stories an edge appears in, so they
-    change with the networks.
+    triangle enumeration, distance statistics, the node table, the WL node
+    table and its identity-labelled Gram matrix) are computed once and
+    cached; susceptibility-dependent features are recomputed for every
+    training fold and threshold. The flow matrices are built here from the
+    graph and the networks: they encode which news stories an edge appears
+    in, so they change with the networks.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
@@ -233,6 +381,11 @@ class FeatureExtractor:
         """The networks' undirected adjacency over one node numbering."""
         return WLNetworks(self.networks, self.h)
 
+    @cached_property
+    def node_table(self) -> NodeTable:
+        """The networks' nodes, edges and triangles over one node numbering."""
+        return NodeTable(self.networks, self.triangle_index)
+
     def _static_features(self, news_id) -> dict:
         if news_id in self._static:
             return self._static[news_id]
@@ -241,13 +394,13 @@ class FeatureExtractor:
         n = net.n_nodes
         out["n_spreaders"] = float(n)
 
-        for agg in ("mean", "median"):
-            for measure in MEASURES:
-                values = [self.centralities.of(measure)[v] for v in net.sorted_nodes()]
-                if agg == "mean":
-                    out[f"mean_{measure}"] = sum(values) / n if n else 0.0
-                else:
-                    out[f"median_{measure}"] = median(values)
+        nodes = net.sorted_nodes()
+        influence = {measure: [self.centralities.of(measure)[v] for v in nodes]
+                     for measure in MEASURES}
+        for measure in MEASURES:
+            out[f"mean_{measure}"] = sum(influence[measure]) / n if n else 0.0
+        for measure in MEASURES:
+            out[f"median_{measure}"] = median(influence[measure])
 
         geo = distance_stats(net)
         out["geodesic_max"] = geo.maximum
@@ -290,84 +443,21 @@ class FeatureExtractor:
         self._static[news_id] = out
         return out
 
-    # ---- susceptibility-dependent block ----
 
-    def _dynamic_features(self, news_id, models: dict) -> dict:
-        net = self.networks[news_id]
-        tri = self.triangle_index(news_id)
-        n = net.n_nodes
-        total_t = float(sum(net.counts.values()))
-        n_edges = net.n_edges
-        out: dict = {}
-        for tag, method in _METHOD_TAGS:
-            model = models[method]
-            classes, scores = _class_maps(net, model)
-            normal = [v for v in net.sorted_nodes() if classes[v] == NORMAL]
-            susceptible = [v for v in net.sorted_nodes() if classes[v] == SUSCEPTIBLE]
-            out[f"n_normal_spreaders_{tag}"] = float(len(normal))
-            out[f"n_susceptible_spreaders_{tag}"] = float(len(susceptible))
-            out[f"pct_normal_spreaders_{tag}"] = safe_ratio(len(normal), n)
-            out[f"pct_susceptible_spreaders_{tag}"] = safe_ratio(len(susceptible), n)
-            all_scores = list(scores.values())
-            out[f"mean_susceptibility_{tag}"] = (sum(all_scores) / n) if n else 0.0
-            out[f"median_susceptibility_{tag}"] = median(all_scores)
-
-            t_normal = float(sum(net.counts[v] for v in normal))
-            t_susc = float(sum(net.counts[v] for v in susceptible))
-            out[f"n_normal_engagements_{tag}"] = t_normal
-            out[f"n_susceptible_engagements_{tag}"] = t_susc
-            out[f"pct_normal_engagements_{tag}"] = safe_ratio(t_normal, total_t)
-            out[f"pct_susceptible_engagements_{tag}"] = safe_ratio(t_susc, total_t)
-            out[f"mean_normal_engagements_{tag}"] = safe_ratio(t_normal, len(normal))
-            out[f"mean_susceptible_engagements_{tag}"] = safe_ratio(t_susc,
-                                                                    len(susceptible))
-
-            ego = {"nn": 0, "ns": 0, "sn": 0, "ss": 0}
-            delta = {"delta_pos": 0, "delta_zero": 0, "delta_neg": 0}
-            for u, v in net.edges:
-                cu, cv = classes[u], classes[v]
-                if cu != UNKNOWN and cv != UNKNOWN:
-                    key = ("n" if cu == NORMAL else "s") + ("n" if cv == NORMAL else "s")
-                    ego[key] += 1
-                diff = scores[u] - scores[v]
-                if diff > 0:
-                    delta["delta_pos"] += 1
-                elif diff < 0:
-                    delta["delta_neg"] += 1
-                else:
-                    delta["delta_zero"] += 1
-            for cls, count in ego.items():
-                out[f"n_edges_{cls}_{tag}"] = float(count)
-                out[f"pct_edges_{cls}_{tag}"] = safe_ratio(count, n_edges)
-            for cls, count in delta.items():
-                out[f"n_edges_{cls}_{tag}"] = float(count)
-                out[f"pct_edges_{cls}_{tag}"] = safe_ratio(count, n_edges)
-
-            tri_feats = triad_features(census(net, model, index=tri))
-            for cls in TRIAD_CLASSES:
-                out[f"n_triad_{cls}_{tag}"] = tri_feats[f"n_triad_{cls}"]
-                out[f"pct_triad_{cls}_{tag}"] = tri_feats[f"pct_triad_{cls}"]
-        return out
-
-
-def extract(network: DiffusionNetwork, models: dict, extractor: FeatureExtractor,
-            references: tuple) -> tuple:
+def extract(network: DiffusionNetwork, dynamic, extractor: FeatureExtractor,
+            references: tuple) -> np.ndarray:
     """Assemble one network's full 142-value feature vector, in index order.
 
-    `models` maps both method names to fitted SusceptibilityModels;
-    `references` is the network's 4-tuple of WL similarity values
+    `dynamic` is the network's row of `dynamic_features` (DYNAMIC_NAMES
+    order); `references` is its 4-tuple of WL similarity values
     (SimilarityIndex.features).
     """
-    missing = [m for m in METHODS if m not in models]
-    if missing:
-        raise ValueError(f"feature contract requires models for {missing}")
-    named = {}
-    named.update(extractor._static_features(network.news_id))
-    named.update(extractor._dynamic_features(network.news_id, models))
-    for name, value in zip(("sim_fake_id", "sim_true_id",
-                            "sim_fake_class", "sim_true_class"), references):
-        named[name] = float(value)
-    return tuple(named[name] for name in FEATURE_NAMES)
+    static = extractor._static_features(network.news_id)
+    row = np.empty(N_FEATURES)
+    row[_COLUMNS[STATIC]] = [static[name] for name in _STATIC_NAMES]
+    row[_COLUMNS[DYNAMIC]] = dynamic
+    row[_COLUMNS[SIMILARITY]] = references
+    return row
 
 
 def extract_matrix(extractor: FeatureExtractor, training_news,
@@ -378,10 +468,13 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
     only; test-fold labels never influence any value.
     """
     models = susceptibility.fit_all(extractor.table, training_news, theta)
-    sim_index = SimilarityIndex(extractor.wl_networks, training_news, models[BY_NEWS])
-    news_ids = sorted(extractor.networks)
-    X = np.array([extract(extractor.networks[news], models, extractor,
-                          sim_index.features(news)) for news in news_ids],
-                 dtype=np.float64)
-    labels = tuple(extractor.networks[news].label for news in news_ids)
-    return FeatureMatrix(news_ids=tuple(news_ids), labels=labels, X=X)
+    table = extractor.node_table
+    vectors = {method: models[method].classify_all(table.users) for method in METHODS}
+    classes = vectors[BY_NEWS][1][table.user].tolist()
+    sim_index = SimilarityIndex(extractor.wl_networks, training_news, classes)
+    dynamic = dynamic_features(table, vectors)
+    X = np.array([extract(extractor.networks[news], dynamic[t], extractor,
+                          sim_index.features(news))
+                  for t, news in enumerate(table.order)], dtype=np.float64)
+    labels = tuple(extractor.networks[news].label for news in table.order)
+    return FeatureMatrix(news_ids=tuple(table.order), labels=labels, X=X)

@@ -37,6 +37,7 @@ own generator in depth-first preorder, so every draw is the same.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -179,6 +180,29 @@ def _grow(X, y, roots, rngs, n_candidates, max_depth, min_leaf) -> _Trees:
                 stacks[t].append((left, w * goes_left, depth + 1))
 
 
+@functools.lru_cache(maxsize=8)
+def _draws(seed: int, n_trees: int, n: int, bootstrap: bool) -> tuple:
+    """Each tree's root row multiplicities (read-only) and split-generator seed
+    sequence (seeding a generator from it leaves it unchanged).
+
+    They depend on these four values only, so a forest refit on another
+    training matrix of the same size (another feature mask or threshold of
+    one fold) reuses them.
+    """
+    roots, split_seeds = [], []
+    for t in range(n_trees):
+        tree_seed = derive_seed(seed, "tree", t)
+        if bootstrap:
+            rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
+            root = np.bincount(rows, minlength=n)
+        else:
+            root = np.ones(n, dtype=np.int64)
+        root.flags.writeable = False
+        roots.append(root)
+        split_seeds.append(np.random.SeedSequence(derive_seed(tree_seed, "splits")))
+    return tuple(roots), tuple(split_seeds)
+
+
 class DecisionTreeClassifier:
     """CART-style classifier; axis-aligned splits, Gini impurity."""
 
@@ -219,15 +243,8 @@ class RandomForestClassifier:
             per_split = math.ceil(math.sqrt(d))
         else:
             per_split = min(int(self.max_features), d)
-        roots, rngs = [], []
-        for t in range(self.n_trees):
-            tree_seed = derive_seed(self.seed, "tree", t)
-            if self.bootstrap:
-                rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
-                roots.append(np.bincount(rows, minlength=n))
-            else:
-                roots.append(np.ones(n, dtype=np.int64))
-            rngs.append(np.random.default_rng(derive_seed(tree_seed, "splits")))
+        roots, split_seeds = _draws(self.seed, self.n_trees, n, bool(self.bootstrap))
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in split_seeds]
         self._trees = _grow(X, y, roots, rngs, per_split, self.max_depth,
                             self.min_leaf)
         return self

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import FAKE, EngagementTable
 
 BY_NEWS = "by_news"
@@ -25,6 +27,7 @@ METHODS = (BY_NEWS, BY_FREQUENCY)
 NORMAL = "normal"
 SUSCEPTIBLE = "susceptible"
 UNKNOWN = "unknown"
+CLASSES = (NORMAL, SUSCEPTIBLE, UNKNOWN)  # a class code is an index into this
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,16 @@ class SusceptibilityModel:
         if s > self.theta:
             return SUSCEPTIBLE
         return UNKNOWN
+
+    def classify_all(self, users) -> tuple:
+        """Every user's score and class code (an index into CLASSES), as arrays.
+
+        Entry i equals score(users[i]) and CLASSES.index(classify(users[i])).
+        """
+        scores = np.array([self.scores.get(user, self.theta) for user in users],
+                          dtype=np.float64)
+        codes = np.where(scores < self.theta, 0, np.where(scores > self.theta, 1, 2))
+        return scores, codes
 
 
 def fit(table: EngagementTable, training_news, method: str, theta: float) -> SusceptibilityModel:

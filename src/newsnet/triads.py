@@ -10,26 +10,37 @@ carry a single direction fall into two orientation kinds:
 With each node labeled normal (n) or susceptible (s), transitive triangles
 have 2^3 = 8 classes keyed by (source, middle, sink) and cyclic triangles 4
 classes up to rotation -- 12 in total. Triangles containing a reciprocal pair,
-or (otherwise) any node of unknown susceptibility, are excluded from the 12
-classes and counted in diagnostic buckets; the reciprocal check runs first so
-the buckets partition the total.
+or (otherwise) any node of unknown susceptibility, fall in none of the 12
+classes; the reciprocal ones never reach the oriented list.
 
-Enumeration is label-free and cached separately from classification, because
-node classes change with every training fold and threshold.
+Enumeration is label-free and cached once per network, because node classes
+change with every training fold and threshold. `Triangles` holds the oriented
+triangles of all of a corpus's networks as arrays over one node numbering
+(`features.NodeTable`'s), and `census` classifies all of them at once from one
+class-code vector: class index 4·[source is s] + 2·[middle is s] + [sink is
+s] for a transitive triangle, 8 + (number of s) for a cyclic one, counted per
+network with one `np.bincount`. The counts are exact integers, so they equal
+a per-triangle loop (the dict census in `tests/oracles.py`) whatever the
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diffusion import DiffusionNetwork
-from .susceptibility import NORMAL, SUSCEPTIBLE
+from .susceptibility import CLASSES, SUSCEPTIBLE, UNKNOWN
 
 TRANSITIVE_CLASSES = tuple(
     f"t_{a}{b}{c}" for a in "ns" for b in "ns" for c in "ns"
 )
 CYCLIC_CLASSES = ("c_nnn", "c_nns", "c_nss", "c_sss")
 TRIAD_CLASSES = TRANSITIVE_CLASSES + CYCLIC_CLASSES  # 12 classes
+
+_SUSCEPTIBLE = CLASSES.index(SUSCEPTIBLE)
+_UNKNOWN = CLASSES.index(UNKNOWN)
 
 
 @dataclass(frozen=True)
@@ -42,14 +53,17 @@ class TriangleIndex:
 
 
 @dataclass(frozen=True)
-class TriadCensus:
-    total: int
-    class_counts: dict  # class name -> count, all 12 keys present
-    reciprocal: int
-    unknown: int
+class Triangles:
+    """The oriented triangles of many networks over one node numbering.
 
-    def classified_total(self) -> int:
-        return sum(self.class_counts.values())
+    Triangle i lies in network `network[i]`; `roles[i]` holds its node
+    numbers as (source, middle, sink), or in cycle order when `cyclic[i]`.
+    """
+
+    network: np.ndarray  # (m,) int64
+    cyclic: np.ndarray  # (m,) bool
+    roles: np.ndarray  # (m, 3) int64
+    n_networks: int
 
 
 def enumerate_triangles(network: DiffusionNetwork) -> TriangleIndex:
@@ -88,41 +102,19 @@ def enumerate_triangles(network: DiffusionNetwork) -> TriangleIndex:
     return TriangleIndex(total=total, reciprocal=reciprocal, oriented=tuple(oriented))
 
 
-def census(network: DiffusionNetwork, model,
-           index: TriangleIndex | None = None) -> TriadCensus:
-    """Classify a network's triangles under a susceptibility model.
+def census(triangles: Triangles, codes: np.ndarray) -> np.ndarray:
+    """Counts of the 12 triad classes per network, (n_networks, 12) int64.
 
-    `model` needs a classify(user) -> {normal, susceptible, unknown} method.
-    Pass a precomputed TriangleIndex to avoid re-enumeration.
+    `codes[k]` is node k's class code, an index into
+    `susceptibility.CLASSES`; columns follow TRIAD_CLASSES. A triangle with
+    a node of unknown class is counted in no column.
     """
-    if index is None:
-        index = enumerate_triangles(network)
-    counts = {name: 0 for name in TRIAD_CLASSES}
-    unknown = 0
-    for kind, tri in index.oriented:
-        labels = [model.classify(n) for n in tri]
-        if any(lab not in (NORMAL, SUSCEPTIBLE) for lab in labels):
-            unknown += 1
-            continue
-        letters = ["n" if lab == NORMAL else "s" for lab in labels]
-        if kind == "transitive":
-            counts["t_" + "".join(letters)] += 1
-        else:
-            counts[CYCLIC_CLASSES[letters.count("s")]] += 1
-    return TriadCensus(total=index.total, class_counts=counts,
-                       reciprocal=index.reciprocal, unknown=unknown)
-
-
-def triad_features(cens: TriadCensus) -> dict:
-    """Per-class triad counts and proportions.
-
-    Proportions are over the classified total (the 12 classes), 0 when no
-    triangle is classified.
-    """
-    classified = cens.classified_total()
-    out = {}
-    for name in TRIAD_CLASSES:
-        out[f"n_triad_{name}"] = float(cens.class_counts[name])
-        out[f"pct_triad_{name}"] = (cens.class_counts[name] / classified
-                                    if classified else 0.0)
-    return out
+    labels = codes[triangles.roles]
+    known = (labels != _UNKNOWN).all(axis=1)
+    susceptible = (labels == _SUSCEPTIBLE).astype(np.int64)
+    kind = np.where(triangles.cyclic, len(TRANSITIVE_CLASSES) + susceptible.sum(axis=1),
+                    susceptible @ np.array([4, 2, 1]))
+    n = triangles.n_networks
+    width = len(TRIAD_CLASSES)
+    return np.bincount(triangles.network[known] * width + kind[known],
+                       minlength=n * width).reshape(n, width)

@@ -159,14 +159,14 @@ class SimilarityIndex:
     features(news) is (fake_identity, true_identity, fake_class, true_class),
     each in [0, 1]; a value is 0 when its reference class is empty. The
     kernels come from the identity-labelled Gram matrix `graphs` keeps and one
-    Gram matrix of the nodes' susceptibility classes under `model`.
+    Gram matrix of `classes`, every node's susceptibility class in node
+    order (any labels that tell the classes apart).
     """
 
-    def __init__(self, graphs: WLNetworks, training_news, model):
+    def __init__(self, graphs: WLNetworks, training_news, classes):
         training = set(training_news)
         order = graphs.order
-        grams = (graphs.identity_gram,
-                 graphs.normalized_gram([model.classify(user) for user in graphs.users]))
+        grams = (graphs.identity_gram, graphs.normalized_gram(classes))
         refs = [[i for i, news in enumerate(order)
                  if news in training and graphs.networks[news].label == label]
                 for label in ("fake", "true")]

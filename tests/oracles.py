@@ -7,10 +7,13 @@ set partitions, the pure-Python centrality loops the array code in
 all-sources array relaxation in `newsnet.distances` replaced, the WL
 signatures by string relabelling through one shared dictionary and the
 pairwise similarity loops over them that the integer refinement and Gram
-matrices in `newsnet.wl` replaced, and the recursive per-node tree growth the
-presorted batched grower in `newsnet.ml.forest` replaced. Apart from the
-pairwise WL kernel and `newsnet.util.median`, these paths share no code with
-the package internals.
+matrices in `newsnet.wl` replaced, the recursive per-node tree growth the
+presorted batched grower in `newsnet.ml.forest` replaced, and the per-network
+dict loops (susceptibility classes, engagement and edge partitions, triad
+census) that the array block in `newsnet.features` replaced. Apart from the
+pairwise WL kernel, `newsnet.util.median`/`safe_ratio`, the triangle
+enumeration and the static block `feature_row` reads, these paths share no
+code with the package internals.
 """
 
 from __future__ import annotations
@@ -27,8 +30,11 @@ import numpy as np
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
-from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
-from newsnet.util import derive_seed, median
+from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, NodeTable
+from newsnet.features import dynamic_features as package_dynamic_features
+from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, NORMAL, SUSCEPTIBLE, UNKNOWN
+from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES, TriangleIndex, enumerate_triangles
+from newsnet.util import derive_seed, median, safe_ratio
 from newsnet.wl import WLSignature, wl_kernel_normalized
 
 IDENTITY = "identity"
@@ -203,6 +209,145 @@ def brute_ego_delta(network, model) -> dict:
         else:
             out["delta_zero"] += 1
     return out
+
+
+@dataclass(frozen=True)
+class TriadCensus:
+    total: int
+    class_counts: dict  # class name -> count, all 12 keys present
+    reciprocal: int
+    unknown: int
+
+    def classified_total(self) -> int:
+        return sum(self.class_counts.values())
+
+
+def census(network: DiffusionNetwork, model, index: TriangleIndex | None = None) -> TriadCensus:
+    """Classify a network's triangles under a susceptibility model.
+
+    `model` needs a classify(user) -> {normal, susceptible, unknown} method.
+    Pass a precomputed TriangleIndex to avoid re-enumeration.
+    """
+    if index is None:
+        index = enumerate_triangles(network)
+    counts = {name: 0 for name in TRIAD_CLASSES}
+    unknown = 0
+    for kind, tri in index.oriented:
+        labels = [model.classify(n) for n in tri]
+        if any(lab not in (NORMAL, SUSCEPTIBLE) for lab in labels):
+            unknown += 1
+            continue
+        letters = ["n" if lab == NORMAL else "s" for lab in labels]
+        if kind == "transitive":
+            counts["t_" + "".join(letters)] += 1
+        else:
+            counts[CYCLIC_CLASSES[letters.count("s")]] += 1
+    return TriadCensus(total=index.total, class_counts=counts,
+                       reciprocal=index.reciprocal, unknown=unknown)
+
+
+def triad_features(cens: TriadCensus) -> dict:
+    """Per-class triad counts and proportions.
+
+    Proportions are over the classified total (the 12 classes), 0 when no
+    triangle is classified.
+    """
+    classified = cens.classified_total()
+    out = {}
+    for name in TRIAD_CLASSES:
+        out[f"n_triad_{name}"] = float(cens.class_counts[name])
+        out[f"pct_triad_{name}"] = (cens.class_counts[name] / classified
+                                    if classified else 0.0)
+    return out
+
+
+def _class_maps(network: DiffusionNetwork, model):
+    nodes = network.sorted_nodes()
+    classes = {v: model.classify(v) for v in nodes}
+    scores = {v: model.score(v) for v in nodes}
+    return classes, scores
+
+
+def dynamic_features(extractor, news_id, models: dict) -> dict:
+    """The 100 susceptibility-dependent values of one network, name -> value,
+    by per-node, per-edge and per-triangle loops in sorted-node order."""
+    net = extractor.networks[news_id]
+    tri = extractor.triangle_index(news_id)
+    n = net.n_nodes
+    total_t = float(sum(net.counts.values()))
+    n_edges = net.n_edges
+    out: dict = {}
+    for tag, method in (("news", BY_NEWS), ("freq", BY_FREQUENCY)):
+        model = models[method]
+        classes, scores = _class_maps(net, model)
+        normal = [v for v in net.sorted_nodes() if classes[v] == NORMAL]
+        susceptible = [v for v in net.sorted_nodes() if classes[v] == SUSCEPTIBLE]
+        out[f"n_normal_spreaders_{tag}"] = float(len(normal))
+        out[f"n_susceptible_spreaders_{tag}"] = float(len(susceptible))
+        out[f"pct_normal_spreaders_{tag}"] = safe_ratio(len(normal), n)
+        out[f"pct_susceptible_spreaders_{tag}"] = safe_ratio(len(susceptible), n)
+        all_scores = list(scores.values())
+        out[f"mean_susceptibility_{tag}"] = (sum(all_scores) / n) if n else 0.0
+        out[f"median_susceptibility_{tag}"] = median(all_scores)
+
+        t_normal = float(sum(net.counts[v] for v in normal))
+        t_susc = float(sum(net.counts[v] for v in susceptible))
+        out[f"n_normal_engagements_{tag}"] = t_normal
+        out[f"n_susceptible_engagements_{tag}"] = t_susc
+        out[f"pct_normal_engagements_{tag}"] = safe_ratio(t_normal, total_t)
+        out[f"pct_susceptible_engagements_{tag}"] = safe_ratio(t_susc, total_t)
+        out[f"mean_normal_engagements_{tag}"] = safe_ratio(t_normal, len(normal))
+        out[f"mean_susceptible_engagements_{tag}"] = safe_ratio(t_susc,
+                                                                len(susceptible))
+
+        ego = {"nn": 0, "ns": 0, "sn": 0, "ss": 0}
+        delta = {"delta_pos": 0, "delta_zero": 0, "delta_neg": 0}
+        for u, v in net.edges:
+            cu, cv = classes[u], classes[v]
+            if cu != UNKNOWN and cv != UNKNOWN:
+                key = ("n" if cu == NORMAL else "s") + ("n" if cv == NORMAL else "s")
+                ego[key] += 1
+            diff = scores[u] - scores[v]
+            if diff > 0:
+                delta["delta_pos"] += 1
+            elif diff < 0:
+                delta["delta_neg"] += 1
+            else:
+                delta["delta_zero"] += 1
+        for cls, count in ego.items():
+            out[f"n_edges_{cls}_{tag}"] = float(count)
+            out[f"pct_edges_{cls}_{tag}"] = safe_ratio(count, n_edges)
+        for cls, count in delta.items():
+            out[f"n_edges_{cls}_{tag}"] = float(count)
+            out[f"pct_edges_{cls}_{tag}"] = safe_ratio(count, n_edges)
+
+        tri_feats = triad_features(census(net, model, index=tri))
+        for cls in TRIAD_CLASSES:
+            out[f"n_triad_{cls}_{tag}"] = tri_feats[f"n_triad_{cls}"]
+            out[f"pct_triad_{cls}_{tag}"] = tri_feats[f"pct_triad_{cls}"]
+    return out
+
+
+def feature_row(extractor, news_id, models: dict, references) -> tuple:
+    """One network's 142 values assembled by name, as `extract` did per news."""
+    named = dict(extractor._static_features(news_id))
+    named.update(dynamic_features(extractor, news_id, models))
+    named.update(zip(("sim_fake_id", "sim_true_id", "sim_fake_class", "sim_true_class"),
+                     map(float, references)))
+    return tuple(named[name] for name in FEATURE_NAMES)
+
+
+def array_dynamic_rows(networks: dict, models: dict, triangle_index=enumerate_triangles) -> dict:
+    """The package's array dynamic block as {news: {name: value}}, for
+    comparison with `dynamic_features`. `models` maps each method to any
+    object with score(user) and classify(user)."""
+    table = NodeTable(networks, lambda news: triangle_index(networks[news]))
+    vectors = {method: (np.array([model.score(u) for u in table.users], dtype=np.float64),
+                        np.array([CLASSES.index(model.classify(u)) for u in table.users],
+                                 dtype=np.int64))
+               for method, model in models.items()}
+    block = package_dynamic_features(table, vectors)
+    return {news: dict(zip(DYNAMIC_NAMES, row)) for news, row in zip(table.order, block.tolist())}
 
 
 def dense_distances(nodes, edges, weights=None) -> np.ndarray:

@@ -22,13 +22,14 @@ from newsnet.diffusion import build_all_networks
 from newsnet.distances import effective_distance, flow_matrix
 from newsnet.experiments import (ExperimentConfig, run_early_detection,
                                  run_threshold_sweep)
-from newsnet.features import FeatureExtractor, extract_matrix, pattern_mask
+from newsnet.features import (DYNAMIC_NAMES, FeatureExtractor, dynamic_features,
+                              extract_matrix, pattern_mask)
 from newsnet.ml.crossval import (cross_validate, encode_labels, evaluate_masks,
                                  fit_classifier, stratified_folds)
 from newsnet.ml.relief import relief_rank
 from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, fit, fit_all
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
-from newsnet.triads import TRIAD_CLASSES, census
+from newsnet.triads import TRIAD_CLASSES
 from newsnet.util import write_csv
 from newsnet.wl import wl_kernel, wl_kernel_normalized
 
@@ -67,22 +68,26 @@ def test_criterion_1_oracle_equivalence():
 
         ex = FeatureExtractor(graph, table, networks, scores, None, seed=seed)
         models = fit_all(table, table.news_ids(), 0.5)
-        for net in nets:
+        node_table = ex.node_table
+        block = dynamic_features(node_table, {m: models[m].classify_all(node_table.users)
+                                              for m in models})
+        for net, row in zip(nets, block.tolist()):
             assert net.edges == brute_induced_edges(graph, net.nodes)
+            values = dict(zip(DYNAMIC_NAMES, row))
+            index = ex.triangle_index(net.news_id)
             for method in (BY_NEWS, BY_FREQUENCY):
                 model = models[method]
-                cens = census(net, model, index=ex.triangle_index(net.news_id))
-                brute = brute_census(net, model)
-                assert cens.total == brute["total"]
-                assert cens.reciprocal == brute["reciprocal"]
-                assert cens.unknown == brute["unknown"]
-                for name in TRIAD_CLASSES:
-                    assert cens.class_counts[name] == brute.get(name, 0)
-                ego = ex._dynamic_features(net.news_id, models)
                 tag = "news" if method == BY_NEWS else "freq"
+                counts = {name: values[f"n_triad_{name}_{tag}"] for name in TRIAD_CLASSES}
+                brute = brute_census(net, model)
+                assert index.total == brute["total"]
+                assert index.reciprocal == brute["reciprocal"]
+                assert len(index.oriented) - sum(counts.values()) == brute["unknown"]
+                for name in TRIAD_CLASSES:
+                    assert counts[name] == brute.get(name, 0)
                 oracle = brute_ego_delta(net, model)
                 for cls in EGO_DELTA_CLASSES:
-                    assert ego[f"n_edges_{cls}_{tag}"] == oracle[cls]
+                    assert values[f"n_edges_{cls}_{tag}"] == oracle[cls]
     elapsed = time.time() - start
     assert elapsed < 60.0
     print(f"\n[acceptance 1] oracle equivalence on 100 corpora: "

@@ -165,6 +165,8 @@ def test_classifier_params_rejected_as_config_error(corpus_dir, tmp_path, capsys
     ("sample-study", {"balance_total": 0}, "balance_total must be null or an int >= 1"),
     ("sample-study", {"balance_fractions": 0.5},
      "balance_fractions must be a nonempty list"),
+    ("sample-study", {"balance_fractions": [0.0], "balance_total": None},
+     "balance_fractions need a value above 0 when balance_total is null"),
 ])
 def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
                                                   command, config, message):

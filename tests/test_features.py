@@ -1,21 +1,33 @@
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
 
 from newsnet.corpus import EngagementTable, SocialGraph
-from newsnet.features import (FEATURE_NAMES, FEATURE_REGISTRY, N_FEATURES, PATTERNS,
-                              FeatureExtractor, extract, extract_matrix, feature_index,
-                              pattern_mask)
-from newsnet.susceptibility import fit_all
+from newsnet.diffusion import subsample
+from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_FEATURES,
+                              PATTERNS, FeatureExtractor, dynamic_features, extract,
+                              extract_matrix, feature_index, pattern_mask)
+from newsnet.susceptibility import METHODS, fit_all
 
 from oracles import brute_ego_delta, random_corpus
+from oracles import dynamic_features as oracle_dynamic_features
+from oracles import feature_row as oracle_feature_row
 
 NO_SIMILARITY = (0.0, 0.0, 0.0, 0.0)
 
 
 def _extractor(graph, table, seed=0):
     return FeatureExtractor.build(graph, table, seed=seed)
+
+
+def _vector(ex, models, news):
+    """`extract` of one network, its dynamic row taken from the array block."""
+    table = ex.node_table
+    block = dynamic_features(table, {m: models[m].classify_all(table.users) for m in METHODS})
+    return extract(ex.networks[news], block[table.order.index(news)], ex, NO_SIMILARITY)
 
 
 def _value(vector, name):
@@ -58,7 +70,7 @@ def test_singleton_network_features():
         {("n1", "u1"): 3, ("n2", "u2"): 1}, {"n1": "fake", "n2": "true"})
     ex = _extractor(graph, table)
     models = fit_all(table, {"n1", "n2"}, 0.5)
-    vec = extract(ex.networks["n1"], models, ex, NO_SIMILARITY)
+    vec = _vector(ex, models, "n1")
     assert _value(vec, "n_spreaders") == 1.0
     assert _value(vec, "total_engagements") == 3.0
     assert _value(vec, "mean_engagements") == 3.0
@@ -74,7 +86,7 @@ def test_all_susceptible_triangle():
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     ex = _extractor(graph, table)
     models = fit_all(table, {"n1"}, 0.5)
-    vec = extract(ex.networks["n1"], models, ex, NO_SIMILARITY)
+    vec = _vector(ex, models, "n1")
     assert _value(vec, "ego_density") == 1.0  # 3 edges / C(3,2)
     assert _value(vec, "n_triad_c_sss_news") == 1.0
     assert _value(vec, "pct_susceptible_spreaders_news") == 1.0
@@ -114,7 +126,7 @@ def test_ego_and_delta_partitions_match_oracle():
         models = fit_all(table, training, 0.5)
         for news in training:
             net = ex.networks[news]
-            vec = extract(net, models, ex, NO_SIMILARITY)
+            vec = _vector(ex, models, news)
             for tag, method in (("news", "by_news"), ("freq", "by_frequency")):
                 brute = brute_ego_delta(net, models[method])
                 for cls in ("nn", "ns", "sn", "ss"):
@@ -197,3 +209,107 @@ def test_order_preserving_user_relabel_keeps_every_value(seed):
     assert after.labels == before.labels
     for news in before.news_ids:
         assert after.row(news).tolist() == before.row(news).tolist(), news
+
+
+ON_CPYTHON_311 = (platform.python_implementation() == "CPython"
+                  and sys.version_info[:2] == (3, 11))
+
+
+def assert_block_equals_oracle(ex, training, theta):
+    """The array block equals the dict loops, and every extract_matrix row the
+    by-name assembly of the static block, the dict loops and the WL values."""
+    models = fit_all(ex.table, training, theta)
+    table = ex.node_table
+    block = dynamic_features(table, {m: models[m].classify_all(table.users) for m in METHODS})
+    assert block.shape == (len(ex.networks), len(DYNAMIC_NAMES))
+    matrix = extract_matrix(ex, training, theta)
+    assert np.isfinite(matrix.X).all()
+    for t, news in enumerate(table.order):
+        got = dict(zip(DYNAMIC_NAMES, block[t].tolist()))
+        want = oracle_dynamic_features(ex, news, models)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if name.startswith("mean_susceptibility") and not ON_CPYTHON_311:
+                # 3.12's float sum is compensated; the block adds left to right
+                assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-15), (news, name)
+            else:
+                assert got[name] == value, (news, name)
+        row = oracle_feature_row(ex, news, models, matrix.X[t][-4:].tolist())
+        if ON_CPYTHON_311:
+            assert matrix.X[t].tolist() == list(row), news
+    return models, block
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_dynamic_block_equals_dict_oracle(seed):
+    graph, table = random_corpus(seed)
+    ex = _extractor(graph, table, seed=seed)
+    news = sorted(ex.networks)
+    for fold in range(3):
+        training = [n for i, n in enumerate(news) if i % 3 != fold]
+        for theta in (0.0, 0.5, 1.0):
+            assert_block_equals_oracle(ex, training, theta)
+    # subsampled networks: empty (p = 0), single-node and edgeless ones
+    for p in (0.0, 0.3):
+        sub = ex.with_networks({n: subsample(net, "nodes", p, seed)
+                                for n, net in ex.networks.items()})
+        assert_block_equals_oracle(sub, news, 0.5)
+
+
+def _degenerate_extractor():
+    """Networks: a trained triangle and pair, a single node, an edgeless pair,
+    an untrained triangle (every spreader unknown) and an empty network."""
+    graph = SocialGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"),
+                                    ("x", "y"), ("y", "z"), ("z", "x")],
+                                   nodes="abcdefghxyz")
+    records = {("n1", "a"): 2, ("n1", "b"): 1, ("n1", "c"): 3, ("n2", "d"): 1,
+               ("n2", "e"): 4, ("n2", "a"): 1, ("n3", "f"): 2, ("n4", "g"): 1,
+               ("n4", "h"): 5, ("n5", "x"): 1, ("n5", "y"): 2, ("n5", "z"): 1}
+    labels = {"n1": "fake", "n2": "true", "n3": "fake", "n4": "true", "n5": "fake",
+              "n6": "true"}
+    return _extractor(graph, EngagementTable.from_records(records, labels))
+
+
+DYNAMIC_EDGE_VALUES = [name for name in DYNAMIC_NAMES
+                       if name.startswith(("n_edges_", "pct_edges_", "n_triad_", "pct_triad_"))]
+
+
+def test_dynamic_block_on_degenerate_networks():
+    ex = _degenerate_extractor()
+    assert ex.networks["n6"].n_nodes == 0 and ex.networks["n3"].n_nodes == 1
+    for theta in (0.0, 0.5, 1.0):
+        models, block = assert_block_equals_oracle(ex, ["n1", "n2", "n3", "n4", "n6"], theta)
+        rows = {news: dict(zip(DYNAMIC_NAMES, row))
+                for news, row in zip(ex.node_table.order, block.tolist())}
+        for news in ("n3", "n4", "n6"):  # no edge among the spreaders
+            assert all(rows[news][name] == 0.0 for name in DYNAMIC_EDGE_VALUES), news
+        untrained = rows["n5"]
+        for tag in ("news", "freq"):
+            assert untrained[f"n_normal_spreaders_{tag}"] == 0.0
+            assert untrained[f"n_susceptible_spreaders_{tag}"] == 0.0
+            assert untrained[f"mean_susceptibility_{tag}"] == theta
+            assert untrained[f"n_edges_delta_zero_{tag}"] == 3.0
+            assert untrained[f"pct_triad_c_nnn_{tag}"] == 0.0
+    assert all(value == 0.0 for value in rows["n6"].values())
+
+
+def test_property_every_value_is_finite():
+    # ROADMAP item 6: every value of every vector, θ at the interior and
+    # both ends (where every score or none equals θ)
+    for seed in range(30):
+        graph, table = random_corpus(seed)
+        ex = _extractor(graph, table, seed=seed)
+        training = table.news_ids()[:max(2, len(table.news_ids()) // 2)]
+        for theta in (0.0, 0.5, 1.0):
+            assert np.isfinite(extract_matrix(ex, training, theta).X).all(), (seed, theta)
+
+
+def test_node_table_numbers_nodes_like_the_wl_table(small_strong_extractor):
+    ex = small_strong_extractor
+    table = ex.node_table
+    assert table.order == ex.wl_networks.order
+    assert [table.users[u] for u in table.user] == ex.wl_networks.users
+    assert ex.node_table is table
+    fewer = ex.with_networks({n: ex.networks[n] for n in table.order[1:]})
+    assert fewer.node_table.order == table.order[1:]
+

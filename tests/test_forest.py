@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from newsnet.experiments import DEFAULT_SWEEP_SUBSETS, SUBSET_BY_NAME
 from newsnet.features import extract_matrix, pattern_mask
 from newsnet.ml.crossval import encode_labels, fit_classifier, stratified_folds
-from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier
+from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier, _draws
 from newsnet.util import derive_seed
 
 from oracles import ReferenceDecisionTree, ReferenceRandomForest, _Leaf
@@ -94,6 +94,21 @@ def test_forest_equals_reference(kind, case, seed):
     fast = RandomForestClassifier(**params).fit(X, y)
     ref = ReferenceRandomForest(**params).fit(X, y)
     assert_same_forest(fast, ref, np.vstack([X, X_new]))
+
+
+def test_cached_draws_are_read_only_and_reused():
+    # a refit of the same size (another mask or threshold of one fold) takes
+    # the cached draws, and still grows the reference forest from fresh
+    # split generators
+    X, y, X_new = random_matrix(5, "continuous")
+    RandomForestClassifier(n_trees=12, seed=4).fit(X[:, ::-1], y)
+    roots, split_seeds = _draws(4, 12, len(y), True)
+    assert _draws(4, 12, len(y), True)[0] is roots
+    assert not any(root.flags.writeable for root in roots)
+    assert len(split_seeds) == 12
+    fast = RandomForestClassifier(n_trees=12, seed=4).fit(X, y)
+    assert_same_forest(fast, ReferenceRandomForest(n_trees=12, seed=4).fit(X, y),
+                       np.vstack([X, X_new]))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -6,7 +6,10 @@ change that alters an output on purpose updates them and says so. Python
 some means, so the pins hold on CPython 3.11 only.
 
 `extract` and `evaluate` see the whole diffusion networks; `early-detect`
-sees node- and edge-subsampled ones, which are often disconnected.
+sees node- and edge-subsampled ones, which are often disconnected;
+`sweep-threshold` also runs θ = 0 and θ = 1, where no spreader can be normal
+or, respectively, susceptible, and every user scored exactly θ (untrained, or
+with an all-true or all-fake history) is unknown.
 """
 
 import hashlib
@@ -24,6 +27,11 @@ PINNED = {
     "evaluation.json": "c279027ff53b3a92d1595eb9fa85c3e82b5fb937cd914346b5e7ec21e027f0e0",
 }
 EARLY_CONFIG = {"proportions": [0.3, 0.6], "repetitions": 1}
+SWEEP_CONFIG = {"theta_grid": [0.0, 0.5, 1.0]}
+SWEEP_PINNED = {
+    "threshold_sweep.csv":
+        "3c05ef7bc33e929f34372e06c62040760951f208f092bbabf2814f710096dfff",
+}
 EARLY_PINNED = {
     "early_detection.csv":
         "e4612e91d43608e58b4239135ad021d8074bcf3e3d98e56120e3d4270ab1acbd",
@@ -64,3 +72,11 @@ def test_early_detection_output_is_pinned(tmp_path):
     config.write_text(json.dumps(EARLY_CONFIG))
     assert main(["early-detect", "--config", str(config)] + _corpus_flags(tmp_path)) == 0
     assert _digests(tmp_path / "out", EARLY_PINNED) == EARLY_PINNED
+
+
+@ON_CPYTHON_311
+def test_threshold_sweep_output_is_pinned(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SWEEP_CONFIG))
+    assert main(["sweep-threshold", "--config", str(config)] + _corpus_flags(tmp_path)) == 0
+    assert _digests(tmp_path / "out", SWEEP_PINNED) == SWEEP_PINNED

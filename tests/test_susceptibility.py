@@ -3,7 +3,7 @@ import random
 import pytest
 
 from newsnet.corpus import EngagementTable
-from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, METHODS, NORMAL,
+from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
                                     SUSCEPTIBLE, UNKNOWN, fit)
 
 from oracles import random_corpus
@@ -49,6 +49,18 @@ def test_classification_boundaries():
     assert model.classify("bob") == UNKNOWN         # exactly theta
     model_low = fit(table, {"f1", "f2", "t1"}, BY_NEWS, 0.9)
     assert model_low.classify("bob") == NORMAL      # 0.5 < 0.9
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.9, 1.0])
+def test_classify_all_matches_score_and_classify(theta):
+    for seed in range(10):
+        graph, table = random_corpus(seed)
+        users = sorted(graph.nodes) + ["nobody"]
+        for method in METHODS:
+            model = fit(table, table.news_ids()[::2], method, theta)
+            scores, codes = model.classify_all(users)
+            assert scores.tolist() == [model.score(u) for u in users]
+            assert [CLASSES[c] for c in codes] == [model.classify(u) for u in users]
 
 
 def test_empty_training_set_rejected():

@@ -5,10 +5,12 @@ import pytest
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork, build_network
 from newsnet.features import FeatureExtractor
-from newsnet.susceptibility import NORMAL, SUSCEPTIBLE, UNKNOWN
-from newsnet.triads import TRIAD_CLASSES, census, enumerate_triangles, triad_features
+from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, NORMAL, SUSCEPTIBLE, UNKNOWN
+from newsnet.triads import TRIAD_CLASSES, enumerate_triangles
 
-from oracles import brute_census, random_corpus
+from oracles import (TriadCensus, array_dynamic_rows, brute_census, random_corpus,
+                     triad_features as oracle_triad_features)
+from oracles import census as oracle_census
 
 
 class FixedLabels:
@@ -23,6 +25,22 @@ class FixedLabels:
 
     def score(self, user):
         return {NORMAL: 0.0, SUSCEPTIBLE: 1.0, UNKNOWN: 0.5}[self.classify(user)]
+
+
+def triad_features(net, model) -> dict:
+    """The by_news triad counts and proportions of the array block, one network."""
+    row = array_dynamic_rows({net.news_id: net}, {BY_NEWS: model, BY_FREQUENCY: model})
+    return {name[:-len("_news")]: value for name, value in row[net.news_id].items()
+            if "_triad_" in name and name.endswith("_news")}
+
+
+def census(net, model) -> TriadCensus:
+    """`triads.census` of one network under `model`, with its enumeration's totals."""
+    index = enumerate_triangles(net)
+    feats = triad_features(net, model)
+    counts = {name: int(feats[f"n_triad_{name}"]) for name in TRIAD_CLASSES}
+    return TriadCensus(total=index.total, class_counts=counts, reciprocal=index.reciprocal,
+                       unknown=len(index.oriented) - sum(counts.values()))
 
 
 def _net(edges, nodes=None):
@@ -79,6 +97,7 @@ def test_census_matches_brute_force_on_random_networks():
         model = FixedLabels(classes)
         cens = census(net, model)
         brute = brute_census(net, model)
+        assert cens == oracle_census(net, model)
         assert cens.total == brute["total"]
         assert cens.reciprocal == brute["reciprocal"]
         assert cens.unknown == brute["unknown"]
@@ -141,8 +160,7 @@ def test_triad_features_density():
     assert static["triad_density"] == 1.0
     assert static["n_triangles"] == 1.0
     assert static["triangles_per_spreader"] == pytest.approx(1 / 3)
-    feats = triad_features(census(_net([("a", "b"), ("b", "c"), ("a", "c")]),
-                                  FixedLabels({})))
+    feats = triad_features(_net([("a", "b"), ("b", "c"), ("a", "c")]), FixedLabels({}))
     assert sorted(feats) == sorted(f"{kind}_triad_{name}" for kind in ("n", "pct")
                                    for name in TRIAD_CLASSES)
 
@@ -159,7 +177,8 @@ def test_proportions_sum_to_one_when_classified():
         model = FixedLabels({v: (NORMAL if i % 2 else SUSCEPTIBLE)
                              for i, v in enumerate(sorted(net.nodes))})
         cens = census(net, model)
-        feats = triad_features(cens)
+        feats = triad_features(net, model)
+        assert feats == oracle_triad_features(oracle_census(net, model))
         total = sum(feats[f"pct_triad_{name}"] for name in TRIAD_CLASSES)
         if cens.classified_total():
             assert total == pytest.approx(1.0, abs=1e-12)

@@ -31,6 +31,11 @@ def _net(news_id, edges, nodes=None, label="fake"):
                             edges=frozenset(edges), counts={u: 1 for u in nodes})
 
 
+def _index(graphs, training, model):
+    """The SimilarityIndex of every node classified by `model`."""
+    return SimilarityIndex(graphs, training, [model.classify(u) for u in graphs.users])
+
+
 def _labeled(nodes, undirected_edges, labels):
     adjacency = {v: set() for v in nodes}
     for u, v in undirected_edges:
@@ -170,7 +175,7 @@ def test_similarity_index_matches_standalone():
                                  label="fake" if i % 2 else "true")
     model = TwoClassModel({f"u{k}" for k in range(6)})
     training = ["n0", "n1", "n2", "n3"]
-    index = SimilarityIndex(WLNetworks(networks, 3), training, model)
+    index = _index(WLNetworks(networks, 3), training, model)
     fakes = [networks[n] for n in training if networks[n].label == "fake"]
     trues = [networks[n] for n in training if networks[n].label == "true"]
     for news, net in networks.items():
@@ -186,7 +191,7 @@ def test_planted_density_separates_classes(strong_extractor):
 
     training = sorted(networks)
     model = fit(strong_extractor.table, training, "by_news", 0.5)
-    index = SimilarityIndex(WLNetworks(networks, 3), training, model)
+    index = _index(WLNetworks(networks, 3), training, model)
     fake_margin = []
     for news in sorted(networks):
         if networks[news].label != "fake":
@@ -204,7 +209,7 @@ def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
                           string_normalized_gram(networks, IDENTITY, h=h))
     assert np.array_equal(graphs.normalized_gram([model.classify(u) for u in graphs.users]),
                           string_normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
-    fast = SimilarityIndex(graphs, training, model)
+    fast = _index(graphs, training, model)
     slow = PairwiseSimilarityIndex(networks, training, model, h=h)
     for news in sorted(networks):
         assert fast.features(news) == slow.features(news)
@@ -254,7 +259,7 @@ def test_empty_reference_class_is_zero():
                 "n2": _net("n2", [("b", "c")], label="true"),
                 "n3": _net("n3", [("a", "c")], label="fake")}
     model = TwoClassModel({"a"})
-    fast = SimilarityIndex(WLNetworks(networks), ["n1", "n3"], model)
+    fast = _index(WLNetworks(networks), ["n1", "n3"], model)
     assert fast.features("n2")[1] == fast.features("n2")[3] == 0.0
     assert_equals_pairwise_oracle(networks, ["n1", "n3"], model)
     assert_equals_pairwise_oracle(networks, [], model)
@@ -271,7 +276,7 @@ def test_isolated_nodes_edgeless_and_empty_networks():
     model = TwoClassModel({"a", "c"})
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, sorted(networks), model, h=h)
-    assert SimilarityIndex(WLNetworks(networks), sorted(networks), model).features("n5") \
+    assert _index(WLNetworks(networks), sorted(networks), model).features("n5") \
         == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -371,7 +376,7 @@ def test_property_order_preserving_relabel(corpus, stride):
                        nodes=[rename[v] for v in net.nodes], label=net.label)
                for n, net in networks.items()}
     renamed_model = TwoClassModel(rename[v] for v in model.susceptible if v in rename)
-    before = SimilarityIndex(WLNetworks(networks, h), training, model)
-    after = SimilarityIndex(WLNetworks(renamed, h), training, renamed_model)
+    before = _index(WLNetworks(networks, h), training, model)
+    after = _index(WLNetworks(renamed, h), training, renamed_model)
     for news in sorted(networks):
         assert before.features(news) == after.features(news)
