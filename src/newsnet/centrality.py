@@ -12,6 +12,12 @@ the score maps to a network's spreader set. Conventions:
     power iteration until L1 residual < 1e-10 (max 200 iterations); sums to 1
   - hub/authority: mutually reinforcing power iteration, L2-normalized each
     step, same stopping rule; zero vectors on an edgeless graph
+
+PageRank and HITS iterate on int-indexed edge arrays in out-CSR order: each
+step scatter-adds over the edges one at a time (`np.add.at`) and sums
+left to right (`cumsum`), the order of the dict loops kept in
+`tests/oracles.py`, so on CPython 3.11, whose float `sum` is not compensated,
+they equal those loops bit for bit.
 """
 
 from __future__ import annotations
@@ -119,50 +125,48 @@ def _shortest_paths(n, out_csr, in_csr) -> tuple:
     return bc, (out_reach, out_total), (in_reach, in_total)
 
 
-def _pagerank(nodes, succ) -> dict:
-    n = len(nodes)
-    ranks = {v: 1.0 / n for v in nodes}
-    out_deg = {v: len(succ[v]) for v in nodes}
-    dangling = [v for v in nodes if out_deg[v] == 0]
+def _total(values) -> float:
+    """Python's left-to-right float `sum` of a 1-D array (0.0 when empty)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def _spread(out, targets, values) -> np.ndarray:
+    """out with each value added to its target, one at a time in the order given."""
+    np.add.at(out, targets, values)
+    return out
+
+
+def _pagerank(n, src, dst) -> np.ndarray:
+    """PageRank over edges in out-CSR order (src ascending, then dst)."""
+    out_deg = np.bincount(src, minlength=n)
+    dangling = np.flatnonzero(out_deg == 0)
+    ranks = np.full(n, 1.0 / n)
     for _ in range(MAX_ITER):
-        dangling_mass = sum(ranks[v] for v in dangling)
-        base = (1.0 - DAMPING) / n + DAMPING * dangling_mass / n
-        new = {v: base for v in nodes}
-        for u in nodes:
-            if out_deg[u]:
-                share = DAMPING * ranks[u] / out_deg[u]
-                for v in succ[u]:
-                    new[v] += share
-        residual = sum(abs(new[v] - ranks[v]) for v in nodes)
+        base = (1.0 - DAMPING) / n + DAMPING * _total(ranks[dangling]) / n
+        new = _spread(np.full(n, base), dst, DAMPING * ranks[src] / out_deg[src])
+        residual = _total(np.abs(new - ranks))
         ranks = new
         if residual < TOLERANCE:
             break
     return ranks
 
 
-def _hits(nodes, succ, preds) -> tuple:
-    n = len(nodes)
-    if not any(succ[v] for v in nodes):
-        zeros = {v: 0.0 for v in nodes}
-        return dict(zeros), dict(zeros)
-    norm0 = n ** 0.5
-    hubs = {v: 1.0 / norm0 for v in nodes}
-    auths = {v: 1.0 / norm0 for v in nodes}
+def _unit(values) -> np.ndarray:
+    """values over their L2 norm (Python's `** 0.5`), zeros when it is 0."""
+    norm = _total(values * values) ** 0.5
+    return values / norm if norm != 0.0 else np.zeros_like(values)
+
+
+def _hits(n, src, dst) -> tuple:
+    """Hub and authority vectors over edges in out-CSR order."""
+    if not src.size:
+        return np.zeros(n), np.zeros(n)
+    hubs = auths = np.full(n, 1.0 / n ** 0.5)
     for _ in range(MAX_ITER):
-        new_a = {v: sum(hubs[u] for u in preds[v]) for v in nodes}
-        norm = sum(x * x for x in new_a.values()) ** 0.5
-        if norm == 0.0:
-            new_a = {v: 0.0 for v in nodes}
-        else:
-            new_a = {v: x / norm for v, x in new_a.items()}
-        new_h = {v: sum(new_a[w] for w in succ[v]) for v in nodes}
-        norm = sum(x * x for x in new_h.values()) ** 0.5
-        if norm == 0.0:
-            new_h = {v: 0.0 for v in nodes}
-        else:
-            new_h = {v: x / norm for v, x in new_h.items()}
-        residual = sum(abs(new_a[v] - auths[v]) for v in nodes)
-        residual += sum(abs(new_h[v] - hubs[v]) for v in nodes)
+        new_a = _unit(_spread(np.zeros(n), dst, hubs[src]))
+        new_h = _unit(_spread(np.zeros(n), src, new_a[dst]))
+        residual = _total(np.abs(new_a - auths))
+        residual += _total(np.abs(new_h - hubs))
         auths, hubs = new_a, new_h
         if residual < TOLERANCE:
             break
@@ -173,28 +177,30 @@ def centralities(graph: SocialGraph) -> CentralityScores:
     if not graph.nodes:
         raise CorpusError("centralities require a nonempty graph")
     nodes = graph.sorted_nodes()
-    succ = {v: sorted(graph.out_neighbors[v]) for v in nodes}
-    preds = {v: sorted(graph.in_neighbors[v]) for v in nodes}
     index = {v: i for i, v in enumerate(nodes)}
     pairs = np.array([(index[u], index[v]) for u, v in graph.edges],
                      dtype=np.int64).reshape(-1, 2)
     src, dst = pairs[:, 0], pairs[:, 1]
     n = len(nodes)
+    out_csr = _csr(src, dst, n)
     bc, (out_reach, out_total), (in_reach, in_total) = _shortest_paths(
-        n, _csr(src, dst, n), _csr(dst, src, n))
-    hubs, auths = _hits(nodes, succ, preds)
+        n, out_csr, _csr(dst, src, n))
+    # every edge in out-CSR order: the order the power iterations add in
+    src = np.repeat(np.arange(n), np.diff(out_csr[0]))
+    dst = out_csr[1]
+    hubs, auths = _hits(n, src, dst)
 
     def by_node(values) -> dict:
         return dict(zip(nodes, values.tolist()))
 
     # total is 0 exactly when reach is, so dividing by max(total, 1) gives 0.0
     return CentralityScores(scores={
-        "in_degree": {v: float(len(preds[v])) for v in nodes},
-        "out_degree": {v: float(len(succ[v])) for v in nodes},
+        "in_degree": by_node(np.bincount(dst, minlength=n).astype(np.float64)),
+        "out_degree": by_node(np.bincount(src, minlength=n).astype(np.float64)),
         "in_closeness": by_node(in_reach / np.maximum(in_total, 1)),
         "out_closeness": by_node(out_reach / np.maximum(out_total, 1)),
         "betweenness": by_node(bc),
-        "pagerank": _pagerank(nodes, succ),
-        "hub": hubs,
-        "authority": auths,
+        "pagerank": by_node(_pagerank(n, src, dst)),
+        "hub": by_node(hubs),
+        "authority": by_node(auths),
     })

@@ -248,14 +248,26 @@ def load_corpus(edges_path, engagements_path, labels_path):
 
 def save_corpus(graph: SocialGraph, table: EngagementTable,
                 edges_path, engagements_path, labels_path) -> None:
-    """Write a corpus back to the three-file CSV format (sorted, canonical)."""
+    """Write a corpus back to the three-file CSV format (sorted, canonical).
+
+    edges.csv lists follow edges only, so users without any follow edge are
+    not written, and `load_corpus` gives back the edge endpoints as the user
+    set. Users without an engagement are simply dropped; a spreader without a
+    follow edge raises CorpusError (naming the first one in engagements.csv
+    order) before any file is written, since `load_corpus` would reject its
+    engagement.
+    """
     from .util import write_csv
 
-    write_csv(edges_path, ("follower", "followee"), sorted(graph.edges))
+    endpoints = {user for edge in graph.edges for user in edge}
     rows = []
     for news in table.news_ids():
         for user in sorted(table.counts[news]):
+            if user not in endpoints:
+                raise CorpusError(f"spreader {user!r} of news {news!r} has no follow "
+                                  f"edge, so the saved corpus would not load")
             rows.append((news, user, table.counts[news][user]))
+    write_csv(edges_path, ("follower", "followee"), sorted(graph.edges))
     write_csv(engagements_path, ("news_id", "user_id", "count"), rows)
     write_csv(labels_path, ("news_id", "label"),
               [(news, table.labels[news]) for news in table.news_ids()])

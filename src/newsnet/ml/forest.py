@@ -5,13 +5,13 @@ toward it deterministically.
 
 `fit` sorts every column of the n × d training matrix once (a stable
 argsort plus the sorted values). A node is an int64 weight vector over the n
-training rows: at the root it holds the bootstrap multiplicities (ones
-without bootstrap), and a split hands its children the parent's weights
-masked by `X[:, f] < threshold` and by its complement, so no row subset is
-ever copied. A node stops as a leaf when it is pure, at `max_depth`, or
-smaller than `2 * min_leaf`; otherwise it draws its candidate features and
-takes the split with the lowest weighted Gini, unless that is no lower than
-its own Gini.
+training rows, carried with its row and fake counts: at the root it holds the
+bootstrap multiplicities (ones without bootstrap), and a split hands its
+children the parent's weights masked by `X[:, f] < threshold` and the rest,
+so no row subset is ever copied. A node stops as a leaf when it is pure, at
+`max_depth`, or smaller than `2 * min_leaf`; otherwise it takes its candidate
+features and the split with the lowest weighted Gini, unless that is no
+lower than its own Gini.
 
 The split search takes a batch of nodes, each with its own candidate
 features, and computes them all in one array pass over the presorted
@@ -20,19 +20,31 @@ at every sorted position. A cut lies after a present row (w > 0) whose value
 is strictly below the next present non-NaN value, and leaves at least
 `min_leaf` rows on each side. The threshold is the midpoint of those two
 values, or the upper one where the midpoint would not separate them (after
--inf, between neighbouring floats, or on overflow). The winner is the first minimum in (candidate feature, ascending
-value) order. The trees of a forest grow together: each step takes the next
-node in depth-first preorder from every unfinished tree, draws that node's
-candidate features from its own tree's generator and searches the batch in
-chunks of `_CHUNK` nodes, which bounds the n × chunk × k temporaries.
+-inf, between neighbouring floats, or on overflow). The winner is the first
+minimum in (candidate feature, ascending value) order. The trees of a forest
+grow together: each step takes the next node in depth-first preorder from
+every unfinished tree and searches the batch in chunks of `_CHUNK` nodes,
+which bounds the n × chunk × k temporaries. The children's weights and counts
+of a chunk's splits come from one mask product, row sum and product with y,
+so the per-node loop makes no numpy call.
+
+Candidate features come from draw streams cached across fits. Tree t's
+split generator is seeded from (seed, t) alone, and the i-th node of that
+tree in preorder that reaches the split search takes its i-th draw, so the
+draws depend only on (seed, tree, d, k). `_draws` keeps, per (seed, n_trees,
+d, k), every tree's draws made so far in one small read-only int array; a
+refit of the same shape (another threshold of a sweep) reads them, and a fit
+that needs more replays the tree's generator from its seed for that fit only.
+The bootstrap multiplicities are cached per (seed, n_trees, n, bootstrap).
 
 The result is bit-identical to growing each tree recursively on a copy of its
 bootstrap rows (the reference in `tests/oracles.py`). A cut's counts depend
 only on the multiset of (value, label) pairs on each side, which the weights
 give as the same int64 values. The Gini and threshold use the same
 elementwise float formulas. The first minimum is the reference's "first
-strictly best" rule over sorted candidates. Each tree still draws from its
-own generator in depth-first preorder, so every draw is the same.
+strictly best" rule over sorted candidates. Each node takes the draw its
+tree's generator makes for it in the reference's depth-first preorder, so
+every candidate set is the same.
 """
 
 from __future__ import annotations
@@ -131,76 +143,145 @@ class _Presorted:
         return gini, feature, threshold
 
 
-def _grow(X, y, roots, rngs, n_candidates, max_depth, min_leaf) -> _Trees:
-    """Grow one tree per root weight vector, all trees in lockstep.
+def _grow(X, y, roots, draws, max_depth, min_leaf) -> _Trees:
+    """Grow one tree per row of roots (root weights), all trees in lockstep.
 
-    Tree t draws its candidate features from rngs[t]: n_candidates of the
-    d columns, or every column without a draw (rngs[t] unused) when
-    n_candidates is None or at least d.
+    The i-th node of tree t in preorder that reaches the split search takes
+    the candidate features `draws.stream[t, i]`, or every column when draws
+    is None.
     """
-    d = X.shape[1]
     presorted = _Presorted(X, y)
-    draw = n_candidates is not None and n_candidates < d
-    everything = np.arange(d)
-    nodes = [None] * len(roots)  # (feature, threshold, left, right, prediction)
-    stacks = [[(t, w, 0)] for t, w in enumerate(roots)]
+    n_trees = len(roots)
+    everything = np.arange(X.shape[1])
+    nodes = [None] * n_trees  # (feature, threshold, left, right, prediction)
+    stacks = [[(t, w, 0, n_rows, n_fake)] for t, (w, n_rows, n_fake) in enumerate(
+        zip(roots, roots.sum(axis=1).tolist(), (roots @ y).tolist()))]
+    searched = [0] * n_trees  # nodes of each tree that reached the split search
+    live = {}  # this fit's split generators, for draws not made before
     while True:
-        batch = []  # (tree, node, weights, depth, n_rows, n_fake, features)
+        batch = []  # (tree, draw, node, weights, depth, n_rows, n_fake)
         for t, stack in enumerate(stacks):
             while stack:
-                node, w, depth = stack.pop()
-                n_rows, n_fake = int(w.sum()), int(w @ y)
+                node, w, depth, n_rows, n_fake = stack.pop()
                 if (n_fake == 0 or n_fake == n_rows
                         or (max_depth is not None and depth >= max_depth)
                         or n_rows < 2 * min_leaf):
                     nodes[node] = (-1, 0.0, -1, -1, int(2 * n_fake >= n_rows))
                     continue
-                candidates = (np.sort(rngs[t].choice(d, size=n_candidates, replace=False))
-                              if draw else everything)
-                batch.append((t, node, w, depth, n_rows, n_fake, candidates))
+                i = searched[t]
+                searched[t] += 1
+                if draws is not None and i == draws.filled[t]:
+                    draws.extend(t, live)
+                batch.append((t, i, node, w, depth, n_rows, n_fake))
                 break
         if not batch:
-            return _Trees(len(roots), nodes)
+            return _Trees(n_trees, nodes)
         for start in range(0, len(batch), _CHUNK):
             chunk = batch[start:start + _CHUNK]
-            ginis, features, thresholds = presorted.best_splits(
-                np.stack([item[2] for item in chunk]),
-                np.stack([item[6] for item in chunk]), min_leaf)
-            for (t, node, w, depth, n_rows, n_fake, _), gini, f, thr in zip(
-                    chunk, ginis.tolist(), features.tolist(), thresholds.tolist()):
+            W = np.stack([item[3] for item in chunk])
+            if draws is None:
+                F = np.broadcast_to(everything, (len(chunk), everything.size))
+            else:
+                F = draws.stream[[item[0] for item in chunk],
+                                 [item[1] for item in chunk]].astype(np.intp)
+            ginis, features, thresholds = presorted.best_splits(W, F, min_leaf)
+            split = []
+            for at, ((_, _, node, _, _, n_rows, n_fake), gini, f) in enumerate(
+                    zip(chunk, ginis.tolist(), features.tolist())):
                 p = n_fake / n_rows
                 if f < 0 or gini >= 1.0 - p ** 2 - (1.0 - p) ** 2:
                     nodes[node] = (-1, 0.0, -1, -1, int(2 * n_fake >= n_rows))
-                    continue
-                goes_left = X[:, f] < thr
+                else:
+                    split.append(at)
+            if not split:
+                continue
+            # the children's weights and counts, for every split of the chunk
+            W, features, thresholds = W[split], features[split], thresholds[split]
+            L = W * (X[:, features].T < thresholds[:, None])
+            children = zip(L, W - L, L.sum(axis=1).tolist(), (L @ y).tolist())
+            for at, f, thr, (l, r, l_rows, l_fake) in zip(
+                    split, features.tolist(), thresholds.tolist(), children):
+                t, _, node, _, depth, n_rows, n_fake = chunk[at]
                 left, right = len(nodes), len(nodes) + 1
                 nodes[node] = (f, thr, left, right, -1)
                 nodes += [None, None]
-                stacks[t].append((right, w * ~goes_left, depth + 1))
-                stacks[t].append((left, w * goes_left, depth + 1))
+                stacks[t].append((right, r, depth + 1, n_rows - l_rows, n_fake - l_fake))
+                stacks[t].append((left, l, depth + 1, l_rows, l_fake))
+
+
+class _Draws:
+    """Every tree's candidate-feature draws for one (seed, n_trees, d, k).
+
+    `stream[t, i]` is the sorted i-th `choice(d, k, replace=False)` of tree
+    t's split generator, for `i < filled[t]`; the array is read-only between
+    extensions. A fit that needs draw `filled[t]` extends tree t from a
+    generator it keeps for that fit only, made by replaying the stored draws
+    from the tree's seed, so a refit of the same shape makes no generator.
+    Extending is not thread-safe; parallel runs use processes, each with its
+    own cache.
+    """
+
+    def __init__(self, seeds, d, k):
+        self.seeds, self.d, self.k = seeds, d, k
+        self.filled = [0] * len(seeds)
+        self.stream = np.empty((len(seeds), 0, k), dtype=np.min_scalar_type(d - 1))
+        self.stream.flags.writeable = False
+
+    def _choice(self, rng):
+        return rng.choice(self.d, size=self.k, replace=False)
+
+    def extend(self, t, live):
+        """Append tree t's next draw, at index filled[t]."""
+        i = self.filled[t]
+        rng = live.get(t)
+        if rng is None:
+            rng = live[t] = np.random.Generator(np.random.PCG64(self.seeds[t]))
+            for _ in range(i):
+                self._choice(rng)
+        stream = self.stream
+        if i == stream.shape[1]:
+            stream = np.zeros((len(self.filled), i + 1 + i // 4, self.k), stream.dtype)
+            stream[:, :i] = self.stream
+        else:
+            stream.flags.writeable = True
+        stream[t, i] = np.sort(self._choice(rng))
+        stream.flags.writeable = False
+        self.stream = stream
+        self.filled[t] = i + 1
+
+
+@functools.lru_cache(maxsize=64)
+def _draws(seed: int, n_trees: int, d: int, k: int) -> _Draws:
+    """The cached candidate draws of one forest shape; every fold x feature
+    mask of a threshold sweep keeps its own."""
+    return _Draws(_split_seeds(seed, n_trees), d, k)
 
 
 @functools.lru_cache(maxsize=8)
-def _draws(seed: int, n_trees: int, n: int, bootstrap: bool) -> tuple:
-    """Each tree's root row multiplicities (read-only) and split-generator seed
-    sequence (seeding a generator from it leaves it unchanged).
+def _split_seeds(seed: int, n_trees: int) -> tuple:
+    """Each tree's split-generator seed sequence (seeding a generator from it
+    leaves it unchanged, and is cheaper than seeding from the int)."""
+    return tuple(np.random.SeedSequence(derive_seed(derive_seed(seed, "tree", t), "splits"))
+                 for t in range(n_trees))
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(seed: int, n_trees: int, n: int, bootstrap: bool) -> np.ndarray:
+    """(n_trees, n) read-only root row multiplicities, one row per tree.
 
     They depend on these four values only, so a forest refit on another
     training matrix of the same size (another feature mask or threshold of
     one fold) reuses them.
     """
-    roots, split_seeds = [], []
-    for t in range(n_trees):
-        tree_seed = derive_seed(seed, "tree", t)
-        if bootstrap:
-            rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
-            root = np.bincount(rows, minlength=n)
-        else:
-            root = np.ones(n, dtype=np.int64)
-        root.flags.writeable = False
-        roots.append(root)
-        split_seeds.append(np.random.SeedSequence(derive_seed(tree_seed, "splits")))
-    return tuple(roots), tuple(split_seeds)
+    if bootstrap:
+        roots = np.stack([
+            np.bincount(np.random.default_rng(derive_seed(seed, "tree", t))
+                        .integers(0, n, size=n), minlength=n)
+            for t in range(n_trees)])
+    else:
+        roots = np.ones((n_trees, n), dtype=np.int64)
+    roots.flags.writeable = False
+    return roots
 
 
 class DecisionTreeClassifier:
@@ -214,8 +295,8 @@ class DecisionTreeClassifier:
     def fit(self, X, y):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        self._trees = _grow(X, y, [np.ones(X.shape[0], dtype=np.int64)], [None],
-                            None, self.max_depth, self.min_leaf)
+        self._trees = _grow(X, y, np.ones((1, X.shape[0]), dtype=np.int64), None,
+                            self.max_depth, self.min_leaf)
         return self
 
     def predict(self, X):
@@ -243,10 +324,9 @@ class RandomForestClassifier:
             per_split = math.ceil(math.sqrt(d))
         else:
             per_split = min(int(self.max_features), d)
-        roots, split_seeds = _draws(self.seed, self.n_trees, n, bool(self.bootstrap))
-        rngs = [np.random.Generator(np.random.PCG64(s)) for s in split_seeds]
-        self._trees = _grow(X, y, roots, rngs, per_split, self.max_depth,
-                            self.min_leaf)
+        draws = _draws(self.seed, self.n_trees, d, per_split) if per_split < d else None
+        self._trees = _grow(X, y, _roots(self.seed, self.n_trees, n, bool(self.bootstrap)),
+                            draws, self.max_depth, self.min_leaf)
         return self
 
     def predict(self, X):

@@ -27,6 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
+from newsnet.centrality import DAMPING, MAX_ITER, TOLERANCE
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
@@ -527,6 +528,61 @@ def python_brandes(nodes, out_neighbors) -> dict:
             if w != s:
                 bc[w] += delta[w]
     return bc
+
+
+def python_pagerank(nodes, out_neighbors) -> dict:
+    """The dict power iteration that `centrality._pagerank` replaced."""
+    n = len(nodes)
+    succ = {v: sorted(out_neighbors[v]) for v in nodes}
+    ranks = {v: 1.0 / n for v in nodes}
+    out_deg = {v: len(succ[v]) for v in nodes}
+    dangling = [v for v in nodes if out_deg[v] == 0]
+    for _ in range(MAX_ITER):
+        dangling_mass = sum(ranks[v] for v in dangling)
+        base = (1.0 - DAMPING) / n + DAMPING * dangling_mass / n
+        new = {v: base for v in nodes}
+        for u in nodes:
+            if out_deg[u]:
+                share = DAMPING * ranks[u] / out_deg[u]
+                for v in succ[u]:
+                    new[v] += share
+        residual = sum(abs(new[v] - ranks[v]) for v in nodes)
+        ranks = new
+        if residual < TOLERANCE:
+            break
+    return ranks
+
+
+def python_hits(nodes, out_neighbors, in_neighbors) -> tuple:
+    """The dict (hubs, authorities) iteration that `centrality._hits` replaced."""
+    n = len(nodes)
+    succ = {v: sorted(out_neighbors[v]) for v in nodes}
+    preds = {v: sorted(in_neighbors[v]) for v in nodes}
+    if not any(succ[v] for v in nodes):
+        zeros = {v: 0.0 for v in nodes}
+        return dict(zeros), dict(zeros)
+    norm0 = n ** 0.5
+    hubs = {v: 1.0 / norm0 for v in nodes}
+    auths = {v: 1.0 / norm0 for v in nodes}
+    for _ in range(MAX_ITER):
+        new_a = {v: sum(hubs[u] for u in preds[v]) for v in nodes}
+        norm = sum(x * x for x in new_a.values()) ** 0.5
+        if norm == 0.0:
+            new_a = {v: 0.0 for v in nodes}
+        else:
+            new_a = {v: x / norm for v, x in new_a.items()}
+        new_h = {v: sum(new_a[w] for w in succ[v]) for v in nodes}
+        norm = sum(x * x for x in new_h.values()) ** 0.5
+        if norm == 0.0:
+            new_h = {v: 0.0 for v in nodes}
+        else:
+            new_h = {v: x / norm for v, x in new_h.items()}
+        residual = sum(abs(new_a[v] - auths[v]) for v in nodes)
+        residual += sum(abs(new_h[v] - hubs[v]) for v in nodes)
+        auths, hubs = new_a, new_h
+        if residual < TOLERANCE:
+            break
+    return hubs, auths
 
 
 def similarity_features(target: DiffusionNetwork, training_fake, training_true,

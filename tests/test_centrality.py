@@ -1,4 +1,6 @@
 import math
+import platform
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,33 @@ from newsnet.corpus import SocialGraph
 from newsnet.synth import SyntheticSpec, generate
 
 from oracles import (dense_betweenness, dense_closeness, dense_hits_authority,
-                     python_brandes, python_closeness, random_corpus)
+                     python_brandes, python_closeness, python_hits, python_pagerank,
+                     random_corpus)
+
+# The PageRank and HITS oracles add with Python's `sum`. CPython 3.11 adds
+# floats one at a time, the order the array code reproduces; 3.12 and later
+# compensate the float `sum`, so there those three are compared within 1e-12.
+PLAIN_FLOAT_SUM = (platform.python_implementation() == "CPython"
+                   and sys.version_info[:2] == (3, 11))
 
 
 def assert_equals_python_oracles(graph):
-    """Betweenness and closeness equal the pure-Python loops bit for bit."""
+    """Every measure equals the pure-Python loops bit for bit."""
     nodes = graph.sorted_nodes()
     scores = centralities(graph)
     assert scores.of("betweenness") == python_brandes(nodes, graph.out_neighbors)
     assert scores.of("out_closeness") == python_closeness(nodes, graph.out_neighbors)
     assert scores.of("in_closeness") == python_closeness(nodes, graph.in_neighbors)
+    assert scores.of("out_degree") == {v: float(len(graph.out_neighbors[v])) for v in nodes}
+    assert scores.of("in_degree") == {v: float(len(graph.in_neighbors[v])) for v in nodes}
+    hubs, auths = python_hits(nodes, graph.out_neighbors, graph.in_neighbors)
+    for measure, oracle in (("pagerank", python_pagerank(nodes, graph.out_neighbors)),
+                            ("hub", hubs), ("authority", auths)):
+        assert list(scores.of(measure)) == nodes
+        if PLAIN_FLOAT_SUM:
+            assert scores.of(measure) == oracle
+        else:
+            assert scores.of(measure) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
 def test_three_cycle_symmetry():
@@ -141,10 +160,13 @@ def _diamonds(n_blocks, width):
     SocialGraph.from_edges([("a", "b"), ("b", "a"), ("b", "c"),
                             ("x", "y"), ("y", "z"), ("z", "x")]),
     SocialGraph.from_edges([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "lone"]),
+    SocialGraph.from_edges([], nodes=["a", "b", "c", "d"]),
+    SocialGraph.from_edges([("a", "s"), ("b", "s"), ("c", "t"), ("s", "t")],
+                           nodes=["a", "b", "c", "s", "t", "u"]),
     _grid(5, 4),
     _diamonds(4, 3),
 ], ids=["path", "star", "three_cycle", "two_components", "isolated_node",
-        "grid", "diamonds"])
+        "edgeless_all_dangling", "into_sinks", "grid", "diamonds"])
 def test_equals_python_oracles_on_small_shapes(graph):
     assert_equals_python_oracles(graph)
 

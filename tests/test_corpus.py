@@ -115,6 +115,38 @@ def test_round_trip(tmp_path):
     assert table2.labels == table.labels
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_property_save_then_load_is_the_identity(tmp_path, seed):
+    graph, table = random_corpus(seed)
+    paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")
+    endpoints = {user for edge in graph.edges for user in edge}
+    stranded = [(news, user) for news in table.news_ids()
+                for user in sorted(table.counts[news]) if user not in endpoints]
+    if stranded:
+        news, user = stranded[0]
+        with pytest.raises(CorpusError, match=f"spreader '{user}' of news '{news}'"):
+            save_corpus(graph, table, *paths)
+        assert not any(path.exists() for path in paths)
+        return
+    save_corpus(graph, table, *paths)
+    graph2, table2 = load_corpus(*paths)
+    assert graph2.edges == graph.edges
+    assert graph2.nodes == endpoints
+    assert table2.counts == table.counts
+    assert table2.labels == table.labels
+
+
+def test_save_rejects_a_spreader_without_follow_edges(tmp_path):
+    graph = SocialGraph.from_edges([("u1", "u2")], nodes=["u1", "u2", "u3", "u4"])
+    table = EngagementTable.from_records(
+        {("n1", "u1"): 1, ("n2", "u4"): 2, ("n2", "u3"): 1},
+        {"n1": "fake", "n2": "true"})
+    paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")
+    with pytest.raises(CorpusError, match="spreader 'u3' of news 'n2' has no follow edge"):
+        save_corpus(graph, table, *paths)
+    assert not any(path.exists() for path in paths)
+
+
 def test_synthetic_round_trip_exact(tmp_path):
     corpus = generate(SyntheticSpec(n_users=40, news_per_class=5, seed=3))
     write_corpus(corpus, tmp_path)

@@ -7,13 +7,14 @@ predictions and the same `predict` output.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsnet.experiments import DEFAULT_SWEEP_SUBSETS, SUBSET_BY_NAME
 from newsnet.features import extract_matrix, pattern_mask
 from newsnet.ml.crossval import encode_labels, fit_classifier, stratified_folds
-from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier, _draws
+from newsnet.ml.forest import (DecisionTreeClassifier, RandomForestClassifier, _draws,
+                               _roots)
 from newsnet.util import derive_seed
 
 from oracles import ReferenceDecisionTree, ReferenceRandomForest, _Leaf
@@ -97,18 +98,74 @@ def test_forest_equals_reference(kind, case, seed):
 
 
 def test_cached_draws_are_read_only_and_reused():
-    # a refit of the same size (another mask or threshold of one fold) takes
-    # the cached draws, and still grows the reference forest from fresh
-    # split generators
-    X, y, X_new = random_matrix(5, "continuous")
-    RandomForestClassifier(n_trees=12, seed=4).fit(X[:, ::-1], y)
-    roots, split_seeds = _draws(4, 12, len(y), True)
-    assert _draws(4, 12, len(y), True)[0] is roots
-    assert not any(root.flags.writeable for root in roots)
-    assert len(split_seeds) == 12
+    # a refit of the same shape (another mask or threshold of one fold) reads
+    # the cached draws, extends them only past what earlier fits drew, and
+    # still grows the reference forest
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(30, 6)), rng.integers(0, 2, size=30)
+    RandomForestClassifier(n_trees=12, seed=4, max_depth=1).fit(X[:, ::-1], y)
+    draws = _draws(4, 12, 6, 3)
+    assert _draws(4, 12, 6, 3) is draws
+    assert _roots(4, 12, 30, True) is _roots(4, 12, 30, True)
+    for array in (draws.stream, _roots(4, 12, 30, True)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1
+    before, filled = draws.stream.copy(), list(draws.filled)
     fast = RandomForestClassifier(n_trees=12, seed=4).fit(X, y)
-    assert_same_forest(fast, ReferenceRandomForest(n_trees=12, seed=4).fit(X, y),
-                       np.vstack([X, X_new]))
+    assert_same_forest(fast, ReferenceRandomForest(n_trees=12, seed=4).fit(X, y), X)
+    assert not draws.stream.flags.writeable
+    for t in range(12):
+        assert draws.filled[t] >= filled[t]
+        assert np.array_equal(draws.stream[t, :filled[t]], before[t, :filled[t]])
+        split_rng = np.random.default_rng(derive_seed(derive_seed(4, "tree", t), "splits"))
+        fresh = [np.sort(split_rng.choice(6, size=3, replace=False))
+                 for _ in range(draws.filled[t])]
+        assert np.array_equal(draws.stream[t, :draws.filled[t]], np.reshape(fresh, (-1, 3)))
+
+
+def test_refit_of_a_seen_shape_makes_no_generator(monkeypatch):
+    rng = np.random.default_rng(6)
+    X, y = rng.normal(size=(40, 9)), rng.integers(0, 2, size=40)
+    made = []
+
+    def counting(real):
+        def make(*args, **kwargs):
+            made.append(real)
+            return real(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(np.random, "Generator", counting(np.random.Generator))
+    monkeypatch.setattr(np.random, "default_rng", counting(np.random.default_rng))
+    seed = 987654321
+    RandomForestClassifier(n_trees=20, seed=seed).fit(X, y)
+    assert made  # the first fit of a shape makes the bootstrap and split generators
+    made.clear()
+    # the same rows per tree at depth <= 1 need no draw the first fit lacked
+    for X_refit, depth in ((X.copy(), None), (X[:, ::-1], 1), (X * 2.0, 1)):
+        params = dict(n_trees=20, seed=seed, max_depth=depth)
+        fast = RandomForestClassifier(**params).fit(X_refit, y)
+        assert made == []
+        assert_same_forest(fast, ReferenceRandomForest(**params).fit(X_refit, y), X)
+        made.clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(8, 30), st.integers(2, 7), st.data())
+def test_property_refits_equal_the_reference(seed, n, d, data):
+    # shallow, deep, shallow again: the deep fit extends the cached streams
+    # the first one made, the third reads them; then any further depths
+    k = data.draw(st.integers(1, d - 1))
+    depths = [1, None, 1] + data.draw(
+        st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=3))
+    rng = np.random.default_rng(seed)
+    for depth in depths:
+        X = rng.normal(size=(n, d)).round(1)  # ties across rows
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        params = dict(n_trees=4, max_features=k, max_depth=depth, seed=seed)
+        fast = RandomForestClassifier(**params).fit(X, y)
+        assert_same_forest(fast, ReferenceRandomForest(**params).fit(X, y), X)
 
 
 @pytest.mark.parametrize("kind", KINDS)
