@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError, SocialGraph
+from .corpus import CorpusError, SocialGraph, csr_rows
+from .util import left_sum
 
 MEASURES = (
     "in_degree",
@@ -59,15 +60,6 @@ def _csr(rows, cols, n) -> tuple:
     return indptr, cols[np.lexsort((cols, rows))]
 
 
-def _rows(frontier, csr) -> tuple:
-    """The frontier's CSR rows concatenated in frontier order: (row, entry) pairs."""
-    indptr, indices = csr
-    starts = indptr[frontier]
-    lens = indptr[frontier + 1] - starts
-    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return np.repeat(frontier, lens), indices[offsets + np.arange(offsets.size)]
-
-
 def _shortest_paths(n, out_csr, in_csr) -> tuple:
     """Brandes (2001) betweenness and closeness sums from one BFS per source.
 
@@ -97,7 +89,7 @@ def _shortest_paths(n, out_csr, in_csr) -> tuple:
         sigma[s] = 1.0
         levels = [np.array([s])]
         while True:
-            u, w = _rows(levels[-1], out_csr)
+            u, w = csr_rows(levels[-1], out_csr)
             fresh = dist[w] < 0
             u, w = u[fresh], w[fresh]
             if not w.size:
@@ -111,7 +103,7 @@ def _shortest_paths(n, out_csr, in_csr) -> tuple:
             levels.append(level)
         delta = np.zeros(n)
         for d in range(len(levels) - 1, 0, -1):
-            w, u = _rows(levels[d][::-1], in_csr)
+            w, u = csr_rows(levels[d][::-1], in_csr)
             pred = dist[u] == d - 1
             u, w = u[pred], w[pred]
             np.add.at(delta, u, sigma[u] / sigma[w] * (1.0 + delta[w]))
@@ -123,11 +115,6 @@ def _shortest_paths(n, out_csr, in_csr) -> tuple:
         in_reach += reached
         in_total += np.maximum(dist, 0)
     return bc, (out_reach, out_total), (in_reach, in_total)
-
-
-def _total(values) -> float:
-    """Python's left-to-right float `sum` of a 1-D array (0.0 when empty)."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def _spread(out, targets, values) -> np.ndarray:
@@ -142,9 +129,9 @@ def _pagerank(n, src, dst) -> np.ndarray:
     dangling = np.flatnonzero(out_deg == 0)
     ranks = np.full(n, 1.0 / n)
     for _ in range(MAX_ITER):
-        base = (1.0 - DAMPING) / n + DAMPING * _total(ranks[dangling]) / n
+        base = (1.0 - DAMPING) / n + DAMPING * left_sum(ranks[dangling]) / n
         new = _spread(np.full(n, base), dst, DAMPING * ranks[src] / out_deg[src])
-        residual = _total(np.abs(new - ranks))
+        residual = left_sum(np.abs(new - ranks))
         ranks = new
         if residual < TOLERANCE:
             break
@@ -153,7 +140,7 @@ def _pagerank(n, src, dst) -> np.ndarray:
 
 def _unit(values) -> np.ndarray:
     """values over their L2 norm (Python's `** 0.5`), zeros when it is 0."""
-    norm = _total(values * values) ** 0.5
+    norm = left_sum(values * values) ** 0.5
     return values / norm if norm != 0.0 else np.zeros_like(values)
 
 
@@ -165,8 +152,8 @@ def _hits(n, src, dst) -> tuple:
     for _ in range(MAX_ITER):
         new_a = _unit(_spread(np.zeros(n), dst, hubs[src]))
         new_h = _unit(_spread(np.zeros(n), src, new_a[dst]))
-        residual = _total(np.abs(new_a - auths))
-        residual += _total(np.abs(new_h - hubs))
+        residual = left_sum(np.abs(new_a - auths))
+        residual += left_sum(np.abs(new_h - hubs))
         auths, hubs = new_a, new_h
         if residual < TOLERANCE:
             break
@@ -174,24 +161,17 @@ def _hits(n, src, dst) -> tuple:
 
 
 def centralities(graph: SocialGraph) -> CentralityScores:
-    if not graph.nodes:
+    n = graph.n_nodes
+    if not n:
         raise CorpusError("centralities require a nonempty graph")
-    nodes = graph.sorted_nodes()
-    index = {v: i for i, v in enumerate(nodes)}
-    pairs = np.array([(index[u], index[v]) for u, v in graph.edges],
-                     dtype=np.int64).reshape(-1, 2)
-    src, dst = pairs[:, 0], pairs[:, 1]
-    n = len(nodes)
-    out_csr = _csr(src, dst, n)
-    bc, (out_reach, out_total), (in_reach, in_total) = _shortest_paths(
-        n, out_csr, _csr(dst, src, n))
     # every edge in out-CSR order: the order the power iterations add in
-    src = np.repeat(np.arange(n), np.diff(out_csr[0]))
-    dst = out_csr[1]
+    src, dst = graph.sources(), graph.indices
+    bc, (out_reach, out_total), (in_reach, in_total) = _shortest_paths(
+        n, (graph.indptr, dst), _csr(dst, src, n))
     hubs, auths = _hits(n, src, dst)
 
     def by_node(values) -> dict:
-        return dict(zip(nodes, values.tolist()))
+        return dict(zip(graph.users, values.tolist()))
 
     # total is 0 exactly when reach is, so dividing by max(total, 1) gives 0.0
     return CentralityScores(scores={

@@ -11,6 +11,17 @@ User and news ids are opaque strings. Validation is total: any malformed
 input raises CorpusError (with file and line number) instead of producing a
 partially constructed corpus. Duplicate follow edges and self-loops are
 dropped, counted, and logged rather than raised.
+
+The follow graph is held as integers. While `load_corpus` streams
+edges.csv it numbers each user id on first sight and appends the two
+numbers of every edge to int arrays; no set of id pairs is ever built. At
+the end the users are renumbered by sorted id (a user's rank), and the
+edges, deduplicated by one sort of their keys, become an out-CSR
+of ranks (`SocialGraph`). Rank order is sorted-id order, so every loop over
+sorted ids or sorted id pairs sees the same order over ranks, and the
+features computed from ranks are the ones computed from ids. User ids stay
+strings at the I/O boundary: in `SocialGraph.users`, the engagement table
+and the files `save_corpus` writes.
 """
 
 from __future__ import annotations
@@ -18,8 +29,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+
+from .util import distinct, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -40,52 +57,118 @@ class CorpusError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SocialGraph:
-    """Directed follow network shared by every news story (A -> B: A follows B)."""
+    """Directed follow network shared by every news story (A -> B: A follows B).
 
-    nodes: frozenset
-    edges: frozenset
-    out_neighbors: dict
-    in_neighbors: dict
+    `users` holds every user id in sorted order, and a user's rank is its
+    index there. The edges are an out-CSR over ranks: the users that the user
+    of rank r follows are `indices[indptr[r]:indptr[r + 1]]`, ascending, so
+    the edges in CSR order are the (follower, followee) id pairs in sorted
+    order.
+    """
+
+    users: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_edges(cls, edges, nodes=None) -> "SocialGraph":
-        """Build a simple directed graph; nodes default to the edge endpoints."""
-        edge_set = set()
+        """Build a simple directed graph from (follower, followee) id pairs.
+
+        Nodes default to the edge endpoints; duplicate pairs collapse.
+        """
+        ids: dict = {}
+        for v in nodes if nodes is not None else ():
+            ids.setdefault(v, len(ids))
+        src, dst = array("q"), array("q")
+        stray = None
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop edge on {u!r}")
-            edge_set.add((u, v))
-        node_set = set(nodes) if nodes is not None else set()
-        for u, v in edge_set:
-            if nodes is None:
-                node_set.add(u)
-                node_set.add(v)
-            elif u not in node_set or v not in node_set:
-                raise ValueError(f"edge endpoint not a declared node: ({u!r}, {v!r})")
-        out_nbrs = {n: set() for n in node_set}
-        in_nbrs = {n: set() for n in node_set}
-        for u, v in edge_set:
-            out_nbrs[u].add(v)
-            in_nbrs[v].add(u)
-        return cls(
-            nodes=frozenset(node_set),
-            edges=frozenset(edge_set),
-            out_neighbors={n: frozenset(s) for n, s in out_nbrs.items()},
-            in_neighbors={n: frozenset(s) for n, s in in_nbrs.items()},
-        )
+            if nodes is not None and (u not in ids or v not in ids):
+                stray = stray or (u, v)
+                continue
+            src.append(ids.setdefault(u, len(ids)))
+            dst.append(ids.setdefault(v, len(ids)))
+        if stray is not None:
+            raise ValueError(f"edge endpoint not a declared node: {stray!r}")
+        return _intern(ids, src, dst)[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SocialGraph):
+            return NotImplemented
+        return (self.users == other.users and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.users)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.indices.size
 
-    def sorted_nodes(self) -> list:
-        return sorted(self.nodes)
+    def sources(self) -> np.ndarray:
+        """The follower rank of every edge, in CSR order."""
+        return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+
+    def ranks(self, users) -> dict:
+        """{user: rank} for each of `users` that is a node of the graph."""
+        out = {}
+        for user in users:
+            i = bisect_left(self.users, user)
+            if i < len(self.users) and self.users[i] == user:
+                out[user] = i
+        return out
+
+    def follows(self, pairs) -> np.ndarray:
+        """For each of a list of (follower, followee) id pairs, whether it is an edge.
+
+        Binary search over the edge keys `follower * n + followee`, which
+        CSR order lists ascending.
+        """
+        rank = self.ranks({user for pair in pairs for user in pair})
+        src = np.array([rank.get(u, -1) for u, _ in pairs], dtype=np.int64)
+        dst = np.array([rank.get(v, -1) for _, v in pairs], dtype=np.int64)
+        known = (src >= 0) & (dst >= 0)
+        n = self.n_nodes
+        # n * n exceeds every key, so each search lands on an entry
+        keys = np.append(self.sources() * n + self.indices, n * n)
+        wanted = src[known] * n + dst[known]
+        known[known] = keys[np.searchsorted(keys, wanted)] == wanted
+        return known
+
+
+def _intern(ids: dict, src, dst) -> tuple:
+    """The graph of the edges (src[i], dst[i]), and how many duplicates it dropped.
+
+    `ids` maps each user id to its number in `src`/`dst` (first-seen order);
+    the graph renumbers users by sorted id.
+    """
+    first_seen = list(ids)
+    order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    n = len(order)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    keys = rank[np.frombuffer(src, dtype=np.int64)] * n
+    keys += rank[np.frombuffer(dst, dtype=np.int64)]
+    unique = distinct(keys)
+    followers, followees = np.divmod(unique, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(followers, minlength=n), out=indptr[1:])
+    graph = SocialGraph(users=tuple(first_seen[k] for k in order), indptr=indptr,
+                        indices=followees)
+    return graph, keys.size - unique.size
+
+
+def csr_rows(frontier, csr) -> tuple:
+    """The frontier's CSR rows concatenated in frontier order: (row, entry) pairs."""
+    indptr, indices = csr
+    starts = indptr[frontier]
+    lens = indptr[frontier + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return np.repeat(frontier, lens), indices[offsets + np.arange(offsets.size)]
 
 
 @dataclass(frozen=True)
@@ -195,22 +278,20 @@ def load_corpus(edges_path, engagements_path, labels_path):
     engage_name = Path(engagements_path).name
     labels_name = Path(labels_path).name
 
-    edge_set = set()
+    ids: dict = {}  # user id -> first-seen number
+    src, dst = array("q"), array("q")
     n_self_loops = 0
-    n_duplicates = 0
     for _lineno, (follower, followee) in _read_rows(edges_path, ("follower", "followee")):
         if follower == followee:
             n_self_loops += 1
             continue
-        if (follower, followee) in edge_set:
-            n_duplicates += 1
-            continue
-        edge_set.add((follower, followee))
+        src.append(ids.setdefault(follower, len(ids)))
+        dst.append(ids.setdefault(followee, len(ids)))
+    graph, n_duplicates = _intern(ids, src, dst)
     if n_self_loops:
         log.warning("%s: dropped %d self-loop edge(s)", edges_name, n_self_loops)
     if n_duplicates:
         log.warning("%s: dropped %d duplicate edge(s)", edges_name, n_duplicates)
-    graph = SocialGraph.from_edges(edge_set)
 
     labels: dict = {}
     for lineno, (news, label) in _read_rows(labels_path, ("news_id", "label")):
@@ -236,7 +317,7 @@ def load_corpus(edges_path, engagements_path, labels_path):
         if news not in labels:
             raise CorpusError(f"engagement references unlabeled news {news!r}",
                               file=engage_name, line=lineno)
-        if user not in graph.nodes:
+        if user not in ids:
             raise CorpusError(f"engagement references unknown user {user!r}",
                               file=engage_name, line=lineno)
         key = (news, user)
@@ -257,17 +338,20 @@ def save_corpus(graph: SocialGraph, table: EngagementTable,
     order) before any file is written, since `load_corpus` would reject its
     engagement.
     """
-    from .util import write_csv
-
-    endpoints = {user for edge in graph.edges for user in edge}
+    linked = np.zeros(graph.n_nodes, dtype=bool)
+    linked[graph.sources()] = linked[graph.indices] = True
+    rank = graph.ranks({user for by_user in table.counts.values() for user in by_user})
     rows = []
     for news in table.news_ids():
         for user in sorted(table.counts[news]):
-            if user not in endpoints:
+            if user not in rank or not linked[rank[user]]:
                 raise CorpusError(f"spreader {user!r} of news {news!r} has no follow "
                                   f"edge, so the saved corpus would not load")
             rows.append((news, user, table.counts[news][user]))
-    write_csv(edges_path, ("follower", "followee"), sorted(graph.edges))
+    users = graph.users
+    write_csv(edges_path, ("follower", "followee"),
+              ((users[u], users[v]) for u, v in zip(graph.sources().tolist(),
+                                                    graph.indices.tolist())))
     write_csv(engagements_path, ("news_id", "user_id", "count"), rows)
     write_csv(labels_path, ("news_id", "label"),
               [(news, table.labels[news]) for news in table.news_ids()])

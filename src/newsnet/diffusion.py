@@ -11,7 +11,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .corpus import EngagementTable, SocialGraph
+import numpy as np
+
+from .corpus import EngagementTable, SocialGraph, csr_rows
 
 SUBSAMPLE_MODES = ("nodes", "edges")
 
@@ -42,11 +44,12 @@ def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> Diffus
         raise KeyError(f"unknown news id {news_id!r}")
     counts = dict(table.spreaders(news_id))
     spreaders = frozenset(counts)
-    edges = set()
-    for u in spreaders:
-        for v in graph.out_neighbors.get(u, ()):
-            if v in spreaders:
-                edges.add((u, v))
+    # each spreader's CSR row, kept where the followee spreads the news too
+    ranks = np.array(sorted(graph.ranks(counts).values()), dtype=np.int64)
+    src, dst = csr_rows(ranks, (graph.indptr, graph.indices))
+    kept = np.isin(dst, ranks)
+    users = graph.users
+    edges = [(users[u], users[v]) for u, v in zip(src[kept].tolist(), dst[kept].tolist())]
     return DiffusionNetwork(
         news_id=news_id,
         label=table.label(news_id),

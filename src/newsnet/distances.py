@@ -102,11 +102,15 @@ def flow_matrix(graph: SocialGraph, networks, definition: str) -> FlowMatrix:
     """Aggregate edge flows over a collection of diffusion networks."""
     if definition not in FLOW_DEFINITIONS:
         raise ValueError(f"definition must be one of {FLOW_DEFINITIONS}, got {definition!r}")
+    per_network = [(net, sorted(net.edges)) for net in networks]
+    edges = [edge for _, net_edges in per_network for edge in net_edges]
+    followed = graph.follows(edges)
+    if not followed.all():
+        edge = edges[int(np.argmin(followed))]
+        raise ValueError(f"network edge {edge!r} not in the social graph")
     flows: dict = {}
-    for net in networks:
-        for edge in sorted(net.edges):
-            if edge not in graph.edges:
-                raise ValueError(f"network edge {edge!r} not in the social graph")
+    for net, net_edges in per_network:
+        for edge in net_edges:
             if definition == SHARED_NEWS:
                 add = 1.0
             else:

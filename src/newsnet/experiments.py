@@ -25,7 +25,7 @@ from .features import (FARTHER_DISTANCE, DENSER_NETWORKS, FEATURE_REGISTRY,
                        FeatureExtractor, FeatureMatrix, pattern_mask)
 from .diffusion import SUBSAMPLE_MODES, subsample
 from .ml.crossval import check_params, cross_validate, evaluate_masks
-from .util import derive_seed
+from .util import derive_seed, left_sum
 
 
 class ConfigError(ValueError):
@@ -175,7 +175,7 @@ class ExperimentConfig:
 
 
 def _mean(values) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def run_ablation(extractor: FeatureExtractor, config: ExperimentConfig):

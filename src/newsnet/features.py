@@ -64,8 +64,8 @@ from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matri
 from .louvain import global_communities, local_communities
 from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, UNKNOWN
 from .triads import TRIAD_CLASSES, Triangles, census, enumerate_triangles
-from .util import derive_seed, median, safe_ratio, write_csv
-from .wl import SimilarityIndex, WLNetworks
+from .util import derive_seed, distinct, left_sum, median, safe_ratio, write_csv
+from .wl import SimilarityIndex, normalized_gram
 
 MORE_SPREADERS = "more_spreaders"
 FARTHER_DISTANCE = "farther_distance"
@@ -204,18 +204,26 @@ class FeatureMatrix:
 class NodeTable:
     """A corpus's diffusion networks as node, edge and triangle arrays.
 
-    Networks are numbered in sorted news order (`order`), nodes in sorted
-    order within a network and networks one after another, as in
-    `wl.WLNetworks`. Node k is user `users[user[k]]` (`users` holds the
+    Networks are numbered in sorted news order (`order`, with their labels
+    in `labels`), nodes in sorted order within a network and networks one
+    after another. Node k is user `users[user[k]]` (`users` holds the
     distinct spreaders, sorted), lies in network `network[k]` at position
     `position[k]` and spread it `count[k]` times. Edge j runs from node
     `source[j]` to node `target[j]` in network `edge_network[j]`; the
     oriented triangles come from each network's TriangleIndex.
+    `neighbours[k]` lists the nodes adjacent to node k in either direction,
+    ascending, for WL refinement over h iterations; the identity-labelled
+    WL Gram matrix depends on the networks and h only and is built on first
+    use.
     """
 
-    def __init__(self, networks: dict, triangle_index):
+    def __init__(self, networks: dict, triangle_index, h: int = 3):
+        if h < 0:
+            raise ValueError("h must be >= 0")
+        self.h = h
         self.order = sorted(networks)
         nets = [networks[news] for news in self.order]
+        self.labels = [net.label for net in nets]
         self.users = sorted(set().union(*(net.nodes for net in nets)))
         intern = {v: i for i, v in enumerate(self.users)}
         user, count, sizes, totals = [], [], [], []
@@ -250,6 +258,16 @@ class NodeTable:
         self.triangles = Triangles(np.array(tri_network, dtype=np.int64),
                                    np.array(cyclic, dtype=bool),
                                    np.array(roles, dtype=np.int64).reshape(-1, 3), n)
+        size = max(len(user), 1)
+        rows, cols = np.divmod(distinct(np.concatenate(
+            [self.source * size + self.target, self.target * size + self.source])), size)
+        bounds = np.cumsum(np.bincount(rows, minlength=len(user))).tolist()
+        flat = cols.tolist()
+        self.neighbours = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
+
+    @cached_property
+    def identity_gram(self) -> np.ndarray:
+        return normalized_gram(self, self.user.tolist())
 
 
 def _per_network(network, key, width: int, n: int, weights=None) -> np.ndarray:
@@ -333,10 +351,10 @@ class FeatureExtractor:
     """Feature assembly over one corpus.
 
     Label-independent inputs (centralities, flow matrices, communities,
-    triangle enumeration, distance statistics, the node table, the WL node
-    table and its identity-labelled Gram matrix) are computed once and
-    cached; susceptibility-dependent features are recomputed for every
-    training fold and threshold. The flow matrices are built here from the
+    triangle enumeration, distance statistics, the node table and its
+    identity-labelled WL Gram matrix) are computed once and cached;
+    susceptibility-dependent features are recomputed for every training
+    fold and threshold. The flow matrices are built here from the
     graph and the networks: they encode which news stories an edge appears
     in, so they change with the networks.
     """
@@ -377,14 +395,9 @@ class FeatureExtractor:
     # ---- label-independent block ----
 
     @cached_property
-    def wl_networks(self) -> WLNetworks:
-        """The networks' undirected adjacency over one node numbering."""
-        return WLNetworks(self.networks, self.h)
-
-    @cached_property
     def node_table(self) -> NodeTable:
         """The networks' nodes, edges and triangles over one node numbering."""
-        return NodeTable(self.networks, self.triangle_index)
+        return NodeTable(self.networks, self.triangle_index, self.h)
 
     def _static_features(self, news_id) -> dict:
         if news_id in self._static:
@@ -398,7 +411,7 @@ class FeatureExtractor:
         influence = {measure: [self.centralities.of(measure)[v] for v in nodes]
                      for measure in MEASURES}
         for measure in MEASURES:
-            out[f"mean_{measure}"] = sum(influence[measure]) / n if n else 0.0
+            out[f"mean_{measure}"] = left_sum(influence[measure]) / n if n else 0.0
         for measure in MEASURES:
             out[f"median_{measure}"] = median(influence[measure])
 
@@ -471,7 +484,7 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
     table = extractor.node_table
     vectors = {method: models[method].classify_all(table.users) for method in METHODS}
     classes = vectors[BY_NEWS][1][table.user].tolist()
-    sim_index = SimilarityIndex(extractor.wl_networks, training_news, classes)
+    sim_index = SimilarityIndex(table, training_news, classes)
     dynamic = dynamic_features(table, vectors)
     X = np.array([extract(extractor.networks[news], dynamic[t], extractor,
                           sim_index.features(news))

@@ -21,7 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .util import derive_seed
+import numpy as np
+
+from .util import derive_seed, distinct, left_sum
 
 MIN_GAIN = 1e-7
 
@@ -61,7 +63,8 @@ class _Level:
                 self.adj[u][v] = self.adj[u].get(v, 0.0) + w
                 self.adj[v][u] = self.adj[v].get(u, 0.0) + w
         self.m = m
-        self.k = [sum(self.adj[i].values()) + 2.0 * self.self_w[i] for i in range(n)]
+        self.k = [left_sum(list(self.adj[i].values())) + 2.0 * self.self_w[i]
+                  for i in range(n)]
         self.com = list(range(n))
         self.com_tot = list(self.k)
         self.com_in = list(self.self_w)
@@ -188,7 +191,18 @@ def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
 
 
 def global_communities(graph, seed: int) -> CommunityAssignment:
-    return louvain(graph.nodes, symmetrize(graph.edges), seed)
+    """Louvain over the follow graph's ranks, keyed back to user ids.
+
+    The CSR's edges are symmetrized as rank pairs in ascending order. Rank
+    order is sorted-id order, so the seeded shuffle and the relabelling are
+    those of `louvain` over the ids and `symmetrize`d id pairs.
+    """
+    n = graph.n_nodes
+    src, dst = graph.sources(), graph.indices
+    pairs = distinct(np.minimum(src, dst) * n + np.maximum(src, dst))
+    lows, highs = np.divmod(pairs, max(n, 1))
+    ranked = louvain(range(n), zip(lows.tolist(), highs.tolist(), [1.0] * pairs.size), seed)
+    return CommunityAssignment(dict(zip(graph.users, ranked.communities.values())))
 
 
 def local_communities(network, seed: int) -> CommunityAssignment:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..corpus import FAKE, CorpusError
 from ..features import FeatureExtractor, N_FEATURES, extract_matrix
-from ..util import derive_seed
+from ..util import derive_seed, left_sum
 from .baselines import GaussianNBClassifier, KNNClassifier
 from .forest import DecisionTreeClassifier, RandomForestClassifier
 
@@ -113,11 +113,11 @@ class EvalReport:
 
     @property
     def accuracy(self) -> float:
-        return sum(self.fold_accuracy) / len(self.fold_accuracy)
+        return left_sum(self.fold_accuracy) / len(self.fold_accuracy)
 
     @property
     def f1(self) -> float:
-        return sum(self.fold_f1) / len(self.fold_f1)
+        return left_sum(self.fold_f1) / len(self.fold_f1)
 
     def to_dict(self) -> dict:
         return {

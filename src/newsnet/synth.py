@@ -79,27 +79,30 @@ class SyntheticCorpus:
     truth: dict
 
 
-def _draw_edges(spec: SyntheticSpec, rng, users, pool):
+def _draw_graph(spec: SyntheticSpec, rng, users, pool) -> SocialGraph:
+    """One coin per ordered pair (u, v), u != v, in row-major order.
+
+    The coins are drawn one row at a time: a Generator gives one double per
+    draw, so the rows are the coins one draw of all n(n - 1) would give,
+    without holding them all.
+    """
     pool_set = set(pool)
+    in_pool = np.array([u in pool_set for u in users])
     p_pool = min(1.0, spec.edge_prob * spec.density_ratio)
-    edges = set()
     n = len(users)
-    coins = rng.random(n * (n - 1))
-    k = 0
-    for u in users:
-        for v in users:
-            if u == v:
-                continue
-            p = p_pool if (u in pool_set and v in pool_set) else spec.edge_prob
-            if coins[k] < p:
-                edges.add((u, v))
-            k += 1
-    connected = {u for e in edges for u in e}
-    for i, u in enumerate(users):
-        if u not in connected:  # keep every user reachable through edges.csv
-            v = users[(i + 1) % n]
-            edges.add((u, v))
-    return edges
+    src, dst = [], []
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        p = np.where(in_pool[i] & in_pool[others], p_pool, spec.edge_prob)
+        hits = others[rng.random(n - 1) < p]
+        src.append(np.full(hits.size, i))
+        dst.append(hits)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    # keep every user reachable through edges.csv
+    lonely = np.flatnonzero(np.bincount(np.concatenate([src, dst]), minlength=n) == 0)
+    src, dst = np.append(src, lonely), np.append(dst, (lonely + 1) % n)
+    return SocialGraph.from_edges((users[u], users[v])
+                                  for u, v in zip(src.tolist(), dst.tolist()))
 
 
 def _walk_grow(rng, size, start, undirected, candidates):
@@ -160,12 +163,11 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
                   ("spreader_ratio", "density_ratio", "engagement_ratio",
                    "depth_effect"))
 
-    edges = _draw_edges(spec, rng, users, pool)
-    undirected: dict = {}
-    for u, v in sorted(edges):
-        undirected.setdefault(u, set()).add(v)
-        undirected.setdefault(v, set()).add(u)
-    graph = SocialGraph.from_edges(edges)
+    graph = _draw_graph(spec, rng, users, pool)
+    undirected: dict = {}  # user -> the users it follows or is followed by
+    for u, v in zip(graph.sources().tolist(), graph.indices.tolist()):
+        undirected.setdefault(graph.users[u], []).append(graph.users[v])
+        undirected.setdefault(graph.users[v], []).append(graph.users[u])
 
     records = {}
     labels = {}
@@ -194,7 +196,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
         "spec": asdict(spec),
         "planted": planted,
         "n_users": len(users),
-        "n_follow_edges": len(edges),
+        "n_follow_edges": graph.n_edges,
         "n_engagement_records": len(records),
         "n_news": n_news,
         "n_fake": spec.news_per_class,

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic seed derivation, medians, CSV writing."""
+"""Small shared helpers: seed derivation, sums, distinct values, medians, CSV writing."""
 
 from __future__ import annotations
 
@@ -6,12 +6,37 @@ import csv
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed from a tuple of descriptors (platform independent)."""
     payload = "\x1f".join(str(p) for p in parts)
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def left_sum(values) -> float:
+    """The float sum of a sequence added left to right, one value at a time.
+
+    0.0 when empty. `np.cumsum` adds sequentially (np.sum is pairwise), so
+    this is CPython 3.11's builtin `sum` bit for bit, on every Python
+    version: 3.12 made the builtin compensated.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct values of an int array, ascending: `np.unique` by one sort.
+
+    Plain `np.unique` of numpy 2 hashes first, which on mostly distinct keys
+    is tens of times slower than sorting them.
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def median(values) -> float:

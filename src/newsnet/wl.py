@@ -6,12 +6,15 @@ class. The kernel (Shervashidze et al., JMLR 2011) sums, over iterations
 the raw labels, and each later one relabels every node with (own label,
 sorted multiset of neighbor labels). The normalized kernel lies in [0, 1].
 
-WLNetworks numbers every network's nodes once (news in sorted order, nodes
-sorted within a network) and refines integers: a node's new label is
+`features.NodeTable` numbers every network's nodes once (news in sorted
+order, nodes sorted within a network) and holds their undirected adjacency;
+`normalized_gram` refines integers over it: a node's new label is
 `ids.setdefault((own, sorted neighbor labels), len(ids))`, with one fresh
 `ids` per iteration shared by all networks. Two nodes of any networks then
 share an iteration's label exactly when any injective relabelling, such as
 the string one `tests/oracles.py` keeps as the reference, gives them one.
+The identity labels are the table's interned user numbers, which partition
+the nodes as the user ids do.
 
 All pairwise values come from one Gram matrix per labelling: the sum over
 iterations of A_i A_iᵀ, with A_i the networks x labels count block of
@@ -29,7 +32,6 @@ benchmark stops naming them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,63 +96,30 @@ def _gram(network: np.ndarray, iterations, n: int) -> np.ndarray:
     return gram
 
 
-class WLNetworks:
-    """A corpus's diffusion networks as one undirected node table for h iterations.
+def normalized_gram(table, labels) -> np.ndarray:
+    """wl_kernel_normalized between every pair of a node table's networks.
 
-    Node k belongs to network `network[k]` (an index into `order`, the sorted
-    news ids) and is user `users[k]`; `neighbours[k]` holds the node numbers
-    adjacent to it in either direction. The identity-labelled Gram matrix
-    depends on the networks and h only and is built on first use.
+    `table` is a `features.NodeTable`, which fixes the node numbering, the
+    undirected adjacency and h; `labels` holds every node's raw label, in
+    node order. Entries follow `table.order` and equal the pairwise
+    function's value bit for bit: the square root is Python's float `** 0.5`
+    (libm pow), which differs from np.sqrt in the last place on some
+    products.
     """
-
-    def __init__(self, networks: dict, h: int = 3):
-        if h < 0:
-            raise ValueError("h must be >= 0")
-        self.networks = networks
-        self.h = h
-        self.order = sorted(networks)
-        self.users = []
-        self.neighbours = []
-        network = []
-        for t, news in enumerate(self.order):
-            net = networks[news]
-            first = len(self.users)
-            number = {v: first + i for i, v in enumerate(net.sorted_nodes())}
-            adjacent = {k: set() for k in number.values()}
-            for u, v in net.edges:
-                adjacent[number[u]].add(number[v])
-                adjacent[number[v]].add(number[u])
-            self.users.extend(number)
-            self.neighbours.extend(adjacent.values())
-            network.extend([t] * len(number))
-        self.network = np.array(network, dtype=np.int64)
-
-    @cached_property
-    def identity_gram(self) -> np.ndarray:
-        return self.normalized_gram(self.users)
-
-    def normalized_gram(self, labels) -> np.ndarray:
-        """wl_kernel_normalized between every pair of networks, in `order`.
-
-        `labels` holds every node's raw label, in node order. Entry [t, r]
-        equals the pairwise function's value bit for bit: the square root is
-        Python's float `** 0.5` (libm pow), which differs from np.sqrt in the
-        last place on some products.
-        """
-        ids: dict = {}
-        current = [ids.setdefault(label, len(ids)) for label in labels]
-        iterations = [current]
-        for _ in range(self.h):
-            previous, ids = current, {}
-            current = [ids.setdefault((own, tuple(sorted([previous[u] for u in adjacent]))),
-                                      len(ids))
-                       for own, adjacent in zip(previous, self.neighbours)]
-            iterations.append(current)
-        gram = _gram(self.network, iterations, len(self.order))
-        diag = np.diag(gram)
-        roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
-        root = np.array(roots).reshape(gram.shape)
-        return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
+    ids: dict = {}
+    current = [ids.setdefault(label, len(ids)) for label in labels]
+    iterations = [current]
+    for _ in range(table.h):
+        previous, ids = current, {}
+        current = [ids.setdefault((own, tuple(sorted([previous[u] for u in adjacent]))),
+                                  len(ids))
+                   for own, adjacent in zip(previous, table.neighbours)]
+        iterations.append(current)
+    gram = _gram(table.network, iterations, len(table.order))
+    diag = np.diag(gram)
+    roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
+    root = np.array(roots).reshape(gram.shape)
+    return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
 
 
 class SimilarityIndex:
@@ -158,17 +127,17 @@ class SimilarityIndex:
 
     features(news) is (fake_identity, true_identity, fake_class, true_class),
     each in [0, 1]; a value is 0 when its reference class is empty. The
-    kernels come from the identity-labelled Gram matrix `graphs` keeps and one
+    kernels come from the identity-labelled Gram matrix the table keeps and one
     Gram matrix of `classes`, every node's susceptibility class in node
     order (any labels that tell the classes apart).
     """
 
-    def __init__(self, graphs: WLNetworks, training_news, classes):
+    def __init__(self, table, training_news, classes):
         training = set(training_news)
-        order = graphs.order
-        grams = (graphs.identity_gram, graphs.normalized_gram(classes))
+        order = table.order
+        grams = (table.identity_gram, normalized_gram(table, classes))
         refs = [[i for i, news in enumerate(order)
-                 if news in training and graphs.networks[news].label == label]
+                 if news in training and table.labels[i] == label]
                 for label in ("fake", "true")]
         columns = []
         for gram in grams:
@@ -176,10 +145,10 @@ class SimilarityIndex:
                 if not cols:
                     columns.append([0.0] * len(order))
                     continue
-                # Python's sum over each row adds the kernels in sorted news
+                # each row's kernels added left to right in sorted news
                 # order, exactly as the pairwise loop did
-                columns.append([sum(row) / len(cols)
-                                for row in gram[:, cols].tolist()])
+                columns.append((np.cumsum(gram[:, cols], axis=1)[:, -1]
+                                / len(cols)).tolist())
         self._values = dict(zip(order, zip(*columns)))
 
     def features(self, news_id) -> tuple:

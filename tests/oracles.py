@@ -109,6 +109,31 @@ def string_normalized_gram(networks: dict, scheme: str, model=None, h: int = 3):
                      for a in sigs]).reshape(len(sigs), len(sigs))
 
 
+@dataclass(frozen=True)
+class StringGraph:
+    """A follow graph as sets of user ids, the form the oracles walk."""
+
+    nodes: frozenset
+    edges: frozenset  # (follower, followee) pairs
+    out_neighbors: dict  # user -> frozenset of the users it follows
+    in_neighbors: dict  # user -> frozenset of its followers
+
+
+def string_graph(graph: SocialGraph) -> StringGraph:
+    """The package's rank CSR read back as user-id sets."""
+    users = graph.users
+    edges = frozenset((users[u], users[v]) for u, v in
+                      zip(graph.sources().tolist(), graph.indices.tolist()))
+    out_nbrs = {v: set() for v in users}
+    in_nbrs = {v: set() for v in users}
+    for u, v in edges:
+        out_nbrs[u].add(v)
+        in_nbrs[v].add(u)
+    return StringGraph(nodes=frozenset(users), edges=edges,
+                       out_neighbors={v: frozenset(s) for v, s in out_nbrs.items()},
+                       in_neighbors={v: frozenset(s) for v, s in in_nbrs.items()})
+
+
 def random_corpus(seed):
     """Seeded corpus with <= 40 users and <= 20 labeled news stories."""
     rng = random.Random(seed)
@@ -138,12 +163,13 @@ def random_corpus(seed):
 
 def brute_induced_edges(graph: SocialGraph, spreaders) -> set:
     spreaders = set(spreaders)
-    return {(u, v) for (u, v) in graph.edges if u in spreaders and v in spreaders}
+    return {(u, v) for (u, v) in string_graph(graph).edges
+            if u in spreaders and v in spreaders}
 
 
 def brute_flow(graph: SocialGraph, networks, definition) -> dict:
     flows = {}
-    for edge in graph.edges:
+    for edge in string_graph(graph).edges:
         total = 0.0
         for net in networks:
             if edge in net.edges:

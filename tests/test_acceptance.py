@@ -35,7 +35,7 @@ from newsnet.wl import wl_kernel, wl_kernel_normalized
 
 from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
                      brute_induced_edges, dense_betweenness, dense_closeness, random_corpus,
-                     wl_signature)
+                     string_graph, wl_signature)
 
 EGO_DELTA_CLASSES = ("nn", "ns", "sn", "ss", "delta_pos", "delta_zero", "delta_neg")
 
@@ -44,14 +44,15 @@ def test_criterion_1_oracle_equivalence():
     start = time.time()
     for seed in range(100):
         graph, table = random_corpus(seed)
-        nodes = graph.sorted_nodes()
+        nodes = list(graph.users)
         networks = build_all_networks(graph, table)
         nets = [networks[n] for n in sorted(networks)]
 
         scores = centralities(graph)
-        bc = dense_betweenness(nodes, graph.edges)
-        out_cl = dense_closeness(nodes, graph.edges, "out")
-        in_cl = dense_closeness(nodes, graph.edges, "in")
+        edges = string_graph(graph).edges
+        bc = dense_betweenness(nodes, edges)
+        out_cl = dense_closeness(nodes, edges, "out")
+        in_cl = dense_closeness(nodes, edges, "in")
         for v in nodes:
             assert abs(scores.of("betweenness")[v] - bc[v]) <= 1e-9
             assert abs(scores.of("out_closeness")[v] - out_cl[v]) <= 1e-9

@@ -12,7 +12,7 @@ from newsnet.synth import SyntheticSpec, generate
 
 from oracles import (dense_betweenness, dense_closeness, dense_hits_authority,
                      python_brandes, python_closeness, python_hits, python_pagerank,
-                     random_corpus)
+                     random_corpus, string_graph)
 
 # The PageRank and HITS oracles add with Python's `sum`. CPython 3.11 adds
 # floats one at a time, the order the array code reproduces; 3.12 and later
@@ -23,8 +23,9 @@ PLAIN_FLOAT_SUM = (platform.python_implementation() == "CPython"
 
 def assert_equals_python_oracles(graph):
     """Every measure equals the pure-Python loops bit for bit."""
-    nodes = graph.sorted_nodes()
+    nodes = list(graph.users)
     scores = centralities(graph)
+    graph = string_graph(graph)
     assert scores.of("betweenness") == python_brandes(nodes, graph.out_neighbors)
     assert scores.of("out_closeness") == python_closeness(nodes, graph.out_neighbors)
     assert scores.of("in_closeness") == python_closeness(nodes, graph.in_neighbors)
@@ -53,8 +54,8 @@ def test_path_betweenness():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c")])
     scores = centralities(graph)
     assert scores.of("betweenness") == {"a": 0.0, "b": 1.0, "c": 0.0}
-    oracle = dense_betweenness(graph.sorted_nodes(), graph.edges)
-    for v in graph.nodes:
+    oracle = dense_betweenness(list(graph.users), string_graph(graph).edges)
+    for v in graph.users:
         assert scores.of("betweenness")[v] == pytest.approx(oracle[v], abs=1e-12)
 
 
@@ -62,9 +63,9 @@ def test_star_authority_via_eigen_oracle():
     edges = [(f"leaf{i}", "center") for i in range(5)]
     graph = SocialGraph.from_edges(edges)
     scores = centralities(graph)
-    oracle = dense_hits_authority(graph.sorted_nodes(), graph.edges)
+    oracle = dense_hits_authority(list(graph.users), string_graph(graph).edges)
     assert scores.of("authority")["center"] == pytest.approx(1.0, abs=1e-9)
-    for v in graph.nodes:
+    for v in graph.users:
         assert scores.of("authority")[v] == pytest.approx(oracle[v], abs=1e-8)
     hubs = [scores.of("hub")[f"leaf{i}"] for i in range(5)]
     assert max(hubs) - min(hubs) < 1e-12
@@ -84,11 +85,12 @@ def test_closeness_definition_on_path():
 def test_matches_dense_oracles_on_random_graphs():
     for seed in range(6):
         graph, _ = random_corpus(seed)
-        nodes = graph.sorted_nodes()
+        nodes = list(graph.users)
         scores = centralities(graph)
-        bc = dense_betweenness(nodes, graph.edges)
-        ocl = dense_closeness(nodes, graph.edges, "out")
-        icl = dense_closeness(nodes, graph.edges, "in")
+        edges = string_graph(graph).edges
+        bc = dense_betweenness(nodes, edges)
+        ocl = dense_closeness(nodes, edges, "out")
+        icl = dense_closeness(nodes, edges, "in")
         for v in nodes:
             assert scores.of("betweenness")[v] == pytest.approx(bc[v], abs=1e-9)
             assert scores.of("out_closeness")[v] == pytest.approx(ocl[v], abs=1e-9)
@@ -186,8 +188,8 @@ def test_betweenness_finite_past_int64_path_counts():
         edges += [(u, v) for u in upper for v in lower]
     graph = SocialGraph.from_edges(edges)
     fast = centralities(graph).of("betweenness")
-    slow = python_brandes(graph.sorted_nodes(), graph.out_neighbors)
-    for v in graph.nodes:
+    slow = python_brandes(list(graph.users), string_graph(graph).out_neighbors)
+    for v in graph.users:
         assert math.isfinite(fast[v])
         assert fast[v] == pytest.approx(slow[v], rel=1e-12, abs=0.0)
 
@@ -212,10 +214,10 @@ def test_property_equals_python_oracles(graph):
 @settings(max_examples=40)
 @given(digraphs(), st.integers(1, 50))
 def test_property_order_preserving_relabel(graph, stride):
-    nodes = graph.sorted_nodes()
+    nodes = list(graph.users)
     rename = {v: f"user{i * stride:05d}" for i, v in enumerate(nodes)}
     relabeled = SocialGraph.from_edges(
-        [(rename[u], rename[v]) for u, v in graph.edges],
+        [(rename[u], rename[v]) for u, v in string_graph(graph).edges],
         nodes=list(rename.values()))
     scores = centralities(graph)
     renamed_scores = centralities(relabeled)

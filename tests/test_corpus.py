@@ -1,12 +1,19 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsnet.corpus import (CorpusError, EngagementTable, SocialGraph, corpus_stats,
                             load_corpus, save_corpus)
 from newsnet.synth import SyntheticSpec, generate, write_corpus
+from newsnet.util import distinct
 
-from oracles import random_corpus
+from oracles import random_corpus, string_graph
 
 
 def write_corpus_files(tmp_path, edge_rows, engagement_rows, label_rows):
@@ -28,6 +35,7 @@ def test_load_simple_corpus(tmp_path):
         [("n1", "fake"), ("n2", "true")],
     )
     graph, table = load_corpus(*paths)
+    graph = string_graph(graph)
     assert graph.nodes == {"u1", "u2", "u3"}
     assert ("u1", "u2") in graph.edges and ("u2", "u1") in graph.edges
     assert table.counts["n1"] == {"u1": 2, "u2": 1}
@@ -64,9 +72,89 @@ def test_self_loop_and_duplicate_edges_dropped(tmp_path, caplog):
     )
     with caplog.at_level("WARNING"):
         graph, _ = load_corpus(*paths)
-    assert graph.edges == {("u1", "u2"), ("u2", "u3")}
+    assert string_graph(graph).edges == {("u1", "u2"), ("u2", "u3")}
     messages = " ".join(r.getMessage() for r in caplog.records)
     assert "1 self-loop" in messages and "1 duplicate" in messages
+
+
+def test_dropped_edge_counts_and_warnings(tmp_path, caplog):
+    # u9 appears only in a self-loop, so it is not a user
+    paths = write_corpus_files(
+        tmp_path,
+        [("u2", "u1"), ("u9", "u9"), ("u1", "u2"), ("u2", "u1"), ("u1", "u1"),
+         ("u3", "u1"), ("u2", "u1"), ("u1", "u2"), ("u2", "u2")],
+        [],
+        [("n1", "fake")],
+    )
+    with caplog.at_level("WARNING", logger="newsnet.corpus"):
+        graph, _ = load_corpus(*paths)
+    assert [r.getMessage() for r in caplog.records] == [
+        "edges.csv: dropped 3 self-loop edge(s)",
+        "edges.csv: dropped 3 duplicate edge(s)",
+    ]
+    assert graph.users == ("u1", "u2", "u3")
+    assert graph.n_edges == 3
+    paths[1].write_text("news_id,user_id,count\nn1,u9,1\n")
+    with pytest.raises(CorpusError, match="engagements.csv:2: .*unknown user 'u9'"):
+        load_corpus(*paths)
+
+
+USER_IDS = ["b", "a", "c10", "c9", "~x", "A", "a b"]
+edge_lists = st.lists(st.tuples(st.sampled_from(USER_IDS), st.sampled_from(USER_IDS)),
+                      max_size=40)
+
+
+@settings(max_examples=60)
+@given(edge_lists)
+def test_property_loaded_arrays_equal_from_edges(rows):
+    # Loading interns ids in file order; from_edges sees the same string
+    # pairs. Both give users in sorted order and each CSR row ascending.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_corpus_files(Path(tmp), rows, [], [])
+        graph, _ = load_corpus(*paths)
+    pairs = [(u, v) for u, v in rows if u != v]
+    expected = SocialGraph.from_edges(pairs)
+    assert graph == expected
+    assert graph.users == tuple(sorted({u for pair in pairs for u in pair}))
+    assert string_graph(graph).edges == set(pairs)
+    rank = {u: i for i, u in enumerate(graph.users)}
+    in_csr_order = [(rank[u], rank[v]) for u, v in sorted(set(pairs))]
+    assert list(zip(graph.sources().tolist(), graph.indices.tolist())) == in_csr_order
+    assert graph.follows(pairs).all()
+
+
+@pytest.mark.parametrize("values", [[], [3], [5, 1, 5, 2, 1, 1], list(range(40, -40, -3)) * 3])
+def test_distinct_equals_np_unique(values):
+    values = np.array(values, dtype=np.int64)
+    assert distinct(values).tolist() == np.unique(values).tolist()
+
+
+def test_loaded_graph_stores_edges_only_as_int_arrays(tmp_path):
+    corpus = generate(SyntheticSpec(n_users=40, news_per_class=5, seed=3))
+    write_corpus(corpus, tmp_path)
+    graph, _ = load_corpus(tmp_path / "edges.csv", tmp_path / "engagements.csv",
+                           tmp_path / "labels.csv")
+    assert set(vars(graph)) == {f.name for f in dataclasses.fields(graph)} \
+        == {"users", "indptr", "indices"}
+    assert isinstance(graph.users, tuple) and all(isinstance(u, str) for u in graph.users)
+    for array in (graph.indptr, graph.indices):
+        assert isinstance(array, np.ndarray) and array.dtype == np.int64
+    assert graph.indptr.size == graph.n_nodes + 1 and graph.indptr[-1] == graph.n_edges
+
+
+def test_follows_checks_each_pair():
+    graph = SocialGraph.from_edges([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "d"])
+    assert graph.follows([("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("z", "a"),
+                          ("a", "z")]).tolist() == [True, False, True, False, False, False]
+    assert graph.follows([]).tolist() == []
+    assert graph.ranks(["d", "z", "a"]) == {"d": 3, "a": 0}
+
+
+def test_from_edges_errors():
+    with pytest.raises(ValueError, match="self-loop edge on 'a'"):
+        SocialGraph.from_edges([("a", "z"), ("a", "a")], nodes=["a"])
+    with pytest.raises(ValueError, match=r"edge endpoint not a declared node: \('a', 'z'\)"):
+        SocialGraph.from_edges([("a", "b"), ("a", "z")], nodes=["a", "b"])
 
 
 @pytest.mark.parametrize("rows,expected", [
@@ -110,7 +198,7 @@ def test_round_trip(tmp_path):
     save_corpus(graph, table, *paths)
     graph2, table2 = load_corpus(*paths)
     # user set differs only by isolated users, which edges.csv cannot carry
-    assert graph2.edges == graph.edges
+    assert string_graph(graph2).edges == string_graph(graph).edges
     assert table2.counts == table.counts
     assert table2.labels == table.labels
 
@@ -119,7 +207,7 @@ def test_round_trip(tmp_path):
 def test_property_save_then_load_is_the_identity(tmp_path, seed):
     graph, table = random_corpus(seed)
     paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")
-    endpoints = {user for edge in graph.edges for user in edge}
+    endpoints = {user for edge in string_graph(graph).edges for user in edge}
     stranded = [(news, user) for news in table.news_ids()
                 for user in sorted(table.counts[news]) if user not in endpoints]
     if stranded:
@@ -130,8 +218,8 @@ def test_property_save_then_load_is_the_identity(tmp_path, seed):
         return
     save_corpus(graph, table, *paths)
     graph2, table2 = load_corpus(*paths)
-    assert graph2.edges == graph.edges
-    assert graph2.nodes == endpoints
+    assert string_graph(graph2).edges == string_graph(graph).edges
+    assert string_graph(graph2).nodes == endpoints
     assert table2.counts == table.counts
     assert table2.labels == table.labels
 

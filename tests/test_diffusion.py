@@ -81,7 +81,7 @@ def test_subsample_nodes_deterministic():
     net = build_network(graph, table, news)
     # build a 10-node network by padding the corpus if needed
     if net.n_nodes < 10:
-        users = sorted(graph.nodes)[:10]
+        users = list(graph.users)[:10]
         records = {(news, u): 1 for u in users}
         table = EngagementTable.from_records(records, {news: "fake"})
         net = build_network(graph, table, news)

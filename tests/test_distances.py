@@ -1,5 +1,6 @@
 import math
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,17 @@ PLAIN_FLOAT_SUM = (platform.python_implementation() == "CPython"
 
 def _networks(graph, table):
     return [net for _, net in sorted(build_all_networks(graph, table).items())]
+
+
+def test_flow_matrix_rejects_an_edge_outside_the_graph():
+    graph = SocialGraph.from_edges([("a", "b"), ("b", "c")])
+    counts = {"a": 1, "b": 1, "c": 1, "z": 1}
+    first = DiffusionNetwork("n1", "fake", frozenset("abc"), frozenset({("a", "b")}), counts)
+    for bad in (("b", "a"), ("z", "a")):
+        second = DiffusionNetwork("n2", "true", frozenset("abcz"),
+                                  frozenset({("a", "b"), ("b", "c"), bad}), counts)
+        with pytest.raises(ValueError, match=re.escape(f"network edge {bad!r} not in")):
+            flow_matrix(graph, [first, second], SHARED_NEWS)
 
 
 def test_shared_news_counts_networks():

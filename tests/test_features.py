@@ -12,7 +12,7 @@ from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_
                               extract_matrix, feature_index, pattern_mask)
 from newsnet.susceptibility import METHODS, fit_all
 
-from oracles import brute_ego_delta, random_corpus
+from oracles import brute_ego_delta, random_corpus, string_graph
 from oracles import dynamic_features as oracle_dynamic_features
 from oracles import feature_row as oracle_feature_row
 
@@ -185,8 +185,9 @@ def test_matrix_csv_round_shape(tmp_path):
 
 
 def _relabel_users(graph, table, rename):
-    graph2 = SocialGraph.from_edges([(rename[u], rename[v]) for u, v in graph.edges],
-                                    nodes=[rename[v] for v in graph.nodes])
+    graph2 = SocialGraph.from_edges([(rename[u], rename[v])
+                                     for u, v in string_graph(graph).edges],
+                                    nodes=[rename[v] for v in graph.users])
     records = {(news, rename[user]): count
                for news, by_user in table.counts.items()
                for user, count in by_user.items()}
@@ -198,13 +199,17 @@ def test_order_preserving_user_relabel_keeps_every_value(seed):
     # New ids of other lengths and characters, in the same sorted order: no
     # value may depend on the id strings beyond their order.
     graph, table = random_corpus(seed)
-    gaps = np.random.default_rng(seed).integers(1, 1000, len(graph.nodes))
+    gaps = np.random.default_rng(seed).integers(1, 1000, graph.n_nodes)
     rename = {v: f"user-{int(k):07d}"
-              for v, k in zip(graph.sorted_nodes(), np.cumsum(gaps))}
+              for v, k in zip(graph.users, np.cumsum(gaps))}
     training = table.news_ids()[:max(2, len(table.news_ids()) // 2)]
+    graph2, table2 = _relabel_users(graph, table, rename)
+    # the same ranks, so the same arrays
+    assert graph2.users == tuple(rename[v] for v in graph.users)
+    assert np.array_equal(graph2.indptr, graph.indptr)
+    assert np.array_equal(graph2.indices, graph.indices)
     before = extract_matrix(_extractor(graph, table, seed=seed), training, 0.5)
-    after = extract_matrix(_extractor(*_relabel_users(graph, table, rename), seed=seed),
-                           training, 0.5)
+    after = extract_matrix(_extractor(graph2, table2, seed=seed), training, 0.5)
     assert after.news_ids == before.news_ids
     assert after.labels == before.labels
     for news in before.news_ids:
@@ -304,11 +309,13 @@ def test_property_every_value_is_finite():
             assert np.isfinite(extract_matrix(ex, training, theta).X).all(), (seed, theta)
 
 
-def test_node_table_numbers_nodes_like_the_wl_table(small_strong_extractor):
+def test_node_table_numbers_nodes_in_sorted_order(small_strong_extractor):
     ex = small_strong_extractor
     table = ex.node_table
-    assert table.order == ex.wl_networks.order
-    assert [table.users[u] for u in table.user] == ex.wl_networks.users
+    assert table.order == sorted(ex.networks)
+    assert [table.users[u] for u in table.user] == [
+        v for news in table.order for v in ex.networks[news].sorted_nodes()]
+    assert table.labels == [ex.networks[news].label for news in table.order]
     assert ex.node_table is table
     fewer = ex.with_networks({n: ex.networks[n] for n in table.order[1:]})
     assert fewer.node_table.order == table.order[1:]

@@ -5,7 +5,7 @@ import pytest
 from newsnet.corpus import SocialGraph
 from newsnet.louvain import CommunityAssignment, global_communities, louvain, symmetrize
 
-from oracles import best_partition, matrix_modularity, random_corpus
+from oracles import best_partition, matrix_modularity, random_corpus, string_graph
 
 
 def _clique_edges(nodes):
@@ -51,18 +51,18 @@ def test_single_clique_one_community():
 
 def test_deterministic_given_seed():
     graph, _ = random_corpus(11)
-    edges = symmetrize(graph.edges)
-    a1 = louvain(graph.nodes, edges, seed=9)
-    a2 = louvain(graph.nodes, edges, seed=9)
+    edges = symmetrize(string_graph(graph).edges)
+    a1 = louvain(graph.users, edges, seed=9)
+    a2 = louvain(graph.users, edges, seed=9)
     assert a1.communities == a2.communities
 
 
 def test_modularity_beats_singletons():
     for seed in range(6):
         graph, _ = random_corpus(seed)
-        edges = symmetrize(graph.edges)
-        assign = louvain(graph.nodes, edges, seed=seed)
-        nodes = sorted(graph.nodes)
+        edges = symmetrize(string_graph(graph).edges)
+        assign = louvain(graph.users, edges, seed=seed)
+        nodes = list(graph.users)
         base = matrix_modularity(nodes, edges, [[v] for v in nodes])
         q = _modularity(assign, edges)
         assert q >= base - 1e-12
@@ -72,6 +72,14 @@ def test_modularity_beats_singletons():
 def test_symmetrize_collapses_reciprocal():
     edges = symmetrize([("a", "b"), ("b", "a"), ("b", "c")])
     assert edges == [("a", "b", 1.0), ("b", "c", 1.0)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_global_communities_equal_louvain_over_user_ids(seed):
+    # the rank pairs from the CSR against the id pairs the ranks replaced
+    graph, _ = random_corpus(seed)
+    by_ids = louvain(graph.users, symmetrize(string_graph(graph).edges), seed=seed)
+    assert global_communities(graph, seed=seed).communities == by_ids.communities
 
 
 def test_global_scope_covers_isolated_nodes():

@@ -5,7 +5,9 @@ change that alters an output on purpose updates them and says so. Python
 3.12 made the float `sum` compensated, which changes the last bits of
 some means, so the pins hold on CPython 3.11 only.
 
-`extract` and `evaluate` see the whole diffusion networks; `early-detect`
+`ingest` rewrites the corpus in canonical form; its outputs hold no floats,
+so they are pinned on every Python version. `extract` and `evaluate` see the
+whole diffusion networks; `early-detect`
 sees node- and edge-subsampled ones, which are often disconnected;
 `sweep-threshold` also runs θ = 0 and θ = 1, where no spreader can be normal
 or, respectively, susceptible, and every user scored exactly θ (untrained, or
@@ -25,6 +27,12 @@ from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate, write_corpus
 PINNED = {
     "features.csv": "8d0550f4bb8c4d901e5949ace7f73d0c3670c2295754c172aa5b935a6cafa927",
     "evaluation.json": "c279027ff53b3a92d1595eb9fa85c3e82b5fb937cd914346b5e7ec21e027f0e0",
+}
+INGEST_PINNED = {
+    "edges.csv": "7957aeb8638b3169b9b03062b7717f6bb8070b5337af1bb5b6d3316cdb929f99",
+    "engagements.csv": "efffbf7740cfcb39175a0e65707a5c14187133be01fd4eb1625ee9e5c668687d",
+    "labels.csv": "49a417736ea179042b168b6024fa45b03c0006987dc9afcb3a6d80dbd1a4c6b1",
+    "stats.json": "05994fa2e0037cc3c070b4480235ec1079629f39b86497dd11561ddcdc01e3bb",
 }
 EARLY_CONFIG = {"proportions": [0.3, 0.6], "repetitions": 1}
 SWEEP_CONFIG = {"theta_grid": [0.0, 0.5, 1.0]}
@@ -56,6 +64,11 @@ def _corpus_flags(tmp_path) -> list:
 def _digests(out, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in names}
+
+
+def test_ingest_outputs_are_pinned(tmp_path):
+    assert main(["ingest"] + _corpus_flags(tmp_path)) == 0
+    assert _digests(tmp_path / "out", INGEST_PINNED) == INGEST_PINNED
 
 
 @ON_CPYTHON_311

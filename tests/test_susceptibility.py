@@ -55,7 +55,7 @@ def test_classification_boundaries():
 def test_classify_all_matches_score_and_classify(theta):
     for seed in range(10):
         graph, table = random_corpus(seed)
-        users = sorted(graph.nodes) + ["nobody"]
+        users = list(graph.users) + ["nobody"]
         for method in METHODS:
             model = fit(table, table.news_ids()[::2], method, theta)
             scores, codes = model.classify_all(users)

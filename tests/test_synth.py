@@ -6,6 +6,8 @@ from newsnet.corpus import corpus_stats
 from newsnet.diffusion import build_all_networks
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 
+from oracles import string_graph
+
 
 def test_null_corpus_classes_same_distribution(null_report):
     assert abs(null_report.accuracy - 0.5) <= 0.15
@@ -76,7 +78,8 @@ def test_generation_deterministic():
 def test_every_user_has_an_edge():
     corpus = generate(SyntheticSpec(n_users=60, news_per_class=5, seed=1,
                                     edge_prob=0.002))
-    endpoints = {u for e in corpus.graph.edges for u in e}
-    assert endpoints == corpus.graph.nodes
+    graph = string_graph(corpus.graph)
+    endpoints = {u for e in graph.edges for u in e}
+    assert endpoints == graph.nodes
     stats = corpus_stats(corpus.graph, corpus.table)
     assert stats.n_users == 60

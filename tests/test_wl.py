@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from newsnet import susceptibility
 from newsnet.diffusion import DiffusionNetwork, build_all_networks
-from newsnet.features import extract_matrix
+from newsnet.features import NodeTable, extract_matrix
 from newsnet.ml.crossval import stratified_folds
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
-from newsnet.wl import SimilarityIndex, WLNetworks, wl_kernel, wl_kernel_normalized
+from newsnet.triads import enumerate_triangles
+from newsnet.wl import SimilarityIndex, normalized_gram, wl_kernel, wl_kernel_normalized
 
 from oracles import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, PairwiseSimilarityIndex,
                      WLDictionary, labeled_graph, random_corpus, similarity_features,
@@ -31,9 +32,18 @@ def _net(news_id, edges, nodes=None, label="fake"):
                             edges=frozenset(edges), counts={u: 1 for u in nodes})
 
 
-def _index(graphs, training, model):
+def _table(networks, h=3):
+    return NodeTable(networks, lambda news: enumerate_triangles(networks[news]), h)
+
+
+def _classes(table, model):
+    """Every node's class under `model`, in node order."""
+    return [model.classify(table.users[u]) for u in table.user]
+
+
+def _index(table, training, model):
     """The SimilarityIndex of every node classified by `model`."""
-    return SimilarityIndex(graphs, training, [model.classify(u) for u in graphs.users])
+    return SimilarityIndex(table, training, _classes(table, model))
 
 
 def _labeled(nodes, undirected_edges, labels):
@@ -175,7 +185,7 @@ def test_similarity_index_matches_standalone():
                                  label="fake" if i % 2 else "true")
     model = TwoClassModel({f"u{k}" for k in range(6)})
     training = ["n0", "n1", "n2", "n3"]
-    index = _index(WLNetworks(networks, 3), training, model)
+    index = _index(_table(networks, 3), training, model)
     fakes = [networks[n] for n in training if networks[n].label == "fake"]
     trues = [networks[n] for n in training if networks[n].label == "true"]
     for news, net in networks.items():
@@ -191,7 +201,7 @@ def test_planted_density_separates_classes(strong_extractor):
 
     training = sorted(networks)
     model = fit(strong_extractor.table, training, "by_news", 0.5)
-    index = _index(WLNetworks(networks, 3), training, model)
+    index = _index(_table(networks, 3), training, model)
     fake_margin = []
     for news in sorted(networks):
         if networks[news].label != "fake":
@@ -204,10 +214,10 @@ def test_planted_density_separates_classes(strong_extractor):
 def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
     """Both Gram matrices equal the string WL's, and every similarity value
     the pairwise loop's, bit for bit."""
-    graphs = graphs or WLNetworks(networks, h)
+    graphs = graphs or _table(networks, h)
     assert np.array_equal(graphs.identity_gram,
                           string_normalized_gram(networks, IDENTITY, h=h))
-    assert np.array_equal(graphs.normalized_gram([model.classify(u) for u in graphs.users]),
+    assert np.array_equal(normalized_gram(graphs, _classes(graphs, model)),
                           string_normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
     fast = _index(graphs, training, model)
     slow = PairwiseSimilarityIndex(networks, training, model, h=h)
@@ -219,7 +229,7 @@ def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
 def test_equals_pairwise_oracle_on_random_corpora(seed):
     graph, table = random_corpus(seed)
     networks = build_all_networks(graph, table)
-    graphs = WLNetworks(networks, 3)
+    graphs = _table(networks, 3)
     news = sorted(networks)
     for fold in range(3):
         training = [n for i, n in enumerate(news) if i % 3 != fold]
@@ -243,14 +253,14 @@ def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
 
 def test_identity_gram_cached_per_extractor(small_strong_extractor):
     extractor = small_strong_extractor
-    graphs = extractor.wl_networks
+    graphs = extractor.node_table
     gram = graphs.identity_gram
-    assert extractor.wl_networks is graphs and graphs.identity_gram is gram
+    assert extractor.node_table is graphs and graphs.identity_gram is gram
     assert np.array_equal(gram, string_normalized_gram(extractor.networks, IDENTITY,
                                                        h=extractor.h))
     dropped = min(extractor.networks)
     fewer = {n: net for n, net in extractor.networks.items() if n != dropped}
-    assert np.array_equal(extractor.with_networks(fewer).wl_networks.identity_gram,
+    assert np.array_equal(extractor.with_networks(fewer).node_table.identity_gram,
                           string_normalized_gram(fewer, IDENTITY, h=extractor.h))
 
 
@@ -259,7 +269,7 @@ def test_empty_reference_class_is_zero():
                 "n2": _net("n2", [("b", "c")], label="true"),
                 "n3": _net("n3", [("a", "c")], label="fake")}
     model = TwoClassModel({"a"})
-    fast = _index(WLNetworks(networks), ["n1", "n3"], model)
+    fast = _index(_table(networks), ["n1", "n3"], model)
     assert fast.features("n2")[1] == fast.features("n2")[3] == 0.0
     assert_equals_pairwise_oracle(networks, ["n1", "n3"], model)
     assert_equals_pairwise_oracle(networks, [], model)
@@ -276,7 +286,7 @@ def test_isolated_nodes_edgeless_and_empty_networks():
     model = TwoClassModel({"a", "c"})
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, sorted(networks), model, h=h)
-    assert _index(WLNetworks(networks), sorted(networks), model).features("n5") \
+    assert _index(_table(networks), sorted(networks), model).features("n5") \
         == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -291,7 +301,7 @@ def test_iterations_keep_separate_label_spaces():
     s1, s2 = (wl_signature(labeled_graph(networks[n], IDENTITY), 1, d)
               for n in ("n1", "n2"))
     assert set(s1.histograms[1]) == set(s2.histograms[0]) == {1}
-    gram = WLNetworks(networks, 1).identity_gram
+    gram = _table(networks, 1).identity_gram
     assert gram.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert_equals_pairwise_oracle(networks, ["n1", "n2"], TwoClassModel(set()), h=1)
 
@@ -318,7 +328,7 @@ def test_normalization_keeps_python_pow():
     users = [f"u{i:03d}" for i in range(127)]
     networks = {"n1": _net("n1", [], nodes=users[:23], label="fake"),
                 "n2": _net("n2", [], nodes=users, label="true")}
-    gram = WLNetworks(networks, 0).identity_gram
+    gram = _table(networks, 0).identity_gram
     assert gram[0, 1] == 23 / 2921 ** 0.5
     assert_equals_pairwise_oracle(networks, ["n1", "n2"], TwoClassModel(users[:5]), h=0)
 
@@ -376,7 +386,7 @@ def test_property_order_preserving_relabel(corpus, stride):
                        nodes=[rename[v] for v in net.nodes], label=net.label)
                for n, net in networks.items()}
     renamed_model = TwoClassModel(rename[v] for v in model.susceptible if v in rename)
-    before = _index(WLNetworks(networks, h), training, model)
-    after = _index(WLNetworks(renamed, h), training, renamed_model)
+    before = _index(_table(networks, h), training, model)
+    after = _index(_table(renamed, h), training, renamed_model)
     for news in sorted(networks):
         assert before.features(news) == after.features(news)
