@@ -1,7 +1,8 @@
 """Eight node-influence measures on the directed follow graph.
 
-Computed once on the full social graph; per-network features later restrict
-the score maps to a network's spreader set. Conventions:
+Computed once on the full social graph, as one array per measure indexed by
+user rank; per-network features later read the entries of a network's
+spreaders. Conventions:
 
   - degrees are raw edge counts
   - closeness(v) = (reachable count) / (sum of distances), over the nodes
@@ -45,12 +46,14 @@ TOLERANCE = 1e-10
 MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityScores:
-    scores: dict  # measure name -> {node: value}
+    users: tuple  # the graph's user ids, sorted
+    values: dict  # measure name -> float64 array of every user's value, by rank
 
     def of(self, measure: str) -> dict:
-        return self.scores[measure]
+        """{user: value} of one measure."""
+        return dict(zip(self.users, self.values[measure].tolist()))
 
 
 def _csr(rows, cols, n) -> tuple:
@@ -170,17 +173,14 @@ def centralities(graph: SocialGraph) -> CentralityScores:
         n, (graph.indptr, dst), _csr(dst, src, n))
     hubs, auths = _hits(n, src, dst)
 
-    def by_node(values) -> dict:
-        return dict(zip(graph.users, values.tolist()))
-
     # total is 0 exactly when reach is, so dividing by max(total, 1) gives 0.0
-    return CentralityScores(scores={
-        "in_degree": by_node(np.bincount(dst, minlength=n).astype(np.float64)),
-        "out_degree": by_node(np.bincount(src, minlength=n).astype(np.float64)),
-        "in_closeness": by_node(in_reach / np.maximum(in_total, 1)),
-        "out_closeness": by_node(out_reach / np.maximum(out_total, 1)),
-        "betweenness": by_node(bc),
-        "pagerank": by_node(_pagerank(n, src, dst)),
-        "hub": by_node(hubs),
-        "authority": by_node(auths),
+    return CentralityScores(graph.users, {
+        "in_degree": np.bincount(dst, minlength=n).astype(np.float64),
+        "out_degree": np.bincount(src, minlength=n).astype(np.float64),
+        "in_closeness": in_reach / np.maximum(in_total, 1),
+        "out_closeness": out_reach / np.maximum(out_total, 1),
+        "betweenness": bc,
+        "pagerank": _pagerank(n, src, dst),
+        "hub": hubs,
+        "authority": auths,
     })

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import distinct, write_csv
+from .util import distinct, find, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -122,22 +122,15 @@ class SocialGraph:
                 out[user] = i
         return out
 
-    def follows(self, pairs) -> np.ndarray:
-        """For each of a list of (follower, followee) id pairs, whether it is an edge.
+    def follows(self, followers, followees) -> np.ndarray:
+        """For each (followers[i], followees[i]) pair of ranks, whether it is an edge.
 
         Binary search over the edge keys `follower * n + followee`, which
         CSR order lists ascending.
         """
-        rank = self.ranks({user for pair in pairs for user in pair})
-        src = np.array([rank.get(u, -1) for u, _ in pairs], dtype=np.int64)
-        dst = np.array([rank.get(v, -1) for _, v in pairs], dtype=np.int64)
-        known = (src >= 0) & (dst >= 0)
         n = self.n_nodes
-        # n * n exceeds every key, so each search lands on an entry
-        keys = np.append(self.sources() * n + self.indices, n * n)
-        wanted = src[known] * n + dst[known]
-        known[known] = keys[np.searchsorted(keys, wanted)] == wanted
-        return known
+        return find(self.sources() * n + self.indices,
+                    np.asarray(followers, dtype=np.int64) * n + followees)[1]
 
 
 def _intern(ids: dict, src, dst) -> tuple:

@@ -3,6 +3,13 @@
 The diffusion network of a news story contains exactly the users that spread
 it, and every follow edge of the social graph whose endpoints both spread it.
 Subsampling (by nodes or by edges) emulates partially observed propagation.
+
+A network is held as int arrays over the follow graph's ranks: `ranks` lists
+the spreaders' ranks ascending (rank order is sorted-id order), `counts` their
+spreading counts in the same order, and `edges` the (follower, followee)
+pairs as positions into `ranks`, sorted. A node's position is thus its index
+in the sorted ids, and the sorted position pairs are the sorted id pairs, so
+every loop over sorted ids sees the same order over positions.
 """
 
 from __future__ import annotations
@@ -14,48 +21,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EngagementTable, SocialGraph, csr_rows
+from .util import find
 
 SUBSAMPLE_MODES = ("nodes", "edges")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionNetwork:
     news_id: str
     label: str
-    nodes: frozenset
-    edges: frozenset
-    counts: dict  # user_id -> spreading count for this news
+    ranks: np.ndarray  # (n,) int64 graph ranks of the spreaders, ascending
+    counts: np.ndarray  # (n,) int64 spreading count of each spreader
+    edges: np.ndarray  # (m, 2) int64 (follower, followee) positions, sorted
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.ranks.size
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def sorted_nodes(self) -> list:
-        return sorted(self.nodes)
 
 
 def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> DiffusionNetwork:
     """Induce the diffusion network of one news story from the social graph."""
     if news_id not in table.labels:
         raise KeyError(f"unknown news id {news_id!r}")
-    counts = dict(table.spreaders(news_id))
-    spreaders = frozenset(counts)
+    spreaders = table.spreaders(news_id)
+    rank = graph.ranks(spreaders)
+    if len(rank) < len(spreaders):
+        user = min(set(spreaders) - set(rank))
+        raise ValueError(f"spreader {user!r} of news {news_id!r} is not in the social graph")
+    users = sorted(spreaders)
+    ranks = np.array([rank[user] for user in users], dtype=np.int64)
     # each spreader's CSR row, kept where the followee spreads the news too
-    ranks = np.array(sorted(graph.ranks(counts).values()), dtype=np.int64)
     src, dst = csr_rows(ranks, (graph.indptr, graph.indices))
-    kept = np.isin(dst, ranks)
-    users = graph.users
-    edges = [(users[u], users[v]) for u, v in zip(src[kept].tolist(), dst[kept].tolist())]
+    at, kept = find(ranks, dst)
     return DiffusionNetwork(
         news_id=news_id,
         label=table.label(news_id),
-        nodes=spreaders,
-        edges=frozenset(edges),
-        counts=counts,
+        ranks=ranks,
+        counts=np.array([spreaders[user] for user in users], dtype=np.int64),
+        edges=np.column_stack([np.searchsorted(ranks, src[kept]), at[kept]]),
     )
 
 
@@ -66,8 +73,10 @@ def build_all_networks(graph: SocialGraph, table: EngagementTable) -> dict:
 def subsample(network: DiffusionNetwork, mode: str, proportion: float, seed: int) -> DiffusionNetwork:
     """Keep ceil(p * n) uniformly chosen nodes (edges re-induced) or edges.
 
-    Deterministic for a given seed; sampling is without replacement over the
-    sorted population so results do not depend on set iteration order.
+    Deterministic for a given seed. Sampling is without replacement over the
+    sorted population, drawn as indices: `random.sample` picks the same
+    indices from any population of the same length, so these are the nodes
+    or edges it picks from the sorted ids or id pairs.
     """
     if mode not in SUBSAMPLE_MODES:
         raise ValueError(f"mode must be one of {SUBSAMPLE_MODES}, got {mode!r}")
@@ -75,14 +84,15 @@ def subsample(network: DiffusionNetwork, mode: str, proportion: float, seed: int
         raise ValueError(f"proportion must be in [0, 1], got {proportion}")
     rng = random.Random(seed)
     if mode == "nodes":
-        population = network.sorted_nodes()
-        k = math.ceil(proportion * len(population))
-        kept = frozenset(rng.sample(population, k))
-        edges = frozenset((u, v) for u, v in network.edges if u in kept and v in kept)
-        counts = {u: network.counts[u] for u in kept}
-        return DiffusionNetwork(network.news_id, network.label, kept, edges, counts)
-    population = sorted(network.edges)
-    k = math.ceil(proportion * len(population))
-    kept_edges = frozenset(rng.sample(population, k))
-    return DiffusionNetwork(network.news_id, network.label, network.nodes,
-                            kept_edges, dict(network.counts))
+        n = network.n_nodes
+        kept = np.zeros(n, dtype=bool)
+        kept[rng.sample(range(n), math.ceil(proportion * n))] = True
+        position = np.cumsum(kept) - 1
+        edges = network.edges[kept[network.edges].all(axis=1)]
+        return DiffusionNetwork(network.news_id, network.label, network.ranks[kept],
+                                network.counts[kept], position[edges])
+    m = network.n_edges
+    chosen = np.sort(np.array(rng.sample(range(m), math.ceil(proportion * m)),
+                              dtype=np.int64))
+    return DiffusionNetwork(network.news_id, network.label, network.ranks,
+                            network.counts, network.edges[chosen])

@@ -8,8 +8,10 @@ turns flow into an edge length
     d(i, j) = 1 - ln(F_ij / sum_l F_lj)
 
 which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges. A
-`FlowMatrix` holds these lengths for every edge with flow, computed once with
-`math.log` when the matrix is built.
+`FlowMatrix` holds these lengths for every edge with flow as two arrays, the
+edges' keys over the follow graph's ranks (ascending) and their lengths,
+computed once with `math.log` when the matrix is built; a network's edges
+find theirs by one `searchsorted`.
 
 `distance_stats` measures hop counts (geodesic distance) when it is given no
 flow matrix, and effective distance over the flow matrix it is given. It
@@ -18,8 +20,8 @@ The three floats equal, bit for bit, those of one breadth-first search
 (geodesic) or binary-heap Dijkstra (effective) per source, sources in sorted
 order, with the mean taken by Python's `sum` (see the last paragraph).
 
-Algorithm. Nodes are the ranks of their ids in `sorted_nodes()`, and only
-edges of finite length take part. A block of sources is relaxed at once,
+Algorithm. Nodes are the network's positions, which follow its sorted ids,
+and only edges of finite length take part. A block of sources is relaxed at once,
 Bellman-Ford style, on a nodes x sources distance array: each round sets
 d(s, v) to the minimum of itself and of d(s, u) + w(u, v) over the in-edges
 (u, v), and the rounds stop when nothing improves. Geodesic distance is the
@@ -72,6 +74,7 @@ import numpy as np
 
 from .corpus import SocialGraph
 from .diffusion import DiffusionNetwork
+from .util import distinct, find
 
 SHARED_NEWS = "shared_news"
 SHARED_FREQUENCY = "shared_frequency"
@@ -81,14 +84,24 @@ _BLOCK = 1 << 16  # entries of one (nodes or edges) x sources array: 512 KB
 _MIN_WIDTH = 8  # sources per block on large networks; fewer run at per-call overhead
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowMatrix:
-    flows: dict  # (i, j) -> flow > 0, support within the social edge set
-    inflow: dict  # j -> sum of flows into j
-    lengths: dict  # (i, j) -> effective distance, for every edge with flow > 0
+    """The effective length of every follow edge that carries flow.
 
-    def flow(self, i, j) -> float:
-        return self.flows.get((i, j), 0.0)
+    `keys` lists those edges as `follower * n_users + followee` over the
+    graph's ranks, ascending, and `lengths[i]` is the length of edge keys[i].
+    """
+
+    n_users: int
+    keys: np.ndarray  # (k,) int64
+    lengths: np.ndarray  # (k,) float64, each >= 1
+
+    def lengths_of(self, followers, followees) -> np.ndarray:
+        """The length of each edge (followers[i], followees[i]); inf without flow."""
+        at, found = find(self.keys, followers * self.n_users + followees)
+        out = np.full(found.size, math.inf)
+        out[found] = self.lengths[at[found]]
+        return out
 
 
 @dataclass(frozen=True)
@@ -99,36 +112,38 @@ class DistanceStats:
 
 
 def flow_matrix(graph: SocialGraph, networks, definition: str) -> FlowMatrix:
-    """Aggregate edge flows over a collection of diffusion networks."""
+    """Aggregate edge flows over a collection of diffusion networks.
+
+    Every network edge becomes its key over the graph's ranks; the flows are
+    one `bincount` over the distinct keys, and the inflows one over their
+    followees. Both sum small integers, exact in any order, so they equal the
+    dict loop's left-to-right sums. Each length is `1 - math.log(f / inflow)`
+    on Python floats.
+    """
     if definition not in FLOW_DEFINITIONS:
         raise ValueError(f"definition must be one of {FLOW_DEFINITIONS}, got {definition!r}")
-    per_network = [(net, sorted(net.edges)) for net in networks]
-    edges = [edge for _, net_edges in per_network for edge in net_edges]
-    followed = graph.follows(edges)
+    nets = list(networks)
+    empty = [np.empty(0, dtype=np.int64)]
+    followers = np.concatenate(empty + [net.ranks[net.edges[:, 0]] for net in nets])
+    followees = np.concatenate(empty + [net.ranks[net.edges[:, 1]] for net in nets])
+    followed = graph.follows(followers, followees)
     if not followed.all():
-        edge = edges[int(np.argmin(followed))]
+        i = int(np.argmin(followed))
+        edge = (graph.users[followers[i]], graph.users[followees[i]])
         raise ValueError(f"network edge {edge!r} not in the social graph")
-    flows: dict = {}
-    for net, net_edges in per_network:
-        for edge in net_edges:
-            if definition == SHARED_NEWS:
-                add = 1.0
-            else:
-                u, v = edge
-                add = float(min(net.counts[u], net.counts[v]))
-            flows[edge] = flows.get(edge, 0.0) + add
-    inflow: dict = {}
-    for edge in sorted(flows):
-        j = edge[1]
-        inflow[j] = inflow.get(j, 0.0) + flows[edge]
-    lengths = {edge: 1.0 - math.log(f / inflow[edge[1]])
-               for edge, f in flows.items() if f > 0.0}
-    return FlowMatrix(flows=flows, inflow=inflow, lengths=lengths)
-
-
-def effective_distance(flow: FlowMatrix, i, j) -> float:
-    """Edge length from flow; infinite when the edge carries no flow."""
-    return flow.lengths.get((i, j), math.inf)
+    n = graph.n_nodes
+    keys = followers * n + followees
+    edge_keys = distinct(keys)
+    weights = None
+    if definition == SHARED_FREQUENCY:
+        weights = np.concatenate(empty + [np.minimum(*net.counts[net.edges.T]) for net in nets])
+    flows = np.bincount(np.searchsorted(edge_keys, keys), weights=weights,
+                        minlength=edge_keys.size)
+    heads = edge_keys % max(n, 1)
+    inflow = np.bincount(heads, weights=flows, minlength=n)[heads]
+    lengths = [1.0 - math.log(f / total)
+               for f, total in zip(flows.astype(np.float64).tolist(), inflow.tolist())]
+    return FlowMatrix(n_users=n, keys=edge_keys, lengths=np.array(lengths, dtype=np.float64))
 
 
 def _in_edge_slots(src, dst, n) -> tuple:
@@ -199,24 +214,19 @@ def distance_stats(network: DiffusionNetwork,
 
     Geodesic without `flow`, effective distance over `flow` otherwise.
     """
-    nodes = network.sorted_nodes()
-    rank = {v: i for i, v in enumerate(nodes)}
-    if flow is None:
-        edges = list(network.edges)
-    else:
-        edges = [edge for edge in network.edges if edge in flow.lengths]
-    if not edges:
+    n = network.n_nodes
+    src, dst = network.edges.T
+    if flow is not None:
+        step = flow.lengths_of(network.ranks[src], network.ranks[dst])
+        finite = step < math.inf
+        src, dst, step = src[finite], dst[finite], step[finite]
+    if not src.size:
         return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
-    n = len(nodes)
-    src, dst = np.array([(rank[u], rank[v]) for u, v in edges], dtype=np.int64).T
     slot_major, heads, widths = _in_edge_slots(src, dst, n)
+    width = max(_MIN_WIDTH, _BLOCK // max(n, src.size))
     src = src[slot_major]
-    if flow is None:
-        step = 1.0
-    else:
-        step = np.array([flow.lengths[edge] for edge in edges])[slot_major, None]
+    step = 1.0 if flow is None else step[slot_major, None]
 
-    width = max(_MIN_WIDTH, _BLOCK // max(n, len(edges)))
     values = np.empty(n * (n - 1))  # pages are touched only as values are found
     count = 0
     total = 0.0

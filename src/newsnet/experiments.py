@@ -227,13 +227,14 @@ def _sampling_task(args):
 
 def _early_task(args):
     extractor, config, mask, mode, proportion, rep = args
-    subsampled = {
-        news: subsample(net, mode, proportion,
-                        derive_seed(config.seed, "early", mode, repr(proportion),
-                                    rep, news))
-        for news, net in sorted(extractor.networks.items())
-    }
-    return _eval_task((extractor.with_networks(subsampled), config, mask))
+    if proportion < 1.0:  # either mode keeps every network whole at p = 1.0
+        extractor = extractor.with_networks({
+            news: subsample(net, mode, proportion,
+                            derive_seed(config.seed, "early", mode, repr(proportion),
+                                        rep, news))
+            for news, net in sorted(extractor.networks.items())
+        })
+    return _eval_task((extractor, config, mask))
 
 
 def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
@@ -300,7 +301,8 @@ def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
     """Subsample every network per (mode, proportion), re-extract, evaluate.
 
     Either mode keeps every network whole at p = 1.0, whatever the seed, so
-    that point is evaluated once and counted for every mode and repetition.
+    that point is evaluated once, on `extractor` itself, and counted for
+    every mode and repetition.
     """
     mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")

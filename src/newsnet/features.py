@@ -23,15 +23,21 @@ finite. Extraction is pure: identical inputs give bit-identical vectors.
 
 The values fall in three blocks (FeatureSpec.block), one per invariance level:
 
-    static      38 values, label-free: once per network and extractor
+    static      38 values, label-free: once per extractor, for all networks
     dynamic     100 values (2-13, 40-47, 49-52, 56-83, 87-134): per training
                 fold and threshold, from the spreaders' scores and classes
     similarity  4 values (139-142): per training fold and threshold
 
-The dynamic block is computed for all networks at once on a `NodeTable`, the
+Both blocks are computed for all networks at once on a `NodeTable`, the
 extractor's networks numbered once (news sorted, nodes sorted within a
-network) with each node's network, interned user and engagement count, plus
-edge endpoint and oriented-triangle arrays. Per (fold, threshold) and
+network) with each node's network, graph rank, interned user and engagement
+count, plus edge endpoint and triangle arrays. The static block
+(`FeatureExtractor.static_block`, one (networks, 38) array) reads the
+centralities and global communities at the nodes' ranks, takes the
+centrality means and medians as below, the edge and triangle totals from
+the table, and the distance statistics and local communities network by
+network; the dict loop it replaced is `static_features` in
+`tests/oracles.py`, which it equals bit for bit. Per (fold, threshold) and
 scoring method, one score and one class-code vector over the interned users
 give every node's score and class; counts are `np.bincount`s over network ×
 class keys, the median susceptibility reads a `lexsort` by (network, score),
@@ -44,9 +50,9 @@ left to right in sorted-node order like Python's `sum` on CPython 3.11 (the
 trailing zeros add exactly). CPython 3.12's `sum` is compensated, so there
 the oracle can differ in the last bits.
 
-`extract` assembles one network's vector, a float64 array of 142 values in
-index order; `extract_matrix` stacks the vectors of every network under one
-training fold, WL similarity included.
+`extract` assembles one network's vector from its rows of the three blocks,
+a float64 array of 142 values in index order; `extract_matrix` stacks the
+vectors of every network under one training fold, WL similarity included.
 """
 
 from __future__ import annotations
@@ -59,12 +65,12 @@ import numpy as np
 from . import susceptibility
 from .centrality import MEASURES, CentralityScores, centralities
 from .corpus import EngagementTable, SocialGraph
-from .diffusion import DiffusionNetwork, build_all_networks
+from .diffusion import build_all_networks
 from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matrix
 from .louvain import global_communities, local_communities
 from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, UNKNOWN
 from .triads import TRIAD_CLASSES, Triangles, census, enumerate_triangles
-from .util import derive_seed, distinct, left_sum, median, safe_ratio, write_csv
+from .util import derive_seed, distinct, write_csv
 from .wl import SimilarityIndex, normalized_gram
 
 MORE_SPREADERS = "more_spreaders"
@@ -154,7 +160,7 @@ _COLUMNS = {block: np.array([spec.index - 1 for spec in FEATURE_REGISTRY
                              if spec.block == block])
             for block in (STATIC, DYNAMIC, SIMILARITY)}
 DYNAMIC_NAMES = tuple(FEATURE_NAMES[i] for i in _COLUMNS[DYNAMIC])
-_STATIC_NAMES = tuple(FEATURE_NAMES[i] for i in _COLUMNS[STATIC])
+STATIC_NAMES = tuple(FEATURE_NAMES[i] for i in _COLUMNS[STATIC])
 
 
 def feature_index(name: str) -> int:
@@ -202,68 +208,55 @@ class FeatureMatrix:
 
 
 class NodeTable:
-    """A corpus's diffusion networks as node, edge and triangle arrays.
+    """A corpus's diffusion networks as node, edge and neighbour arrays.
 
     Networks are numbered in sorted news order (`order`, with their labels
     in `labels`), nodes in sorted order within a network and networks one
-    after another. Node k is user `users[user[k]]` (`users` holds the
-    distinct spreaders, sorted), lies in network `network[k]` at position
-    `position[k]` and spread it `count[k]` times. Edge j runs from node
-    `source[j]` to node `target[j]` in network `edge_network[j]`; the
-    oriented triangles come from each network's TriangleIndex.
-    `neighbours[k]` lists the nodes adjacent to node k in either direction,
-    ascending, for WL refinement over h iterations; the identity-labelled
-    WL Gram matrix depends on the networks and h only and is built on first
-    use.
+    after another. Node k is the user of graph rank `rank[k]`, which is
+    `users[user[k]]` (`users` holds the ids of the distinct spreaders,
+    sorted, for the susceptibility models, which are keyed by id); it lies
+    in network `network[k]` at position `position[k]` and spread it
+    `count[k]` times. Edge j runs from node `source[j]` to node `target[j]`
+    in network `edge_network[j]`. The nodes adjacent to node k in either
+    direction are `neighbours[neighbour_ptr[k]:neighbour_ptr[k + 1]]`,
+    ascending, for WL refinement over h iterations and the triangle
+    listing. The triangles and the identity-labelled WL Gram matrix depend
+    on the networks (and h) only and are built on first use.
     """
 
-    def __init__(self, networks: dict, triangle_index, h: int = 3):
+    def __init__(self, networks: dict, users, h: int = 3):
         if h < 0:
             raise ValueError("h must be >= 0")
         self.h = h
         self.order = sorted(networks)
         nets = [networks[news] for news in self.order]
         self.labels = [net.label for net in nets]
-        self.users = sorted(set().union(*(net.nodes for net in nets)))
-        intern = {v: i for i, v in enumerate(self.users)}
-        user, count, sizes, totals = [], [], [], []
-        source, target, edge_network = [], [], []
-        tri_network, cyclic, roles = [], [], []
-        for t, net in enumerate(nets):
-            nodes = net.sorted_nodes()
-            number = {v: len(user) + i for i, v in enumerate(nodes)}
-            user += [intern[v] for v in nodes]
-            count += [net.counts[v] for v in nodes]
-            sizes.append(len(nodes))
-            totals.append(float(sum(net.counts.values())))
-            for u, v in net.edges:
-                source.append(number[u])
-                target.append(number[v])
-            edge_network += [t] * net.n_edges
-            for kind, tri in triangle_index(net.news_id).oriented:
-                tri_network.append(t)
-                cyclic.append(kind == "cyclic")
-                roles.append([number[v] for v in tri])
         n = len(nets)
-        self.user = np.array(user, dtype=np.int64)
-        self.count = np.array(count, dtype=np.float64)
-        self.sizes = np.array(sizes, dtype=np.int64)
+        empty = [np.empty(0, dtype=np.int64)]
+        self.sizes = np.array([net.n_nodes for net in nets], dtype=np.int64)
         self.network = np.repeat(np.arange(n), self.sizes)
-        self.position = np.arange(len(user)) - (np.cumsum(self.sizes) - self.sizes)[self.network]
-        self.engagements = np.array(totals)
-        self.source = np.array(source, dtype=np.int64)
-        self.target = np.array(target, dtype=np.int64)
-        self.edge_network = np.array(edge_network, dtype=np.int64)
-        self.n_edges = np.bincount(self.edge_network, minlength=n)
-        self.triangles = Triangles(np.array(tri_network, dtype=np.int64),
-                                   np.array(cyclic, dtype=bool),
-                                   np.array(roles, dtype=np.int64).reshape(-1, 3), n)
-        size = max(len(user), 1)
-        rows, cols = np.divmod(distinct(np.concatenate(
+        offsets = np.cumsum(self.sizes) - self.sizes
+        self.position = np.arange(self.network.size) - offsets[self.network]
+        self.rank = np.concatenate(empty + [net.ranks for net in nets])
+        ranks = distinct(self.rank)
+        self.user = np.searchsorted(ranks, self.rank)
+        self.users = [users[r] for r in ranks.tolist()]
+        self.count = np.concatenate(empty + [net.counts for net in nets]).astype(np.float64)
+        self.engagements = np.bincount(self.network, weights=self.count, minlength=n)
+        edges = np.concatenate([np.empty((0, 2), dtype=np.int64)]
+                               + [net.edges + offset for net, offset in zip(nets, offsets)])
+        self.source, self.target = edges[:, 0].copy(), edges[:, 1].copy()
+        self.n_edges = np.array([net.n_edges for net in nets], dtype=np.int64)
+        self.edge_network = np.repeat(np.arange(n), self.n_edges)
+        size = max(self.network.size, 1)
+        rows, self.neighbours = np.divmod(distinct(np.concatenate(
             [self.source * size + self.target, self.target * size + self.source])), size)
-        bounds = np.cumsum(np.bincount(rows, minlength=len(user))).tolist()
-        flat = cols.tolist()
-        self.neighbours = [flat[a:b] for a, b in zip([0] + bounds, bounds)]
+        self.neighbour_ptr = np.zeros(self.network.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.network.size), out=self.neighbour_ptr[1:])
+
+    @cached_property
+    def triangles(self) -> Triangles:
+        return enumerate_triangles(self)
 
     @cached_property
     def identity_gram(self) -> np.ndarray:
@@ -350,13 +343,12 @@ def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
 class FeatureExtractor:
     """Feature assembly over one corpus.
 
-    Label-independent inputs (centralities, flow matrices, communities,
-    triangle enumeration, distance statistics, the node table and its
-    identity-labelled WL Gram matrix) are computed once and cached;
-    susceptibility-dependent features are recomputed for every training
-    fold and threshold. The flow matrices are built here from the
-    graph and the networks: they encode which news stories an edge appears
-    in, so they change with the networks.
+    Label-independent inputs (centralities, flow matrices, communities, the
+    node table with its triangles and identity-labelled WL Gram matrix, and
+    the static block) are computed once and cached; susceptibility-dependent
+    features are recomputed for every training fold and threshold. The flow
+    matrices are built here from the graph and the networks: they encode
+    which news stories an edge appears in, so they change with the networks.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
@@ -371,8 +363,6 @@ class FeatureExtractor:
         self.global_comm = global_comm
         self.h = h
         self.seed = seed
-        self._static: dict = {}
-        self._triangles: dict = {}
 
     @classmethod
     def build(cls, graph: SocialGraph, table: EngagementTable,
@@ -387,87 +377,76 @@ class FeatureExtractor:
         return FeatureExtractor(self.graph, self.table, networks, self.centralities,
                                 self.global_comm, h=self.h, seed=self.seed)
 
-    def triangle_index(self, news_id):
-        if news_id not in self._triangles:
-            self._triangles[news_id] = enumerate_triangles(self.networks[news_id])
-        return self._triangles[news_id]
-
     # ---- label-independent block ----
 
     @cached_property
     def node_table(self) -> NodeTable:
         """The networks' nodes, edges and triangles over one node numbering."""
-        return NodeTable(self.networks, self.triangle_index, self.h)
+        return NodeTable(self.networks, self.graph.users, self.h)
 
-    def _static_features(self, news_id) -> dict:
-        if news_id in self._static:
-            return self._static[news_id]
-        net = self.networks[news_id]
-        out: dict = {}
-        n = net.n_nodes
-        out["n_spreaders"] = float(n)
+    @cached_property
+    def static_block(self) -> np.ndarray:
+        """The static block of every network, (networks, 38) in STATIC_NAMES order.
 
-        nodes = net.sorted_nodes()
-        influence = {measure: [self.centralities.of(measure)[v] for v in nodes]
-                     for measure in MEASURES}
+        Rows follow `node_table.order`. Per-network means add left to right
+        along a zero-padded networks x max-nodes matrix and medians read a
+        `lexsort`, as in `dynamic_features`; the distance statistics and the
+        local community counts are computed network by network.
+        """
+        table = self.node_table
+        sizes = table.sizes
+        columns = {"n_spreaders": sizes.astype(np.float64)}
+        padded = np.zeros((sizes.size, int(sizes.max(initial=0)) + 1))
         for measure in MEASURES:
-            out[f"mean_{measure}"] = left_sum(influence[measure]) / n if n else 0.0
-        for measure in MEASURES:
-            out[f"median_{measure}"] = median(influence[measure])
+            values = self.centralities.values[measure][table.rank]
+            padded[table.network, table.position] = values
+            columns[f"mean_{measure}"] = _ratio(np.cumsum(padded, axis=1)[:, -1], sizes)
+            columns[f"median_{measure}"] = _sorted_median(values, table.network, sizes)
 
-        geo = distance_stats(net)
-        out["geodesic_max"] = geo.maximum
-        out["geodesic_mean"] = geo.mean
-        out["geodesic_median"] = geo.median
-        for tag, definition in (("news", SHARED_NEWS), ("freq", SHARED_FREQUENCY)):
-            eff = distance_stats(net, self.flows[definition])
-            out[f"effective_max_{tag}"] = eff.maximum
-            out[f"effective_mean_{tag}"] = eff.mean
-            out[f"effective_median_{tag}"] = eff.median
+        nets = [self.networks[news] for news in table.order]
+        for prefix, flow in (("geodesic_{}", None),
+                             ("effective_{}_news", self.flows[SHARED_NEWS]),
+                             ("effective_{}_freq", self.flows[SHARED_FREQUENCY])):
+            stats = [distance_stats(net, flow) for net in nets]
+            for stat, field in (("max", "maximum"), ("mean", "mean"), ("median", "median")):
+                columns[prefix.format(stat)] = np.array([getattr(st, field) for st in stats],
+                                                        dtype=np.float64)
 
-        total_t = float(sum(net.counts.values()))
-        out["total_engagements"] = total_t
-        out["mean_engagements"] = safe_ratio(total_t, n)
+        columns["total_engagements"] = table.engagements
+        columns["mean_engagements"] = _ratio(table.engagements, sizes)
+        columns["n_edges"] = table.n_edges.astype(np.float64)
+        columns["edges_per_spreader"] = _ratio(table.n_edges, sizes)
+        columns["ego_density"] = _ratio(table.n_edges, sizes * (sizes - 1) / 2.0)
+        total = table.triangles.total
+        columns["n_triangles"] = total.astype(np.float64)
+        columns["triangles_per_spreader"] = _ratio(total, sizes)
+        columns["triad_density"] = _ratio(total, np.where(
+            sizes >= 3, sizes * (sizes - 1) * (sizes - 2) / 6.0, 0.0))
 
-        e = net.n_edges
-        out["n_edges"] = float(e)
-        out["edges_per_spreader"] = safe_ratio(e, n)
-        pairs = n * (n - 1) / 2.0
-        out["ego_density"] = safe_ratio(e, pairs)
-
-        tri = self.triangle_index(news_id)
-        possible = n * (n - 1) * (n - 2) / 6.0 if n >= 3 else 0.0
-        out["n_triangles"] = float(tri.total)
-        out["triangles_per_spreader"] = safe_ratio(tri.total, n)
-        out["triad_density"] = safe_ratio(tri.total, possible)
-
-        if n:
-            n_global = len({self.global_comm.communities[v] for v in net.nodes})
-            local = local_communities(net, derive_seed(self.seed, "louvain_local",
-                                                       news_id))
-            n_local = local.n_communities
-        else:
-            n_global = n_local = 0
-        out["n_communities_global"] = float(n_global)
-        out["n_communities_local"] = float(n_local)
-        out["community_density_global"] = safe_ratio(n_global, n)
-        out["community_density_local"] = safe_ratio(n_local, n)
-
-        self._static[news_id] = out
-        return out
+        community = np.array([self.global_comm.communities[user] for user in table.users],
+                             dtype=np.int64)[table.user]
+        width = int(community.max(initial=0)) + 1
+        n_global = np.bincount(distinct(table.network * width + community) // width,
+                               minlength=sizes.size)
+        n_local = np.array([local_communities(net, derive_seed(self.seed, "louvain_local",
+                                                               news)) if net.n_nodes else 0
+                            for news, net in zip(table.order, nets)], dtype=np.int64)
+        for scope, count in (("global", n_global), ("local", n_local)):
+            columns[f"n_communities_{scope}"] = count.astype(np.float64)
+            columns[f"community_density_{scope}"] = _ratio(count, sizes)
+        return np.column_stack([columns[name] for name in STATIC_NAMES])
 
 
-def extract(network: DiffusionNetwork, dynamic, extractor: FeatureExtractor,
-            references: tuple) -> np.ndarray:
+def extract(static, dynamic, references) -> np.ndarray:
     """Assemble one network's full 142-value feature vector, in index order.
 
-    `dynamic` is the network's row of `dynamic_features` (DYNAMIC_NAMES
-    order); `references` is its 4-tuple of WL similarity values
+    `static` and `dynamic` are the network's rows of the static block
+    (STATIC_NAMES order) and of `dynamic_features` (DYNAMIC_NAMES order);
+    `references` is its 4-tuple of WL similarity values
     (SimilarityIndex.features).
     """
-    static = extractor._static_features(network.news_id)
     row = np.empty(N_FEATURES)
-    row[_COLUMNS[STATIC]] = [static[name] for name in _STATIC_NAMES]
+    row[_COLUMNS[STATIC]] = static
     row[_COLUMNS[DYNAMIC]] = dynamic
     row[_COLUMNS[SIMILARITY]] = references
     return row
@@ -486,8 +465,7 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
     classes = vectors[BY_NEWS][1][table.user].tolist()
     sim_index = SimilarityIndex(table, training_news, classes)
     dynamic = dynamic_features(table, vectors)
-    X = np.array([extract(extractor.networks[news], dynamic[t], extractor,
-                          sim_index.features(news))
+    static = extractor.static_block
+    X = np.array([extract(static[t], dynamic[t], sim_index.features(news))
                   for t, news in enumerate(table.order)], dtype=np.float64)
-    labels = tuple(extractor.networks[news].label for news in table.order)
-    return FeatureMatrix(news_ids=tuple(table.order), labels=labels, X=X)
+    return FeatureMatrix(news_ids=tuple(table.order), labels=tuple(table.labels), X=X)

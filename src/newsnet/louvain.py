@@ -8,7 +8,8 @@ drops to <= 1e-7. Deterministic for a given seed: nodes are sorted before the
 seeded shuffle and candidate communities are scanned in sorted order.
 
 Directed follow edges are symmetrized first (weight 1 per unordered connected
-pair, reciprocal pairs also weight 1).
+pair, reciprocal pairs also weight 1), as rank or position pairs: one sort of
+the pair keys, with no tuple per edge.
 
 The result is the node -> community map alone: the feature vector reads
 community counts at two scopes, the whole follow graph
@@ -37,25 +38,18 @@ class CommunityAssignment:
         return len(set(self.communities.values()))
 
 
-def symmetrize(directed_edges) -> list:
-    """Unordered connected pairs with weight 1 (reciprocal pairs collapse)."""
-    pairs = set()
-    for u, v in directed_edges:
-        if u == v:
-            continue
-        pairs.add((u, v) if u <= v else (v, u))
-    return [(u, v, 1.0) for u, v in sorted(pairs)]
-
-
 class _Level:
-    """One aggregation level: adjacency with self-loops, community bookkeeping."""
+    """One aggregation level: adjacency with self-loops, community bookkeeping.
 
-    def __init__(self, n, weighted_edges):
+    Edge i joins nodes lows[i] and highs[i] with weight weights[i].
+    """
+
+    def __init__(self, n, lows, highs, weights):
         self.n = n
         self.adj = [dict() for _ in range(n)]
         self.self_w = [0.0] * n
         m = 0.0
-        for u, v, w in weighted_edges:
+        for u, v, w in zip(lows, highs, weights):
             m += w
             if u == v:
                 self.self_w[u] += w
@@ -131,7 +125,8 @@ class _Level:
             out.append(relabel[c])
         return out
 
-    def aggregated_edges(self, partition) -> list:
+    def aggregated_edges(self, partition) -> tuple:
+        """The edges between communities: (lows, highs, weights), pairs sorted."""
         edges: dict = {}
         for i in range(self.n):
             ci = partition[i]
@@ -143,31 +138,24 @@ class _Level:
                     a, b = partition[i], partition[j]
                     key = (a, b) if a <= b else (b, a)
                     edges[key] = edges.get(key, 0.0) + w
-        return [(a, b, w) for (a, b), w in sorted(edges.items())]
+        pairs = sorted(edges)
+        return [a for a, _ in pairs], [b for _, b in pairs], [edges[pair] for pair in pairs]
 
 
-def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
-    """Detect communities; nodes without edges end up as singletons."""
-    node_list = sorted(set(nodes))
-    if not node_list:
+def communities(n, lows, highs, weights, seed: int) -> list:
+    """Louvain over the nodes 0..n-1: each node's community, numbered by first
+    appearance over the nodes; nodes without edges end up as singletons."""
+    if not n:
         raise ValueError("louvain requires a nonempty node set")
-    index = {n: i for i, n in enumerate(node_list)}
-    edges = []
-    for u, v, w in weighted_edges:
-        if u not in index or v not in index:
-            raise ValueError(f"edge ({u!r}, {v!r}) references an unknown node")
-        edges.append((index[u], index[v], float(w)))
-
-    assignment = list(range(len(node_list)))  # original node -> community label
-    level_edges = edges
-    level_n = len(node_list)
+    assignment = list(range(n))  # original node -> community label
+    level_n = n
     best_q = None
     level_no = 0
     while True:
-        level = _Level(level_n, level_edges)
+        level = _Level(level_n, lows, highs, weights)
         level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
         part = level.partition()
-        assignment = [part[assignment[i]] for i in range(len(node_list))]
+        assignment = [part[c] for c in assignment]
         q = level._modularity()
         if best_q is not None and q - best_q <= MIN_GAIN:
             break
@@ -175,35 +163,40 @@ def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
         n_coms = max(part) + 1
         if n_coms == level_n:  # nothing merged; a further level cannot improve
             break
-        level_edges = level.aggregated_edges(part)
+        lows, highs, weights = level.aggregated_edges(part)
         level_n = n_coms
         level_no += 1
-
-    # canonical community ids: first appearance over sorted nodes
+    # canonical community ids: first appearance over the nodes
     relabel: dict = {}
-    communities = {}
-    for i, node in enumerate(node_list):
-        c = assignment[i]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        communities[node] = relabel[c]
-    return CommunityAssignment(communities=communities)
+    return [relabel.setdefault(c, len(relabel)) for c in assignment]
+
+
+def _pairs(lows, highs, n) -> tuple:
+    """The distinct unordered pairs of the edges (lows[i], highs[i]), sorted, as lists."""
+    pairs = distinct(np.minimum(lows, highs) * n + np.maximum(lows, highs))
+    return tuple(side.tolist() for side in np.divmod(pairs, max(n, 1)))
 
 
 def global_communities(graph, seed: int) -> CommunityAssignment:
     """Louvain over the follow graph's ranks, keyed back to user ids.
 
-    The CSR's edges are symmetrized as rank pairs in ascending order. Rank
-    order is sorted-id order, so the seeded shuffle and the relabelling are
-    those of `louvain` over the ids and `symmetrize`d id pairs.
+    `_Level` reads the CSR's edges symmetrized as rank pairs in ascending
+    order, with no pair tuples and no node index. Rank order is sorted-id
+    order, so the seeded shuffle and the relabelling are those of Louvain
+    over the ids and their symmetrized pairs (`louvain` in `tests/oracles.py`).
     """
     n = graph.n_nodes
-    src, dst = graph.sources(), graph.indices
-    pairs = distinct(np.minimum(src, dst) * n + np.maximum(src, dst))
-    lows, highs = np.divmod(pairs, max(n, 1))
-    ranked = louvain(range(n), zip(lows.tolist(), highs.tolist(), [1.0] * pairs.size), seed)
-    return CommunityAssignment(dict(zip(graph.users, ranked.communities.values())))
+    lows, highs = _pairs(graph.sources(), graph.indices, n)
+    return CommunityAssignment(dict(zip(graph.users, communities(
+        n, lows, highs, [1.0] * len(lows), seed))))
 
 
-def local_communities(network, seed: int) -> CommunityAssignment:
-    return louvain(network.nodes, symmetrize(network.edges), seed)
+def local_communities(network, seed: int) -> int:
+    """The number of Louvain communities of one nonempty diffusion network.
+
+    Runs over the network's positions, which are in sorted-id order, so the
+    count is that of Louvain over the ids and their symmetrized pairs.
+    """
+    n = network.n_nodes
+    lows, highs = _pairs(network.edges[:, 0], network.edges[:, 1], n)
+    return len(set(communities(n, lows, highs, [1.0] * len(lows), seed)))

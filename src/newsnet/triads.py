@@ -13,15 +13,27 @@ classes up to rotation -- 12 in total. Triangles containing a reciprocal pair,
 or (otherwise) any node of unknown susceptibility, fall in none of the 12
 classes; the reciprocal ones never reach the oriented list.
 
-Enumeration is label-free and cached once per network, because node classes
-change with every training fold and threshold. `Triangles` holds the oriented
-triangles of all of a corpus's networks as arrays over one node numbering
-(`features.NodeTable`'s), and `census` classifies all of them at once from one
-class-code vector: class index 4·[source is s] + 2·[middle is s] + [sink is
-s] for a transitive triangle, 8 + (number of s) for a cyclic one, counted per
-network with one `np.bincount`. The counts are exact integers, so they equal
-a per-triangle loop (the dict census in `tests/oracles.py`) whatever the
-order.
+Enumeration is label-free and done once per node table, because node classes
+change with every training fold and threshold. `enumerate_triangles` lists
+the triangles of all of a `features.NodeTable`'s networks at once, by the
+degree-ordered listing of Chiba & Nishizeki (SIAM J. Comput. 14, 1985) on
+arrays: nodes are ranked by (undirected degree, node number), each
+undirected pair is oriented from its lower- to its higher-ranked node, and
+every pair (v, w) of one node u's higher neighbours, v below w, is a wedge
+that closes into a triangle when v -> w is an oriented pair (one
+`searchsorted` over the sorted pair keys). Each triangle is thus listed
+once, as (u, v, w) in rank order, and its arcs come from lookups of the
+directed edge keys. Node numbers are sorted ids within a network, so the
+ranks and the (u, v, w) order are those of a per-network loop over ids by
+(degree, id), kept in `tests/oracles.py` as the oracle.
+
+`Triangles` holds every network's triangle total and reciprocal count, and
+the oriented triangles as arrays over the table's node numbering. `census`
+classifies all of them at once from one class-code vector: class index
+4·[source is s] + 2·[middle is s] + [sink is s] for a transitive triangle,
+8 + (number of s) for a cyclic one, counted per network with one
+`np.bincount`. The counts are exact integers, so they equal a per-triangle
+loop (the dict census in `tests/oracles.py`) whatever the order.
 """
 
 from __future__ import annotations
@@ -30,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionNetwork
 from .susceptibility import CLASSES, SUSCEPTIBLE, UNKNOWN
+from .util import distinct, find
 
 TRANSITIVE_CLASSES = tuple(
     f"t_{a}{b}{c}" for a in "ns" for b in "ns" for c in "ns"
@@ -43,63 +55,71 @@ _SUSCEPTIBLE = CLASSES.index(SUSCEPTIBLE)
 _UNKNOWN = CLASSES.index(UNKNOWN)
 
 
-@dataclass(frozen=True)
-class TriangleIndex:
-    """Orientation-resolved triangles of one network (no node labels)."""
-
-    total: int
-    reciprocal: int
-    oriented: tuple  # of ("transitive", (source, middle, sink)) or ("cyclic", (a, b, c))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Triangles:
-    """The oriented triangles of many networks over one node numbering.
+    """The triangles of many networks over one node numbering.
 
-    Triangle i lies in network `network[i]`; `roles[i]` holds its node
-    numbers as (source, middle, sink), or in cycle order when `cyclic[i]`.
+    Network t has `total[t]` triangles, `reciprocal[t]` of them with a
+    reciprocal pair. The others are oriented: triangle i lies in network
+    `network[i]`, and `roles[i]` holds its node numbers as (source, middle,
+    sink), or, when `cyclic[i]`, in rank order.
     """
 
+    total: np.ndarray  # (networks,) int64
+    reciprocal: np.ndarray  # (networks,) int64
     network: np.ndarray  # (m,) int64
     cyclic: np.ndarray  # (m,) bool
     roles: np.ndarray  # (m, 3) int64
-    n_networks: int
 
 
-def enumerate_triangles(network: DiffusionNetwork) -> TriangleIndex:
-    und = {v: set() for v in network.nodes}
-    for u, v in network.edges:
-        und[u].add(v)
-        und[v].add(u)
-    # rank by (degree, id): each triangle listed once from its lowest-rank node
-    rank = {v: i for i, v in enumerate(sorted(network.nodes,
-                                              key=lambda n: (len(und[n]), n)))}
-    edges = network.edges
-    total = 0
-    reciprocal = 0
-    oriented = []
-    for u in sorted(network.nodes):
-        higher = {w for w in und[u] if rank[w] > rank[u]}
-        for v in sorted(higher):
-            for w in sorted(higher & und[v]):
-                if rank[w] <= rank[v]:
-                    continue
-                total += 1
-                tri = (u, v, w)
-                if any((a, b) in edges and (b, a) in edges
-                       for a in tri for b in tri if a < b):
-                    reciprocal += 1
-                    continue
-                out_deg = {n: sum(1 for x in tri if x != n and (n, x) in edges)
-                           for n in tri}
-                if all(d == 1 for d in out_deg.values()):
-                    oriented.append(("cyclic", tri))
-                else:
-                    source = next(n for n in tri if out_deg[n] == 2)
-                    sink = next(n for n in tri if out_deg[n] == 0)
-                    middle = next(n for n in tri if n != source and n != sink)
-                    oriented.append(("transitive", (source, middle, sink)))
-    return TriangleIndex(total=total, reciprocal=reciprocal, oriented=tuple(oriented))
+def _wedges(low, high, n):
+    """Every pair of entries (i, j), i < j, within each row of the oriented pairs.
+
+    `low` is ascending and each row's entries come in rank order, so entry i
+    holds the lower-ranked of the two higher neighbours.
+    """
+    row_size = np.bincount(low, minlength=n)
+    later = (np.cumsum(row_size) - 1)[low] - np.arange(low.size)
+    first = np.repeat(np.arange(low.size), later)
+    return first, first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
+
+
+def enumerate_triangles(table) -> Triangles:
+    """Every triangle of a `features.NodeTable`'s networks, classified by orientation."""
+    n = table.network.size
+    size = max(n, 1)
+    # undirected pairs from the table's neighbour CSR, each once
+    degree = np.diff(table.neighbour_ptr)
+    rows, cols = np.repeat(np.arange(n), degree), table.neighbours
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), degree))] = np.arange(n)
+    up = rank[rows] < rank[cols]
+    low, high = rows[up], cols[up]
+    by_row = np.lexsort((rank[high], low))
+    low, high = low[by_row], high[by_row]
+    first, second = _wedges(low, high, n)
+    v, w = high[first], high[second]
+    closed = find(np.sort(low * size + high), v * size + w)[1]
+    tri = np.column_stack([low[first][closed], v[closed], w[closed]])
+    listed = table.network[tri[:, 0]]
+
+    arcs = distinct(table.source * size + table.target)
+    ends = ((0, 1), (0, 2), (1, 2))
+    forward = [find(arcs, tri[:, a] * size + tri[:, b])[1] for a, b in ends]
+    backward = [find(arcs, tri[:, b] * size + tri[:, a])[1] for a, b in ends]
+    reciprocal = np.logical_or.reduce([f & b for f, b in zip(forward, backward)])
+    # out-degree of each corner within its triangle
+    out = np.column_stack([forward[0].astype(np.int64) + forward[1],
+                           backward[0].astype(np.int64) + forward[2],
+                           backward[1].astype(np.int64) + backward[2]])
+    oriented = ~reciprocal
+    tri, out = tri[oriented], out[oriented]
+    # source (2 out-arcs), middle (1), sink (0); a cyclic triangle stays in rank order
+    roles = np.take_along_axis(tri, np.argsort(-out, axis=1, kind="stable"), axis=1)
+    networks = table.sizes.size
+    return Triangles(total=np.bincount(listed, minlength=networks),
+                     reciprocal=np.bincount(listed[reciprocal], minlength=networks),
+                     network=listed[oriented], cyclic=(out == 1).all(axis=1), roles=roles)
 
 
 def census(triangles: Triangles, codes: np.ndarray) -> np.ndarray:
@@ -114,7 +134,7 @@ def census(triangles: Triangles, codes: np.ndarray) -> np.ndarray:
     susceptible = (labels == _SUSCEPTIBLE).astype(np.int64)
     kind = np.where(triangles.cyclic, len(TRANSITIVE_CLASSES) + susceptible.sum(axis=1),
                     susceptible @ np.array([4, 2, 1]))
-    n = triangles.n_networks
+    n = triangles.total.size
     width = len(TRIAD_CLASSES)
     return np.bincount(triangles.network[known] * width + kind[known],
                        minlength=n * width).reshape(n, width)

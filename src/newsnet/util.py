@@ -1,4 +1,5 @@
-"""Small shared helpers: seed derivation, sums, distinct values, medians, CSV writing."""
+"""Small shared helpers: seed derivation, sums, distinct values, sorted lookup,
+medians, CSV writing."""
 
 from __future__ import annotations
 
@@ -37,6 +38,18 @@ def distinct(values) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+def find(keys, wanted) -> tuple:
+    """Where each of `wanted` sits in the ascending array `keys`, and whether it is there.
+
+    Returns the `np.searchsorted` positions and a mask of the values found.
+    """
+    wanted = np.asarray(wanted)
+    at = np.searchsorted(keys, wanted)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == wanted[found]
+    return at, found
 
 
 def median(values) -> float:

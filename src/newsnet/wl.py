@@ -106,6 +106,8 @@ def normalized_gram(table, labels) -> np.ndarray:
     (libm pow), which differs from np.sqrt in the last place on some
     products.
     """
+    flat, bounds = table.neighbours.tolist(), table.neighbour_ptr.tolist()
+    neighbours = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     ids: dict = {}
     current = [ids.setdefault(label, len(ids)) for label in labels]
     iterations = [current]
@@ -113,7 +115,7 @@ def normalized_gram(table, labels) -> np.ndarray:
         previous, ids = current, {}
         current = [ids.setdefault((own, tuple(sorted([previous[u] for u in adjacent]))),
                                   len(ids))
-                   for own, adjacent in zip(previous, table.neighbours)]
+                   for own, adjacent in zip(previous, neighbours)]
         iterations.append(current)
     gram = _gram(table.network, iterations, len(table.order))
     diag = np.diag(gram)

@@ -8,16 +8,20 @@ all-sources array relaxation in `newsnet.distances` replaced, the WL
 signatures by string relabelling through one shared dictionary and the
 pairwise similarity loops over them that the integer refinement and Gram
 matrices in `newsnet.wl` replaced, the recursive per-node tree growth the
-presorted batched grower in `newsnet.ml.forest` replaced, and the per-network
+presorted batched grower in `newsnet.ml.forest` replaced, the per-network
 dict loops (susceptibility classes, engagement and edge partitions, triad
-census) that the array block in `newsnet.features` replaced. Apart from the
-pairwise WL kernel, `newsnet.util.median`/`safe_ratio`, the triangle
-enumeration and the static block `feature_row` reads, these paths share no
-code with the package internals.
+census, the static block) that the array blocks in `newsnet.features`
+replaced, and the id-keyed flow matrix, triangle enumeration and subsampling
+that the rank arrays of `newsnet.distances`, `newsnet.triads` and
+`newsnet.diffusion` replaced. Networks are walked as `IdNetwork`s, sets of
+user ids read back from the package's rank arrays. Apart from the pairwise
+WL kernel, `newsnet.util.median`/`safe_ratio` and `louvain` over ids, these
+paths share no code with the package internals.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -27,14 +31,15 @@ from itertools import combinations
 
 import numpy as np
 
-from newsnet.centrality import DAMPING, MAX_ITER, TOLERANCE
+from newsnet.centrality import DAMPING, MAX_ITER, MEASURES, TOLERANCE
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
 from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, NodeTable
 from newsnet.features import dynamic_features as package_dynamic_features
 from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, NORMAL, SUSCEPTIBLE, UNKNOWN
-from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES, TriangleIndex, enumerate_triangles
+from newsnet.louvain import CommunityAssignment, communities
+from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES
 from newsnet.util import derive_seed, median, safe_ratio
 from newsnet.wl import WLSignature, wl_kernel_normalized
 
@@ -62,7 +67,7 @@ class LabeledGraph:
     labels: dict  # node -> label string
 
 
-def labeled_graph(network: DiffusionNetwork, scheme: str, model=None) -> LabeledGraph:
+def labeled_graph(network: IdNetwork, scheme: str, model=None) -> LabeledGraph:
     if scheme not in LABELING_SCHEMES:
         raise ValueError(f"scheme must be one of {LABELING_SCHEMES}, got {scheme!r}")
     und = {v: set() for v in network.nodes}
@@ -132,6 +137,199 @@ def string_graph(graph: SocialGraph) -> StringGraph:
     return StringGraph(nodes=frozenset(users), edges=edges,
                        out_neighbors={v: frozenset(s) for v, s in out_nbrs.items()},
                        in_neighbors={v: frozenset(s) for v, s in in_nbrs.items()})
+
+
+@dataclass(frozen=True)
+class IdNetwork:
+    """A diffusion network as user-id sets, the form the oracles walk."""
+
+    news_id: str
+    label: str
+    nodes: frozenset
+    edges: frozenset  # (follower, followee) pairs
+    counts: dict  # user -> spreading count
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    def sorted_nodes(self) -> list:
+        return sorted(self.nodes)
+
+
+def id_network(users, net: DiffusionNetwork) -> IdNetwork:
+    """The package's rank network read back as id sets; `users` is the graph's."""
+    nodes = [users[r] for r in net.ranks.tolist()]
+    return IdNetwork(net.news_id, net.label, frozenset(nodes),
+                     frozenset((nodes[a], nodes[b]) for a, b in net.edges.tolist()),
+                     dict(zip(nodes, net.counts.tolist())))
+
+
+def id_networks(users, networks: dict) -> dict:
+    return {news: id_network(users, net) for news, net in networks.items()}
+
+
+def rank_network(users, net: IdNetwork) -> DiffusionNetwork:
+    """An id network over the ranks of `users`, a sorted tuple of ids."""
+    nodes = net.sorted_nodes()
+    position = {v: i for i, v in enumerate(nodes)}
+    rank = {v: i for i, v in enumerate(users)}
+    edges = sorted((position[u], position[v]) for u, v in net.edges)
+    return DiffusionNetwork(net.news_id, net.label,
+                            np.array([rank[v] for v in nodes], dtype=np.int64),
+                            np.array([net.counts[v] for v in nodes], dtype=np.int64),
+                            np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def rank_networks(networks: dict) -> tuple:
+    """The sorted ids of every node of some id networks, and the networks over their ranks."""
+    users = tuple(sorted(set().union(*(net.nodes for net in networks.values()))))
+    return users, {news: rank_network(users, net) for news, net in networks.items()}
+
+
+def make_network(news_id, edges, nodes=None, label="fake", counts=None) -> IdNetwork:
+    """An id network; nodes default to the edge endpoints, counts to 1."""
+    nodes = frozenset(nodes if nodes is not None else {u for e in edges for u in e})
+    counts = counts or {}
+    return IdNetwork(news_id, label, nodes, frozenset(edges),
+                     {v: counts.get(v, 1) for v in nodes})
+
+
+def subsample(network: IdNetwork, mode: str, proportion: float, seed: int) -> IdNetwork:
+    """Subsampling over ids: `rng.sample` of the sorted nodes or edges."""
+    rng = random.Random(seed)
+    if mode == "nodes":
+        population = network.sorted_nodes()
+        kept = frozenset(rng.sample(population, math.ceil(proportion * len(population))))
+        edges = frozenset((u, v) for u, v in network.edges if u in kept and v in kept)
+        return IdNetwork(network.news_id, network.label, kept, edges,
+                         {u: network.counts[u] for u in kept})
+    population = sorted(network.edges)
+    kept_edges = frozenset(rng.sample(population, math.ceil(proportion * len(population))))
+    return IdNetwork(network.news_id, network.label, network.nodes, kept_edges,
+                     dict(network.counts))
+
+
+def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
+    """Louvain over user ids: the package's rank Louvain on the ids' sorted order.
+
+    Nodes without edges end up as singletons.
+    """
+    node_list = sorted(set(nodes))
+    index = {n: i for i, n in enumerate(node_list)}
+    lows, highs, weights = [], [], []
+    for u, v, w in weighted_edges:
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u!r}, {v!r}) references an unknown node")
+        lows.append(index[u])
+        highs.append(index[v])
+        weights.append(float(w))
+    return CommunityAssignment(dict(zip(node_list, communities(
+        len(node_list), lows, highs, weights, seed))))
+
+
+def symmetrize(directed_edges) -> list:
+    """Unordered connected pairs with weight 1 (reciprocal pairs collapse)."""
+    pairs = set()
+    for u, v in directed_edges:
+        if u == v:
+            continue
+        pairs.add((u, v) if u <= v else (v, u))
+    return [(u, v, 1.0) for u, v in sorted(pairs)]
+
+
+@dataclass(frozen=True)
+class FlowMatrix:
+    """Edge flows keyed by id pairs, as the dict loop builds them."""
+
+    flows: dict  # (i, j) -> flow > 0, support within the social edge set
+    inflow: dict  # j -> sum of flows into j
+    lengths: dict  # (i, j) -> effective distance, for every edge with flow > 0
+
+    def flow(self, i, j) -> float:
+        return self.flows.get((i, j), 0.0)
+
+
+def flow_matrix(networks, definition: str) -> FlowMatrix:
+    """The dict loop `distances.flow_matrix` replaced, over id networks."""
+    flows: dict = {}
+    for net in networks:
+        for edge in sorted(net.edges):
+            if definition == "shared_news":
+                add = 1.0
+            else:
+                u, v = edge
+                add = float(min(net.counts[u], net.counts[v]))
+            flows[edge] = flows.get(edge, 0.0) + add
+    inflow: dict = {}
+    for edge in sorted(flows):
+        j = edge[1]
+        inflow[j] = inflow.get(j, 0.0) + flows[edge]
+    lengths = {edge: 1.0 - math.log(f / inflow[edge[1]])
+               for edge, f in flows.items() if f > 0.0}
+    return FlowMatrix(flows=flows, inflow=inflow, lengths=lengths)
+
+
+def effective_distance(flow: FlowMatrix, i, j) -> float:
+    """Edge length from flow; infinite when the edge carries no flow."""
+    return flow.lengths.get((i, j), math.inf)
+
+
+def flow_lengths(users, flow) -> dict:
+    """The package's FlowMatrix as {(follower id, followee id): length}."""
+    n = flow.n_users
+    return {(users[k // n], users[k % n]): length
+            for k, length in zip(flow.keys.tolist(), flow.lengths.tolist())}
+
+
+@dataclass(frozen=True)
+class TriangleIndex:
+    """Orientation-resolved triangles of one network (no node labels)."""
+
+    total: int
+    reciprocal: int
+    oriented: tuple  # of ("transitive", (source, middle, sink)) or ("cyclic", (a, b, c))
+
+
+def enumerate_triangles(network: IdNetwork) -> TriangleIndex:
+    """The per-network loop over ids that `triads.enumerate_triangles` replaced."""
+    und = {v: set() for v in network.nodes}
+    for u, v in network.edges:
+        und[u].add(v)
+        und[v].add(u)
+    # rank by (degree, id): each triangle listed once from its lowest-rank node
+    rank = {v: i for i, v in enumerate(sorted(network.nodes,
+                                              key=lambda n: (len(und[n]), n)))}
+    edges = network.edges
+    total = 0
+    reciprocal = 0
+    oriented = []
+    for u in sorted(network.nodes):
+        higher = {w for w in und[u] if rank[w] > rank[u]}
+        for v in sorted(higher):
+            for w in sorted(higher & und[v]):
+                if rank[w] <= rank[v]:
+                    continue
+                total += 1
+                tri = (u, v, w)
+                if any((a, b) in edges and (b, a) in edges
+                       for a in tri for b in tri if a < b):
+                    reciprocal += 1
+                    continue
+                out_deg = {n: sum(1 for x in tri if x != n and (n, x) in edges)
+                           for n in tri}
+                if all(d == 1 for d in out_deg.values()):
+                    oriented.append(("cyclic", tri))
+                else:
+                    source = next(n for n in tri if out_deg[n] == 2)
+                    sink = next(n for n in tri if out_deg[n] == 0)
+                    middle = next(n for n in tri if n != source and n != sink)
+                    oriented.append(("transitive", (source, middle, sink)))
+    return TriangleIndex(total=total, reciprocal=reciprocal, oriented=tuple(oriented))
 
 
 def random_corpus(seed):
@@ -249,7 +447,7 @@ class TriadCensus:
         return sum(self.class_counts.values())
 
 
-def census(network: DiffusionNetwork, model, index: TriangleIndex | None = None) -> TriadCensus:
+def census(network: IdNetwork, model, index: TriangleIndex | None = None) -> TriadCensus:
     """Classify a network's triangles under a susceptibility model.
 
     `model` needs a classify(user) -> {normal, susceptible, unknown} method.
@@ -288,7 +486,7 @@ def triad_features(cens: TriadCensus) -> dict:
     return out
 
 
-def _class_maps(network: DiffusionNetwork, model):
+def _class_maps(network: IdNetwork, model):
     nodes = network.sorted_nodes()
     classes = {v: model.classify(v) for v in nodes}
     scores = {v: model.score(v) for v in nodes}
@@ -298,8 +496,8 @@ def _class_maps(network: DiffusionNetwork, model):
 def dynamic_features(extractor, news_id, models: dict) -> dict:
     """The 100 susceptibility-dependent values of one network, name -> value,
     by per-node, per-edge and per-triangle loops in sorted-node order."""
-    net = extractor.networks[news_id]
-    tri = extractor.triangle_index(news_id)
+    net = id_network(extractor.graph.users, extractor.networks[news_id])
+    tri = enumerate_triangles(net)
     n = net.n_nodes
     total_t = float(sum(net.counts.values()))
     n_edges = net.n_edges
@@ -355,20 +553,83 @@ def dynamic_features(extractor, news_id, models: dict) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _static_rows(extractor) -> dict:
+    """{news: static values by name} of every network of an extractor."""
+    users = extractor.graph.users
+    networks = id_networks(users, extractor.networks)
+    nets = [networks[news] for news in sorted(networks)]
+    flows = {tag: flow_matrix(nets, definition)
+             for tag, definition in (("news", "shared_news"), ("freq", "shared_frequency"))}
+    cents = {measure: extractor.centralities.of(measure) for measure in MEASURES}
+    return {news: _static_row(net, flows, cents, extractor.global_comm,
+                              derive_seed(extractor.seed, "louvain_local", news))
+            for news, net in networks.items()}
+
+
+def _static_row(net: IdNetwork, flows: dict, cents: dict, global_comm, seed) -> dict:
+    out: dict = {}
+    n = net.n_nodes
+    out["n_spreaders"] = float(n)
+    nodes = net.sorted_nodes()
+    for measure in MEASURES:
+        out[f"mean_{measure}"] = sum(cents[measure][v] for v in nodes) / n if n else 0.0
+    for measure in MEASURES:
+        out[f"median_{measure}"] = median([cents[measure][v] for v in nodes])
+    geo = python_distance_stats(net)
+    out["geodesic_max"], out["geodesic_mean"], out["geodesic_median"] = \
+        geo.maximum, geo.mean, geo.median
+    for tag, flow in flows.items():
+        eff = python_distance_stats(net, flow)
+        out[f"effective_max_{tag}"] = eff.maximum
+        out[f"effective_mean_{tag}"] = eff.mean
+        out[f"effective_median_{tag}"] = eff.median
+    total_t = float(sum(net.counts.values()))
+    out["total_engagements"] = total_t
+    out["mean_engagements"] = safe_ratio(total_t, n)
+    e = net.n_edges
+    out["n_edges"] = float(e)
+    out["edges_per_spreader"] = safe_ratio(e, n)
+    out["ego_density"] = safe_ratio(e, n * (n - 1) / 2.0)
+    tri = enumerate_triangles(net)
+    possible = n * (n - 1) * (n - 2) / 6.0 if n >= 3 else 0.0
+    out["n_triangles"] = float(tri.total)
+    out["triangles_per_spreader"] = safe_ratio(tri.total, n)
+    out["triad_density"] = safe_ratio(tri.total, possible)
+    if n:
+        n_global = len({global_comm.communities[v] for v in net.nodes})
+        n_local = louvain(net.nodes, symmetrize(net.edges), seed).n_communities
+    else:
+        n_global = n_local = 0
+    out["n_communities_global"] = float(n_global)
+    out["n_communities_local"] = float(n_local)
+    out["community_density_global"] = safe_ratio(n_global, n)
+    out["community_density_local"] = safe_ratio(n_local, n)
+    return out
+
+
+def static_features(extractor, news_id) -> dict:
+    """One network's static block by name, by the per-network loops over ids
+    (BFS and heap Dijkstra, dict flows, id triangles, Louvain over ids) that
+    `FeatureExtractor.static_block` replaced."""
+    return _static_rows(extractor)[news_id]
+
+
 def feature_row(extractor, news_id, models: dict, references) -> tuple:
     """One network's 142 values assembled by name, as `extract` did per news."""
-    named = dict(extractor._static_features(news_id))
+    named = dict(static_features(extractor, news_id))
     named.update(dynamic_features(extractor, news_id, models))
     named.update(zip(("sim_fake_id", "sim_true_id", "sim_fake_class", "sim_true_class"),
                      map(float, references)))
     return tuple(named[name] for name in FEATURE_NAMES)
 
 
-def array_dynamic_rows(networks: dict, models: dict, triangle_index=enumerate_triangles) -> dict:
-    """The package's array dynamic block as {news: {name: value}}, for
-    comparison with `dynamic_features`. `models` maps each method to any
-    object with score(user) and classify(user)."""
-    table = NodeTable(networks, lambda news: triangle_index(networks[news]))
+def array_dynamic_rows(networks: dict, models: dict) -> dict:
+    """The package's array dynamic block of some id networks as {news: {name:
+    value}}, for comparison with `dynamic_features`. `models` maps each method
+    to any object with score(user) and classify(user)."""
+    users, ranked = rank_networks(networks)
+    table = NodeTable(ranked, users)
     vectors = {method: (np.array([model.score(u) for u in table.users], dtype=np.float64),
                         np.array([CLASSES.index(model.classify(u)) for u in table.users],
                                  dtype=np.int64))
@@ -611,7 +872,7 @@ def python_hits(nodes, out_neighbors, in_neighbors) -> tuple:
     return hubs, auths
 
 
-def similarity_features(target: DiffusionNetwork, training_fake, training_true,
+def similarity_features(target: IdNetwork, training_fake, training_true,
                         model, h: int = 3) -> tuple:
     """Mean normalized kernel of the target to each training reference class.
 

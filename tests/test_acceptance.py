@@ -19,7 +19,7 @@ import pytest
 from newsnet.centrality import centralities
 from newsnet.corpus import EngagementTable, corpus_stats, load_corpus
 from newsnet.diffusion import build_all_networks
-from newsnet.distances import effective_distance, flow_matrix
+from newsnet.distances import flow_matrix
 from newsnet.experiments import (ExperimentConfig, run_early_detection,
                                  run_threshold_sweep)
 from newsnet.features import (DYNAMIC_NAMES, FeatureExtractor, dynamic_features,
@@ -34,8 +34,9 @@ from newsnet.util import write_csv
 from newsnet.wl import wl_kernel, wl_kernel_normalized
 
 from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
-                     brute_induced_edges, dense_betweenness, dense_closeness, random_corpus,
-                     string_graph, wl_signature)
+                     brute_induced_edges, dense_betweenness, dense_closeness, enumerate_triangles,
+                     flow_lengths, id_network, random_corpus, string_graph, wl_signature)
+from oracles import flow_matrix as dict_flow_matrix
 
 EGO_DELTA_CLASSES = ("nn", "ns", "sn", "ss", "delta_pos", "delta_zero", "delta_neg")
 
@@ -63,19 +64,25 @@ def test_criterion_1_oracle_equivalence():
                 norm = sum(x * x for x in scores.of(measure).values()) ** 0.5
                 assert abs(norm - 1.0) <= 1e-9
 
+        ids = [id_network(graph.users, net) for net in nets]
         for definition in ("shared_news", "shared_frequency"):
-            flow = flow_matrix(graph, nets, definition)
-            assert flow.flows == brute_flow(graph, nets, definition)
+            slow = dict_flow_matrix(ids, definition)
+            assert slow.flows == brute_flow(graph, ids, definition)
+            assert flow_lengths(graph.users, flow_matrix(graph, nets, definition)) \
+                == slow.lengths
 
         ex = FeatureExtractor(graph, table, networks, scores, None, seed=seed)
         models = fit_all(table, table.news_ids(), 0.5)
         node_table = ex.node_table
         block = dynamic_features(node_table, {m: models[m].classify_all(node_table.users)
                                               for m in models})
-        for net, row in zip(nets, block.tolist()):
+        triangles = node_table.triangles
+        for t, (net, row) in enumerate(zip(ids, block.tolist())):
             assert net.edges == brute_induced_edges(graph, net.nodes)
             values = dict(zip(DYNAMIC_NAMES, row))
-            index = ex.triangle_index(net.news_id)
+            index = enumerate_triangles(net)
+            assert (index.total, index.reciprocal, len(index.oriented)) == \
+                (triangles.total[t], triangles.reciprocal[t], (triangles.network == t).sum())
             for method in (BY_NEWS, BY_FREQUENCY):
                 model = models[method]
                 tag = "news" if method == BY_NEWS else "freq"
@@ -110,16 +117,17 @@ def test_criterion_2_formula_checks():
     t2 = EngagementTable.from_records({("n1", "a"): 1, ("n1", "b"): 1},
                                       {"n1": "fake"})
     nets = list(build_all_networks(graph, t2).values())
-    flow = flow_matrix(graph, nets, "shared_news")
-    assert abs(effective_distance(flow, "a", "b") - 1.0) <= 1e-12
+    flow = flow_lengths(graph.users, flow_matrix(graph, nets, "shared_news"))
+    assert abs(flow[("a", "b")] - 1.0) <= 1e-12
 
     for seed in range(20):
         g, t = random_corpus(seed)
         nets = [n for _, n in sorted(build_all_networks(g, t).items())]
         for definition in ("shared_news", "shared_frequency"):
-            f = flow_matrix(g, nets, definition)
-            for (i, j) in f.flows:
-                assert effective_distance(f, i, j) >= 1.0 - 1e-12
+            lengths = flow_lengths(g.users, flow_matrix(g, nets, definition))
+            assert lengths
+            for length in lengths.values():
+                assert length >= 1.0 - 1e-12
     print("\n[acceptance 2] susceptibility and effective-distance formulas: PASS")
 
 

@@ -120,7 +120,7 @@ def test_property_loaded_arrays_equal_from_edges(rows):
     rank = {u: i for i, u in enumerate(graph.users)}
     in_csr_order = [(rank[u], rank[v]) for u, v in sorted(set(pairs))]
     assert list(zip(graph.sources().tolist(), graph.indices.tolist())) == in_csr_order
-    assert graph.follows(pairs).all()
+    assert graph.follows([rank[u] for u, _ in pairs], [rank[v] for _, v in pairs]).all()
 
 
 @pytest.mark.parametrize("values", [[], [3], [5, 1, 5, 2, 1, 1], list(range(40, -40, -3)) * 3])
@@ -144,9 +144,10 @@ def test_loaded_graph_stores_edges_only_as_int_arrays(tmp_path):
 
 def test_follows_checks_each_pair():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "d"])
-    assert graph.follows([("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("z", "a"),
-                          ("a", "z")]).tolist() == [True, False, True, False, False, False]
-    assert graph.follows([]).tolist() == []
+    # (a, b), (b, a), (b, c), (c, d), (d, d), (d, a) as ranks
+    assert graph.follows([0, 1, 1, 2, 3, 3], [1, 0, 2, 3, 3, 0]).tolist() \
+        == [True, False, True, False, False, False]
+    assert graph.follows([], []).tolist() == []
     assert graph.ranks(["d", "z", "a"]) == {"d": 3, "a": 0}
 
 

@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from newsnet import distances
 from newsnet.corpus import EngagementTable, SocialGraph
-from newsnet.diffusion import (DiffusionNetwork, build_all_networks, build_network,
-                               subsample)
+from newsnet.diffusion import build_all_networks, build_network, subsample
 from newsnet.distances import (FLOW_DEFINITIONS, SHARED_FREQUENCY, SHARED_NEWS,
-                               distance_stats, effective_distance, flow_matrix)
+                               distance_stats, flow_matrix)
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.util import derive_seed
 
-from oracles import brute_flow, dense_distances, python_distance_stats, random_corpus
+from oracles import (IdNetwork, brute_flow, dense_distances, effective_distance, flow_lengths,
+                     id_network, python_distance_stats, random_corpus, rank_network)
+from oracles import flow_matrix as dict_flow_matrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -33,13 +34,42 @@ def _networks(graph, table):
     return [net for _, net in sorted(build_all_networks(graph, table).items())]
 
 
+def _ids(graph, nets):
+    return [id_network(graph.users, net) for net in nets]
+
+
+class Flow:
+    """The package's flow matrix over `nets` and the dict oracle's over their ids."""
+
+    def __init__(self, graph, nets, definition):
+        self.users = graph.users
+        self.fast = flow_matrix(graph, nets, definition)
+        self.slow = dict_flow_matrix(_ids(graph, nets), definition)
+
+    def flow(self, i, j):
+        assert flow_lengths(self.users, self.fast) == self.slow.lengths
+        return self.slow.flow(i, j)
+
+    def length(self, i, j):
+        rank = {v: k for k, v in enumerate(self.users)}
+        fast = self.fast.lengths_of(np.array([rank.get(i, 0)]), np.array([rank.get(j, 0)]))
+        slow = effective_distance(self.slow, i, j)
+        if i in rank and j in rank:
+            assert fast.tolist() == [slow]
+        return slow
+
+
+def _network(graph, nodes, edges, news_id="n", label="fake", counts=None):
+    counts = counts or {v: 1 for v in nodes}
+    return rank_network(graph.users, IdNetwork(news_id, label, frozenset(nodes),
+                                               frozenset(edges), counts))
+
+
 def test_flow_matrix_rejects_an_edge_outside_the_graph():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c")])
-    counts = {"a": 1, "b": 1, "c": 1, "z": 1}
-    first = DiffusionNetwork("n1", "fake", frozenset("abc"), frozenset({("a", "b")}), counts)
-    for bad in (("b", "a"), ("z", "a")):
-        second = DiffusionNetwork("n2", "true", frozenset("abcz"),
-                                  frozenset({("a", "b"), ("b", "c"), bad}), counts)
+    first = _network(graph, "abc", {("a", "b")}, "n1")
+    for bad in (("b", "a"), ("c", "a")):
+        second = _network(graph, "abc", {("a", "b"), ("b", "c"), bad}, "n2", "true")
         with pytest.raises(ValueError, match=re.escape(f"network edge {bad!r} not in")):
             flow_matrix(graph, [first, second], SHARED_NEWS)
 
@@ -52,16 +82,17 @@ def test_shared_news_counts_networks():
     labels = {f"n{i}": "fake" for i in range(3)}
     labels["n9"] = "true"
     table = EngagementTable.from_records(records, labels)
-    flow = flow_matrix(graph, _networks(graph, table), SHARED_NEWS)
+    flow = Flow(graph, _networks(graph, table), SHARED_NEWS)
     assert flow.flow("u1", "u2") == 3.0
     assert flow.flow("u2", "u3") == 0.0  # never co-spread
+    assert flow.length("u2", "u3") == math.inf
 
 
 def test_shared_frequency_min_rule():
     graph = SocialGraph.from_edges([("u1", "u2")])
     table = EngagementTable.from_records(
         {("n1", "u1"): 2, ("n1", "u2"): 5}, {"n1": "fake"})
-    flow = flow_matrix(graph, _networks(graph, table), SHARED_FREQUENCY)
+    flow = Flow(graph, _networks(graph, table), SHARED_FREQUENCY)
     assert flow.flow("u1", "u2") == 2.0
 
 
@@ -70,8 +101,10 @@ def test_flow_matches_brute_force():
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
         for definition in (SHARED_NEWS, SHARED_FREQUENCY):
-            flow = flow_matrix(graph, nets, definition)
-            assert flow.flows == brute_flow(graph, nets, definition), (seed, definition)
+            flow = Flow(graph, nets, definition)
+            assert flow.slow.flows == brute_flow(graph, _ids(graph, nets), definition), \
+                (seed, definition)
+            assert flow_lengths(graph.users, flow.fast) == flow.slow.lengths
 
 
 def test_effective_distance_values():
@@ -80,13 +113,13 @@ def test_effective_distance_values():
         {("n1", "a"): 1, ("n1", "j"): 1, ("n2", "b"): 1, ("n2", "j"): 1,
          ("n3", "c"): 1, ("n3", "k"): 1},
         {"n1": "fake", "n2": "true", "n3": "true"})
-    flow = flow_matrix(graph, _networks(graph, table), SHARED_NEWS)
+    flow = Flow(graph, _networks(graph, table), SHARED_NEWS)
     # (c, k) carries all inflow to k
-    assert effective_distance(flow, "c", "k") == pytest.approx(1.0, abs=1e-12)
+    assert flow.length("c", "k") == pytest.approx(1.0, abs=1e-12)
     # (a, j) carries half the inflow to j
-    assert effective_distance(flow, "a", "j") == pytest.approx(1.0 + math.log(2.0),
-                                                               abs=1e-12)
-    assert effective_distance(flow, "x", "y") == math.inf
+    assert flow.length("a", "j") == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
+    assert flow.length("x", "y") == math.inf
+    assert flow.length("j", "a") == math.inf
 
 
 def test_effective_distance_ratio_point_one():
@@ -99,9 +132,8 @@ def test_effective_distance_ratio_point_one():
         records[(news, f"s{i}")] = 1
         records[(news, "hub")] = 1
     table = EngagementTable.from_records(records, labels)
-    flow = flow_matrix(graph, _networks(graph, table), SHARED_NEWS)
-    assert effective_distance(flow, "s0", "hub") == pytest.approx(1.0 - math.log(0.1),
-                                                                  abs=1e-12)
+    flow = Flow(graph, _networks(graph, table), SHARED_NEWS)
+    assert flow.length("s0", "hub") == pytest.approx(1.0 - math.log(0.1), abs=1e-12)
 
 
 def test_effective_distance_at_least_one():
@@ -110,8 +142,8 @@ def test_effective_distance_at_least_one():
         nets = _networks(graph, table)
         for definition in (SHARED_NEWS, SHARED_FREQUENCY):
             flow = flow_matrix(graph, nets, definition)
-            for (i, j) in flow.flows:
-                assert effective_distance(flow, i, j) >= 1.0 - 1e-12
+            assert (flow.lengths >= 1.0 - 1e-12).all()
+            assert flow.keys.size == len(flow_lengths(graph.users, flow)) > 0
 
 
 def test_geodesic_stats_on_path():
@@ -152,8 +184,8 @@ def test_geodesic_stats_match_floyd_warshall():
     for seed in range(8):
         graph, table = random_corpus(seed)
         for net in build_all_networks(graph, table).values():
-            nodes = net.sorted_nodes()
-            d = dense_distances(nodes, net.edges)
+            ids = id_network(graph.users, net)
+            d = dense_distances(ids.sorted_nodes(), ids.edges)
             finite = d[np.isfinite(d) & (d > 0)]
             stats = distance_stats(net)
             if finite.size == 0:
@@ -170,10 +202,12 @@ def test_effective_stats_match_floyd_warshall():
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
         flow = flow_matrix(graph, nets, SHARED_NEWS)
+        lengths = flow_lengths(graph.users, flow)
         for net in nets:
-            weights = {(u, v): effective_distance(flow, u, v) for u, v in net.edges}
-            nodes = net.sorted_nodes()
-            d = dense_distances(nodes, net.edges, weights)
+            ids = id_network(graph.users, net)
+            weights = {edge: lengths.get(edge, math.inf) for edge in ids.edges}
+            nodes = ids.sorted_nodes()
+            d = dense_distances(nodes, ids.edges, weights)
             off_diag = ~np.eye(len(nodes), dtype=bool)
             finite = d[np.isfinite(d) & off_diag]
             stats = distance_stats(net, flow)
@@ -189,26 +223,35 @@ def test_lengths_are_math_log_of_flow_share():
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
         for definition in FLOW_DEFINITIONS:
-            flow = flow_matrix(graph, nets, definition)
-            assert flow.lengths.keys() == flow.flows.keys()
-            for (i, j), f in flow.flows.items():
-                assert flow.lengths[(i, j)] == 1.0 - math.log(f / flow.inflow[j])
+            slow = dict_flow_matrix(_ids(graph, nets), definition)
+            lengths = flow_lengths(graph.users, flow_matrix(graph, nets, definition))
+            assert lengths.keys() == slow.flows.keys()
+            for (i, j), f in slow.flows.items():
+                assert lengths[(i, j)] == 1.0 - math.log(f / slow.inflow[j])
 
 
-def assert_equals_oracle(net, flow=None):
-    fast = distance_stats(net, flow)
-    slow = python_distance_stats(net, flow)
+def assert_equals_oracle(graph, net, flow=None):
+    """`flow` is a (package, dict oracle) pair of flow matrices, or None."""
+    fast = distance_stats(net, flow and flow[0])
+    slow = python_distance_stats(id_network(graph.users, net), flow and flow[1])
     assert (fast.maximum, fast.median) == (slow.maximum, slow.median), net.news_id
     if PLAIN_FLOAT_SUM:
         assert fast.mean == slow.mean, net.news_id
 
 
+def _flow_pair(graph, nets, definition):
+    fast = flow_matrix(graph, nets, definition)
+    slow = dict_flow_matrix(_ids(graph, nets), definition)
+    assert flow_lengths(graph.users, fast) == slow.lengths
+    return fast, slow
+
+
 def assert_network_set_equals_oracle(graph, nets, flow_nets=None):
     """Geodesic and both effective distances; flows from `flow_nets` (default nets)."""
-    flows = [flow_matrix(graph, flow_nets or nets, d) for d in FLOW_DEFINITIONS]
+    flows = [_flow_pair(graph, flow_nets or nets, d) for d in FLOW_DEFINITIONS]
     for net in nets:
         for flow in [None] + flows:
-            assert_equals_oracle(net, flow)
+            assert_equals_oracle(graph, net, flow)
 
 
 def _subsampled(nets, mode):
@@ -248,8 +291,8 @@ def test_equals_oracle_with_zero_flow_edges():
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
         sparse = _subsampled(nets[:len(nets) // 2], "edges")
-        flow = flow_matrix(graph, sparse, SHARED_NEWS)
-        zero_flow += sum(e not in flow.lengths for net in nets for e in net.edges)
+        lengths = flow_lengths(graph.users, flow_matrix(graph, sparse, SHARED_NEWS))
+        zero_flow += sum(e not in lengths for ids in _ids(graph, nets) for e in ids.edges)
         assert_network_set_equals_oracle(graph, nets, flow_nets=sparse)
     assert zero_flow > 0
 
@@ -265,11 +308,6 @@ def test_source_blocks_continue_the_sum(monkeypatch, width):
         assert_network_set_equals_oracle(graph, _subsampled(nets, "edges"))
 
 
-def _network(nodes, edges):
-    return DiffusionNetwork("n", "fake", frozenset(nodes), frozenset(edges),
-                            {v: 1 for v in nodes})
-
-
 @pytest.mark.parametrize("nodes,edges", [
     ([], []),
     (["a"], []),
@@ -280,9 +318,8 @@ def _network(nodes, edges):
 ], ids=["empty", "single_node", "edgeless", "two_pairs", "in_star_and_pair",
         "bidirected_path"])
 def test_degenerate_networks_equal_oracle(nodes, edges):
-    net = _network(nodes, edges)
     graph = SocialGraph.from_edges(edges, nodes=nodes)
-    assert_network_set_equals_oracle(graph, [net])
+    assert_network_set_equals_oracle(graph, [_network(graph, nodes, edges)])
 
 
 @st.composite
@@ -294,22 +331,46 @@ def flow_digraphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), max_size=60, unique=True)
                  if pairs else st.just([]))
     counts = {v: draw(st.integers(1, 4)) for v in nodes}
-    net = DiffusionNetwork("n", "fake", frozenset(nodes), frozenset(edges), counts)
+    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    net = _network(graph, nodes, edges, counts=counts)
     others = []
     for k in range(draw(st.integers(0, 3))):
         kept = draw(st.lists(st.sampled_from(edges), unique=True) if edges
                     else st.just([]))
-        others.append(DiffusionNetwork(f"m{k}", "true", frozenset(nodes),
-                                       frozenset(kept), counts))
+        others.append(_network(graph, nodes, kept, f"m{k}", "true", counts))
     if draw(st.booleans()):
         others.append(net)  # otherwise edges used by no other network carry no flow
-    return SocialGraph.from_edges(edges, nodes=nodes), net, others
+    return graph, net, others
 
 
 @settings(max_examples=150)
 @given(flow_digraphs())
 def test_property_equals_oracle(case):
     graph, net, flow_nets = case
-    assert_equals_oracle(net)
+    assert_equals_oracle(graph, net)
     for definition in FLOW_DEFINITIONS:
-        assert_equals_oracle(net, flow_matrix(graph, flow_nets, definition))
+        assert_equals_oracle(graph, net, _flow_pair(graph, flow_nets, definition))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_lengths_equal_the_dict_oracle(seed):
+    # both definitions, over whole and subsampled networks
+    graph, table = random_corpus(seed)
+    nets = _networks(graph, table)
+    for flow_nets in (nets, _subsampled(nets, "nodes"), _subsampled(nets, "edges")):
+        for definition in FLOW_DEFINITIONS:
+            fast = flow_matrix(graph, flow_nets, definition)
+            slow = dict_flow_matrix(_ids(graph, flow_nets), definition)
+            assert flow_lengths(graph.users, fast) == slow.lengths, (seed, definition)
+            assert fast.keys.tolist() == sorted(fast.keys.tolist())
+
+
+def test_lengths_take_math_log():
+    # np.log(14 / 37) differs from math.log(14 / 37) in the last place
+    graph = SocialGraph.from_edges([("s0", "hub"), ("s1", "hub")])
+    table = EngagementTable.from_records(
+        {("n1", "s0"): 14, ("n1", "s1"): 23, ("n1", "hub"): 100}, {"n1": "fake"})
+    flow = flow_matrix(graph, _networks(graph, table), SHARED_FREQUENCY)
+    assert float(np.log(np.array([14 / 37]))[0]) != math.log(14 / 37)
+    assert flow_lengths(graph.users, flow) == {("s0", "hub"): 1.0 - math.log(14 / 37),
+                                               ("s1", "hub"): 1.0 - math.log(23 / 37)}

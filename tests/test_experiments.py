@@ -1,6 +1,6 @@
 import pytest
 
-from newsnet import experiments
+from newsnet import experiments, features
 from newsnet.experiments import (ABLATION_SUBSETS, ConfigError, ExperimentConfig,
                                  feature_class_stats, run_ablation,
                                  run_early_detection, run_sampling_study,
@@ -130,6 +130,27 @@ def test_early_detection_runs_the_whole_networks_once(small_strong_extractor,
             expected.append((mode, p, 2, experiments._mean([a for a, _ in values]),
                              experiments._mean([f for _, f in values])))
     assert rows == expected
+
+
+def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monkeypatch):
+    # p = 1.0 keeps every network whole, so the task runs on the extractor itself
+    config = _config(proportions=(1.0,), repetitions=1)
+    mask = pattern_mask(config.patterns)
+    real = features.flow_matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(features, "flow_matrix", counted)
+    full = cross_validate(small_strong_extractor, seed=config.seed)
+    for mode in ("nodes", "edges"):
+        result = experiments._early_task((small_strong_extractor, config, mask, mode, 1.0, 0))
+        assert result == (full.accuracy, full.f1)
+    assert calls == []
+    experiments._early_task((small_strong_extractor, config, mask, "nodes", 0.5, 0))
+    assert calls == ["shared_news", "shared_frequency"]
 
 
 def test_early_detection_degrades_gracefully(strong_extractor):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import platform
 import sys
@@ -6,15 +7,19 @@ import numpy as np
 import pytest
 
 from newsnet.corpus import EngagementTable, SocialGraph
-from newsnet.diffusion import subsample
+from newsnet.diffusion import DiffusionNetwork, subsample
+from newsnet.distances import FlowMatrix
 from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_FEATURES,
-                              PATTERNS, FeatureExtractor, dynamic_features, extract,
-                              extract_matrix, feature_index, pattern_mask)
+                              PATTERNS, STATIC_NAMES, FeatureExtractor, NodeTable,
+                              dynamic_features, extract, extract_matrix, feature_index,
+                              pattern_mask)
+from newsnet.triads import Triangles
 from newsnet.susceptibility import METHODS, fit_all
 
-from oracles import brute_ego_delta, random_corpus, string_graph
+from oracles import brute_ego_delta, id_network, random_corpus, string_graph
 from oracles import dynamic_features as oracle_dynamic_features
 from oracles import feature_row as oracle_feature_row
+from oracles import static_features as oracle_static_features
 
 NO_SIMILARITY = (0.0, 0.0, 0.0, 0.0)
 
@@ -27,7 +32,8 @@ def _vector(ex, models, news):
     """`extract` of one network, its dynamic row taken from the array block."""
     table = ex.node_table
     block = dynamic_features(table, {m: models[m].classify_all(table.users) for m in METHODS})
-    return extract(ex.networks[news], block[table.order.index(news)], ex, NO_SIMILARITY)
+    t = table.order.index(news)
+    return extract(ex.static_block[t], block[t], NO_SIMILARITY)
 
 
 def _value(vector, name):
@@ -125,7 +131,7 @@ def test_ego_and_delta_partitions_match_oracle():
         training = table.news_ids()
         models = fit_all(table, training, 0.5)
         for news in training:
-            net = ex.networks[news]
+            net = id_network(graph.users, ex.networks[news])
             vec = _vector(ex, models, news)
             for tag, method in (("news", "by_news"), ("freq", "by_frequency")):
                 brute = brute_ego_delta(net, models[method])
@@ -314,9 +320,86 @@ def test_node_table_numbers_nodes_in_sorted_order(small_strong_extractor):
     table = ex.node_table
     assert table.order == sorted(ex.networks)
     assert [table.users[u] for u in table.user] == [
-        v for news in table.order for v in ex.networks[news].sorted_nodes()]
+        v for news in table.order
+        for v in id_network(ex.graph.users, ex.networks[news]).sorted_nodes()]
+    assert [ex.graph.users[r] for r in table.rank] == [table.users[u] for u in table.user]
     assert table.labels == [ex.networks[news].label for news in table.order]
     assert ex.node_table is table
     fewer = ex.with_networks({n: ex.networks[n] for n in table.order[1:]})
     assert fewer.node_table.order == table.order[1:]
 
+
+
+def _static_rows(ex) -> dict:
+    return {news: dict(zip(STATIC_NAMES, row))
+            for news, row in zip(ex.node_table.order, ex.static_block.tolist())}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_static_block_equals_dict_oracle(seed):
+    graph, table = random_corpus(seed)
+    ex = _extractor(graph, table, seed=seed)
+    subs = [ex.with_networks({n: subsample(net, mode, p, seed) for n, net in ex.networks.items()})
+            for mode, p in (("nodes", 0.0), ("nodes", 0.5), ("edges", 0.5))]
+    for extractor in [ex] + subs:
+        assert extractor.static_block.shape == (len(extractor.networks), len(STATIC_NAMES))
+        for news, got in _static_rows(extractor).items():
+            want = oracle_static_features(extractor, news)
+            assert got.keys() == want.keys()
+            for name, value in want.items():
+                if ON_CPYTHON_311 or not name.startswith(("mean_", "effective_mean")):
+                    assert got[name] == value, (seed, news, name)
+                else:  # 3.12's float sum is compensated; the block adds left to right
+                    assert got[name] == pytest.approx(value, rel=1e-12), (seed, news, name)
+
+
+def test_static_block_on_degenerate_networks():
+    ex = _degenerate_extractor()
+    rows = _static_rows(ex)
+    for news, got in rows.items():
+        assert got == oracle_static_features(ex, news), news
+    assert all(value == 0.0 for value in rows["n6"].values())
+    assert rows["n3"]["n_spreaders"] == 1.0 and rows["n3"]["n_communities_local"] == 1.0
+    assert rows["n1"]["n_triangles"] == rows["n5"]["n_triangles"] == 1.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_order_preserving_user_relabel_keeps_the_static_block(seed):
+    graph, table = random_corpus(seed)
+    gaps = np.random.default_rng(seed + 100).integers(1, 50, graph.n_nodes)
+    rename = {v: f"id{int(k):05d}" for v, k in zip(graph.users, np.cumsum(gaps))}
+    graph2, table2 = _relabel_users(graph, table, rename)
+    before = _extractor(graph, table, seed=seed)
+    after = _extractor(graph2, table2, seed=seed)
+    assert after.node_table.order == before.node_table.order
+    assert after.static_block.tobytes() == before.static_block.tobytes()
+
+
+def test_networks_flows_and_table_hold_nodes_edges_and_flows_only_as_arrays(
+        small_strong_extractor):
+    # No set or dict of ids or id pairs: every field that holds nodes, edges,
+    # triangles or flows is a numpy array. The others hold news ids, labels,
+    # sizes and `users`, the spreaders' ids the susceptibility models are keyed by.
+    ex = small_strong_extractor
+    table = ex.node_table
+    assert table.triangles is table.triangles and table.identity_gram is not None
+    not_arrays = {
+        DiffusionNetwork: {"news_id", "label"},
+        FlowMatrix: {"n_users"},
+        NodeTable: {"h", "order", "labels", "users", "triangles"},  # Triangles: checked too
+        Triangles: set(),
+    }
+    objects = list(ex.networks.values()) + list(ex.flows.values()) + [table, table.triangles]
+    for obj in objects:
+        fields = vars(obj)
+        if dataclasses.is_dataclass(obj):
+            assert set(fields) == {f.name for f in dataclasses.fields(obj)}
+        assert set(fields) > not_arrays[type(obj)], type(obj)
+        for name, value in fields.items():
+            if name not in not_arrays[type(obj)]:
+                assert isinstance(value, np.ndarray), (type(obj).__name__, name)
+                assert value.dtype.kind in "biuf", (type(obj).__name__, name)
+    assert isinstance(vars(table)["triangles"], Triangles)
+    assert all(isinstance(user, str) for user in table.users)
+    assert len(table.users) == np.unique(table.rank).size
+    assert all(isinstance(v, (str, int)) for v in (*table.order, *table.labels, table.h))

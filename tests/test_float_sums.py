@@ -25,11 +25,6 @@ INTEGER_SUMS = {
         "sum((1 for lab in table.labels.values() if lab == FAKE))",
         "sum((1 for lab in table.labels.values() if lab == TRUE))",
     ],
-    "features.py": [
-        "sum(net.counts.values())",  # spreading counts
-        "sum(net.counts.values())",
-    ],
-    "triads.py": ["sum((1 for x in tri if x != n and (n, x) in edges))"],
     "wl.py": ["sum((count * large.get(label, 0) for label, count in small.items()))"],
 }
 

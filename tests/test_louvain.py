@@ -3,9 +3,11 @@ from itertools import combinations
 import pytest
 
 from newsnet.corpus import SocialGraph
-from newsnet.louvain import CommunityAssignment, global_communities, louvain, symmetrize
+from newsnet.diffusion import build_all_networks
+from newsnet.louvain import CommunityAssignment, global_communities, local_communities
 
-from oracles import best_partition, matrix_modularity, random_corpus, string_graph
+from oracles import (best_partition, id_network, louvain, matrix_modularity, random_corpus,
+                     string_graph, symmetrize)
 
 
 def _clique_edges(nodes):
@@ -87,3 +89,13 @@ def test_global_scope_covers_isolated_nodes():
     assign = global_communities(graph, seed=0)
     assert isinstance(assign, CommunityAssignment)
     assert set(assign.communities) == {"a", "b", "c"}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_local_communities_equal_louvain_over_user_ids(seed):
+    # the position pairs of a network against the id pairs they replaced
+    graph, table = random_corpus(seed)
+    for news, net in build_all_networks(graph, table).items():
+        ids = id_network(graph.users, net)
+        assert local_communities(net, seed) \
+            == louvain(ids.nodes, symmetrize(ids.edges), seed).n_communities, news

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from newsnet.corpus import EngagementTable, SocialGraph
-from newsnet.diffusion import DiffusionNetwork, build_network
-from newsnet.features import FeatureExtractor
+from newsnet.diffusion import build_all_networks, build_network
+from newsnet.features import STATIC_NAMES, FeatureExtractor, NodeTable
 from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, NORMAL, SUSCEPTIBLE, UNKNOWN
 from newsnet.triads import TRIAD_CLASSES, enumerate_triangles
 
-from oracles import (TriadCensus, array_dynamic_rows, brute_census, random_corpus,
+from oracles import (TriadCensus, array_dynamic_rows, brute_census, id_network, id_networks,
+                     make_network, random_corpus, rank_networks,
                      triad_features as oracle_triad_features)
 from oracles import census as oracle_census
+from oracles import enumerate_triangles as id_enumerate_triangles
 
 
 class FixedLabels:
@@ -34,19 +36,25 @@ def triad_features(net, model) -> dict:
             if "_triad_" in name and name.endswith("_news")}
 
 
+def _triangles(networks: dict):
+    """`triads.enumerate_triangles` over the node table of some id networks."""
+    users, ranked = rank_networks(networks)
+    table = NodeTable(ranked, users)
+    return table, enumerate_triangles(table)
+
+
 def census(net, model) -> TriadCensus:
     """`triads.census` of one network under `model`, with its enumeration's totals."""
-    index = enumerate_triangles(net)
+    _, triangles = _triangles({net.news_id: net})
     feats = triad_features(net, model)
     counts = {name: int(feats[f"n_triad_{name}"]) for name in TRIAD_CLASSES}
-    return TriadCensus(total=index.total, class_counts=counts, reciprocal=index.reciprocal,
-                       unknown=len(index.oriented) - sum(counts.values()))
+    return TriadCensus(total=int(triangles.total[0]), class_counts=counts,
+                       reciprocal=int(triangles.reciprocal[0]),
+                       unknown=triangles.roles.shape[0] - sum(counts.values()))
 
 
 def _net(edges, nodes=None):
-    nodes = frozenset(nodes or {u for e in edges for u in e})
-    return DiffusionNetwork(news_id="n1", label="fake", nodes=nodes,
-                            edges=frozenset(edges), counts={u: 1 for u in nodes})
+    return make_network("n1", edges, nodes)
 
 
 def test_single_transitive_triangle():
@@ -91,7 +99,7 @@ def test_census_matches_brute_force_on_random_networks():
     for seed in range(12):
         graph, table = random_corpus(seed)
         news = table.news_ids()[0]
-        net = build_network(graph, table, news)
+        net = id_network(graph.users, build_network(graph, table, news))
         classes = {v: rng.choice([NORMAL, SUSCEPTIBLE, UNKNOWN])
                    for v in net.nodes}
         model = FixedLabels(classes)
@@ -108,7 +116,7 @@ def test_census_matches_brute_force_on_random_networks():
 def test_partition_invariant():
     for seed in range(12):
         graph, table = random_corpus(seed)
-        net = build_network(graph, table, table.news_ids()[0])
+        net = id_network(graph.users, build_network(graph, table, table.news_ids()[0]))
         model = FixedLabels({v: [NORMAL, SUSCEPTIBLE, UNKNOWN][i % 3]
                              for i, v in enumerate(sorted(net.nodes))})
         cens = census(net, model)
@@ -126,7 +134,7 @@ def test_label_flip_symmetry():
 
     for seed in range(8):
         graph, table = random_corpus(seed)
-        net = build_network(graph, table, table.news_ids()[0])
+        net = id_network(graph.users, build_network(graph, table, table.news_ids()[0]))
         classes = {v: (NORMAL if i % 2 else SUSCEPTIBLE)
                    for i, v in enumerate(sorted(net.nodes))}
         flipped = {v: (SUSCEPTIBLE if c == NORMAL else NORMAL)
@@ -141,7 +149,8 @@ def test_enumeration_order_independent():
     edges = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("b", "d"), ("a", "d")]
     n1 = _net(edges)
     n2 = _net(list(reversed(edges)))
-    assert enumerate_triangles(n1).total == enumerate_triangles(n2).total == 4
+    assert _triangles({"n1": n1})[1].total.tolist() == _triangles({"n1": n2})[1].total.tolist() \
+        == [id_enumerate_triangles(n1).total] == [4]
     model = FixedLabels({"a": SUSCEPTIBLE})
     assert census(n1, model).class_counts == census(n2, model).class_counts
 
@@ -150,7 +159,7 @@ def _static_block(edges, nodes):
     """The label-free features of one network spread by every node."""
     graph = SocialGraph.from_edges(edges, nodes=nodes)
     table = EngagementTable.from_records({("n1", v): 1 for v in nodes}, {"n1": "fake"})
-    return FeatureExtractor.build(graph, table)._static_features("n1")
+    return dict(zip(STATIC_NAMES, FeatureExtractor.build(graph, table).static_block[0].tolist()))
 
 
 def test_triad_features_density():
@@ -173,7 +182,7 @@ def test_triad_features_degenerate_denominator():
 def test_proportions_sum_to_one_when_classified():
     for seed in range(8):
         graph, table = random_corpus(seed)
-        net = build_network(graph, table, table.news_ids()[0])
+        net = id_network(graph.users, build_network(graph, table, table.news_ids()[0]))
         model = FixedLabels({v: (NORMAL if i % 2 else SUSCEPTIBLE)
                              for i, v in enumerate(sorted(net.nodes))})
         cens = census(net, model)
@@ -184,3 +193,65 @@ def test_proportions_sum_to_one_when_classified():
             assert total == pytest.approx(1.0, abs=1e-12)
         else:
             assert total == 0.0
+
+
+def _oriented_roles(table, triangles) -> list:
+    """Per network, the sorted (kind, ids) of its oriented triangles."""
+    users = [table.users[u] for u in table.user.tolist()]
+    out = [[] for _ in table.order]
+    for t, cyclic, roles in zip(triangles.network.tolist(), triangles.cyclic.tolist(),
+                                triangles.roles.tolist()):
+        out[t].append(("cyclic" if cyclic else "transitive", tuple(users[k] for k in roles)))
+    return [sorted(kinds) for kinds in out]
+
+
+def assert_triangles_equal_oracle(networks: dict):
+    """Totals, reciprocal counts and oriented-role multisets, network by network."""
+    table, triangles = _triangles(networks)
+    oracle = [id_enumerate_triangles(networks[news]) for news in table.order]
+    assert triangles.total.tolist() == [index.total for index in oracle]
+    assert triangles.reciprocal.tolist() == [index.reciprocal for index in oracle]
+    assert _oriented_roles(table, triangles) == [sorted(index.oriented) for index in oracle]
+    assert triangles.roles.shape == (triangles.network.size, 3)
+    assert triangles.cyclic.shape == triangles.network.shape
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_triangles_equal_the_id_oracle_on_random_corpora(seed):
+    graph, table = random_corpus(seed)
+    assert_triangles_equal_oracle(id_networks(graph.users, build_all_networks(graph, table)))
+
+
+def test_triangles_equal_the_id_oracle_on_a_synthetic_corpus(small_strong_extractor):
+    ex = small_strong_extractor
+    networks = id_networks(ex.graph.users, ex.networks)
+    assert sum(index.total for index in map(id_enumerate_triangles, networks.values())) > 50
+    assert_triangles_equal_oracle(networks)
+    table = ex.node_table
+    assert _oriented_roles(table, table.triangles) == _oriented_roles(*_triangles(networks))
+
+
+def _complete(nodes, both_ways):
+    return [(u, v) for u in nodes for v in nodes if u < v or (both_ways and u != v)]
+
+
+@pytest.mark.parametrize("networks", [
+    {},
+    {"n1": make_network("n1", [], nodes=[])},
+    {"n1": make_network("n1", [], nodes=["a"])},
+    {"n1": make_network("n1", [], nodes="abcd")},
+    {"n1": make_network("n1", _complete("abcde", True))},
+    {"n1": make_network("n1", _complete("abcde", False)),
+     "n2": make_network("n2", _complete("abcdef", True)),
+     "n3": make_network("n3", [], nodes="xy"),
+     "n4": make_network("n4", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "a")])},
+], ids=["no_networks", "empty", "single_node", "edgeless", "all_reciprocal", "mixed"])
+def test_triangles_equal_the_id_oracle_on_degenerate_networks(networks):
+    assert_triangles_equal_oracle(networks)
+
+
+def test_all_reciprocal_triangles_are_not_oriented():
+    _, triangles = _triangles({"n1": make_network("n1", _complete("abcde", True))})
+    assert triangles.total.tolist() == triangles.reciprocal.tolist() == [10]
+    assert triangles.roles.shape == (0, 3)
+

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsnet import susceptibility
-from newsnet.diffusion import DiffusionNetwork, build_all_networks
+from newsnet.diffusion import build_all_networks
 from newsnet.features import NodeTable, extract_matrix
 from newsnet.ml.crossval import stratified_folds
 from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
-from newsnet.triads import enumerate_triangles
 from newsnet.wl import SimilarityIndex, normalized_gram, wl_kernel, wl_kernel_normalized
 
 from oracles import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, PairwiseSimilarityIndex,
-                     WLDictionary, labeled_graph, random_corpus, similarity_features,
-                     string_normalized_gram, wl_signature)
+                     WLDictionary, id_networks, labeled_graph, make_network, random_corpus,
+                     rank_networks, similarity_features, string_normalized_gram, wl_signature)
 
 
 class TwoClassModel:
@@ -27,13 +26,13 @@ class TwoClassModel:
 
 
 def _net(news_id, edges, nodes=None, label="fake"):
-    nodes = frozenset(nodes or {u for e in edges for u in e})
-    return DiffusionNetwork(news_id=news_id, label=label, nodes=nodes,
-                            edges=frozenset(edges), counts={u: 1 for u in nodes})
+    return make_network(news_id, edges, nodes or None, label)
 
 
 def _table(networks, h=3):
-    return NodeTable(networks, lambda news: enumerate_triangles(networks[news]), h)
+    """The node table of some id networks."""
+    users, ranked = rank_networks(networks)
+    return NodeTable(ranked, users, h)
 
 
 def _classes(table, model):
@@ -201,7 +200,7 @@ def test_planted_density_separates_classes(strong_extractor):
 
     training = sorted(networks)
     model = fit(strong_extractor.table, training, "by_news", 0.5)
-    index = _index(_table(networks, 3), training, model)
+    index = _index(strong_extractor.node_table, training, model)
     fake_margin = []
     for news in sorted(networks):
         if networks[news].label != "fake":
@@ -228,7 +227,7 @@ def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
 @pytest.mark.parametrize("seed", range(30))
 def test_equals_pairwise_oracle_on_random_corpora(seed):
     graph, table = random_corpus(seed)
-    networks = build_all_networks(graph, table)
+    networks = id_networks(graph.users, build_all_networks(graph, table))
     graphs = _table(networks, 3)
     news = sorted(networks)
     for fold in range(3):
@@ -241,7 +240,7 @@ def test_equals_pairwise_oracle_on_random_corpora(seed):
 
 
 def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
-    networks = strong_extractor.networks
+    networks = id_networks(strong_extractor.graph.users, strong_extractor.networks)
     split = stratified_folds({n: net.label for n, net in networks.items()}, seed=7)
     training = split.train_news(0)
     model = susceptibility.fit(strong_extractor.table, training, "by_news", 0.5)
@@ -256,12 +255,13 @@ def test_identity_gram_cached_per_extractor(small_strong_extractor):
     graphs = extractor.node_table
     gram = graphs.identity_gram
     assert extractor.node_table is graphs and graphs.identity_gram is gram
-    assert np.array_equal(gram, string_normalized_gram(extractor.networks, IDENTITY,
-                                                       h=extractor.h))
+    networks = id_networks(extractor.graph.users, extractor.networks)
+    assert np.array_equal(gram, string_normalized_gram(networks, IDENTITY, h=extractor.h))
     dropped = min(extractor.networks)
     fewer = {n: net for n, net in extractor.networks.items() if n != dropped}
     assert np.array_equal(extractor.with_networks(fewer).node_table.identity_gram,
-                          string_normalized_gram(fewer, IDENTITY, h=extractor.h))
+                          string_normalized_gram({n: networks[n] for n in fewer}, IDENTITY,
+                                                 h=extractor.h))
 
 
 def test_empty_reference_class_is_zero():
