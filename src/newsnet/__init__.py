@@ -5,8 +5,6 @@ from .corpus import (CorpusError, CorpusStats, EngagementTable, SocialGraph,
 from .diffusion import DiffusionNetwork, build_all_networks, build_network, subsample
 from .features import (FEATURE_REGISTRY, PATTERNS, FeatureExtractor, FeatureMatrix,
                        extract, extract_matrix, pattern_mask)
-from .susceptibility import SusceptibilityModel
-from .susceptibility import fit as fit_susceptibility
 
 __version__ = "0.1.0"
 
@@ -20,13 +18,11 @@ __all__ = [
     "FeatureMatrix",
     "PATTERNS",
     "SocialGraph",
-    "SusceptibilityModel",
     "build_all_networks",
     "build_network",
     "corpus_stats",
     "extract",
     "extract_matrix",
-    "fit_susceptibility",
     "load_corpus",
     "pattern_mask",
     "save_corpus",

@@ -23,8 +23,6 @@ they equal those loops bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import CorpusError, SocialGraph, csr_rows
@@ -44,16 +42,6 @@ MEASURES = (
 DAMPING = 0.85
 TOLERANCE = 1e-10
 MAX_ITER = 200
-
-
-@dataclass(frozen=True, eq=False)
-class CentralityScores:
-    users: tuple  # the graph's user ids, sorted
-    values: dict  # measure name -> float64 array of every user's value, by rank
-
-    def of(self, measure: str) -> dict:
-        """{user: value} of one measure."""
-        return dict(zip(self.users, self.values[measure].tolist()))
 
 
 def _csr(rows, cols, n) -> tuple:
@@ -163,7 +151,8 @@ def _hits(n, src, dst) -> tuple:
     return hubs, auths
 
 
-def centralities(graph: SocialGraph) -> CentralityScores:
+def centralities(graph: SocialGraph) -> dict:
+    """Measure name -> float64 array of every user's value, by rank."""
     n = graph.n_nodes
     if not n:
         raise CorpusError("centralities require a nonempty graph")
@@ -174,7 +163,7 @@ def centralities(graph: SocialGraph) -> CentralityScores:
     hubs, auths = _hits(n, src, dst)
 
     # total is 0 exactly when reach is, so dividing by max(total, 1) gives 0.0
-    return CentralityScores(graph.users, {
+    return {
         "in_degree": np.bincount(dst, minlength=n).astype(np.float64),
         "out_degree": np.bincount(src, minlength=n).astype(np.float64),
         "in_closeness": in_reach / np.maximum(in_total, 1),
@@ -183,4 +172,4 @@ def centralities(graph: SocialGraph) -> CentralityScores:
         "pagerank": _pagerank(n, src, dst),
         "hub": hubs,
         "authority": auths,
-    })
+    }

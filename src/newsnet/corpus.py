@@ -20,8 +20,11 @@ edges, deduplicated by one sort of their keys, become an out-CSR
 of ranks (`SocialGraph`). Rank order is sorted-id order, so every loop over
 sorted ids or sorted id pairs sees the same order over ranks, and the
 features computed from ranks are the ones computed from ids. User ids stay
-strings at the I/O boundary: in `SocialGraph.users`, the engagement table
-and the files `save_corpus` writes.
+strings at the I/O boundary only: in `SocialGraph.users`, the engagement
+table's per-news counts and the files `save_corpus` writes. Past
+`load_corpus` every per-user value (networks, centralities, communities,
+susceptibility) is an array over the ranks, and `SocialGraph.ranks` maps
+ids to ranks where a story's spreaders enter its network.
 """
 
 from __future__ import annotations
@@ -113,14 +116,13 @@ class SocialGraph:
         """The follower rank of every edge, in CSR order."""
         return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
 
-    def ranks(self, users) -> dict:
-        """{user: rank} for each of `users` that is a node of the graph."""
-        out = {}
+    def ranks(self, users) -> np.ndarray:
+        """The rank of each of `users`, -1 for one that is not a node of the graph."""
+        out = []
         for user in users:
             i = bisect_left(self.users, user)
-            if i < len(self.users) and self.users[i] == user:
-                out[user] = i
-        return out
+            out.append(i if i < len(self.users) and self.users[i] == user else -1)
+        return np.array(out, dtype=np.int64)
 
     def follows(self, followers, followees) -> np.ndarray:
         """For each (followers[i], followees[i]) pair of ranks, whether it is an edge.
@@ -170,7 +172,6 @@ class EngagementTable:
 
     counts: dict  # news_id -> {user_id: count}
     labels: dict  # news_id -> "fake" | "true"
-    user_news: dict  # user_id -> {news_id: count}
 
     @classmethod
     def from_records(cls, records, labels) -> "EngagementTable":
@@ -180,7 +181,6 @@ class EngagementTable:
             if label not in LABELS:
                 raise ValueError(f"unknown label {label!r} for news {news!r}")
         counts: dict = {news: {} for news in labels}
-        user_news: dict = {}
         for (news, user), count in records.items():
             if news not in labels:
                 raise ValueError(f"engagement references unlabeled news {news!r}")
@@ -188,8 +188,7 @@ class EngagementTable:
             if count < 1:
                 raise ValueError(f"non-positive count for ({news!r}, {user!r})")
             counts[news][user] = count
-            user_news.setdefault(user, {})[news] = count
-        return cls(counts=counts, labels=labels, user_news=user_news)
+        return cls(counts=counts, labels=labels)
 
     def news_ids(self) -> list:
         return sorted(self.labels)
@@ -333,11 +332,11 @@ def save_corpus(graph: SocialGraph, table: EngagementTable,
     """
     linked = np.zeros(graph.n_nodes, dtype=bool)
     linked[graph.sources()] = linked[graph.indices] = True
-    rank = graph.ranks({user for by_user in table.counts.values() for user in by_user})
     rows = []
     for news in table.news_ids():
-        for user in sorted(table.counts[news]):
-            if user not in rank or not linked[rank[user]]:
+        users = sorted(table.counts[news])
+        for user, rank in zip(users, graph.ranks(users).tolist()):
+            if rank < 0 or not linked[rank]:
                 raise CorpusError(f"spreader {user!r} of news {news!r} has no follow "
                                   f"edge, so the saved corpus would not load")
             rows.append((news, user, table.counts[news][user]))

@@ -48,12 +48,11 @@ def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> Diffus
     if news_id not in table.labels:
         raise KeyError(f"unknown news id {news_id!r}")
     spreaders = table.spreaders(news_id)
-    rank = graph.ranks(spreaders)
-    if len(rank) < len(spreaders):
-        user = min(set(spreaders) - set(rank))
-        raise ValueError(f"spreader {user!r} of news {news_id!r} is not in the social graph")
     users = sorted(spreaders)
-    ranks = np.array([rank[user] for user in users], dtype=np.int64)
+    ranks = graph.ranks(users)
+    if (ranks < 0).any():
+        user = users[int(np.argmax(ranks < 0))]
+        raise ValueError(f"spreader {user!r} of news {news_id!r} is not in the social graph")
     # each spreader's CSR row, kept where the followee spreads the news too
     src, dst = csr_rows(ranks, (graph.indptr, graph.indices))
     at, kept = find(ranks, dst)

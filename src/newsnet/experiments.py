@@ -221,8 +221,10 @@ def _eval_task(args):
 
 def _sampling_task(args):
     extractor, config, mask, fake_ids, true_ids = args
-    networks = {n: extractor.networks[n] for n in fake_ids + true_ids}
-    return _eval_task((extractor.with_networks(networks), config, mask))
+    if len(fake_ids) + len(true_ids) < len(extractor.networks):
+        extractor = extractor.with_networks({n: extractor.networks[n]
+                                             for n in fake_ids + true_ids})
+    return _eval_task((extractor, config, mask))
 
 
 def _early_task(args):
@@ -242,7 +244,9 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     """Scale the corpus (news_count) or skew the class ratio (class_balance).
 
     Balanced runs report accuracy as headline metric, unbalanced runs F1;
-    rows whose sample cannot be stratified are flagged and skipped.
+    rows whose sample cannot be stratified are flagged and skipped. Each
+    distinct draw is evaluated once, and a draw of the whole population on
+    `extractor` itself.
     """
     if mode not in SAMPLING_MODES:
         raise ConfigError(f"unknown sampling mode {mode!r}")
@@ -267,8 +271,8 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     header = ("mode", "proportion", "n_fake", "n_true", "repetitions", "status",
               "accuracy", "f1", "metric")
     points = []
-    tasks = []
-    task_keys = []
+    tasks: dict = {}  # distinct draw -> its task
+    draws = []
     for mode_name, p, n_fake, n_true in grid:
         feasible = (5 <= n_fake <= len(fake_pop)) and (5 <= n_true <= len(true_pop))
         points.append((mode_name, p, n_fake, n_true, feasible))
@@ -277,14 +281,14 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
         for rep in range(config.repetitions):
             rng = random.Random(derive_seed(config.seed, "sample", mode_name,
                                             repr(p), rep))
-            fake_ids = sorted(rng.sample(fake_pop, n_fake))
-            true_ids = sorted(rng.sample(true_pop, n_true))
-            tasks.append((extractor, config, mask, fake_ids, true_ids))
-            task_keys.append((mode_name, p))
-    results = _run_jobs(_sampling_task, tasks, config.jobs)
+            draw = (tuple(sorted(rng.sample(fake_pop, n_fake))),
+                    tuple(sorted(rng.sample(true_pop, n_true))))
+            tasks.setdefault(draw, (extractor, config, mask) + draw)
+            draws.append(((mode_name, p), draw))
+    results = dict(zip(tasks, _run_jobs(_sampling_task, list(tasks.values()), config.jobs)))
     by_point: dict = {}
-    for key, (acc, f1) in zip(task_keys, results):
-        by_point.setdefault(key, []).append((acc, f1))
+    for key, draw in draws:
+        by_point.setdefault(key, []).append(results[draw])
     rows = []
     for mode_name, p, n_fake, n_true, feasible in points:
         if not feasible:

@@ -30,18 +30,19 @@ The values fall in three blocks (FeatureSpec.block), one per invariance level:
 
 Both blocks are computed for all networks at once on a `NodeTable`, the
 extractor's networks numbered once (news sorted, nodes sorted within a
-network) with each node's network, graph rank, interned user and engagement
-count, plus edge endpoint and triangle arrays. The static block
+network) with each node's network, graph rank and engagement count, plus
+edge endpoint and triangle arrays. The static block
 (`FeatureExtractor.static_block`, one (networks, 38) array) reads the
 centralities and global communities at the nodes' ranks, takes the
 centrality means and medians as below, the edge and triangle totals from
 the table, and the distance statistics and local communities network by
 network; the dict loop it replaced is `static_features` in
 `tests/oracles.py`, which it equals bit for bit. Per (fold, threshold) and
-scoring method, one score and one class-code vector over the interned users
-give every node's score and class; counts are `np.bincount`s over network ×
-class keys, the median susceptibility reads a `lexsort` by (network, score),
-and the triad counts are one `triads.census`. Every count is an exact
+scoring method, one score and one class-code vector over the graph ranks
+(`susceptibility.fit`) give every node's score and class; counts are
+`np.bincount`s over network × class keys, the median susceptibility reads
+a `lexsort` by (network, score), and the triad counts are one
+`triads.census`. Every count is an exact
 integer and every ratio one float division, so the values equal the
 per-network dict loops kept in `tests/oracles.py` bit for bit. The mean
 susceptibility is the one sum of floats: it is taken as a `cumsum` along a
@@ -63,12 +64,12 @@ from functools import cached_property
 import numpy as np
 
 from . import susceptibility
-from .centrality import MEASURES, CentralityScores, centralities
+from .centrality import MEASURES, centralities
 from .corpus import EngagementTable, SocialGraph
 from .diffusion import build_all_networks
 from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matrix
 from .louvain import global_communities, local_communities
-from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, UNKNOWN
+from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, UNKNOWN, History
 from .triads import TRIAD_CLASSES, Triangles, census, enumerate_triangles
 from .util import derive_seed, distinct, write_csv
 from .wl import SimilarityIndex, normalized_gram
@@ -193,9 +194,6 @@ class FeatureMatrix:
     def _row_index(self) -> dict:
         return {news: i for i, news in enumerate(self.news_ids)}
 
-    def row(self, news_id) -> np.ndarray:
-        return self.X[self._row_index[news_id]]
-
     def rows_for(self, news_ids) -> tuple:
         idx = [self._row_index[n] for n in news_ids]
         return self.X[idx], [self.labels[i] for i in idx]
@@ -212,11 +210,9 @@ class NodeTable:
 
     Networks are numbered in sorted news order (`order`, with their labels
     in `labels`), nodes in sorted order within a network and networks one
-    after another. Node k is the user of graph rank `rank[k]`, which is
-    `users[user[k]]` (`users` holds the ids of the distinct spreaders,
-    sorted, for the susceptibility models, which are keyed by id); it lies
-    in network `network[k]` at position `position[k]` and spread it
-    `count[k]` times. Edge j runs from node `source[j]` to node `target[j]`
+    after another. Node k is the user of graph rank `rank[k]`; it lies in
+    network `network[k]` at position `position[k]` and spread it `count[k]`
+    times. Edge j runs from node `source[j]` to node `target[j]`
     in network `edge_network[j]`. The nodes adjacent to node k in either
     direction are `neighbours[neighbour_ptr[k]:neighbour_ptr[k + 1]]`,
     ascending, for WL refinement over h iterations and the triangle
@@ -224,7 +220,7 @@ class NodeTable:
     on the networks (and h) only and are built on first use.
     """
 
-    def __init__(self, networks: dict, users, h: int = 3):
+    def __init__(self, networks: dict, h: int = 3):
         if h < 0:
             raise ValueError("h must be >= 0")
         self.h = h
@@ -238,9 +234,6 @@ class NodeTable:
         offsets = np.cumsum(self.sizes) - self.sizes
         self.position = np.arange(self.network.size) - offsets[self.network]
         self.rank = np.concatenate(empty + [net.ranks for net in nets])
-        ranks = distinct(self.rank)
-        self.user = np.searchsorted(ranks, self.rank)
-        self.users = [users[r] for r in ranks.tolist()]
         self.count = np.concatenate(empty + [net.counts for net in nets]).astype(np.float64)
         self.engagements = np.bincount(self.network, weights=self.count, minlength=n)
         edges = np.concatenate([np.empty((0, 2), dtype=np.int64)]
@@ -260,7 +253,7 @@ class NodeTable:
 
     @cached_property
     def identity_gram(self) -> np.ndarray:
-        return normalized_gram(self, self.user.tolist())
+        return normalized_gram(self, self.rank.tolist())
 
 
 def _per_network(network, key, width: int, n: int, weights=None) -> np.ndarray:
@@ -270,14 +263,15 @@ def _per_network(network, key, width: int, n: int, weights=None) -> np.ndarray:
 
 
 def _ratio(num, den) -> np.ndarray:
-    """num / den elementwise, 0 where den is 0: util.safe_ratio on arrays."""
+    """num / den elementwise, 0 where den is 0."""
     num, den = np.broadcast_arrays(np.asarray(num, dtype=np.float64),
                                    np.asarray(den, dtype=np.float64))
     return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
 
 
 def _sorted_median(values, network, sizes) -> np.ndarray:
-    """util.median of each network's values; 0 for an empty network."""
+    """The median of each network's values (the midpoint of the two central
+    ones for an even count); 0 for an empty network."""
     ranked = np.append(values[np.lexsort((values, network))], 0.0)
     mid = np.cumsum(sizes) - sizes + sizes // 2
     upper = ranked[mid]
@@ -288,9 +282,8 @@ def _sorted_median(values, network, sizes) -> np.ndarray:
 def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
     """The dynamic block of every network, (networks, 100) in DYNAMIC_NAMES order.
 
-    `vectors` maps each scoring method to its (scores, class codes) over
-    `table.users` (SusceptibilityModel.classify_all). Rows follow
-    `table.order`.
+    `vectors` maps each scoring method to its (scores, class codes) over the
+    graph ranks (`susceptibility.fit`). Rows follow `table.order`.
     """
     n = len(table.order)
     unknown = CLASSES.index(UNKNOWN)
@@ -303,9 +296,7 @@ def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
 
     padded = np.zeros((n, int(table.sizes.max(initial=0)) + 1))
     for tag, method in _METHOD_TAGS:
-        user_scores, user_codes = vectors[method]
-        scores = user_scores[table.user]
-        codes = user_codes[table.user]
+        scores, codes = (values[table.rank] for values in vectors[method])
         spreaders = _per_network(table.network, codes, len(CLASSES), n)[:, :2]
         engaged = _per_network(table.network, codes, len(CLASSES), n,
                                weights=table.count)[:, :2]
@@ -349,10 +340,15 @@ class FeatureExtractor:
     features are recomputed for every training fold and threshold. The flow
     matrices are built here from the graph and the networks: they encode
     which news stories an edge appears in, so they change with the networks.
+    `cents` maps each centrality measure, and `global_comm` holds the
+    communities, as arrays over the graph ranks. The susceptibility scores
+    are fit on `history`, the spreading records of the full networks, even
+    when the extractor holds subsampled ones.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
-                 cents: CentralityScores, global_comm, h: int = 3, seed: int = 0):
+                 cents: dict, global_comm: np.ndarray, h: int = 3, seed: int = 0,
+                 history: History | None = None):
         self.graph = graph
         self.table = table
         self.networks = networks
@@ -363,6 +359,7 @@ class FeatureExtractor:
         self.global_comm = global_comm
         self.h = h
         self.seed = seed
+        self.history = History(networks, graph.n_nodes) if history is None else history
 
     @classmethod
     def build(cls, graph: SocialGraph, table: EngagementTable,
@@ -375,14 +372,15 @@ class FeatureExtractor:
     def with_networks(self, networks: dict) -> "FeatureExtractor":
         """Same corpus and global inputs, different (e.g. subsampled) networks."""
         return FeatureExtractor(self.graph, self.table, networks, self.centralities,
-                                self.global_comm, h=self.h, seed=self.seed)
+                                self.global_comm, h=self.h, seed=self.seed,
+                                history=self.history)
 
     # ---- label-independent block ----
 
     @cached_property
     def node_table(self) -> NodeTable:
         """The networks' nodes, edges and triangles over one node numbering."""
-        return NodeTable(self.networks, self.graph.users, self.h)
+        return NodeTable(self.networks, self.h)
 
     @cached_property
     def static_block(self) -> np.ndarray:
@@ -398,7 +396,7 @@ class FeatureExtractor:
         columns = {"n_spreaders": sizes.astype(np.float64)}
         padded = np.zeros((sizes.size, int(sizes.max(initial=0)) + 1))
         for measure in MEASURES:
-            values = self.centralities.values[measure][table.rank]
+            values = self.centralities[measure][table.rank]
             padded[table.network, table.position] = values
             columns[f"mean_{measure}"] = _ratio(np.cumsum(padded, axis=1)[:, -1], sizes)
             columns[f"median_{measure}"] = _sorted_median(values, table.network, sizes)
@@ -423,8 +421,7 @@ class FeatureExtractor:
         columns["triad_density"] = _ratio(total, np.where(
             sizes >= 3, sizes * (sizes - 1) * (sizes - 2) / 6.0, 0.0))
 
-        community = np.array([self.global_comm.communities[user] for user in table.users],
-                             dtype=np.int64)[table.user]
+        community = self.global_comm[table.rank]
         width = int(community.max(initial=0)) + 1
         n_global = np.bincount(distinct(table.network * width + community) // width,
                                minlength=sizes.size)
@@ -456,13 +453,12 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
                    theta: float) -> FeatureMatrix:
     """Leakage-safe feature matrix for the whole corpus under one training fold.
 
-    Susceptibility models and WL reference sets are fit on `training_news`
+    Susceptibility scores and WL reference sets are fit on `training_news`
     only; test-fold labels never influence any value.
     """
-    models = susceptibility.fit_all(extractor.table, training_news, theta)
+    vectors = susceptibility.fit_all(extractor.history, training_news, theta)
     table = extractor.node_table
-    vectors = {method: models[method].classify_all(table.users) for method in METHODS}
-    classes = vectors[BY_NEWS][1][table.user].tolist()
+    classes = vectors[BY_NEWS][1][table.rank].tolist()
     sim_index = SimilarityIndex(table, training_news, classes)
     dynamic = dynamic_features(table, vectors)
     static = extractor.static_block

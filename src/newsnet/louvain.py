@@ -11,31 +11,22 @@ Directed follow edges are symmetrized first (weight 1 per unordered connected
 pair, reciprocal pairs also weight 1), as rank or position pairs: one sort of
 the pair keys, with no tuple per edge.
 
-The result is the node -> community map alone: the feature vector reads
+The result is each node's community alone: the feature vector reads
 community counts at two scopes, the whole follow graph
-(`global_communities`) and one diffusion network (`local_communities`), and
-never the modularity of the final partition.
+(`global_communities`, an int array over the graph ranks) and one diffusion
+network (`local_communities`), and never the modularity of the final
+partition.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .util import derive_seed, distinct, left_sum
 
 MIN_GAIN = 1e-7
-
-
-@dataclass(frozen=True)
-class CommunityAssignment:
-    communities: dict  # node -> community index (0..k-1)
-
-    @property
-    def n_communities(self) -> int:
-        return len(set(self.communities.values()))
 
 
 class _Level:
@@ -177,8 +168,8 @@ def _pairs(lows, highs, n) -> tuple:
     return tuple(side.tolist() for side in np.divmod(pairs, max(n, 1)))
 
 
-def global_communities(graph, seed: int) -> CommunityAssignment:
-    """Louvain over the follow graph's ranks, keyed back to user ids.
+def global_communities(graph, seed: int) -> np.ndarray:
+    """Louvain over the follow graph: every rank's community, as an int array.
 
     `_Level` reads the CSR's edges symmetrized as rank pairs in ascending
     order, with no pair tuples and no node index. Rank order is sorted-id
@@ -187,8 +178,7 @@ def global_communities(graph, seed: int) -> CommunityAssignment:
     """
     n = graph.n_nodes
     lows, highs = _pairs(graph.sources(), graph.indices, n)
-    return CommunityAssignment(dict(zip(graph.users, communities(
-        n, lows, highs, [1.0] * len(lows), seed))))
+    return np.array(communities(n, lows, highs, [1.0] * len(lows), seed), dtype=np.int64)
 
 
 def local_communities(network, seed: int) -> int:

@@ -10,15 +10,20 @@ Two scoring methods:
 Scores are always fit on a declared training news set so that no test-fold
 label can influence a feature (leakage-safe protocol). Users with no training
 history get exactly the threshold value, i.e. their class is "unknown".
+
+Users are graph ranks. A `History` holds every (news, spreader rank, count)
+record of a corpus, taken once from its full diffusion networks, and `fit`
+gives every rank's score and class code as two arrays over all graph ranks,
+from `np.bincount`s of the training records by rank. Each total is an exact
+integer and each score one float division, so the scores equal the per-user
+dict loop kept in `tests/oracles.py` bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import FAKE, EngagementTable
+from .corpus import FAKE
 
 BY_NEWS = "by_news"
 BY_FREQUENCY = "by_frequency"
@@ -30,35 +35,28 @@ UNKNOWN = "unknown"
 CLASSES = (NORMAL, SUSCEPTIBLE, UNKNOWN)  # a class code is an index into this
 
 
-@dataclass(frozen=True)
-class SusceptibilityModel:
-    theta: float
-    scores: dict  # user_id -> score, only for users with training history
+class History:
+    """Every spreading record of a corpus, by graph rank.
 
-    def score(self, user) -> float:
-        return self.scores.get(user, self.theta)
+    `news` lists the corpus's news ids sorted and `fake` marks the fake ones.
+    Record i is `count[i]` spreads of news `news[story[i]]` by the user of
+    graph rank `rank[i]`; ranks run over the `n_users` users of the graph.
+    """
 
-    def classify(self, user) -> str:
-        s = self.score(user)
-        if s < self.theta:
-            return NORMAL
-        if s > self.theta:
-            return SUSCEPTIBLE
-        return UNKNOWN
-
-    def classify_all(self, users) -> tuple:
-        """Every user's score and class code (an index into CLASSES), as arrays.
-
-        Entry i equals score(users[i]) and CLASSES.index(classify(users[i])).
-        """
-        scores = np.array([self.scores.get(user, self.theta) for user in users],
-                          dtype=np.float64)
-        codes = np.where(scores < self.theta, 0, np.where(scores > self.theta, 1, 2))
-        return scores, codes
+    def __init__(self, networks: dict, n_users: int):
+        self.news = sorted(networks)
+        nets = [networks[news] for news in self.news]
+        empty = [np.empty(0, dtype=np.int64)]
+        self.fake = np.array([net.label == FAKE for net in nets], dtype=bool)
+        self.story = np.repeat(np.arange(len(nets)), [net.n_nodes for net in nets])
+        self.rank = np.concatenate(empty + [net.ranks for net in nets])
+        self.count = np.concatenate(empty + [net.counts for net in nets])
+        self.n_users = n_users
 
 
-def fit(table: EngagementTable, training_news, method: str, theta: float) -> SusceptibilityModel:
-    """Fit per-user susceptibility scores from the training news only."""
+def fit(history: History, training_news, method: str, theta: float) -> tuple:
+    """Every graph rank's score and class code (an index into CLASSES), as
+    arrays, fit on the training news only."""
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 <= theta <= 1.0:
@@ -66,33 +64,22 @@ def fit(table: EngagementTable, training_news, method: str, theta: float) -> Sus
     training = frozenset(training_news)
     if not training:
         raise ValueError("training news set is empty")
-    unknown_news = training - set(table.labels)
+    unknown_news = training - set(history.news)
     if unknown_news:
         raise ValueError(f"training news not in corpus: {sorted(unknown_news)[:5]}")
 
-    scores: dict = {}
-    for user, by_news in table.user_news.items():
-        fake_n = 0
-        total_n = 0
-        fake_t = 0
-        total_t = 0
-        for news, count in by_news.items():
-            if news not in training:
-                continue
-            total_n += 1
-            total_t += count
-            if table.labels[news] == FAKE:
-                fake_n += 1
-                fake_t += count
-        if total_n == 0:
-            continue  # no training history: score defaults to theta
-        if method == BY_NEWS:
-            scores[user] = fake_n / total_n
-        else:
-            scores[user] = fake_t / total_t
-    return SusceptibilityModel(theta=float(theta), scores=scores)
+    kept = np.array([news in training for news in history.news], dtype=bool)[history.story]
+    rank = history.rank[kept]
+    weights = history.count[kept] if method == BY_FREQUENCY else np.ones(rank.size)
+    fake = history.fake[history.story[kept]]
+    n = history.n_users
+    total = np.bincount(rank, weights=weights, minlength=n)
+    fakes = np.bincount(rank[fake], weights=weights[fake], minlength=n)
+    scores = np.divide(fakes, total, out=np.full(n, float(theta)), where=total > 0)
+    codes = np.where(scores < theta, 0, np.where(scores > theta, 1, 2))
+    return scores, codes
 
 
-def fit_all(table: EngagementTable, training_news, theta: float) -> dict:
-    """Fit one model per scoring method; keys are the method names."""
-    return {m: fit(table, training_news, m, theta) for m in METHODS}
+def fit_all(history: History, training_news, theta: float) -> dict:
+    """`fit` for each scoring method; keys are the method names."""
+    return {m: fit(history, training_news, m, theta) for m in METHODS}

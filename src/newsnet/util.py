@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, sums, distinct values, sorted lookup,
-medians, CSV writing."""
+CSV writing."""
 
 from __future__ import annotations
 
@@ -50,22 +50,6 @@ def find(keys, wanted) -> tuple:
     found = at < len(keys)
     found[found] = keys[at[found]] == wanted[found]
     return at, found
-
-
-def median(values) -> float:
-    """Midpoint of the two central order statistics; 0.0 for an empty sequence."""
-    vs = sorted(values)
-    n = len(vs)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    if n % 2 == 1:
-        return float(vs[mid])
-    return (float(vs[mid - 1]) + float(vs[mid])) / 2.0
-
-
-def safe_ratio(num, den) -> float:
-    return float(num) / float(den) if den else 0.0
 
 
 def _cell(value) -> str:

@@ -13,8 +13,8 @@ order, nodes sorted within a network) and holds their undirected adjacency;
 `ids` per iteration shared by all networks. Two nodes of any networks then
 share an iteration's label exactly when any injective relabelling, such as
 the string one `tests/oracles.py` keeps as the reference, gives them one.
-The identity labels are the table's interned user numbers, which partition
-the nodes as the user ids do.
+The identity labels are the nodes' graph ranks, which partition the nodes
+as the user ids do.
 
 All pairwise values come from one Gram matrix per labelling: the sum over
 iterations of A_i A_iᵀ, with A_i the networks x labels count block of

@@ -11,12 +11,14 @@ matrices in `newsnet.wl` replaced, the recursive per-node tree growth the
 presorted batched grower in `newsnet.ml.forest` replaced, the per-network
 dict loops (susceptibility classes, engagement and edge partitions, triad
 census, the static block) that the array blocks in `newsnet.features`
-replaced, and the id-keyed flow matrix, triangle enumeration and subsampling
+replaced, the id-keyed flow matrix, triangle enumeration and subsampling
 that the rank arrays of `newsnet.distances`, `newsnet.triads` and
-`newsnet.diffusion` replaced. Networks are walked as `IdNetwork`s, sets of
-user ids read back from the package's rank arrays. Apart from the pairwise
-WL kernel, `newsnet.util.median`/`safe_ratio` and `louvain` over ids, these
-paths share no code with the package internals.
+`newsnet.diffusion` replaced, and the per-user dict susceptibility fit that
+`newsnet.susceptibility.fit` replaced. Networks are walked as `IdNetwork`s,
+sets of user ids read back from the package's rank arrays, and per-rank
+arrays as {user id: value} dicts (`by_id`). Apart from the pairwise WL
+kernel and `louvain` over ids, these paths share no code with the package
+internals.
 """
 
 from __future__ import annotations
@@ -31,21 +33,99 @@ from itertools import combinations
 
 import numpy as np
 
-from newsnet.centrality import DAMPING, MAX_ITER, MEASURES, TOLERANCE
-from newsnet.corpus import EngagementTable, SocialGraph
+from newsnet.centrality import DAMPING, MAX_ITER, MEASURES, TOLERANCE, centralities
+from newsnet.corpus import FAKE, EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
 from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, NodeTable
 from newsnet.features import dynamic_features as package_dynamic_features
-from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, NORMAL, SUSCEPTIBLE, UNKNOWN
-from newsnet.louvain import CommunityAssignment, communities
+from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
+                                    SUSCEPTIBLE, UNKNOWN)
+from newsnet.louvain import communities
 from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES
-from newsnet.util import derive_seed, median, safe_ratio
+from newsnet.util import derive_seed
 from newsnet.wl import WLSignature, wl_kernel_normalized
 
 IDENTITY = "identity"
 SUSCEPTIBILITY_CLASS = "susceptibility_class"
 LABELING_SCHEMES = (IDENTITY, SUSCEPTIBILITY_CLASS)
+
+
+def median(values) -> float:
+    """Midpoint of the two central order statistics; 0.0 for an empty sequence."""
+    vs = sorted(values)
+    n = len(vs)
+    if n == 0:
+        return 0.0
+    mid = n // 2
+    if n % 2 == 1:
+        return float(vs[mid])
+    return (float(vs[mid - 1]) + float(vs[mid])) / 2.0
+
+
+def safe_ratio(num, den) -> float:
+    return float(num) / float(den) if den else 0.0
+
+
+def by_id(users, values) -> dict:
+    """{user id: value} of an array over the graph ranks; `users` is the graph's."""
+    return dict(zip(users, np.asarray(values).tolist()))
+
+
+def id_centralities(graph: SocialGraph) -> dict:
+    """`centralities(graph)` as {measure: {user id: value}}."""
+    return {measure: by_id(graph.users, values)
+            for measure, values in centralities(graph).items()}
+
+
+@dataclass(frozen=True)
+class SusceptibilityModel:
+    """Per-user susceptibility scores keyed by user id."""
+
+    theta: float
+    scores: dict  # user_id -> score, only for users with training history
+
+    def score(self, user) -> float:
+        return self.scores.get(user, self.theta)
+
+    def classify(self, user) -> str:
+        s = self.score(user)
+        if s < self.theta:
+            return NORMAL
+        if s > self.theta:
+            return SUSCEPTIBLE
+        return UNKNOWN
+
+
+def fit(table: EngagementTable, training_news, method: str, theta: float) -> SusceptibilityModel:
+    """Per-user susceptibility scores from the training news only, by a loop
+    over each user's spreading history: the dict fit `susceptibility.fit`
+    replaced."""
+    training = frozenset(training_news)
+    user_news: dict = {}
+    for news, by_user in table.counts.items():
+        for user, count in by_user.items():
+            user_news.setdefault(user, {})[news] = count
+    scores: dict = {}
+    for user, by_news in user_news.items():
+        fake_n = total_n = fake_t = total_t = 0
+        for news, count in by_news.items():
+            if news not in training:
+                continue
+            total_n += 1
+            total_t += count
+            if table.labels[news] == FAKE:
+                fake_n += 1
+                fake_t += count
+        if total_n == 0:
+            continue  # no training history: score defaults to theta
+        scores[user] = fake_n / total_n if method == BY_NEWS else fake_t / total_t
+    return SusceptibilityModel(theta=float(theta), scores=scores)
+
+
+def fit_all(table: EngagementTable, training_news, theta: float) -> dict:
+    """One id-keyed model per scoring method; keys are the method names."""
+    return {m: fit(table, training_news, m, theta) for m in METHODS}
 
 
 class WLDictionary:
@@ -212,6 +292,15 @@ def subsample(network: IdNetwork, mode: str, proportion: float, seed: int) -> Id
     kept_edges = frozenset(rng.sample(population, math.ceil(proportion * len(population))))
     return IdNetwork(network.news_id, network.label, network.nodes, kept_edges,
                      dict(network.counts))
+
+
+@dataclass(frozen=True)
+class CommunityAssignment:
+    communities: dict  # user id -> community index (0..k-1)
+
+    @property
+    def n_communities(self) -> int:
+        return len(set(self.communities.values()))
 
 
 def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
@@ -561,8 +650,9 @@ def _static_rows(extractor) -> dict:
     nets = [networks[news] for news in sorted(networks)]
     flows = {tag: flow_matrix(nets, definition)
              for tag, definition in (("news", "shared_news"), ("freq", "shared_frequency"))}
-    cents = {measure: extractor.centralities.of(measure) for measure in MEASURES}
-    return {news: _static_row(net, flows, cents, extractor.global_comm,
+    cents = {measure: by_id(users, extractor.centralities[measure]) for measure in MEASURES}
+    global_comm = by_id(users, extractor.global_comm)
+    return {news: _static_row(net, flows, cents, global_comm,
                               derive_seed(extractor.seed, "louvain_local", news))
             for news, net in networks.items()}
 
@@ -597,7 +687,7 @@ def _static_row(net: IdNetwork, flows: dict, cents: dict, global_comm, seed) -> 
     out["triangles_per_spreader"] = safe_ratio(tri.total, n)
     out["triad_density"] = safe_ratio(tri.total, possible)
     if n:
-        n_global = len({global_comm.communities[v] for v in net.nodes})
+        n_global = len({global_comm[v] for v in net.nodes})
         n_local = louvain(net.nodes, symmetrize(net.edges), seed).n_communities
     else:
         n_global = n_local = 0
@@ -629,9 +719,9 @@ def array_dynamic_rows(networks: dict, models: dict) -> dict:
     value}}, for comparison with `dynamic_features`. `models` maps each method
     to any object with score(user) and classify(user)."""
     users, ranked = rank_networks(networks)
-    table = NodeTable(ranked, users)
-    vectors = {method: (np.array([model.score(u) for u in table.users], dtype=np.float64),
-                        np.array([CLASSES.index(model.classify(u)) for u in table.users],
+    table = NodeTable(ranked)
+    vectors = {method: (np.array([model.score(u) for u in users], dtype=np.float64),
+                        np.array([CLASSES.index(model.classify(u)) for u in users],
                                  dtype=np.int64))
                for method, model in models.items()}
     block = package_dynamic_features(table, vectors)

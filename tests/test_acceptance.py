@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from newsnet.centrality import centralities
-from newsnet.corpus import EngagementTable, corpus_stats, load_corpus
+from newsnet.corpus import EngagementTable, SocialGraph, corpus_stats, load_corpus
 from newsnet.diffusion import build_all_networks
 from newsnet.distances import flow_matrix
 from newsnet.experiments import (ExperimentConfig, run_early_detection,
@@ -27,15 +27,17 @@ from newsnet.features import (DYNAMIC_NAMES, FeatureExtractor, dynamic_features,
 from newsnet.ml.crossval import (cross_validate, encode_labels, evaluate_masks,
                                  fit_classifier, stratified_folds)
 from newsnet.ml.relief import relief_rank
-from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, fit, fit_all
+from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, History, fit, fit_all
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.triads import TRIAD_CLASSES
 from newsnet.util import write_csv
 from newsnet.wl import wl_kernel, wl_kernel_normalized
 
 from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
-                     brute_induced_edges, dense_betweenness, dense_closeness, enumerate_triangles,
-                     flow_lengths, id_network, random_corpus, string_graph, wl_signature)
+                     brute_induced_edges, by_id, dense_betweenness, dense_closeness,
+                     enumerate_triangles, flow_lengths, id_network, random_corpus, string_graph,
+                     wl_signature)
+from oracles import fit_all as dict_fit_all
 from oracles import flow_matrix as dict_flow_matrix
 
 EGO_DELTA_CLASSES = ("nn", "ns", "sn", "ss", "delta_pos", "delta_zero", "delta_neg")
@@ -50,18 +52,19 @@ def test_criterion_1_oracle_equivalence():
         nets = [networks[n] for n in sorted(networks)]
 
         scores = centralities(graph)
+        of = {measure: by_id(graph.users, values) for measure, values in scores.items()}
         edges = string_graph(graph).edges
         bc = dense_betweenness(nodes, edges)
         out_cl = dense_closeness(nodes, edges, "out")
         in_cl = dense_closeness(nodes, edges, "in")
         for v in nodes:
-            assert abs(scores.of("betweenness")[v] - bc[v]) <= 1e-9
-            assert abs(scores.of("out_closeness")[v] - out_cl[v]) <= 1e-9
-            assert abs(scores.of("in_closeness")[v] - in_cl[v]) <= 1e-9
-        assert abs(sum(scores.of("pagerank").values()) - 1.0) <= 1e-9
+            assert abs(of["betweenness"][v] - bc[v]) <= 1e-9
+            assert abs(of["out_closeness"][v] - out_cl[v]) <= 1e-9
+            assert abs(of["in_closeness"][v] - in_cl[v]) <= 1e-9
+        assert abs(sum(of["pagerank"].values()) - 1.0) <= 1e-9
         if graph.n_edges:
             for measure in ("hub", "authority"):
-                norm = sum(x * x for x in scores.of(measure).values()) ** 0.5
+                norm = sum(x * x for x in of[measure].values()) ** 0.5
                 assert abs(norm - 1.0) <= 1e-9
 
         ids = [id_network(graph.users, net) for net in nets]
@@ -72,10 +75,9 @@ def test_criterion_1_oracle_equivalence():
                 == slow.lengths
 
         ex = FeatureExtractor(graph, table, networks, scores, None, seed=seed)
-        models = fit_all(table, table.news_ids(), 0.5)
+        models = dict_fit_all(table, table.news_ids(), 0.5)
         node_table = ex.node_table
-        block = dynamic_features(node_table, {m: models[m].classify_all(node_table.users)
-                                              for m in models})
+        block = dynamic_features(node_table, fit_all(ex.history, table.news_ids(), 0.5))
         triangles = node_table.triangles
         for t, (net, row) in enumerate(zip(ids, block.tolist())):
             assert net.edges == brute_induced_edges(graph, net.nodes)
@@ -106,13 +108,14 @@ def test_criterion_2_formula_checks():
     table = EngagementTable.from_records(
         {("f1", "v"): 1, ("t1", "v"): 3},
         {"f1": "fake", "t1": "true"})
+    graph = SocialGraph.from_edges([], nodes=["v"])
+    history = History(build_all_networks(graph, table), graph.n_nodes)
     training = {"f1", "t1"}
-    assert fit(table, training, BY_NEWS, 0.5).score("v") == 0.5
-    assert fit(table, training, BY_FREQUENCY, 0.5).score("v") == 0.25
+    v = graph.users.index("v")
+    assert fit(history, training, BY_NEWS, 0.5)[0][v] == 0.5
+    assert fit(history, training, BY_FREQUENCY, 0.5)[0][v] == 0.25
 
     # sole inflow: distance exactly 1
-    from newsnet.corpus import SocialGraph
-
     graph = SocialGraph.from_edges([("a", "b")])
     t2 = EngagementTable.from_records({("n1", "a"): 1, ("n1", "b"): 1},
                                       {"n1": "fake"})

@@ -11,8 +11,8 @@ from newsnet.corpus import SocialGraph
 from newsnet.synth import SyntheticSpec, generate
 
 from oracles import (dense_betweenness, dense_closeness, dense_hits_authority,
-                     python_brandes, python_closeness, python_hits, python_pagerank,
-                     random_corpus, string_graph)
+                     id_centralities, python_brandes, python_closeness, python_hits,
+                     python_pagerank, random_corpus, string_graph)
 
 # The PageRank and HITS oracles add with Python's `sum`. CPython 3.11 adds
 # floats one at a time, the order the array code reproduces; 3.12 and later
@@ -24,100 +24,100 @@ PLAIN_FLOAT_SUM = (platform.python_implementation() == "CPython"
 def assert_equals_python_oracles(graph):
     """Every measure equals the pure-Python loops bit for bit."""
     nodes = list(graph.users)
-    scores = centralities(graph)
+    scores = id_centralities(graph)
     graph = string_graph(graph)
-    assert scores.of("betweenness") == python_brandes(nodes, graph.out_neighbors)
-    assert scores.of("out_closeness") == python_closeness(nodes, graph.out_neighbors)
-    assert scores.of("in_closeness") == python_closeness(nodes, graph.in_neighbors)
-    assert scores.of("out_degree") == {v: float(len(graph.out_neighbors[v])) for v in nodes}
-    assert scores.of("in_degree") == {v: float(len(graph.in_neighbors[v])) for v in nodes}
+    assert scores["betweenness"] == python_brandes(nodes, graph.out_neighbors)
+    assert scores["out_closeness"] == python_closeness(nodes, graph.out_neighbors)
+    assert scores["in_closeness"] == python_closeness(nodes, graph.in_neighbors)
+    assert scores["out_degree"] == {v: float(len(graph.out_neighbors[v])) for v in nodes}
+    assert scores["in_degree"] == {v: float(len(graph.in_neighbors[v])) for v in nodes}
     hubs, auths = python_hits(nodes, graph.out_neighbors, graph.in_neighbors)
     for measure, oracle in (("pagerank", python_pagerank(nodes, graph.out_neighbors)),
                             ("hub", hubs), ("authority", auths)):
-        assert list(scores.of(measure)) == nodes
+        assert list(scores[measure]) == nodes
         if PLAIN_FLOAT_SUM:
-            assert scores.of(measure) == oracle
+            assert scores[measure] == oracle
         else:
-            assert scores.of(measure) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+            assert scores[measure] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
 def test_three_cycle_symmetry():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-    scores = centralities(graph)
+    scores = id_centralities(graph)
     for v in "abc":
-        assert scores.of("in_degree")[v] == 1.0
-        assert scores.of("out_degree")[v] == 1.0
-        assert scores.of("pagerank")[v] == pytest.approx(1 / 3, abs=1e-9)
+        assert scores["in_degree"][v] == 1.0
+        assert scores["out_degree"][v] == 1.0
+        assert scores["pagerank"][v] == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_path_betweenness():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c")])
-    scores = centralities(graph)
-    assert scores.of("betweenness") == {"a": 0.0, "b": 1.0, "c": 0.0}
+    scores = id_centralities(graph)
+    assert scores["betweenness"] == {"a": 0.0, "b": 1.0, "c": 0.0}
     oracle = dense_betweenness(list(graph.users), string_graph(graph).edges)
     for v in graph.users:
-        assert scores.of("betweenness")[v] == pytest.approx(oracle[v], abs=1e-12)
+        assert scores["betweenness"][v] == pytest.approx(oracle[v], abs=1e-12)
 
 
 def test_star_authority_via_eigen_oracle():
     edges = [(f"leaf{i}", "center") for i in range(5)]
     graph = SocialGraph.from_edges(edges)
-    scores = centralities(graph)
+    scores = id_centralities(graph)
     oracle = dense_hits_authority(list(graph.users), string_graph(graph).edges)
-    assert scores.of("authority")["center"] == pytest.approx(1.0, abs=1e-9)
+    assert scores["authority"]["center"] == pytest.approx(1.0, abs=1e-9)
     for v in graph.users:
-        assert scores.of("authority")[v] == pytest.approx(oracle[v], abs=1e-8)
-    hubs = [scores.of("hub")[f"leaf{i}"] for i in range(5)]
+        assert scores["authority"][v] == pytest.approx(oracle[v], abs=1e-8)
+    hubs = [scores["hub"][f"leaf{i}"] for i in range(5)]
     assert max(hubs) - min(hubs) < 1e-12
-    assert scores.of("hub")["center"] == pytest.approx(0.0, abs=1e-12)
+    assert scores["hub"]["center"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closeness_definition_on_path():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c")])
-    scores = centralities(graph)
+    scores = id_centralities(graph)
     # out: a reaches {b,c} at distances 1,2
-    assert scores.of("out_closeness")["a"] == pytest.approx(2 / 3)
-    assert scores.of("out_closeness")["c"] == 0.0
-    assert scores.of("in_closeness")["c"] == pytest.approx(2 / 3)
-    assert scores.of("in_closeness")["a"] == 0.0
+    assert scores["out_closeness"]["a"] == pytest.approx(2 / 3)
+    assert scores["out_closeness"]["c"] == 0.0
+    assert scores["in_closeness"]["c"] == pytest.approx(2 / 3)
+    assert scores["in_closeness"]["a"] == 0.0
 
 
 def test_matches_dense_oracles_on_random_graphs():
     for seed in range(6):
         graph, _ = random_corpus(seed)
         nodes = list(graph.users)
-        scores = centralities(graph)
+        scores = id_centralities(graph)
         edges = string_graph(graph).edges
         bc = dense_betweenness(nodes, edges)
         ocl = dense_closeness(nodes, edges, "out")
         icl = dense_closeness(nodes, edges, "in")
         for v in nodes:
-            assert scores.of("betweenness")[v] == pytest.approx(bc[v], abs=1e-9)
-            assert scores.of("out_closeness")[v] == pytest.approx(ocl[v], abs=1e-9)
-            assert scores.of("in_closeness")[v] == pytest.approx(icl[v], abs=1e-9)
+            assert scores["betweenness"][v] == pytest.approx(bc[v], abs=1e-9)
+            assert scores["out_closeness"][v] == pytest.approx(ocl[v], abs=1e-9)
+            assert scores["in_closeness"][v] == pytest.approx(icl[v], abs=1e-9)
 
 
 def test_pagerank_simplex_and_hits_norm():
     for seed in range(6):
         graph, _ = random_corpus(seed)
-        scores = centralities(graph)
-        assert sum(scores.of("pagerank").values()) == pytest.approx(1.0, abs=1e-9)
+        scores = id_centralities(graph)
+        assert sum(scores["pagerank"].values()) == pytest.approx(1.0, abs=1e-9)
         if graph.n_edges:
-            hub_norm = sum(x * x for x in scores.of("hub").values()) ** 0.5
-            auth_norm = sum(x * x for x in scores.of("authority").values()) ** 0.5
+            hub_norm = sum(x * x for x in scores["hub"].values()) ** 0.5
+            auth_norm = sum(x * x for x in scores["authority"].values()) ** 0.5
             assert hub_norm == pytest.approx(1.0, abs=1e-9)
             assert auth_norm == pytest.approx(1.0, abs=1e-9)
         for measure in MEASURES:
-            assert all(v >= 0.0 for v in scores.of(measure).values())
+            assert all(v >= 0.0 for v in scores[measure].values())
 
 
 def test_edgeless_graph():
     graph = SocialGraph.from_edges([], nodes=["a", "b", "c"])
-    scores = centralities(graph)
-    assert sum(scores.of("pagerank").values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(v == 0.0 for v in scores.of("hub").values())
-    assert all(v == 0.0 for v in scores.of("authority").values())
-    assert all(v == 0.0 for v in scores.of("betweenness").values())
+    scores = id_centralities(graph)
+    assert sum(scores["pagerank"].values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(v == 0.0 for v in scores["hub"].values())
+    assert all(v == 0.0 for v in scores["authority"].values())
+    assert all(v == 0.0 for v in scores["betweenness"].values())
 
 
 def test_empty_graph_rejected():
@@ -187,7 +187,7 @@ def test_betweenness_finite_past_int64_path_counts():
     for upper, lower in zip(layers, layers[1:]):
         edges += [(u, v) for u in upper for v in lower]
     graph = SocialGraph.from_edges(edges)
-    fast = centralities(graph).of("betweenness")
+    fast = id_centralities(graph)["betweenness"]
     slow = python_brandes(list(graph.users), string_graph(graph).out_neighbors)
     for v in graph.users:
         assert math.isfinite(fast[v])
@@ -219,8 +219,8 @@ def test_property_order_preserving_relabel(graph, stride):
     relabeled = SocialGraph.from_edges(
         [(rename[u], rename[v]) for u, v in string_graph(graph).edges],
         nodes=list(rename.values()))
-    scores = centralities(graph)
-    renamed_scores = centralities(relabeled)
+    scores = id_centralities(graph)
+    renamed_scores = id_centralities(relabeled)
     for measure in MEASURES:
-        assert ([scores.of(measure)[v] for v in nodes]
-                == [renamed_scores.of(measure)[rename[v]] for v in nodes])
+        assert ([scores[measure][v] for v in nodes]
+                == [renamed_scores[measure][rename[v]] for v in nodes])

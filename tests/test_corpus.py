@@ -148,7 +148,9 @@ def test_follows_checks_each_pair():
     assert graph.follows([0, 1, 1, 2, 3, 3], [1, 0, 2, 3, 3, 0]).tolist() \
         == [True, False, True, False, False, False]
     assert graph.follows([], []).tolist() == []
-    assert graph.ranks(["d", "z", "a"]) == {"d": 3, "a": 0}
+    ranks = graph.ranks(["d", "z", "a"])
+    assert ranks.dtype == np.int64 and ranks.tolist() == [3, -1, 0]
+    assert graph.ranks([]).tolist() == []
 
 
 def test_from_edges_errors():

@@ -153,6 +153,25 @@ def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monk
     assert calls == ["shared_news", "shared_frequency"]
 
 
+def test_whole_population_draws_build_no_flow_matrix(small_strong_extractor, monkeypatch):
+    # at news_count p = 1.0 every repetition draws every news: one evaluation,
+    # on the extractor itself
+    config = _config(proportions=(1.0,), repetitions=3)
+    real_flows, real_cv = features.flow_matrix, experiments.cross_validate
+    calls, runs = [], []
+    monkeypatch.setattr(features, "flow_matrix",
+                        lambda *args: calls.append(args[2]) or real_flows(*args))
+    monkeypatch.setattr(experiments, "cross_validate",
+                        lambda *args, **kwargs: runs.append(args) or real_cv(*args, **kwargs))
+    full = cross_validate(small_strong_extractor, seed=config.seed)
+    header, rows = run_sampling_study(small_strong_extractor, config, "news_count")
+    assert calls == [] and len(runs) == 1
+    labels = [net.label for net in small_strong_extractor.networks.values()]
+    assert rows == [("news_count", 1.0, labels.count("fake"), labels.count("true"), 3, "ok",
+                     experiments._mean([full.accuracy] * 3), experiments._mean([full.f1] * 3),
+                     "accuracy")]
+
+
 def test_early_detection_degrades_gracefully(strong_extractor):
     config = _config(proportions=(0.1,), modes=("nodes",), repetitions=1, seed=11)
     header, rows = run_early_detection(strong_extractor, config)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from newsnet import susceptibility
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork, subsample
 from newsnet.distances import FlowMatrix
@@ -14,11 +15,12 @@ from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_
                               dynamic_features, extract, extract_matrix, feature_index,
                               pattern_mask)
 from newsnet.triads import Triangles
-from newsnet.susceptibility import METHODS, fit_all
+from newsnet.susceptibility import METHODS, History, fit_all
 
 from oracles import brute_ego_delta, id_network, random_corpus, string_graph
 from oracles import dynamic_features as oracle_dynamic_features
 from oracles import feature_row as oracle_feature_row
+from oracles import fit_all as dict_fit_all
 from oracles import static_features as oracle_static_features
 
 NO_SIMILARITY = (0.0, 0.0, 0.0, 0.0)
@@ -28,10 +30,10 @@ def _extractor(graph, table, seed=0):
     return FeatureExtractor.build(graph, table, seed=seed)
 
 
-def _vector(ex, models, news):
+def _vector(ex, vectors, news):
     """`extract` of one network, its dynamic row taken from the array block."""
     table = ex.node_table
-    block = dynamic_features(table, {m: models[m].classify_all(table.users) for m in METHODS})
+    block = dynamic_features(table, vectors)
     t = table.order.index(news)
     return extract(ex.static_block[t], block[t], NO_SIMILARITY)
 
@@ -75,8 +77,7 @@ def test_singleton_network_features():
     table = EngagementTable.from_records(
         {("n1", "u1"): 3, ("n2", "u2"): 1}, {"n1": "fake", "n2": "true"})
     ex = _extractor(graph, table)
-    models = fit_all(table, {"n1", "n2"}, 0.5)
-    vec = _vector(ex, models, "n1")
+    vec = _vector(ex, fit_all(ex.history, {"n1", "n2"}, 0.5), "n1")
     assert _value(vec, "n_spreaders") == 1.0
     assert _value(vec, "total_engagements") == 3.0
     assert _value(vec, "mean_engagements") == 3.0
@@ -91,8 +92,7 @@ def test_all_susceptible_triangle():
     table = EngagementTable.from_records(
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     ex = _extractor(graph, table)
-    models = fit_all(table, {"n1"}, 0.5)
-    vec = _vector(ex, models, "n1")
+    vec = _vector(ex, fit_all(ex.history, {"n1"}, 0.5), "n1")
     assert _value(vec, "ego_density") == 1.0  # 3 edges / C(3,2)
     assert _value(vec, "n_triad_c_sss_news") == 1.0
     assert _value(vec, "pct_susceptible_spreaders_news") == 1.0
@@ -129,10 +129,11 @@ def test_ego_and_delta_partitions_match_oracle():
         graph, table = random_corpus(seed)
         ex = _extractor(graph, table, seed=seed)
         training = table.news_ids()
-        models = fit_all(table, training, 0.5)
+        models = dict_fit_all(table, training, 0.5)
+        vectors = fit_all(ex.history, training, 0.5)
         for news in training:
             net = id_network(graph.users, ex.networks[news])
-            vec = _vector(ex, models, news)
+            vec = _vector(ex, vectors, news)
             for tag, method in (("news", "by_news"), ("freq", "by_frequency")):
                 brute = brute_ego_delta(net, models[method])
                 for cls in ("nn", "ns", "sn", "ss"):
@@ -219,7 +220,7 @@ def test_order_preserving_user_relabel_keeps_every_value(seed):
     assert after.news_ids == before.news_ids
     assert after.labels == before.labels
     for news in before.news_ids:
-        assert after.row(news).tolist() == before.row(news).tolist(), news
+        assert after.rows_for([news])[0].tolist() == before.rows_for([news])[0].tolist(), news
 
 
 ON_CPYTHON_311 = (platform.python_implementation() == "CPython"
@@ -229,9 +230,9 @@ ON_CPYTHON_311 = (platform.python_implementation() == "CPython"
 def assert_block_equals_oracle(ex, training, theta):
     """The array block equals the dict loops, and every extract_matrix row the
     by-name assembly of the static block, the dict loops and the WL values."""
-    models = fit_all(ex.table, training, theta)
+    models = dict_fit_all(ex.table, training, theta)
     table = ex.node_table
-    block = dynamic_features(table, {m: models[m].classify_all(table.users) for m in METHODS})
+    block = dynamic_features(table, fit_all(ex.history, training, theta))
     assert block.shape == (len(ex.networks), len(DYNAMIC_NAMES))
     matrix = extract_matrix(ex, training, theta)
     assert np.isfinite(matrix.X).all()
@@ -319,14 +320,32 @@ def test_node_table_numbers_nodes_in_sorted_order(small_strong_extractor):
     ex = small_strong_extractor
     table = ex.node_table
     assert table.order == sorted(ex.networks)
-    assert [table.users[u] for u in table.user] == [
+    assert [ex.graph.users[r] for r in table.rank] == [
         v for news in table.order
         for v in id_network(ex.graph.users, ex.networks[news]).sorted_nodes()]
-    assert [ex.graph.users[r] for r in table.rank] == [table.users[u] for u in table.user]
     assert table.labels == [ex.networks[news].label for news in table.order]
     assert ex.node_table is table
     fewer = ex.with_networks({n: ex.networks[n] for n in table.order[1:]})
     assert fewer.node_table.order == table.order[1:]
+
+
+def test_subsampled_extractor_fits_on_the_full_history(small_strong_extractor, monkeypatch):
+    # Subsampling hides spreaders from the features, not from the training
+    # history the susceptibility scores are fit on.
+    ex = small_strong_extractor
+    sub = ex.with_networks({n: subsample(net, "nodes", 0.5, 3) for n, net in ex.networks.items()})
+    training = sorted(ex.networks)[::2]
+    fitted = []
+    fit = susceptibility.fit_all
+    monkeypatch.setattr(susceptibility, "fit_all",
+                        lambda *args: fitted.append(fit(*args)) or fitted[-1])
+    extract_matrix(ex, training, 0.5)
+    extract_matrix(sub, training, 0.5)
+    root, sampled = fitted
+    for method in METHODS:
+        assert [v.tolist() for v in sampled[method]] == [v.tolist() for v in root[method]]
+    own = fit(History(sub.networks, ex.graph.n_nodes), training, 0.5)
+    assert any(own[m][0].tolist() != root[m][0].tolist() for m in METHODS)
 
 
 
@@ -378,18 +397,27 @@ def test_order_preserving_user_relabel_keeps_the_static_block(seed):
 def test_networks_flows_and_table_hold_nodes_edges_and_flows_only_as_arrays(
         small_strong_extractor):
     # No set or dict of ids or id pairs: every field that holds nodes, edges,
-    # triangles or flows is a numpy array. The others hold news ids, labels,
-    # sizes and `users`, the spreaders' ids the susceptibility models are keyed by.
+    # triangles or flows is a numpy array. The others hold news ids, labels
+    # and sizes. Every per-user value is an array over the graph ranks.
     ex = small_strong_extractor
     table = ex.node_table
+    n = ex.graph.n_nodes
+    per_user = [ex.global_comm, *ex.centralities.values()]
+    for scores, codes in fit_all(ex.history, ex.table.news_ids(), 0.5).values():
+        per_user += [scores, codes]
+    for values in per_user:
+        assert isinstance(values, np.ndarray) and values.dtype.kind in "biuf"
+        assert values.shape == (n,)
     assert table.triangles is table.triangles and table.identity_gram is not None
     not_arrays = {
         DiffusionNetwork: {"news_id", "label"},
         FlowMatrix: {"n_users"},
-        NodeTable: {"h", "order", "labels", "users", "triangles"},  # Triangles: checked too
+        NodeTable: {"h", "order", "labels", "triangles"},  # Triangles: checked too
         Triangles: set(),
+        History: {"news", "n_users"},
     }
-    objects = list(ex.networks.values()) + list(ex.flows.values()) + [table, table.triangles]
+    objects = (list(ex.networks.values()) + list(ex.flows.values())
+               + [table, table.triangles, ex.history])
     for obj in objects:
         fields = vars(obj)
         if dataclasses.is_dataclass(obj):
@@ -400,6 +428,4 @@ def test_networks_flows_and_table_hold_nodes_edges_and_flows_only_as_arrays(
                 assert isinstance(value, np.ndarray), (type(obj).__name__, name)
                 assert value.dtype.kind in "biuf", (type(obj).__name__, name)
     assert isinstance(vars(table)["triangles"], Triangles)
-    assert all(isinstance(user, str) for user in table.users)
-    assert len(table.users) == np.unique(table.rank).size
     assert all(isinstance(v, (str, int)) for v in (*table.order, *table.labels, table.h))

@@ -1,13 +1,14 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from newsnet.corpus import SocialGraph
 from newsnet.diffusion import build_all_networks
-from newsnet.louvain import CommunityAssignment, global_communities, local_communities
+from newsnet.louvain import global_communities, local_communities
 
-from oracles import (best_partition, id_network, louvain, matrix_modularity, random_corpus,
-                     string_graph, symmetrize)
+from oracles import (best_partition, by_id, id_network, louvain, matrix_modularity,
+                     random_corpus, string_graph, symmetrize)
 
 
 def _clique_edges(nodes):
@@ -81,14 +82,14 @@ def test_global_communities_equal_louvain_over_user_ids(seed):
     # the rank pairs from the CSR against the id pairs the ranks replaced
     graph, _ = random_corpus(seed)
     by_ids = louvain(graph.users, symmetrize(string_graph(graph).edges), seed=seed)
-    assert global_communities(graph, seed=seed).communities == by_ids.communities
+    assert by_id(graph.users, global_communities(graph, seed=seed)) == by_ids.communities
 
 
 def test_global_scope_covers_isolated_nodes():
     graph = SocialGraph.from_edges([("a", "b")], nodes=["a", "b", "c"])
     assign = global_communities(graph, seed=0)
-    assert isinstance(assign, CommunityAssignment)
-    assert set(assign.communities) == {"a", "b", "c"}
+    assert isinstance(assign, np.ndarray) and assign.dtype == np.int64
+    assert assign.tolist() == [0, 0, 1]  # one community per rank; c is on its own
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -38,8 +38,7 @@ def triad_features(net, model) -> dict:
 
 def _triangles(networks: dict):
     """`triads.enumerate_triangles` over the node table of some id networks."""
-    users, ranked = rank_networks(networks)
-    table = NodeTable(ranked, users)
+    table = NodeTable(rank_networks(networks)[1])
     return table, enumerate_triangles(table)
 
 
@@ -195,9 +194,10 @@ def test_proportions_sum_to_one_when_classified():
             assert total == 0.0
 
 
-def _oriented_roles(table, triangles) -> list:
-    """Per network, the sorted (kind, ids) of its oriented triangles."""
-    users = [table.users[u] for u in table.user.tolist()]
+def _oriented_roles(users, table, triangles) -> list:
+    """Per network, the sorted (kind, ids) of its oriented triangles; `users`
+    are the ids by rank."""
+    users = [users[r] for r in table.rank.tolist()]
     out = [[] for _ in table.order]
     for t, cyclic, roles in zip(triangles.network.tolist(), triangles.cyclic.tolist(),
                                 triangles.roles.tolist()):
@@ -211,7 +211,8 @@ def assert_triangles_equal_oracle(networks: dict):
     oracle = [id_enumerate_triangles(networks[news]) for news in table.order]
     assert triangles.total.tolist() == [index.total for index in oracle]
     assert triangles.reciprocal.tolist() == [index.reciprocal for index in oracle]
-    assert _oriented_roles(table, triangles) == [sorted(index.oriented) for index in oracle]
+    assert _oriented_roles(rank_networks(networks)[0], table, triangles) \
+        == [sorted(index.oriented) for index in oracle]
     assert triangles.roles.shape == (triangles.network.size, 3)
     assert triangles.cyclic.shape == triangles.network.shape
 
@@ -228,7 +229,8 @@ def test_triangles_equal_the_id_oracle_on_a_synthetic_corpus(small_strong_extrac
     assert sum(index.total for index in map(id_enumerate_triangles, networks.values())) > 50
     assert_triangles_equal_oracle(networks)
     table = ex.node_table
-    assert _oriented_roles(table, table.triangles) == _oriented_roles(*_triangles(networks))
+    assert _oriented_roles(ex.graph.users, table, table.triangles) \
+        == _oriented_roles(rank_networks(networks)[0], *_triangles(networks))
 
 
 def _complete(nodes, both_ways):

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsnet import susceptibility
 from newsnet.diffusion import build_all_networks
 from newsnet.features import NodeTable, extract_matrix
 from newsnet.ml.crossval import stratified_folds
-from newsnet.susceptibility import NORMAL, SUSCEPTIBLE
+from newsnet.susceptibility import NORMAL, SUSCEPTIBLE, fit
 from newsnet.wl import SimilarityIndex, normalized_gram, wl_kernel, wl_kernel_normalized
 
 from oracles import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, PairwiseSimilarityIndex,
                      WLDictionary, id_networks, labeled_graph, make_network, random_corpus,
                      rank_networks, similarity_features, string_normalized_gram, wl_signature)
+from oracles import fit as dict_fit
 
 
 class TwoClassModel:
@@ -31,18 +31,19 @@ def _net(news_id, edges, nodes=None, label="fake"):
 
 def _table(networks, h=3):
     """The node table of some id networks."""
+    return NodeTable(rank_networks(networks)[1], h)
+
+
+def _classes(table, model, users):
+    """Every node's class under `model`, in node order; `users` are the ids by rank."""
+    return [model.classify(users[r]) for r in table.rank.tolist()]
+
+
+def _index(networks, training, model, h=3):
+    """The SimilarityIndex of some id networks, every node classified by `model`."""
     users, ranked = rank_networks(networks)
-    return NodeTable(ranked, users, h)
-
-
-def _classes(table, model):
-    """Every node's class under `model`, in node order."""
-    return [model.classify(table.users[u]) for u in table.user]
-
-
-def _index(table, training, model):
-    """The SimilarityIndex of every node classified by `model`."""
-    return SimilarityIndex(table, training, _classes(table, model))
+    table = NodeTable(ranked, h)
+    return SimilarityIndex(table, training, _classes(table, model, users))
 
 
 def _labeled(nodes, undirected_edges, labels):
@@ -184,7 +185,7 @@ def test_similarity_index_matches_standalone():
                                  label="fake" if i % 2 else "true")
     model = TwoClassModel({f"u{k}" for k in range(6)})
     training = ["n0", "n1", "n2", "n3"]
-    index = _index(_table(networks, 3), training, model)
+    index = _index(networks, training, model)
     fakes = [networks[n] for n in training if networks[n].label == "fake"]
     trues = [networks[n] for n in training if networks[n].label == "true"]
     for news, net in networks.items():
@@ -196,11 +197,10 @@ def test_similarity_index_matches_standalone():
 def test_planted_density_separates_classes(strong_extractor):
     """Dense fake cliques vs sparse true sets: fake targets prefer fake refs."""
     networks = strong_extractor.networks
-    from newsnet.susceptibility import fit
-
     training = sorted(networks)
-    model = fit(strong_extractor.table, training, "by_news", 0.5)
-    index = _index(strong_extractor.node_table, training, model)
+    _, codes = fit(strong_extractor.history, training, "by_news", 0.5)
+    table = strong_extractor.node_table
+    index = SimilarityIndex(table, training, codes[table.rank].tolist())
     fake_margin = []
     for news in sorted(networks):
         if networks[news].label != "fake":
@@ -214,11 +214,12 @@ def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
     """Both Gram matrices equal the string WL's, and every similarity value
     the pairwise loop's, bit for bit."""
     graphs = graphs or _table(networks, h)
+    classes = _classes(graphs, model, rank_networks(networks)[0])
     assert np.array_equal(graphs.identity_gram,
                           string_normalized_gram(networks, IDENTITY, h=h))
-    assert np.array_equal(normalized_gram(graphs, _classes(graphs, model)),
+    assert np.array_equal(normalized_gram(graphs, classes),
                           string_normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
-    fast = _index(graphs, training, model)
+    fast = SimilarityIndex(graphs, training, classes)
     slow = PairwiseSimilarityIndex(networks, training, model, h=h)
     for news in sorted(networks):
         assert fast.features(news) == slow.features(news)
@@ -233,7 +234,7 @@ def test_equals_pairwise_oracle_on_random_corpora(seed):
     for fold in range(3):
         training = [n for i, n in enumerate(news) if i % 3 != fold]
         for theta in (0.0, 0.5, 1.0):
-            model = susceptibility.fit(table, training, "by_news", theta)
+            model = dict_fit(table, training, "by_news", theta)
             assert_equals_pairwise_oracle(networks, training, model, graphs=graphs)
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, training, model, h=h)
@@ -243,11 +244,11 @@ def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
     networks = id_networks(strong_extractor.graph.users, strong_extractor.networks)
     split = stratified_folds({n: net.label for n, net in networks.items()}, seed=7)
     training = split.train_news(0)
-    model = susceptibility.fit(strong_extractor.table, training, "by_news", 0.5)
+    model = dict_fit(strong_extractor.table, training, "by_news", 0.5)
     slow = PairwiseSimilarityIndex(networks, training, model, h=strong_extractor.h)
     matrix = extract_matrix(strong_extractor, training, 0.5)
     for news in sorted(networks):
-        assert tuple(matrix.row(news)[138:].tolist()) == slow.features(news)
+        assert tuple(matrix.rows_for([news])[0][0, 138:].tolist()) == slow.features(news)
 
 
 def test_identity_gram_cached_per_extractor(small_strong_extractor):
@@ -269,7 +270,7 @@ def test_empty_reference_class_is_zero():
                 "n2": _net("n2", [("b", "c")], label="true"),
                 "n3": _net("n3", [("a", "c")], label="fake")}
     model = TwoClassModel({"a"})
-    fast = _index(_table(networks), ["n1", "n3"], model)
+    fast = _index(networks, ["n1", "n3"], model)
     assert fast.features("n2")[1] == fast.features("n2")[3] == 0.0
     assert_equals_pairwise_oracle(networks, ["n1", "n3"], model)
     assert_equals_pairwise_oracle(networks, [], model)
@@ -286,7 +287,7 @@ def test_isolated_nodes_edgeless_and_empty_networks():
     model = TwoClassModel({"a", "c"})
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, sorted(networks), model, h=h)
-    assert _index(_table(networks), sorted(networks), model).features("n5") \
+    assert _index(networks, sorted(networks), model).features("n5") \
         == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -386,7 +387,7 @@ def test_property_order_preserving_relabel(corpus, stride):
                        nodes=[rename[v] for v in net.nodes], label=net.label)
                for n, net in networks.items()}
     renamed_model = TwoClassModel(rename[v] for v in model.susceptible if v in rename)
-    before = _index(_table(networks, h), training, model)
-    after = _index(_table(renamed, h), training, renamed_model)
+    before = _index(networks, training, model, h)
+    after = _index(renamed, training, renamed_model, h)
     for news in sorted(networks):
         assert before.features(news) == after.features(news)
