@@ -14,18 +14,19 @@ spreaders. Conventions:
   - hub/authority: mutually reinforcing power iteration, L2-normalized each
     step, same stopping rule; zero vectors on an edgeless graph
 
-PageRank and HITS iterate on int-indexed edge arrays in out-CSR order: each
-step scatter-adds over the edges one at a time (`np.add.at`) and sums
-left to right (`cumsum`), the order of the dict loops kept in
-`tests/oracles.py`, so on CPython 3.11, whose float `sum` is not compensated,
-they equal those loops bit for bit.
+Everything runs on the out-CSR alone. Betweenness and closeness take one
+level-synchronous BFS per source, whose dependency pass walks the forward
+pass's shortest-path pairs back (`_shortest_paths`). PageRank and HITS
+scatter-add over the edges in out-CSR order one at a time (`np.add.at`) and
+sum left to right (`cumsum`). Each adds in the order of its loop in
+`tests/oracles.py`, so all eight measures equal those loops bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CorpusError, SocialGraph, csr_rows
+from .corpus import CorpusError, SocialGraph
 from .util import left_sum
 
 MEASURES = (
@@ -44,59 +45,54 @@ TOLERANCE = 1e-10
 MAX_ITER = 200
 
 
-def _csr(rows, cols, n) -> tuple:
-    """CSR (indptr, indices) of the pairs (rows[i], cols[i]), each row ascending."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[np.lexsort((cols, rows))]
-
-
-def _shortest_paths(n, out_csr, in_csr) -> tuple:
+def _shortest_paths(n, indptr, indices) -> tuple:
     """Brandes (2001) betweenness and closeness sums from one BFS per source.
 
     The BFS is level-synchronous on the out-CSR. A node's queue position is
-    its first occurrence in the frontier's concatenated rows, which is the
-    order a FIFO queue visiting sorted neighbours gives. sigma is float64,
-    exact below 2**53. The dependency pass walks the levels in reverse and
-    gathers each level's predecessors from the in-CSR rows of its nodes in
-    reverse queue order, then adds the terms with an unbuffered scatter-add:
-    every delta[u] sums its terms in the order a stack-popping loop does, so
-    the result equals that loop's bit for bit.
+    its first occurrence in the frontier's concatenated rows, the order of a
+    FIFO queue visiting sorted neighbours. sigma is float64, exact below
+    2**53. Each level keeps its fresh pairs (u, w), the shortest-path DAG's
+    edges, in descending queue order of w, and the dependency pass
+    scatter-adds over them from the last level back. u meets a given w at
+    most once, so delta[u] adds its terms in descending queue order of w
+    whatever order the pairs of one w take, as a stack-popping loop does:
+    no in-CSR and no stable sort are needed for bit-equal sums.
 
     Returns betweenness and, per node, the number of nodes reachable from it
     and reaching it with the sums of those distances (integers).
     """
     unset = np.iinfo(np.int64).max
     bc = np.zeros(n)
-    out_reach = np.zeros(n, dtype=np.int64)
-    out_total = np.zeros(n, dtype=np.int64)
-    in_reach = np.zeros(n, dtype=np.int64)
-    in_total = np.zeros(n, dtype=np.int64)
+    out_reach, out_total, in_reach, in_total = np.zeros((4, n), dtype=np.int64)
     first = np.full(n, unset)
     for s in range(n):
         dist = np.full(n, -1, dtype=np.int64)
         sigma = np.zeros(n)
         dist[s] = 0
         sigma[s] = 1.0
-        levels = [np.array([s])]
+        frontier = np.array([s])
+        dag = []
         while True:
-            u, w = csr_rows(levels[-1], out_csr)
-            fresh = dist[w] < 0
-            u, w = u[fresh], w[fresh]
-            if not w.size:
+            # the frontier's rows in order; a fresh pair's row from the row ends
+            starts = indptr[frontier]
+            lens = indptr[frontier + 1] - starts
+            ends = np.cumsum(lens)
+            w = indices[np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])]
+            fresh = np.flatnonzero(dist[w] < 0)
+            if not fresh.size:
                 break
+            u, w = frontier[np.searchsorted(ends, fresh, side="right")], w[fresh]
             at = np.arange(w.size)
             np.minimum.at(first, w, at)
-            level = w[first[w] == at]
-            first[level] = unset
-            dist[level] = len(levels)
+            queue = first[w]  # increasing with w's queue position
+            frontier = w[queue == at]
+            first[frontier] = unset
+            dist[frontier] = len(dag) + 1
             np.add.at(sigma, w, sigma[u])
-            levels.append(level)
+            back = np.argsort(-queue)
+            dag.append((u[back], w[back]))
         delta = np.zeros(n)
-        for d in range(len(levels) - 1, 0, -1):
-            w, u = csr_rows(levels[d][::-1], in_csr)
-            pred = dist[u] == d - 1
-            u, w = u[pred], w[pred]
+        for u, w in reversed(dag):
             np.add.at(delta, u, sigma[u] / sigma[w] * (1.0 + delta[w]))
         delta[s] = 0.0
         bc += delta
@@ -159,7 +155,7 @@ def centralities(graph: SocialGraph) -> dict:
     # every edge in out-CSR order: the order the power iterations add in
     src, dst = graph.sources(), graph.indices
     bc, (out_reach, out_total), (in_reach, in_total) = _shortest_paths(
-        n, (graph.indptr, dst), _csr(dst, src, n))
+        n, graph.indptr, dst)
     hubs, auths = _hits(n, src, dst)
 
     # total is 0 exactly when reach is, so dividing by max(total, 1) gives 0.0

@@ -5,7 +5,8 @@ neighboring community with the largest modularity gain, then the graph is
 aggregated (communities become supernodes, internal weight becomes a
 self-loop) and the process repeats. Both loops stop once the modularity gain
 drops to <= 1e-7. Deterministic for a given seed: nodes are sorted before the
-seeded shuffle and candidate communities are scanned in sorted order.
+seeded shuffle, and of the candidate communities tied at the best gain the
+smallest wins.
 
 Directed follow edges are symmetrized first (weight 1 per unordered connected
 pair, reciprocal pairs also weight 1), as rank or position pairs: one sort of
@@ -15,7 +16,9 @@ The result is each node's community alone: the feature vector reads
 community counts at two scopes, the whole follow graph
 (`global_communities`, an int array over the graph ranks) and one diffusion
 network (`local_communities`), and never the modularity of the final
-partition.
+partition. Nodes are shuffled and numbered in sorted-id order, so a relabel
+that keeps the ids' order keeps every partition, and one that scrambles it
+may change the community counts (by whole communities).
 """
 
 from __future__ import annotations
@@ -69,29 +72,27 @@ class _Level:
     def sweep(self, order) -> bool:
         """One pass over all nodes; returns True if any node moved."""
         moved = False
+        com, adj, k, self_w = self.com, self.adj, self.k, self.self_w
+        com_tot, com_in = self.com_tot, self.com_in
+        two_m = 2.0 * self.m
         for i in order:
-            old = self.com[i]
+            old, k_i = com[i], k[i]
             neigh = {old: 0.0}
-            for j, w in self.adj[i].items():
-                neigh[self.com[j]] = neigh.get(self.com[j], 0.0) + w
+            for j, w in adj[i].items():
+                neigh[com[j]] = neigh.get(com[j], 0.0) + w
             # detach i before evaluating gains
-            self.com_tot[old] -= self.k[i]
-            self.com_in[old] -= neigh[old] + self.self_w[i]
-            two_m = 2.0 * self.m
+            com_tot[old] -= k_i
+            com_in[old] -= neigh[old] + self_w[i]
             best_c = old
-            best_gain = neigh[old] - self.k[i] * self.com_tot[old] / two_m
-            for c in sorted(neigh):
-                if c == old:
-                    continue
-                gain = neigh[c] - self.k[i] * self.com_tot[c] / two_m
-                if gain > best_gain:
-                    best_gain = gain
-                    best_c = c
-            self.com[i] = best_c
-            self.com_tot[best_c] += self.k[i]
-            self.com_in[best_c] += neigh.get(best_c, 0.0) + self.self_w[i]
-            if best_c != old:
-                moved = True
+            best_gain = neigh[old] - k_i * com_tot[old] / two_m
+            for c, w in neigh.items():  # old comes first and ties only with itself
+                gain = w - k_i * com_tot[c] / two_m
+                if gain > best_gain or (gain == best_gain and old != best_c > c):
+                    best_gain, best_c = gain, c
+            com[i] = best_c
+            com_tot[best_c] += k_i
+            com_in[best_c] += neigh[best_c] + self_w[i]
+            moved = moved or best_c != old
         return moved
 
     def optimize(self, rng) -> None:

@@ -13,12 +13,13 @@ dict loops (susceptibility classes, engagement and edge partitions, triad
 census, the static block) that the array blocks in `newsnet.features`
 replaced, the id-keyed flow matrix, triangle enumeration and subsampling
 that the rank arrays of `newsnet.distances`, `newsnet.triads` and
-`newsnet.diffusion` replaced, and the per-user dict susceptibility fit that
-`newsnet.susceptibility.fit` replaced. Networks are walked as `IdNetwork`s,
-sets of user ids read back from the package's rank arrays, and per-rank
-arrays as {user id: value} dicts (`by_id`). Apart from the pairwise WL
-kernel and `louvain` over ids, these paths share no code with the package
-internals.
+`newsnet.diffusion` replaced, the per-user dict susceptibility fit that
+`newsnet.susceptibility.fit` replaced, and the Louvain sweep scanning
+candidate communities in sorted order that `newsnet.louvain` replaced.
+Networks are walked as `IdNetwork`s, sets of user ids read back from the
+package's rank arrays, and per-rank arrays as {user id: value} dicts
+(`by_id`). Apart from the pairwise WL kernel and the Louvain levels'
+bookkeeping, these paths share no code with the package internals.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, NodeTable
 from newsnet.features import dynamic_features as package_dynamic_features
 from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
                                     SUSCEPTIBLE, UNKNOWN)
-from newsnet.louvain import communities
+from newsnet.louvain import MIN_GAIN, _Level
 from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES
 from newsnet.util import derive_seed
 from newsnet.wl import WLSignature, wl_kernel_normalized
@@ -303,8 +304,61 @@ class CommunityAssignment:
         return len(set(self.communities.values()))
 
 
+class SortedSweepLevel(_Level):
+    """`louvain._Level` with the sweep it replaced: candidates scanned in sorted order."""
+
+    def sweep(self, order) -> bool:
+        moved = False
+        for i in order:
+            old = self.com[i]
+            neigh = {old: 0.0}
+            for j, w in self.adj[i].items():
+                neigh[self.com[j]] = neigh.get(self.com[j], 0.0) + w
+            # detach i before evaluating gains
+            self.com_tot[old] -= self.k[i]
+            self.com_in[old] -= neigh[old] + self.self_w[i]
+            two_m = 2.0 * self.m
+            best_c = old
+            best_gain = neigh[old] - self.k[i] * self.com_tot[old] / two_m
+            for c in sorted(neigh):
+                if c == old:
+                    continue
+                gain = neigh[c] - self.k[i] * self.com_tot[c] / two_m
+                if gain > best_gain:
+                    best_gain = gain
+                    best_c = c
+            self.com[i] = best_c
+            self.com_tot[best_c] += self.k[i]
+            self.com_in[best_c] += neigh.get(best_c, 0.0) + self.self_w[i]
+            if best_c != old:
+                moved = True
+        return moved
+
+
+def sorted_sweep_communities(n, lows, highs, weights, seed: int) -> list:
+    """`louvain.communities` over `SortedSweepLevel`s: each node's community."""
+    assignment = list(range(n))
+    level_n, best_q, level_no = n, None, 0
+    while True:
+        level = SortedSweepLevel(level_n, lows, highs, weights)
+        level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
+        part = level.partition()
+        assignment = [part[c] for c in assignment]
+        q = level._modularity()
+        if best_q is not None and q - best_q <= MIN_GAIN:
+            break
+        best_q = q
+        n_coms = max(part) + 1
+        if n_coms == level_n:
+            break
+        lows, highs, weights = level.aggregated_edges(part)
+        level_n, level_no = n_coms, level_no + 1
+    relabel: dict = {}
+    return [relabel.setdefault(c, len(relabel)) for c in assignment]
+
+
 def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
-    """Louvain over user ids: the package's rank Louvain on the ids' sorted order.
+    """Louvain over user ids: the sorted-sweep Louvain on the ids' sorted order.
 
     Nodes without edges end up as singletons.
     """
@@ -317,7 +371,7 @@ def louvain(nodes, weighted_edges, seed: int) -> CommunityAssignment:
         lows.append(index[u])
         highs.append(index[v])
         weights.append(float(w))
-    return CommunityAssignment(dict(zip(node_list, communities(
+    return CommunityAssignment(dict(zip(node_list, sorted_sweep_communities(
         len(node_list), lows, highs, weights, seed))))
 
 
@@ -907,6 +961,15 @@ def python_brandes(nodes, out_neighbors) -> dict:
     return bc
 
 
+def add_left_to_right(values) -> float:
+    """The float sum of values added one at a time from the left, uncompensated
+    on every Python version (3.12's builtin `sum` compensates floats)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def python_pagerank(nodes, out_neighbors) -> dict:
     """The dict power iteration that `centrality._pagerank` replaced."""
     n = len(nodes)
@@ -915,7 +978,7 @@ def python_pagerank(nodes, out_neighbors) -> dict:
     out_deg = {v: len(succ[v]) for v in nodes}
     dangling = [v for v in nodes if out_deg[v] == 0]
     for _ in range(MAX_ITER):
-        dangling_mass = sum(ranks[v] for v in dangling)
+        dangling_mass = add_left_to_right(ranks[v] for v in dangling)
         base = (1.0 - DAMPING) / n + DAMPING * dangling_mass / n
         new = {v: base for v in nodes}
         for u in nodes:
@@ -923,7 +986,7 @@ def python_pagerank(nodes, out_neighbors) -> dict:
                 share = DAMPING * ranks[u] / out_deg[u]
                 for v in succ[u]:
                     new[v] += share
-        residual = sum(abs(new[v] - ranks[v]) for v in nodes)
+        residual = add_left_to_right(abs(new[v] - ranks[v]) for v in nodes)
         ranks = new
         if residual < TOLERANCE:
             break
@@ -942,20 +1005,20 @@ def python_hits(nodes, out_neighbors, in_neighbors) -> tuple:
     hubs = {v: 1.0 / norm0 for v in nodes}
     auths = {v: 1.0 / norm0 for v in nodes}
     for _ in range(MAX_ITER):
-        new_a = {v: sum(hubs[u] for u in preds[v]) for v in nodes}
-        norm = sum(x * x for x in new_a.values()) ** 0.5
+        new_a = {v: add_left_to_right(hubs[u] for u in preds[v]) for v in nodes}
+        norm = add_left_to_right(x * x for x in new_a.values()) ** 0.5
         if norm == 0.0:
             new_a = {v: 0.0 for v in nodes}
         else:
             new_a = {v: x / norm for v, x in new_a.items()}
-        new_h = {v: sum(new_a[w] for w in succ[v]) for v in nodes}
-        norm = sum(x * x for x in new_h.values()) ** 0.5
+        new_h = {v: add_left_to_right(new_a[w] for w in succ[v]) for v in nodes}
+        norm = add_left_to_right(x * x for x in new_h.values()) ** 0.5
         if norm == 0.0:
             new_h = {v: 0.0 for v in nodes}
         else:
             new_h = {v: x / norm for v, x in new_h.items()}
-        residual = sum(abs(new_a[v] - auths[v]) for v in nodes)
-        residual += sum(abs(new_h[v] - hubs[v]) for v in nodes)
+        residual = add_left_to_right(abs(new_a[v] - auths[v]) for v in nodes)
+        residual += add_left_to_right(abs(new_h[v] - hubs[v]) for v in nodes)
         auths, hubs = new_a, new_h
         if residual < TOLERANCE:
             break

@@ -223,6 +223,46 @@ def test_order_preserving_user_relabel_keeps_every_value(seed):
         assert after.rows_for([news])[0].tolist() == before.rows_for([news])[0].tolist(), news
 
 
+# Float sums whose addends follow sorted-id order: a scrambling relabel
+# moves them in the last bits only.
+ID_ORDERED_SUMS = (
+    "mean_susceptibility_news", "mean_susceptibility_freq",
+    "mean_in_closeness", "mean_out_closeness", "mean_betweenness",
+    "mean_pagerank", "mean_hub", "mean_authority",
+    "median_betweenness", "median_pagerank", "median_hub", "median_authority",
+    "effective_mean_news", "effective_mean_freq",
+)
+# Louvain visits and numbers nodes in sorted-id order.
+COMMUNITY_VALUES = ("n_communities_global", "n_communities_local",
+                    "community_density_global", "community_density_local")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_order_scrambling_user_relabel_moves_only_id_ordered_values(seed):
+    graph, table = random_corpus(seed)
+    perm = np.random.default_rng(seed).permutation(graph.n_nodes)
+    rename = {v: f"user{int(k):03d}" for v, k in zip(graph.users, perm)}
+    training = table.news_ids()[:max(2, len(table.news_ids()) // 2)]
+    before = extract_matrix(_extractor(graph, table, seed=seed), training, 0.5)
+    after = extract_matrix(_extractor(*_relabel_users(graph, table, rename), seed=seed),
+                           training, 0.5)
+    assert after.news_ids == before.news_ids and after.labels == before.labels
+    for f, name in enumerate(FEATURE_NAMES):
+        old, new = before.X[:, f], after.X[:, f]
+        if name in ID_ORDERED_SUMS:
+            assert np.all(np.abs(new - old) <= 1e-14 * np.abs(old)), name
+        elif name not in COMMUNITY_VALUES:
+            assert new.tolist() == old.tolist(), name
+    # the community values may change, but by whole communities
+    n_spreaders = after.X[:, feature_index("n_spreaders") - 1]
+    for scope in ("global", "local"):
+        count = after.X[:, feature_index(f"n_communities_{scope}") - 1]
+        density = after.X[:, feature_index(f"community_density_{scope}") - 1]
+        assert np.all(count == np.round(count))
+        assert np.all((1 <= count) & (count <= n_spreaders))
+        assert np.all(density == count / n_spreaders)
+
+
 ON_CPYTHON_311 = (platform.python_implementation() == "CPython"
                   and sys.version_info[:2] == (3, 11))
 

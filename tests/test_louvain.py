@@ -5,10 +5,10 @@ import pytest
 
 from newsnet.corpus import SocialGraph
 from newsnet.diffusion import build_all_networks
-from newsnet.louvain import global_communities, local_communities
+from newsnet.louvain import _Level, global_communities, local_communities
 
-from oracles import (best_partition, by_id, id_network, louvain, matrix_modularity,
-                     random_corpus, string_graph, symmetrize)
+from oracles import (SortedSweepLevel, best_partition, by_id, id_network, louvain,
+                     matrix_modularity, random_corpus, string_graph, symmetrize)
 
 
 def _clique_edges(nodes):
@@ -77,9 +77,10 @@ def test_symmetrize_collapses_reciprocal():
     assert edges == [("a", "b", 1.0), ("b", "c", 1.0)]
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(30))
 def test_global_communities_equal_louvain_over_user_ids(seed):
-    # the rank pairs from the CSR against the id pairs the ranks replaced
+    # the rank pairs from the CSR against the id pairs the ranks replaced, and
+    # the sweep against the sorted candidate scan it replaced
     graph, _ = random_corpus(seed)
     by_ids = louvain(graph.users, symmetrize(string_graph(graph).edges), seed=seed)
     assert by_id(graph.users, global_communities(graph, seed=seed)) == by_ids.communities
@@ -92,7 +93,7 @@ def test_global_scope_covers_isolated_nodes():
     assert assign.tolist() == [0, 0, 1]  # one community per rank; c is on its own
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(30))
 def test_local_communities_equal_louvain_over_user_ids(seed):
     # the position pairs of a network against the id pairs they replaced
     graph, table = random_corpus(seed)
@@ -100,3 +101,30 @@ def test_local_communities_equal_louvain_over_user_ids(seed):
         ids = id_network(graph.users, net)
         assert local_communities(net, seed) \
             == louvain(ids.nodes, symmetrize(ids.edges), seed).n_communities, news
+
+
+@pytest.mark.parametrize("level", [_Level, SortedSweepLevel])
+def test_sweep_breaks_a_gain_tie_for_the_smallest_community(level):
+    # Path 0 - 1 - 2 with singletons: node 1 gains 1 - 2 * 1 / 4 = 0.5 by
+    # joining either neighbour, and takes the smaller community, 0.
+    path = level(3, [0, 1], [1, 2], [1.0, 1.0])
+    assert path.sweep([1])
+    assert path.com == [0, 0, 2]
+    assert path.com_tot == [3.0, 0.0, 1.0] and path.com_in == [1.0, 0.0, 0.0]
+
+
+TRIANGLES_AND_BRIDGE = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"),
+                        ("d", "e"), ("e", "f"), ("e", "g"), ("f", "g")]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bridge_tied_between_two_triangles_joins_the_smaller_community(seed):
+    # d links the triangles abc and efg by one edge each, so its gains tie.
+    # In all 5,040 visiting orders of the first level it joins abc, whose
+    # community number (a member's rank) is the smaller; taking the last of
+    # the ties instead puts it in efg in every order.
+    graph = SocialGraph.from_edges(TRIANGLES_AND_BRIDGE)
+    assign = global_communities(graph, seed=seed)
+    assert assign.tolist() == [0, 0, 0, 0, 1, 1, 1]
+    by_ids = louvain(graph.users, symmetrize(TRIANGLES_AND_BRIDGE), seed=seed)
+    assert by_id(graph.users, assign) == by_ids.communities
