@@ -16,6 +16,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -204,11 +205,31 @@ def run_threshold_sweep(extractor: FeatureExtractor, config: ExperimentConfig):
     return header, rows
 
 
-def _run_jobs(worker, tasks, jobs):
+_SHARED: tuple = ()  # in a pool process: what every task of its pool shares
+
+
+def _share(*shared):
+    """Pool initializer: keep what every task shares, once per process."""
+    global _SHARED
+    _SHARED = shared
+
+
+def _with_shared(worker, point):
+    return worker(_SHARED + point)
+
+
+def _run_jobs(worker, shared, points, jobs):
+    """worker(shared + point) for each point, in order.
+
+    With jobs > 1, each pool process receives `shared` (extractor, config,
+    mask) once, through the pool's initializer, and a task carries only
+    its point.
+    """
     if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        return [worker(shared + point) for point in points]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+                             initargs=shared) as pool:
+        return list(pool.map(partial(_with_shared, worker), points))
 
 
 def _eval_task(args):
@@ -271,7 +292,7 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     header = ("mode", "proportion", "n_fake", "n_true", "repetitions", "status",
               "accuracy", "f1", "metric")
     points = []
-    tasks: dict = {}  # distinct draw -> its task
+    distinct: dict = {}  # each distinct draw once, in the order first drawn
     draws = []
     for mode_name, p, n_fake, n_true in grid:
         feasible = (5 <= n_fake <= len(fake_pop)) and (5 <= n_true <= len(true_pop))
@@ -283,9 +304,10 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
                                             repr(p), rep))
             draw = (tuple(sorted(rng.sample(fake_pop, n_fake))),
                     tuple(sorted(rng.sample(true_pop, n_true))))
-            tasks.setdefault(draw, (extractor, config, mask) + draw)
+            distinct.setdefault(draw)
             draws.append(((mode_name, p), draw))
-    results = dict(zip(tasks, _run_jobs(_sampling_task, list(tasks.values()), config.jobs)))
+    results = dict(zip(distinct, _run_jobs(_sampling_task, (extractor, config, mask),
+                                           list(distinct), config.jobs)))
     by_point: dict = {}
     for key, draw in draws:
         by_point.setdefault(key, []).append(results[draw])
@@ -310,15 +332,16 @@ def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
     """
     mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")
-    tasks: dict = {}  # distinct run -> its task
+    tasks: dict = {}  # distinct run -> its point
     points = []
     for mode in config.modes:
         for p in config.proportions:
             for rep in range(config.repetitions):
                 run = (p,) if p == 1.0 else (mode, p, rep)
-                tasks.setdefault(run, (extractor, config, mask, mode, p, rep))
+                tasks.setdefault(run, (mode, p, rep))
                 points.append(((mode, p), run))
-    results = dict(zip(tasks, _run_jobs(_early_task, list(tasks.values()), config.jobs)))
+    results = dict(zip(tasks, _run_jobs(_early_task, (extractor, config, mask),
+                                        list(tasks.values()), config.jobs)))
     grouped: dict = {}
     for point, run in points:
         grouped.setdefault(point, []).append(results[run])

@@ -3,10 +3,10 @@
 Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
 set partitions, the pure-Python centrality loops the array code in
-`newsnet.centrality` replaced, the per-source BFS and heap Dijkstra the
-all-sources array relaxation in `newsnet.distances` replaced, the WL
-signatures by string relabelling through one shared dictionary and the
-pairwise similarity loops over them that the integer refinement and Gram
+`newsnet.centrality` replaced and its one-source-at-a-time Brandes loop, the
+per-source BFS and heap Dijkstra the all-sources array relaxation in
+`newsnet.distances` replaced, the WL signatures by string relabelling
+through one shared dictionary and the pairwise similarity loops over them that the integer refinement and Gram
 matrices in `newsnet.wl` replaced, the recursive per-node tree growth the
 presorted batched grower in `newsnet.ml.forest` replaced, the per-network
 dict loops (susceptibility classes, engagement and edge partitions, triad
@@ -655,7 +655,7 @@ def dynamic_features(extractor, news_id, models: dict) -> dict:
         out[f"pct_normal_spreaders_{tag}"] = safe_ratio(len(normal), n)
         out[f"pct_susceptible_spreaders_{tag}"] = safe_ratio(len(susceptible), n)
         all_scores = list(scores.values())
-        out[f"mean_susceptibility_{tag}"] = (sum(all_scores) / n) if n else 0.0
+        out[f"mean_susceptibility_{tag}"] = (add_left_to_right(all_scores) / n) if n else 0.0
         out[f"median_susceptibility_{tag}"] = median(all_scores)
 
         t_normal = float(sum(net.counts[v] for v in normal))
@@ -717,7 +717,8 @@ def _static_row(net: IdNetwork, flows: dict, cents: dict, global_comm, seed) -> 
     out["n_spreaders"] = float(n)
     nodes = net.sorted_nodes()
     for measure in MEASURES:
-        out[f"mean_{measure}"] = sum(cents[measure][v] for v in nodes) / n if n else 0.0
+        out[f"mean_{measure}"] = (add_left_to_right(cents[measure][v] for v in nodes) / n
+                                  if n else 0.0)
     for measure in MEASURES:
         out[f"median_{measure}"] = median([cents[measure][v] for v in nodes])
     geo = python_distance_stats(net)
@@ -837,7 +838,8 @@ def _python_effective_distance(flow, i, j) -> float:
 
 
 def python_distance_stats(network, flow=None) -> DistanceStats:
-    """One BFS (geodesic) or heap Dijkstra (effective) per source, Python `sum`."""
+    """One BFS (geodesic) or heap Dijkstra (effective) per source; the mean adds
+    left to right."""
     nodes = network.sorted_nodes()
     adjacency = {v: [] for v in nodes}
     if flow is None:
@@ -854,7 +856,7 @@ def python_distance_stats(network, flow=None) -> DistanceStats:
         return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
     return DistanceStats(
         maximum=max(values),
-        mean=sum(values) / len(values),
+        mean=add_left_to_right(values) / len(values),
         median=median(values),
     )
 
@@ -959,6 +961,67 @@ def python_brandes(nodes, out_neighbors) -> dict:
             if w != s:
                 bc[w] += delta[w]
     return bc
+
+
+def per_source_shortest_paths(n, indptr, indices) -> tuple:
+    """Brandes (2001) betweenness and closeness sums from one BFS per source:
+    the loop that the blocked, direction-choosing `centrality._shortest_paths`
+    replaced.
+
+    The BFS is level-synchronous on the out-CSR. A node's queue position is
+    its first occurrence in the frontier's concatenated rows, the order of a
+    FIFO queue visiting sorted neighbours. sigma is float64, exact below
+    2**53. Each level keeps its fresh pairs (u, w), the shortest-path DAG's
+    edges, in descending queue order of w, and the dependency pass
+    scatter-adds over them from the last level back. u meets a given w at
+    most once, so delta[u] adds its terms in descending queue order of w
+    whatever order the pairs of one w take, as a stack-popping loop does:
+    no in-CSR and no stable sort are needed for bit-equal sums.
+
+    Returns betweenness and, per node, the number of nodes reachable from it
+    and reaching it with the sums of those distances (integers).
+    """
+    unset = np.iinfo(np.int64).max
+    bc = np.zeros(n)
+    out_reach, out_total, in_reach, in_total = np.zeros((4, n), dtype=np.int64)
+    first = np.full(n, unset)
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n)
+        dist[s] = 0
+        sigma[s] = 1.0
+        frontier = np.array([s])
+        dag = []
+        while True:
+            # the frontier's rows in order; a fresh pair's row from the row ends
+            starts = indptr[frontier]
+            lens = indptr[frontier + 1] - starts
+            ends = np.cumsum(lens)
+            w = indices[np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])]
+            fresh = np.flatnonzero(dist[w] < 0)
+            if not fresh.size:
+                break
+            u, w = frontier[np.searchsorted(ends, fresh, side="right")], w[fresh]
+            at = np.arange(w.size)
+            np.minimum.at(first, w, at)
+            queue = first[w]  # increasing with w's queue position
+            frontier = w[queue == at]
+            first[frontier] = unset
+            dist[frontier] = len(dag) + 1
+            np.add.at(sigma, w, sigma[u])
+            back = np.argsort(-queue)
+            dag.append((u[back], w[back]))
+        delta = np.zeros(n)
+        for u, w in reversed(dag):
+            np.add.at(delta, u, sigma[u] / sigma[w] * (1.0 + delta[w]))
+        delta[s] = 0.0
+        bc += delta
+        reached = dist > 0
+        out_reach[s] = np.count_nonzero(reached)
+        out_total[s] = dist[reached].sum()
+        in_reach += reached
+        in_total += np.maximum(dist, 0)
+    return bc, (out_reach, out_total), (in_reach, in_total)
 
 
 def add_left_to_right(values) -> float:
@@ -1086,7 +1149,7 @@ class PairwiseSimilarityIndex:
                 if not refs:
                     values.append(0.0)
                     continue
-                total = sum(wl_kernel_normalized(target, sigs[r]) for r in refs)
+                total = add_left_to_right(wl_kernel_normalized(target, sigs[r]) for r in refs)
                 values.append(total / len(refs))
         return tuple(values)
 

@@ -1,16 +1,19 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsnet import centrality
 from newsnet.centrality import MEASURES, centralities
 from newsnet.corpus import SocialGraph
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 
 from oracles import (dense_betweenness, dense_closeness, dense_hits_authority,
-                     id_centralities, python_brandes, python_closeness, python_hits,
-                     python_pagerank, random_corpus, string_graph)
+                     id_centralities, per_source_shortest_paths, python_brandes,
+                     python_closeness, python_hits, python_pagerank, random_corpus,
+                     string_graph)
 
 
 def assert_equals_python_oracles(graph):
@@ -228,3 +231,73 @@ def test_property_order_preserving_relabel(graph, stride):
     for measure in MEASURES:
         assert ([scores[measure][v] for v in nodes]
                 == [renamed_scores[measure][rename[v]] for v in nodes])
+
+
+def assert_blocks_equal_per_source_loop(graph, monkeypatch, width=None):
+    """Betweenness and the four closeness sums of `_shortest_paths`, run in
+    blocks of `width` sources (the budget's width when None), equal the
+    one-source-at-a-time loop's with `==`."""
+    if width is not None:
+        monkeypatch.setattr(centrality, "_block_width", lambda n, m: width)
+    args = graph.n_nodes, graph.indptr, graph.indices
+    fast, slow = centrality._shortest_paths(*args), per_source_shortest_paths(*args)
+    assert fast[0].tolist() == slow[0].tolist()
+    for got, want in zip(fast[1] + fast[2], slow[1] + slow[2]):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 3])
+@pytest.mark.parametrize("seed", range(30))
+def test_blocks_equal_per_source_loop_on_random_corpora(seed, width, monkeypatch):
+    graph, _ = random_corpus(seed)
+    assert_blocks_equal_per_source_loop(graph, monkeypatch, width)
+
+
+def _random_digraph(n, p, seed):
+    rng = random.Random(seed)
+    nodes = [f"v{i:02d}" for i in range(n)]
+    return SocialGraph.from_edges([(u, v) for u in nodes for v in nodes
+                                   if u != v and rng.random() < p], nodes=nodes)
+
+
+@pytest.mark.parametrize("width", [None, 1, 3, 4])
+@pytest.mark.parametrize("graph", [
+    # from a leaf, level 1 is the hub alone, whose out-row is longer than the
+    # in-rows of the leaves left: the first bottom-up level
+    SocialGraph.from_edges([("hub", f"l{i}") for i in range(9)]
+                           + [(f"l{i}", "hub") for i in range(9)]),
+    # one node per level: every level scans top-down
+    SocialGraph.from_edges([(f"p{i:02d}", f"p{i + 1:02d}") for i in range(30)]),
+    SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"),
+                            ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "z")]),
+    SocialGraph.from_edges([("a", "s"), ("b", "s"), ("c", "t"), ("s", "t"), ("a", "b")],
+                           nodes=["a", "b", "c", "lone", "s", "t", "u"]),
+    _grid(4, 4),
+    _diamonds(3, 4),
+    # n = 3 * 4 + 1 and 3 * 4 - 1: a partial last block at widths 3 and 4
+    _random_digraph(13, 0.3, seed=1),
+    _random_digraph(11, 0.3, seed=2),
+], ids=["star", "long_path", "two_components", "sinks_and_isolated", "grid",
+        "diamonds", "n_13", "n_11"])
+def test_blocks_equal_per_source_loop_on_small_shapes(graph, width, monkeypatch):
+    assert_blocks_equal_per_source_loop(graph, monkeypatch, width)
+
+
+@pytest.mark.parametrize("width", [None, 1, 4])
+def test_blocks_equal_per_source_loop_at_benchmark_shape(width, monkeypatch):
+    # the early-detection benchmark's follow graph, whose BFS levels go
+    # bottom-up once their frontier's out-rows outnumber the unreached in-rows
+    spec = SyntheticSpec(n_users=600, edge_prob=0.02, news_per_class=15,
+                         base_spreaders=50, **STRONG_EFFECTS, seed=7)
+    assert_blocks_equal_per_source_loop(generate(spec).graph, monkeypatch, width)
+
+
+def test_block_width_at_the_target_shape():
+    # the real benchmark's follow graph: about 24k users and 600k edges
+    n, m = 24_000, 600_000
+    width = centrality._block_width(n, m)
+    assert width == 1
+    # flat keys stay below width * n; a level's scan and its queue keys below width * m
+    assert max(width * n, width * m) <= max(centrality._BLOCK, n, m) < 2 ** 31
+    assert centrality._block_width(1200, 18967) * 18967 <= centrality._BLOCK
+    assert centrality._block_width(5, 3) == 5

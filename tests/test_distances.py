@@ -1,7 +1,5 @@
 import math
-import platform
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +20,6 @@ from oracles import (IdNetwork, brute_flow, dense_distances, effective_distance,
 from oracles import flow_matrix as dict_flow_matrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-# The oracle's mean is Python's `sum`. CPython 3.11 adds floats one at a time,
-# in the order and rounding distance_stats reproduces; 3.12 and later
-# compensate the float `sum`, so there the means are not compared.
-PLAIN_FLOAT_SUM = (platform.python_implementation() == "CPython"
-                   and sys.version_info[:2] == (3, 11))
-
 
 def _networks(graph, table):
     return [net for _, net in sorted(build_all_networks(graph, table).items())]
@@ -234,9 +225,8 @@ def assert_equals_oracle(graph, net, flow=None):
     """`flow` is a (package, dict oracle) pair of flow matrices, or None."""
     fast = distance_stats(net, flow and flow[0])
     slow = python_distance_stats(id_network(graph.users, net), flow and flow[1])
-    assert (fast.maximum, fast.median) == (slow.maximum, slow.median), net.news_id
-    if PLAIN_FLOAT_SUM:
-        assert fast.mean == slow.mean, net.news_id
+    assert (fast.maximum, fast.mean, fast.median) == (slow.maximum, slow.mean, slow.median), \
+        net.news_id
 
 
 def _flow_pair(graph, nets, definition):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from newsnet import experiments, features
@@ -192,6 +194,50 @@ def test_parallel_jobs_match_serial(small_strong_extractor):
                                    _config(proportions=(0.5,), modes=("nodes",),
                                            jobs=2))
     assert serial == parallel
+
+
+class _PicklingPool:
+    """A stand-in for ProcessPoolExecutor that runs its tasks in this process
+    and records the pickled size of what the pool would send: the initializer
+    arguments once, then each (function, task)."""
+
+    shared_bytes: list = []
+    task_bytes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.shared_bytes.append(len(pickle.dumps(initargs)))
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        experiments._share()
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.task_bytes.extend(len(pickle.dumps((fn, task))) for task in tasks)
+        return [fn(task) for task in tasks]
+
+
+def test_pool_tasks_carry_only_their_point(small_strong_extractor, monkeypatch):
+    # the extractor goes to each pool process once; a task is its grid point or draw
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(_PicklingPool, "shared_bytes", [])
+    monkeypatch.setattr(_PicklingPool, "task_bytes", [])
+    early = dict(proportions=(0.5, 1.0), modes=("nodes", "edges"), repetitions=1)
+    sampling = dict(proportions=(0.5, 1.0), repetitions=2)
+    runs = [(run_early_detection, early, ()),
+            (run_sampling_study, sampling, ("news_count",)),
+            (run_sampling_study, sampling, ("class_balance",))]
+    for run, overrides, args in runs:
+        serial = run(small_strong_extractor, _config(**overrides), *args)
+        parallel = run(small_strong_extractor, _config(jobs=2, **overrides), *args)
+        assert parallel == serial
+    assert len(_PicklingPool.shared_bytes) == len(runs)
+    assert min(_PicklingPool.shared_bytes) > 10_000
+    assert len(_PicklingPool.task_bytes) >= 9
+    assert max(_PicklingPool.task_bytes) < 1024
 
 
 def test_byte_reproducible_outputs(tmp_path, small_strong_extractor):

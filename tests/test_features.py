@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import platform
-import sys
 
 import numpy as np
 import pytest
@@ -263,10 +261,6 @@ def test_order_scrambling_user_relabel_moves_only_id_ordered_values(seed):
         assert np.all(density == count / n_spreaders)
 
 
-ON_CPYTHON_311 = (platform.python_implementation() == "CPython"
-                  and sys.version_info[:2] == (3, 11))
-
-
 def assert_block_equals_oracle(ex, training, theta):
     """The array block equals the dict loops, and every extract_matrix row the
     by-name assembly of the static block, the dict loops and the WL values."""
@@ -281,14 +275,9 @@ def assert_block_equals_oracle(ex, training, theta):
         want = oracle_dynamic_features(ex, news, models)
         assert got.keys() == want.keys()
         for name, value in want.items():
-            if name.startswith("mean_susceptibility") and not ON_CPYTHON_311:
-                # 3.12's float sum is compensated; the block adds left to right
-                assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-15), (news, name)
-            else:
-                assert got[name] == value, (news, name)
+            assert got[name] == value, (news, name)
         row = oracle_feature_row(ex, news, models, matrix.X[t][-4:].tolist())
-        if ON_CPYTHON_311:
-            assert matrix.X[t].tolist() == list(row), news
+        assert matrix.X[t].tolist() == list(row), news
     return models, block
 
 
@@ -406,10 +395,7 @@ def test_static_block_equals_dict_oracle(seed):
             want = oracle_static_features(extractor, news)
             assert got.keys() == want.keys()
             for name, value in want.items():
-                if ON_CPYTHON_311 or not name.startswith(("mean_", "effective_mean")):
-                    assert got[name] == value, (seed, news, name)
-                else:  # 3.12's float sum is compensated; the block adds left to right
-                    assert got[name] == pytest.approx(value, rel=1e-12), (seed, news, name)
+                assert got[name] == value, (seed, news, name)
 
 
 def test_static_block_on_degenerate_networks():
