@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import CorpusError, SocialGraph
-from .util import left_sum
+from .util import left_sum, ranges
 
 MEASURES = (
     "in_degree",
@@ -51,13 +51,6 @@ _BLOCK = 1 << 17  # width x max(n, edges) of a block: a level's scan, 1 MB per i
 def _block_width(n, m) -> int:
     """Sources per block: the most that keep width x max(n, m) within _BLOCK, at least one."""
     return max(1, min(n, _BLOCK // max(n, m)))
-
-
-def _ranges(starts, lens) -> np.ndarray:
-    """The index ranges [start, start + len), concatenated in order."""
-    out = np.repeat(starts - np.cumsum(lens) + lens, lens)
-    out += np.arange(out.size)
-    return out
 
 
 def _descending(keys, top) -> np.ndarray:
@@ -140,7 +133,7 @@ def _shortest_paths(n, indptr, indices) -> tuple:
             lens = out_deg[nodes]
             ends = np.cumsum(lens)
             if ends[-1] <= unreached:
-                w = indices[_ranges(indptr[nodes], lens)]
+                w = indices[ranges(indptr[nodes], lens)]
                 w += np.repeat(frontier - nodes, lens)
                 fresh = np.flatnonzero(dist[w] < 0)
                 if not fresh.size:
@@ -158,7 +151,7 @@ def _shortest_paths(n, indptr, indices) -> tuple:
                 todo = np.flatnonzero(dist < 0)
                 nodes = todo % n
                 lens = in_deg[nodes]
-                e = _ranges(in_ptr[nodes], lens)
+                e = ranges(in_ptr[nodes], lens)
                 u = in_src[e]
                 u += np.repeat(todo - nodes, lens)
                 hit = np.flatnonzero(dist[u] == len(dag))
@@ -171,7 +164,7 @@ def _shortest_paths(n, indptr, indices) -> tuple:
                 order = np.argsort(np.minimum.reduceat(row_start[u] + in_off[e], group))
                 frontier = w[group[order]]
                 order = order[::-1]
-                back = _ranges(group[order], np.diff(group, append=w.size)[order])
+                back = ranges(group[order], np.diff(group, append=w.size)[order])
             dag.append((u[back], w[back]))
             dist[frontier] = len(dag)
         delta = np.zeros(dist.size)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import distinct, find, write_csv
+from .util import distinct, find, ranges, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -162,8 +162,7 @@ def csr_rows(frontier, csr) -> tuple:
     indptr, indices = csr
     starts = indptr[frontier]
     lens = indptr[frontier + 1] - starts
-    offsets = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return np.repeat(frontier, lens), indices[offsets + np.arange(offsets.size)]
+    return np.repeat(frontier, lens), indices[ranges(starts, lens)]
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,19 @@
-"""Information-flow matrices, effective distance, and per-network distance stats.
+"""Information flow, effective distance, and per-network distance stats.
 
 The flow on a follow edge (i, j) aggregates over every diffusion network that
 contains the edge: either the number of such news stories (shared_news) or the
 sum of min(T(i,X), T(j,X)) over them (shared_frequency). Effective distance
-turns flow into an edge length
+turns flow into an edge length (Brockmann & Helbing, Science 2013)
 
     d(i, j) = 1 - ln(F_ij / sum_l F_lj)
 
-which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges. A
-`FlowMatrix` holds these lengths for every edge with flow as two arrays, the
-edges' keys over the follow graph's ranks (ascending) and their lengths,
-computed once with `math.log` when the matrix is built; a network's edges
-find theirs by one `searchsorted`.
+which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges.
+`flow_matrix` computes these lengths with `math.log` for every edge of a
+`features.NodeTable`, in the table's edge order, so each network's lengths
+are one slice of the array.
 
 `distance_stats` measures hop counts (geodesic distance) when it is given no
-flow matrix, and effective distance over the flow matrix it is given. It
+lengths, and effective distance over the edge lengths it is given. It
 reports the max, mean and median over all finite ordered pairs (s, t), s != t.
 The three floats equal, bit for bit, those of one breadth-first search
 (geodesic) or binary-heap Dijkstra (effective) per source, sources in sorted
@@ -74,7 +73,7 @@ import numpy as np
 
 from .corpus import SocialGraph
 from .diffusion import DiffusionNetwork
-from .util import distinct, find
+from .util import distinct
 
 SHARED_NEWS = "shared_news"
 SHARED_FREQUENCY = "shared_frequency"
@@ -84,26 +83,6 @@ _BLOCK = 1 << 16  # entries of one (nodes or edges) x sources array: 512 KB
 _MIN_WIDTH = 8  # sources per block on large networks; fewer run at per-call overhead
 
 
-@dataclass(frozen=True, eq=False)
-class FlowMatrix:
-    """The effective length of every follow edge that carries flow.
-
-    `keys` lists those edges as `follower * n_users + followee` over the
-    graph's ranks, ascending, and `lengths[i]` is the length of edge keys[i].
-    """
-
-    n_users: int
-    keys: np.ndarray  # (k,) int64
-    lengths: np.ndarray  # (k,) float64, each >= 1
-
-    def lengths_of(self, followers, followees) -> np.ndarray:
-        """The length of each edge (followers[i], followees[i]); inf without flow."""
-        at, found = find(self.keys, followers * self.n_users + followees)
-        out = np.full(found.size, math.inf)
-        out[found] = self.lengths[at[found]]
-        return out
-
-
 @dataclass(frozen=True)
 class DistanceStats:
     maximum: float
@@ -111,21 +90,19 @@ class DistanceStats:
     median: float
 
 
-def flow_matrix(graph: SocialGraph, networks, definition: str) -> FlowMatrix:
-    """Aggregate edge flows over a collection of diffusion networks.
+def flow_matrix(graph: SocialGraph, table, definition: str) -> np.ndarray:
+    """The effective length of every edge of a `features.NodeTable`, in its edge order.
 
-    Every network edge becomes its key over the graph's ranks; the flows are
-    one `bincount` over the distinct keys, and the inflows one over their
+    Each table edge becomes its key over the graph's ranks; the flows are one
+    `bincount` over the distinct keys, and the inflows one over their
     followees. Both sum small integers, exact in any order, so they equal the
     dict loop's left-to-right sums. Each length is `1 - math.log(f / inflow)`
-    on Python floats.
+    on Python floats. Every edge carries flow from its own story, so every
+    length is finite and >= 1.
     """
     if definition not in FLOW_DEFINITIONS:
         raise ValueError(f"definition must be one of {FLOW_DEFINITIONS}, got {definition!r}")
-    nets = list(networks)
-    empty = [np.empty(0, dtype=np.int64)]
-    followers = np.concatenate(empty + [net.ranks[net.edges[:, 0]] for net in nets])
-    followees = np.concatenate(empty + [net.ranks[net.edges[:, 1]] for net in nets])
+    followers, followees = table.rank[table.source], table.rank[table.target]
     followed = graph.follows(followers, followees)
     if not followed.all():
         i = int(np.argmin(followed))
@@ -134,16 +111,16 @@ def flow_matrix(graph: SocialGraph, networks, definition: str) -> FlowMatrix:
     n = graph.n_nodes
     keys = followers * n + followees
     edge_keys = distinct(keys)
+    edge = np.searchsorted(edge_keys, keys)
     weights = None
     if definition == SHARED_FREQUENCY:
-        weights = np.concatenate(empty + [np.minimum(*net.counts[net.edges.T]) for net in nets])
-    flows = np.bincount(np.searchsorted(edge_keys, keys), weights=weights,
-                        minlength=edge_keys.size)
+        weights = np.minimum(table.count[table.source], table.count[table.target])
+    flows = np.bincount(edge, weights=weights, minlength=edge_keys.size)
     heads = edge_keys % max(n, 1)
     inflow = np.bincount(heads, weights=flows, minlength=n)[heads]
     lengths = [1.0 - math.log(f / total)
                for f, total in zip(flows.astype(np.float64).tolist(), inflow.tolist())]
-    return FlowMatrix(n_users=n, keys=edge_keys, lengths=np.array(lengths, dtype=np.float64))
+    return np.array(lengths, dtype=np.float64)[edge]
 
 
 def _in_edge_slots(src, dst, n) -> tuple:
@@ -208,24 +185,24 @@ def _touch_order_sum(total, dist, src, heads, widths) -> float:
     return float(np.cumsum(np.append(total, values.T))[-1])
 
 
-def distance_stats(network: DiffusionNetwork,
-                   flow: FlowMatrix | None = None) -> DistanceStats:
+def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
     """Max / mean / median over all finite ordered-pair distances in a network.
 
-    Geodesic without `flow`, effective distance over `flow` otherwise.
+    Geodesic without `lengths`, effective distance otherwise: the float array
+    `lengths` holds the length of each of `network.edges`, each >= 1, and an
+    edge of infinite length takes no part.
     """
     n = network.n_nodes
     src, dst = network.edges.T
-    if flow is not None:
-        step = flow.lengths_of(network.ranks[src], network.ranks[dst])
-        finite = step < math.inf
-        src, dst, step = src[finite], dst[finite], step[finite]
+    if lengths is not None:
+        finite = lengths < math.inf
+        src, dst, step = src[finite], dst[finite], lengths[finite]
     if not src.size:
         return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
     slot_major, heads, widths = _in_edge_slots(src, dst, n)
     width = max(_MIN_WIDTH, _BLOCK // max(n, src.size))
     src = src[slot_major]
-    step = 1.0 if flow is None else step[slot_major, None]
+    step = 1.0 if lengths is None else step[slot_major, None]
 
     values = np.empty(n * (n - 1))  # pages are touched only as values are found
     count = 0
@@ -238,13 +215,13 @@ def distance_stats(network: DiffusionNetwork,
         finite = dist[(dist > 0.0) & (dist < math.inf)]
         values[count:count + finite.size] = finite
         count += finite.size
-        if flow is not None:
+        if lengths is not None:
             total = _touch_order_sum(total, dist, src, heads, widths)
     if not count:
         return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
     values = values[:count]
     values.sort()
-    if flow is None:
+    if lengths is None:
         total = float(values.sum())  # integers below 2**53: exact in any order
     mid = values.size // 2
     if values.size % 2:

@@ -28,28 +28,30 @@ The values fall in three blocks (FeatureSpec.block), one per invariance level:
                 fold and threshold, from the spreaders' scores and classes
     similarity  4 values (139-142): per training fold and threshold
 
-Both blocks are computed for all networks at once on a `NodeTable`, the
-extractor's networks numbered once (news sorted, nodes sorted within a
-network) with each node's network, graph rank and engagement count, plus
-edge endpoint and triangle arrays. The static block
+Both blocks are computed for all networks at once on a `NodeTable`, the one
+layout of the extractor's networks: laid end to end (news sorted, nodes
+sorted within a network) with each node's network, graph rank and
+engagement count, plus edge endpoint and triangle arrays. Susceptibility
+is fit on the full networks' table, and the effective lengths come one per
+table edge (`distances.flow_matrix`). The static block
 (`FeatureExtractor.static_block`, one (networks, 38) array) reads the
 centralities and global communities at the nodes' ranks, takes the
 centrality means and medians as below, the edge and triangle totals from
-the table, and the distance statistics and local communities network by
-network; the dict loop it replaced is `static_features` in
-`tests/oracles.py`, which it equals bit for bit. Per (fold, threshold) and
-scoring method, one score and one class-code vector over the graph ranks
-(`susceptibility.fit`) give every node's score and class; counts are
-`np.bincount`s over network × class keys, the median susceptibility reads
-a `lexsort` by (network, score), and the triad counts are one
-`triads.census`. Every count is an exact
-integer and every ratio one float division, so the values equal the
-per-network dict loops kept in `tests/oracles.py` bit for bit. The mean
-susceptibility is the one sum of floats: it is taken as a `cumsum` along a
-zero-padded networks × max-nodes matrix, which adds each network's scores
-left to right in sorted-node order like Python's `sum` on CPython 3.11 (the
-trailing zeros add exactly). CPython 3.12's `sum` is compensated, so there
-the oracle can differ in the last bits.
+the table, and the distance statistics (over each network's slice of the
+lengths) and local communities network by network; the dict loop it
+replaced is `static_features` in `tests/oracles.py`, which it equals bit
+for bit. Per (fold, threshold) and scoring method, one score and one
+class-code vector over the graph ranks (`susceptibility.fit`) give every
+node's score and class; counts are `np.bincount`s over network × class
+keys, the median susceptibility reads a `lexsort` by (network, score), and
+the triad counts are one `triads.census`. Every count is an exact integer
+and every ratio one float division, so the values equal the per-network
+dict loops kept in `tests/oracles.py` bit for bit. The means are the one
+sum of floats: `NodeTable.left_sums` takes them as a `cumsum` along a
+zero-padded networks × max-nodes matrix, which adds each network's values
+left to right in sorted-node order like Python's `sum` on CPython 3.11
+(the trailing zeros add exactly). CPython 3.12's `sum` is compensated, so
+there the oracle can differ in the last bits.
 
 `extract` assembles one network's vector from its rows of the three blocks,
 a float64 array of 142 values in index order; `extract_matrix` stacks the
@@ -69,7 +71,7 @@ from .corpus import EngagementTable, SocialGraph
 from .diffusion import build_all_networks
 from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matrix
 from .louvain import global_communities, local_communities
-from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, UNKNOWN, History
+from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, UNKNOWN
 from .triads import TRIAD_CLASSES, Triangles, census, enumerate_triangles
 from .util import derive_seed, distinct, write_csv
 from .wl import SimilarityIndex, normalized_gram
@@ -212,12 +214,13 @@ class NodeTable:
     in `labels`), nodes in sorted order within a network and networks one
     after another. Node k is the user of graph rank `rank[k]`; it lies in
     network `network[k]` at position `position[k]` and spread it `count[k]`
-    times. Edge j runs from node `source[j]` to node `target[j]`
-    in network `edge_network[j]`. The nodes adjacent to node k in either
-    direction are `neighbours[neighbour_ptr[k]:neighbour_ptr[k + 1]]`,
-    ascending, for WL refinement over h iterations and the triangle
-    listing. The triangles and the identity-labelled WL Gram matrix depend
-    on the networks (and h) only and are built on first use.
+    times. Edge j runs from node `source[j]` to node `target[j]` in network
+    `edge_network[j]`; network t's `n_edges[t]` edges keep the order of its
+    `edges`. The nodes adjacent to node k in either direction are
+    `neighbours[neighbour_ptr[k]:neighbour_ptr[k + 1]]`, ascending, for WL
+    refinement over h iterations and the triangle listing. The triangles and
+    the identity-labelled WL Gram matrix depend on the networks (and h) only
+    and are built on first use.
     """
 
     def __init__(self, networks: dict, h: int = 3):
@@ -246,6 +249,12 @@ class NodeTable:
             [self.source * size + self.target, self.target * size + self.source])), size)
         self.neighbour_ptr = np.zeros(self.network.size + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=self.network.size), out=self.neighbour_ptr[1:])
+
+    def left_sums(self, values) -> np.ndarray:
+        """Each network's node values added left to right, one at a time."""
+        padded = np.zeros((self.sizes.size, int(self.sizes.max(initial=0)) + 1))
+        padded[self.network, self.position] = values
+        return np.cumsum(padded, axis=1)[:, -1]
 
     @cached_property
     def triangles(self) -> Triangles:
@@ -294,19 +303,15 @@ def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
         for j, stem in enumerate(stems):
             columns[f"{stem}_{tag}"] = block[:, j]
 
-    padded = np.zeros((n, int(table.sizes.max(initial=0)) + 1))
     for tag, method in _METHOD_TAGS:
         scores, codes = (values[table.rank] for values in vectors[method])
         spreaders = _per_network(table.network, codes, len(CLASSES), n)[:, :2]
         engaged = _per_network(table.network, codes, len(CLASSES), n,
                                weights=table.count)[:, :2]
-        # each row's last cumsum entry is its scores added left to right
-        padded[table.network, table.position] = scores
-        mean = np.cumsum(padded, axis=1)[:, -1]
         put([f"n_{k}_spreaders" for k in kinds], spreaders)
         put([f"pct_{k}_spreaders" for k in kinds], _ratio(spreaders, table.sizes[:, None]))
         put(["mean_susceptibility", "median_susceptibility"],
-            np.column_stack([_ratio(mean, table.sizes),
+            np.column_stack([_ratio(table.left_sums(scores), table.sizes),
                              _sorted_median(scores, table.network, table.sizes)]))
         put([f"n_{k}_engagements" for k in kinds], engaged)
         put([f"pct_{k}_engagements" for k in kinds],
@@ -334,32 +339,33 @@ def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
 class FeatureExtractor:
     """Feature assembly over one corpus.
 
-    Label-independent inputs (centralities, flow matrices, communities, the
-    node table with its triangles and identity-labelled WL Gram matrix, and
-    the static block) are computed once and cached; susceptibility-dependent
-    features are recomputed for every training fold and threshold. The flow
-    matrices are built here from the graph and the networks: they encode
-    which news stories an edge appears in, so they change with the networks.
-    `cents` maps each centrality measure, and `global_comm` holds the
-    communities, as arrays over the graph ranks. The susceptibility scores
-    are fit on `history`, the spreading records of the full networks, even
-    when the extractor holds subsampled ones.
+    Label-independent inputs (centralities, effective lengths, communities,
+    the node table with its triangles and identity-labelled WL Gram matrix,
+    and the static block) are computed once and cached; susceptibility-
+    dependent features are recomputed for every training fold and threshold.
+    `node_table` numbers the networks' nodes once, and `flows` maps each
+    flow definition to one effective length per table edge; both are built
+    here, as the lengths encode which stories an edge appears in. `cents`
+    maps each centrality measure, and `global_comm` holds the communities,
+    as arrays over the graph ranks. The susceptibility scores are fit on
+    `history`, the node table of the full networks, even when the extractor
+    holds subsampled ones.
     """
 
     def __init__(self, graph: SocialGraph, table: EngagementTable, networks: dict,
                  cents: dict, global_comm: np.ndarray, h: int = 3, seed: int = 0,
-                 history: History | None = None):
+                 history: NodeTable | None = None):
         self.graph = graph
         self.table = table
         self.networks = networks
         self.centralities = cents
-        nets = [networks[n] for n in sorted(networks)]
-        self.flows = {d: flow_matrix(graph, nets, d)  # definition -> FlowMatrix
-                      for d in (SHARED_NEWS, SHARED_FREQUENCY)}
         self.global_comm = global_comm
         self.h = h
         self.seed = seed
-        self.history = History(networks, graph.n_nodes) if history is None else history
+        self.node_table = NodeTable(networks, h)
+        self.flows = {d: flow_matrix(graph, self.node_table, d)
+                      for d in (SHARED_NEWS, SHARED_FREQUENCY)}
+        self.history = self.node_table if history is None else history
 
     @classmethod
     def build(cls, graph: SocialGraph, table: EngagementTable,
@@ -378,34 +384,29 @@ class FeatureExtractor:
     # ---- label-independent block ----
 
     @cached_property
-    def node_table(self) -> NodeTable:
-        """The networks' nodes, edges and triangles over one node numbering."""
-        return NodeTable(self.networks, self.h)
-
-    @cached_property
     def static_block(self) -> np.ndarray:
         """The static block of every network, (networks, 38) in STATIC_NAMES order.
 
-        Rows follow `node_table.order`. Per-network means add left to right
-        along a zero-padded networks x max-nodes matrix and medians read a
-        `lexsort`, as in `dynamic_features`; the distance statistics and the
-        local community counts are computed network by network.
+        Rows follow `node_table.order`. Per-network means are `left_sums`
+        and medians read a `lexsort`, as in `dynamic_features`; the distance
+        statistics and the local community counts are computed network by
+        network.
         """
         table = self.node_table
         sizes = table.sizes
         columns = {"n_spreaders": sizes.astype(np.float64)}
-        padded = np.zeros((sizes.size, int(sizes.max(initial=0)) + 1))
         for measure in MEASURES:
             values = self.centralities[measure][table.rank]
-            padded[table.network, table.position] = values
-            columns[f"mean_{measure}"] = _ratio(np.cumsum(padded, axis=1)[:, -1], sizes)
+            columns[f"mean_{measure}"] = _ratio(table.left_sums(values), sizes)
             columns[f"median_{measure}"] = _sorted_median(values, table.network, sizes)
 
         nets = [self.networks[news] for news in table.order]
-        for prefix, flow in (("geodesic_{}", None),
-                             ("effective_{}_news", self.flows[SHARED_NEWS]),
-                             ("effective_{}_freq", self.flows[SHARED_FREQUENCY])):
-            stats = [distance_stats(net, flow) for net in nets]
+        cuts = np.cumsum(table.n_edges)
+        for prefix, lengths in (("geodesic_{}", [None] * len(nets)),
+                                ("effective_{}_news", np.split(self.flows[SHARED_NEWS], cuts)),
+                                ("effective_{}_freq",
+                                 np.split(self.flows[SHARED_FREQUENCY], cuts))):
+            stats = [distance_stats(net, step) for net, step in zip(nets, lengths)]
             for stat, field in (("max", "maximum"), ("mean", "mean"), ("median", "median")):
                 columns[prefix.format(stat)] = np.array([getattr(st, field) for st in stats],
                                                         dtype=np.float64)
@@ -456,7 +457,8 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
     Susceptibility scores and WL reference sets are fit on `training_news`
     only; test-fold labels never influence any value.
     """
-    vectors = susceptibility.fit_all(extractor.history, training_news, theta)
+    vectors = susceptibility.fit_all(extractor.history, extractor.graph.n_nodes,
+                                     training_news, theta)
     table = extractor.node_table
     classes = vectors[BY_NEWS][1][table.rank].tolist()
     sim_index = SimilarityIndex(table, training_news, classes)

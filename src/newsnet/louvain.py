@@ -27,7 +27,7 @@ import random
 
 import numpy as np
 
-from .util import derive_seed, distinct, left_sum
+from .util import derive_seed, distinct
 
 MIN_GAIN = 1e-7
 
@@ -35,24 +35,27 @@ MIN_GAIN = 1e-7
 class _Level:
     """One aggregation level: adjacency with self-loops, community bookkeeping.
 
-    Edge i joins nodes lows[i] and highs[i] with weight weights[i].
+    Edge i joins nodes lows[i] and highs[i] with weight weights[i]. Every
+    weight is a sum of 1.0s, an integer below 2**53, so the degrees `k` are
+    exact sums whatever order their edges are added in.
     """
 
     def __init__(self, n, lows, highs, weights):
         self.n = n
         self.adj = [dict() for _ in range(n)]
         self.self_w = [0.0] * n
+        self.k = k = [0.0] * n
         m = 0.0
         for u, v, w in zip(lows, highs, weights):
             m += w
+            k[u] += w
+            k[v] += w
             if u == v:
                 self.self_w[u] += w
             else:
                 self.adj[u][v] = self.adj[u].get(v, 0.0) + w
                 self.adj[v][u] = self.adj[v].get(u, 0.0) + w
         self.m = m
-        self.k = [left_sum(list(self.adj[i].values())) + 2.0 * self.self_w[i]
-                  for i in range(n)]
         self.com = list(range(n))
         self.com_tot = list(self.k)
         self.com_in = list(self.self_w)

@@ -177,8 +177,7 @@ class _MaskState:
 
 
 def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
-                   theta: float, seed: int, params: dict | None = None,
-                   split: DatasetSplit | None = None) -> dict:
+                   theta: float, seed: int, params: dict | None = None) -> dict:
     """Cross-validate several feature masks sharing one extraction per fold.
 
     `masks` maps a row name to a list of 1-based feature indices. Returns
@@ -189,8 +188,7 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     check_params(classifier, params or {})
     # split over the extractor's networks: a restricted corpus sees only its news
     labels = {news: extractor.table.labels[news] for news in extractor.networks}
-    if split is None:
-        split = stratified_folds(labels, N_FOLDS, seed)
+    split = stratified_folds(labels, N_FOLDS, seed)
     states = {name: _MaskState() for name in masks}
     for fold in range(split.n_folds):
         train_news = split.train_news(fold)
@@ -223,10 +221,9 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
 
 def cross_validate(extractor: FeatureExtractor, *, classifier: str = "random_forest",
                    mask=None, theta: float = 0.5, seed: int = 0,
-                   params: dict | None = None,
-                   split: DatasetSplit | None = None) -> EvalReport:
+                   params: dict | None = None) -> EvalReport:
     if mask is None:
         mask = list(range(1, N_FEATURES + 1))
     reports = evaluate_masks(extractor, {"all": list(mask)}, classifier=classifier,
-                             theta=theta, seed=seed, params=params, split=split)
+                             theta=theta, seed=seed, params=params)
     return reports["all"]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .susceptibility import CLASSES, SUSCEPTIBLE, UNKNOWN
-from .util import distinct, find
+from .util import distinct, find, ranges
 
 TRANSITIVE_CLASSES = tuple(
     f"t_{a}{b}{c}" for a in "ns" for b in "ns" for c in "ns"
@@ -80,8 +80,7 @@ def _wedges(low, high, n):
     """
     row_size = np.bincount(low, minlength=n)
     later = (np.cumsum(row_size) - 1)[low] - np.arange(low.size)
-    first = np.repeat(np.arange(low.size), later)
-    return first, first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
+    return np.repeat(np.arange(low.size), later), ranges(np.arange(1, low.size + 1), later)
 
 
 def enumerate_triangles(table) -> Triangles:

@@ -1,5 +1,5 @@
-"""Small shared helpers: seed derivation, sums, distinct values, sorted lookup,
-CSV writing."""
+"""Small shared helpers: seed derivation, sums, distinct values, index ranges,
+sorted lookup, CSV writing."""
 
 from __future__ import annotations
 
@@ -38,6 +38,13 @@ def distinct(values) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+def ranges(starts, lens) -> np.ndarray:
+    """The index ranges [start, start + len), concatenated in order."""
+    out = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    out += np.arange(out.size)
+    return out
 
 
 def find(keys, wanted) -> tuple:

@@ -422,11 +422,17 @@ def effective_distance(flow: FlowMatrix, i, j) -> float:
     return flow.lengths.get((i, j), math.inf)
 
 
-def flow_lengths(users, flow) -> dict:
-    """The package's FlowMatrix as {(follower id, followee id): length}."""
-    n = flow.n_users
-    return {(users[k // n], users[k % n]): length
-            for k, length in zip(flow.keys.tolist(), flow.lengths.tolist())}
+def flow_lengths(users, table, lengths) -> dict:
+    """The package's lengths of a `NodeTable`'s edges as {(follower id, followee id): length}.
+
+    An edge that several stories share must get one length.
+    """
+    out: dict = {}
+    for s, t, length in zip(table.rank[table.source].tolist(),
+                            table.rank[table.target].tolist(), lengths.tolist()):
+        edge = (users[s], users[t])
+        assert out.setdefault(edge, length) == length, edge
+    return out
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,12 @@ from newsnet.diffusion import build_all_networks
 from newsnet.distances import flow_matrix
 from newsnet.experiments import (ExperimentConfig, run_early_detection,
                                  run_threshold_sweep)
-from newsnet.features import (DYNAMIC_NAMES, FeatureExtractor, dynamic_features,
+from newsnet.features import (DYNAMIC_NAMES, FeatureExtractor, NodeTable, dynamic_features,
                               extract_matrix, pattern_mask)
 from newsnet.ml.crossval import (cross_validate, encode_labels, evaluate_masks,
                                  fit_classifier, stratified_folds)
 from newsnet.ml.relief import relief_rank
-from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, History, fit, fit_all
+from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, fit, fit_all
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.triads import TRIAD_CLASSES
 from newsnet.util import write_csv
@@ -68,16 +68,17 @@ def test_criterion_1_oracle_equivalence():
                 assert abs(norm - 1.0) <= 1e-9
 
         ids = [id_network(graph.users, net) for net in nets]
+        ex = FeatureExtractor(graph, table, networks, scores, None, seed=seed)
         for definition in ("shared_news", "shared_frequency"):
             slow = dict_flow_matrix(ids, definition)
             assert slow.flows == brute_flow(graph, ids, definition)
-            assert flow_lengths(graph.users, flow_matrix(graph, nets, definition)) \
+            assert flow_lengths(graph.users, ex.node_table, ex.flows[definition]) \
                 == slow.lengths
 
-        ex = FeatureExtractor(graph, table, networks, scores, None, seed=seed)
         models = dict_fit_all(table, table.news_ids(), 0.5)
         node_table = ex.node_table
-        block = dynamic_features(node_table, fit_all(ex.history, table.news_ids(), 0.5))
+        block = dynamic_features(node_table, fit_all(ex.history, graph.n_nodes,
+                                                     table.news_ids(), 0.5))
         triangles = node_table.triangles
         for t, (net, row) in enumerate(zip(ids, block.tolist())):
             assert net.edges == brute_induced_edges(graph, net.nodes)
@@ -109,25 +110,25 @@ def test_criterion_2_formula_checks():
         {("f1", "v"): 1, ("t1", "v"): 3},
         {"f1": "fake", "t1": "true"})
     graph = SocialGraph.from_edges([], nodes=["v"])
-    history = History(build_all_networks(graph, table), graph.n_nodes)
+    history = NodeTable(build_all_networks(graph, table))
     training = {"f1", "t1"}
     v = graph.users.index("v")
-    assert fit(history, training, BY_NEWS, 0.5)[0][v] == 0.5
-    assert fit(history, training, BY_FREQUENCY, 0.5)[0][v] == 0.25
+    assert fit(history, graph.n_nodes, training, BY_NEWS, 0.5)[0][v] == 0.5
+    assert fit(history, graph.n_nodes, training, BY_FREQUENCY, 0.5)[0][v] == 0.25
 
     # sole inflow: distance exactly 1
     graph = SocialGraph.from_edges([("a", "b")])
     t2 = EngagementTable.from_records({("n1", "a"): 1, ("n1", "b"): 1},
                                       {"n1": "fake"})
-    nets = list(build_all_networks(graph, t2).values())
-    flow = flow_lengths(graph.users, flow_matrix(graph, nets, "shared_news"))
+    nodes = NodeTable(build_all_networks(graph, t2))
+    flow = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes, "shared_news"))
     assert abs(flow[("a", "b")] - 1.0) <= 1e-12
 
     for seed in range(20):
         g, t = random_corpus(seed)
-        nets = [n for _, n in sorted(build_all_networks(g, t).items())]
+        nodes = NodeTable(build_all_networks(g, t))
         for definition in ("shared_news", "shared_frequency"):
-            lengths = flow_lengths(g.users, flow_matrix(g, nets, definition))
+            lengths = flow_lengths(g.users, nodes, flow_matrix(g, nodes, definition))
             assert lengths
             for length in lengths.values():
                 assert length >= 1.0 - 1e-12

@@ -12,6 +12,7 @@ from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import build_all_networks, build_network, subsample
 from newsnet.distances import (FLOW_DEFINITIONS, SHARED_FREQUENCY, SHARED_NEWS,
                                distance_stats, flow_matrix)
+from newsnet.features import FeatureExtractor, NodeTable
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.util import derive_seed
 
@@ -29,24 +30,39 @@ def _ids(graph, nets):
     return [id_network(graph.users, net) for net in nets]
 
 
+def _table(nets):
+    return NodeTable({net.news_id: net for net in nets})
+
+
+def _by_network(table, lengths) -> dict:
+    """{news: the lengths of its network's edges}, sliced from the table's edge order."""
+    return dict(zip(table.order, np.split(lengths, np.cumsum(table.n_edges))))
+
+
+def _oracle_lengths(graph, net, slow) -> np.ndarray:
+    """The dict oracle's length of each of the network's edges; inf without flow."""
+    users = graph.users
+    return np.array([effective_distance(slow, users[net.ranks[u]], users[net.ranks[v]])
+                     for u, v in net.edges.tolist()], dtype=np.float64)
+
+
 class Flow:
-    """The package's flow matrix over `nets` and the dict oracle's over their ids."""
+    """The package's lengths over `nets` and the dict oracle's flows over their ids."""
 
     def __init__(self, graph, nets, definition):
         self.users = graph.users
-        self.fast = flow_matrix(graph, nets, definition)
+        self.table = _table(nets)
+        self.fast = flow_matrix(graph, self.table, definition)
         self.slow = dict_flow_matrix(_ids(graph, nets), definition)
 
     def flow(self, i, j):
-        assert flow_lengths(self.users, self.fast) == self.slow.lengths
+        assert flow_lengths(self.users, self.table, self.fast) == self.slow.lengths
         return self.slow.flow(i, j)
 
     def length(self, i, j):
-        rank = {v: k for k, v in enumerate(self.users)}
-        fast = self.fast.lengths_of(np.array([rank.get(i, 0)]), np.array([rank.get(j, 0)]))
+        fast = flow_lengths(self.users, self.table, self.fast)
         slow = effective_distance(self.slow, i, j)
-        if i in rank and j in rank:
-            assert fast.tolist() == [slow]
+        assert fast.get((i, j), math.inf) == slow
         return slow
 
 
@@ -62,7 +78,7 @@ def test_flow_matrix_rejects_an_edge_outside_the_graph():
     for bad in (("b", "a"), ("c", "a")):
         second = _network(graph, "abc", {("a", "b"), ("b", "c"), bad}, "n2", "true")
         with pytest.raises(ValueError, match=re.escape(f"network edge {bad!r} not in")):
-            flow_matrix(graph, [first, second], SHARED_NEWS)
+            flow_matrix(graph, _table([first, second]), SHARED_NEWS)
 
 
 def test_shared_news_counts_networks():
@@ -95,7 +111,7 @@ def test_flow_matches_brute_force():
             flow = Flow(graph, nets, definition)
             assert flow.slow.flows == brute_flow(graph, _ids(graph, nets), definition), \
                 (seed, definition)
-            assert flow_lengths(graph.users, flow.fast) == flow.slow.lengths
+            assert flow_lengths(graph.users, flow.table, flow.fast) == flow.slow.lengths
 
 
 def test_effective_distance_values():
@@ -131,10 +147,12 @@ def test_effective_distance_at_least_one():
     for seed in range(10):
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
+        nodes = _table(nets)
         for definition in (SHARED_NEWS, SHARED_FREQUENCY):
-            flow = flow_matrix(graph, nets, definition)
-            assert (flow.lengths >= 1.0 - 1e-12).all()
-            assert flow.keys.size == len(flow_lengths(graph.users, flow)) > 0
+            flow = flow_matrix(graph, nodes, definition)
+            assert (flow >= 1.0 - 1e-12).all()
+            assert flow.shape == nodes.source.shape
+            assert len(flow_lengths(graph.users, nodes, flow)) > 0
 
 
 def test_geodesic_stats_on_path():
@@ -162,7 +180,7 @@ def test_cycle_uniform_flow_effective_equals_geodesic():
     table = EngagementTable.from_records(
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     nets = _networks(graph, table)
-    flow = flow_matrix(graph, nets, SHARED_NEWS)
+    flow = flow_matrix(graph, _table(nets), SHARED_NEWS)
     net = nets[0]
     eff = distance_stats(net, flow)
     geo = distance_stats(net)
@@ -192,8 +210,10 @@ def test_effective_stats_match_floyd_warshall():
     for seed in range(6):
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
-        flow = flow_matrix(graph, nets, SHARED_NEWS)
-        lengths = flow_lengths(graph.users, flow)
+        node_table = _table(nets)
+        flow = flow_matrix(graph, node_table, SHARED_NEWS)
+        lengths = flow_lengths(graph.users, node_table, flow)
+        by_network = _by_network(node_table, flow)
         for net in nets:
             ids = id_network(graph.users, net)
             weights = {edge: lengths.get(edge, math.inf) for edge in ids.edges}
@@ -201,7 +221,7 @@ def test_effective_stats_match_floyd_warshall():
             d = dense_distances(nodes, ids.edges, weights)
             off_diag = ~np.eye(len(nodes), dtype=bool)
             finite = d[np.isfinite(d) & off_diag]
-            stats = distance_stats(net, flow)
+            stats = distance_stats(net, by_network[net.news_id])
             if finite.size == 0:
                 assert stats.maximum == 0.0
             else:
@@ -215,33 +235,40 @@ def test_lengths_are_math_log_of_flow_share():
         nets = _networks(graph, table)
         for definition in FLOW_DEFINITIONS:
             slow = dict_flow_matrix(_ids(graph, nets), definition)
-            lengths = flow_lengths(graph.users, flow_matrix(graph, nets, definition))
+            nodes = _table(nets)
+            lengths = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes, definition))
             assert lengths.keys() == slow.flows.keys()
             for (i, j), f in slow.flows.items():
                 assert lengths[(i, j)] == 1.0 - math.log(f / slow.inflow[j])
 
 
 def assert_equals_oracle(graph, net, flow=None):
-    """`flow` is a (package, dict oracle) pair of flow matrices, or None."""
-    fast = distance_stats(net, flow and flow[0])
+    """`flow` is a pair (lengths of the network's edges, dict oracle flows), or None."""
+    fast = distance_stats(net, None if flow is None else flow[0])
     slow = python_distance_stats(id_network(graph.users, net), flow and flow[1])
     assert (fast.maximum, fast.mean, fast.median) == (slow.maximum, slow.mean, slow.median), \
         net.news_id
 
 
-def _flow_pair(graph, nets, definition):
-    fast = flow_matrix(graph, nets, definition)
+def _flow_pairs(graph, nets, definition) -> dict:
+    """{news: (its network's package lengths, the dict oracle over `nets`)}, checked equal."""
+    table = _table(nets)
+    fast = flow_matrix(graph, table, definition)
     slow = dict_flow_matrix(_ids(graph, nets), definition)
-    assert flow_lengths(graph.users, fast) == slow.lengths
-    return fast, slow
-
-
-def assert_network_set_equals_oracle(graph, nets, flow_nets=None):
-    """Geodesic and both effective distances; flows from `flow_nets` (default nets)."""
-    flows = [_flow_pair(graph, flow_nets or nets, d) for d in FLOW_DEFINITIONS]
+    assert flow_lengths(graph.users, table, fast) == slow.lengths
+    by_network = _by_network(table, fast)
     for net in nets:
-        for flow in [None] + flows:
-            assert_equals_oracle(graph, net, flow)
+        assert by_network[net.news_id].tolist() == _oracle_lengths(graph, net, slow).tolist()
+    return {news: (lengths, slow) for news, lengths in by_network.items()}
+
+
+def assert_network_set_equals_oracle(graph, nets):
+    """Geodesic and both effective distances, flows from the networks themselves."""
+    flows = [_flow_pairs(graph, nets, d) for d in FLOW_DEFINITIONS]
+    for net in nets:
+        assert_equals_oracle(graph, net)
+        for flow in flows:
+            assert_equals_oracle(graph, net, flow[net.news_id])
 
 
 def _subsampled(nets, mode):
@@ -280,10 +307,13 @@ def test_equals_oracle_with_zero_flow_edges():
     for seed in range(10):
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
-        sparse = _subsampled(nets[:len(nets) // 2], "edges")
-        lengths = flow_lengths(graph.users, flow_matrix(graph, sparse, SHARED_NEWS))
-        zero_flow += sum(e not in lengths for ids in _ids(graph, nets) for e in ids.edges)
-        assert_network_set_equals_oracle(graph, nets, flow_nets=sparse)
+        sparse = _ids(graph, _subsampled(nets[:len(nets) // 2], "edges"))
+        for definition in FLOW_DEFINITIONS:
+            slow = dict_flow_matrix(sparse, definition)
+            for net in nets:
+                lengths = _oracle_lengths(graph, net, slow)
+                zero_flow += int(np.isinf(lengths).sum())
+                assert_equals_oracle(graph, net, (lengths, slow))
     assert zero_flow > 0
 
 
@@ -339,7 +369,9 @@ def test_property_equals_oracle(case):
     graph, net, flow_nets = case
     assert_equals_oracle(graph, net)
     for definition in FLOW_DEFINITIONS:
-        assert_equals_oracle(graph, net, _flow_pair(graph, flow_nets, definition))
+        slow = dict_flow_matrix(_ids(graph, flow_nets), definition)
+        assert_equals_oracle(graph, net, (_oracle_lengths(graph, net, slow), slow))
+        _flow_pairs(graph, flow_nets, definition)  # the package's lengths are the oracle's
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -348,11 +380,34 @@ def test_lengths_equal_the_dict_oracle(seed):
     graph, table = random_corpus(seed)
     nets = _networks(graph, table)
     for flow_nets in (nets, _subsampled(nets, "nodes"), _subsampled(nets, "edges")):
+        nodes = _table(flow_nets)
         for definition in FLOW_DEFINITIONS:
-            fast = flow_matrix(graph, flow_nets, definition)
+            fast = flow_matrix(graph, nodes, definition)
             slow = dict_flow_matrix(_ids(graph, flow_nets), definition)
-            assert flow_lengths(graph.users, fast) == slow.lengths, (seed, definition)
-            assert fast.keys.tolist() == sorted(fast.keys.tolist())
+            assert flow_lengths(graph.users, nodes, fast) == slow.lengths, (seed, definition)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_every_table_edge_gets_a_finite_length_from_its_own_story(seed):
+    # whole, node- and edge-subsampled extractors: each extractor's lengths
+    # come one per edge of its node table, in the table's edge order
+    graph, table = random_corpus(seed)
+    nets = _networks(graph, table)
+    root = FeatureExtractor(graph, table, {net.news_id: net for net in nets}, {}, None)
+    subs = [root.with_networks({net.news_id: net for net in _subsampled(nets, mode)})
+            for mode in ("nodes", "edges")]
+    for ex in [root] + subs:
+        nodes = ex.node_table
+        followers = [graph.users[r] for r in nodes.rank[nodes.source].tolist()]
+        followees = [graph.users[r] for r in nodes.rank[nodes.target].tolist()]
+        for definition in FLOW_DEFINITIONS:
+            lengths = ex.flows[definition]
+            slow = dict_flow_matrix(_ids(graph, [ex.networks[n] for n in nodes.order]),
+                                    definition)
+            assert lengths.shape == nodes.source.shape
+            assert np.isfinite(lengths).all() and (lengths >= 1.0).all()
+            assert lengths.tolist() == [slow.lengths[edge]
+                                        for edge in zip(followers, followees)]
 
 
 def test_lengths_take_math_log():
@@ -360,7 +415,8 @@ def test_lengths_take_math_log():
     graph = SocialGraph.from_edges([("s0", "hub"), ("s1", "hub")])
     table = EngagementTable.from_records(
         {("n1", "s0"): 14, ("n1", "s1"): 23, ("n1", "hub"): 100}, {"n1": "fake"})
-    flow = flow_matrix(graph, _networks(graph, table), SHARED_FREQUENCY)
+    nodes = _table(_networks(graph, table))
+    flow = flow_matrix(graph, nodes, SHARED_FREQUENCY)
     assert float(np.log(np.array([14 / 37]))[0]) != math.log(14 / 37)
-    assert flow_lengths(graph.users, flow) == {("s0", "hub"): 1.0 - math.log(14 / 37),
+    assert flow_lengths(graph.users, nodes, flow) == {("s0", "hub"): 1.0 - math.log(14 / 37),
                                                ("s1", "hub"): 1.0 - math.log(23 / 37)}

@@ -7,13 +7,12 @@ import pytest
 from newsnet import susceptibility
 from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork, subsample
-from newsnet.distances import FlowMatrix
 from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_FEATURES,
                               PATTERNS, STATIC_NAMES, FeatureExtractor, NodeTable,
                               dynamic_features, extract, extract_matrix, feature_index,
                               pattern_mask)
 from newsnet.triads import Triangles
-from newsnet.susceptibility import METHODS, History, fit_all
+from newsnet.susceptibility import METHODS, fit_all
 
 from oracles import brute_ego_delta, id_network, random_corpus, string_graph
 from oracles import dynamic_features as oracle_dynamic_features
@@ -75,7 +74,7 @@ def test_singleton_network_features():
     table = EngagementTable.from_records(
         {("n1", "u1"): 3, ("n2", "u2"): 1}, {"n1": "fake", "n2": "true"})
     ex = _extractor(graph, table)
-    vec = _vector(ex, fit_all(ex.history, {"n1", "n2"}, 0.5), "n1")
+    vec = _vector(ex, fit_all(ex.history, ex.graph.n_nodes, {"n1", "n2"}, 0.5), "n1")
     assert _value(vec, "n_spreaders") == 1.0
     assert _value(vec, "total_engagements") == 3.0
     assert _value(vec, "mean_engagements") == 3.0
@@ -90,7 +89,7 @@ def test_all_susceptible_triangle():
     table = EngagementTable.from_records(
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     ex = _extractor(graph, table)
-    vec = _vector(ex, fit_all(ex.history, {"n1"}, 0.5), "n1")
+    vec = _vector(ex, fit_all(ex.history, ex.graph.n_nodes, {"n1"}, 0.5), "n1")
     assert _value(vec, "ego_density") == 1.0  # 3 edges / C(3,2)
     assert _value(vec, "n_triad_c_sss_news") == 1.0
     assert _value(vec, "pct_susceptible_spreaders_news") == 1.0
@@ -128,7 +127,7 @@ def test_ego_and_delta_partitions_match_oracle():
         ex = _extractor(graph, table, seed=seed)
         training = table.news_ids()
         models = dict_fit_all(table, training, 0.5)
-        vectors = fit_all(ex.history, training, 0.5)
+        vectors = fit_all(ex.history, graph.n_nodes, training, 0.5)
         for news in training:
             net = id_network(graph.users, ex.networks[news])
             vec = _vector(ex, vectors, news)
@@ -266,7 +265,7 @@ def assert_block_equals_oracle(ex, training, theta):
     by-name assembly of the static block, the dict loops and the WL values."""
     models = dict_fit_all(ex.table, training, theta)
     table = ex.node_table
-    block = dynamic_features(table, fit_all(ex.history, training, theta))
+    block = dynamic_features(table, fit_all(ex.history, ex.graph.n_nodes, training, theta))
     assert block.shape == (len(ex.networks), len(DYNAMIC_NAMES))
     matrix = extract_matrix(ex, training, theta)
     assert np.isfinite(matrix.X).all()
@@ -373,7 +372,7 @@ def test_subsampled_extractor_fits_on_the_full_history(small_strong_extractor, m
     root, sampled = fitted
     for method in METHODS:
         assert [v.tolist() for v in sampled[method]] == [v.tolist() for v in root[method]]
-    own = fit(History(sub.networks, ex.graph.n_nodes), training, 0.5)
+    own = fit(NodeTable(sub.networks), ex.graph.n_nodes, training, 0.5)
     assert any(own[m][0].tolist() != root[m][0].tolist() for m in METHODS)
 
 
@@ -429,21 +428,24 @@ def test_networks_flows_and_table_hold_nodes_edges_and_flows_only_as_arrays(
     table = ex.node_table
     n = ex.graph.n_nodes
     per_user = [ex.global_comm, *ex.centralities.values()]
-    for scores, codes in fit_all(ex.history, ex.table.news_ids(), 0.5).values():
+    for scores, codes in fit_all(ex.history, n, ex.table.news_ids(), 0.5).values():
         per_user += [scores, codes]
     for values in per_user:
         assert isinstance(values, np.ndarray) and values.dtype.kind in "biuf"
         assert values.shape == (n,)
     assert table.triangles is table.triangles and table.identity_gram is not None
+    # the susceptibility history is the full networks' node table, also when subsampled
+    sub = ex.with_networks({n: subsample(net, "edges", 0.5, 1) for n, net in ex.networks.items()})
+    assert ex.history is ex.node_table and sub.history is ex.node_table
+    for lengths in list(ex.flows.values()) + list(sub.flows.values()):
+        assert isinstance(lengths, np.ndarray) and lengths.dtype == np.float64
+    assert [lengths.shape for lengths in ex.flows.values()] == [table.source.shape] * 2
     not_arrays = {
         DiffusionNetwork: {"news_id", "label"},
-        FlowMatrix: {"n_users"},
         NodeTable: {"h", "order", "labels", "triangles"},  # Triangles: checked too
         Triangles: set(),
-        History: {"news", "n_users"},
     }
-    objects = (list(ex.networks.values()) + list(ex.flows.values())
-               + [table, table.triangles, ex.history])
+    objects = list(ex.networks.values()) + [table, table.triangles]
     for obj in objects:
         fields = vars(obj)
         if dataclasses.is_dataclass(obj):

@@ -198,7 +198,8 @@ def test_planted_density_separates_classes(strong_extractor):
     """Dense fake cliques vs sparse true sets: fake targets prefer fake refs."""
     networks = strong_extractor.networks
     training = sorted(networks)
-    _, codes = fit(strong_extractor.history, training, "by_news", 0.5)
+    _, codes = fit(strong_extractor.history, strong_extractor.graph.n_nodes, training,
+                   "by_news", 0.5)
     table = strong_extractor.node_table
     index = SimilarityIndex(table, training, codes[table.rank].tolist())
     fake_margin = []
