@@ -146,6 +146,7 @@ def _shortest_paths(n, indptr, indices) -> tuple:
                 first[frontier] = unset
                 np.add.at(sigma, w, sigma[u])
                 back = _descending(queue, w.size - 1)
+                del fresh, at, queue
             else:
                 row_start[frontier] = ends - lens
                 todo = np.flatnonzero(dist < 0)
@@ -165,7 +166,9 @@ def _shortest_paths(n, indptr, indices) -> tuple:
                 frontier = w[group[order]]
                 order = order[::-1]
                 back = ranges(group[order], np.diff(group, append=w.size)[order])
+                del todo, e, hit, group, order
             dag.append((u[back], w[back]))
+            del u, w, back  # a level's temporaries must not live through the next
             dist[frontier] = len(dag)
         delta = np.zeros(dist.size)
         for u, w in reversed(dag):

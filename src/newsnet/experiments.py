@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import FAKE, TRUE
 from .features import (FARTHER_DISTANCE, DENSER_NETWORKS, FEATURE_REGISTRY,
-                       MORE_SPREADERS, PATTERNS, SIMILARITY, STRONGER_ENGAGEMENT,
+                       MORE_SPREADERS, PATTERNS, SIMILARITY, STATIC, STRONGER_ENGAGEMENT,
                        FeatureExtractor, FeatureMatrix, pattern_mask)
 from .diffusion import SUBSAMPLE_MODES, subsample
 from .ml.crossval import check_params, cross_validate, evaluate_masks
@@ -192,14 +192,25 @@ def run_ablation(extractor: FeatureExtractor, config: ExperimentConfig):
 
 
 def run_threshold_sweep(extractor: FeatureExtractor, config: ExperimentConfig):
-    """Re-extract per threshold; susceptibility-free subsets stay constant."""
+    """Re-extract per threshold and evaluate every subset.
+
+    A subset of static features only is θ-free: its fits see the same
+    columns, folds and seeds at every threshold, so it is evaluated at the
+    first threshold alone and its accuracy and F1 repeat at the others.
+    """
     masks = {name: pattern_mask(SUBSET_BY_NAME[name]) for name in config.sweep_subsets}
+    theta_free = {name for name, mask in masks.items()
+                  if all(FEATURE_REGISTRY[i - 1].block == STATIC for i in mask)}
     header = ("theta", "subset", "accuracy", "f1")
     rows = []
+    reports: dict = {}
     for theta in config.theta_grid:
-        reports = evaluate_masks(extractor, masks, classifier=config.classifier,
-                                 theta=theta, seed=config.seed,
-                                 params=config.classifier_params)
+        todo = {name: mask for name, mask in masks.items()
+                if name not in theta_free or name not in reports}
+        if todo:
+            reports.update(evaluate_masks(extractor, todo, classifier=config.classifier,
+                                          theta=theta, seed=config.seed,
+                                          params=config.classifier_params))
         for name in config.sweep_subsets:
             rows.append((theta, name, reports[name].accuracy, reports[name].f1))
     return header, rows

@@ -262,7 +262,7 @@ class NodeTable:
 
     @cached_property
     def identity_gram(self) -> np.ndarray:
-        return normalized_gram(self, self.rank.tolist())
+        return normalized_gram(self, self.rank)
 
 
 def _per_network(network, key, width: int, n: int, weights=None) -> np.ndarray:
@@ -460,7 +460,7 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
     vectors = susceptibility.fit_all(extractor.history, extractor.graph.n_nodes,
                                      training_news, theta)
     table = extractor.node_table
-    classes = vectors[BY_NEWS][1][table.rank].tolist()
+    classes = vectors[BY_NEWS][1][table.rank]
     sim_index = SimilarityIndex(table, training_news, classes)
     dynamic = dynamic_features(table, vectors)
     static = extractor.static_block

@@ -18,15 +18,19 @@ features, and computes them all in one array pass over the presorted
 columns. Running sums of w and w·y give the left-side row and fake counts
 at every sorted position. A cut lies after a present row (w > 0) whose value
 is strictly below the next present non-NaN value, and leaves at least
-`min_leaf` rows on each side. The threshold is the midpoint of those two
-values, or the upper one where the midpoint would not separate them (after
--inf, between neighbouring floats, or on overflow). The winner is the first
-minimum in (candidate feature, ascending value) order. The trees of a forest
-grow together: each step takes the next node in depth-first preorder from
-every unfinished tree and searches the batch in chunks of `_CHUNK` nodes,
-which bounds the n × chunk × k temporaries. The children's weights and counts
-of a chunk's splits come from one mask product, row sum and product with y,
-so the per-node loop makes no numpy call.
+`min_leaf` rows on each side. Only the cuts are scored: their flat
+positions index the counts, each cut's node totals come from its (node,
+candidate) row, and the weighted Ginis are scattered into an inf array, so
+no Gini is computed where a side could be empty (a third of the positions
+are cuts on the demo corpus). The threshold is the midpoint of the cut's
+two values, or the upper one where the midpoint would not separate them
+(after -inf, between neighbouring floats, or on overflow). The winner is the
+first minimum in (candidate feature, ascending value) order. The trees of a
+forest grow together: each step takes the next node in depth-first preorder
+from every unfinished tree and searches the batch in chunks of `_CHUNK`
+nodes, which bounds the n × chunk × k temporaries. The children's weights
+and counts of a chunk's splits come from one mask product, row sum and
+product with y, so the per-node loop makes no numpy call.
 
 Candidate features come from draw streams cached across fits. Tree t's
 split generator is seeded from (seed, t) alone, and the i-th node of that
@@ -41,10 +45,11 @@ The result is bit-identical to growing each tree recursively on a copy of its
 bootstrap rows (the reference in `tests/oracles.py`). A cut's counts depend
 only on the multiset of (value, label) pairs on each side, which the weights
 give as the same int64 values. The Gini and threshold use the same
-elementwise float formulas. The first minimum is the reference's "first
-strictly best" rule over sorted candidates. Each node takes the draw its
-tree's generator makes for it in the reference's depth-first preorder, so
-every candidate set is the same.
+elementwise float formulas on the same operands; an entry that is not a cut
+is inf whether or not its Gini was computed. The first minimum is the
+reference's "first strictly best" rule over sorted candidates. Each node
+takes the draw its tree's generator makes for it in the reference's
+depth-first preorder, so every candidate set is the same.
 """
 
 from __future__ import annotations
@@ -106,34 +111,38 @@ class _Presorted:
         W is (B, n) node weights and F (B, k) candidate features. A node
         without any cut gets Gini inf and feature -1.
         """
-        B = W.shape[0]
+        B, n = W.shape
         b = np.arange(B)
-        ws = W[b[:, None, None], self.order[F]]  # (B, k, n) in sorted order
+        ws = W.take(self.order[F] + (b * n)[:, None, None])  # (B, k, n) in sorted order
         vs = self.values[F]
         left_n = np.cumsum(ws, axis=2)
         left_pos = np.cumsum(ws * self.labels[F], axis=2)
         n_node = left_n[:, :, -1:]
-        right_n = n_node - left_n
-        right_pos = left_pos[:, :, -1:] - left_pos
         # value of the next present non-NaN row after each position (fmin
         # skips NaN), and the weight of the present non-NaN rows
         after = np.fmin.accumulate(np.where(ws > 0, vs, np.inf)[:, :, ::-1],
                                    axis=2)[:, :, ::-1]
         numbered = np.where(self.not_nan[F], ws, 0).sum(axis=2, keepdims=True)
-        left_n, left_pos = left_n[:, :, :-1], left_pos[:, :, :-1]
-        right_n, right_pos = right_n[:, :, :-1], right_pos[:, :, :-1]
+        head = left_n[:, :, :-1]
         here, after = vs[:, :, :-1], after[:, :, 1:]
-        cut = ((ws[:, :, :-1] > 0) & (here < after) & (left_n < numbered)
-               & (left_n >= min_leaf) & (right_n >= min_leaf))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_l = left_pos / left_n
-            p_r = right_pos / right_n
-            gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
-            gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
-            weighted = (left_n * gini_l + right_n * gini_r) / n_node
-        weighted = np.where(cut, weighted, np.inf).reshape(B, -1)
+        cut = ((ws[:, :, :-1] > 0) & (here < after) & (head < numbered)
+               & (head >= min_leaf) & (head <= n_node - min_leaf))
+        # the weighted Gini of the cuts only; both sides hold >= min_leaf >= 1 rows
+        idx = np.flatnonzero(cut)
+        node = idx // (n - 1)  # the (node, candidate) row of each cut
+        at = idx + node  # its position in the (B, k, n) arrays
+        total, total_pos = n_node.take(node), left_pos[:, :, -1].take(node)
+        left_n, left_pos = left_n.take(at), left_pos.take(at)
+        right_n, right_pos = total - left_n, total_pos - left_pos
+        p_l = left_pos / left_n
+        p_r = right_pos / right_n
+        gini_l = 1.0 - p_l ** 2 - (1.0 - p_l) ** 2
+        gini_r = 1.0 - p_r ** 2 - (1.0 - p_r) ** 2
+        weighted = np.full(cut.size, np.inf)
+        weighted[idx] = (left_n * gini_l + right_n * gini_r) / total
+        weighted = weighted.reshape(B, -1)
         best = weighted.argmin(axis=1)
-        j, i = np.divmod(best, here.shape[2])
+        j, i = np.divmod(best, n - 1)
         gini = weighted[b, best]
         lo, hi = here[b, j, i], after[b, j, i]
         with np.errstate(over="ignore", invalid="ignore"):

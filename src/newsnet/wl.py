@@ -7,21 +7,31 @@ the raw labels, and each later one relabels every node with (own label,
 sorted multiset of neighbor labels). The normalized kernel lies in [0, 1].
 
 `features.NodeTable` numbers every network's nodes once (news in sorted
-order, nodes sorted within a network) and holds their undirected adjacency;
-`normalized_gram` refines integers over it: a node's new label is
-`ids.setdefault((own, sorted neighbor labels), len(ids))`, with one fresh
-`ids` per iteration shared by all networks. Two nodes of any networks then
-share an iteration's label exactly when any injective relabelling, such as
-the string one `tests/oracles.py` keeps as the reference, gives them one.
-The identity labels are the nodes' graph ranks, which partition the nodes
-as the user ids do.
+order, nodes sorted within a network) and holds their undirected adjacency
+as one CSR. `normalized_gram` refines integers over it, all networks at
+once, with one array pass per iteration (`_refine`): it gathers every
+node's neighbour labels, maps each label to a random 64-bit value and takes
+each node's wrapping sum of them as differences of one uint64 `cumsum`, an
+order-free multiset hash (Clarke et al., ASIACRYPT 2003). Adding a second
+random value of the node's own label gives one key per (own label,
+neighbour multiset); one sort groups equal keys, and a node's new label is
+its group's index. Hashes can collide, so the grouping is checked exactly:
+every node's own label, degree and sorted neighbour labels (one sort of the
+flat keys node * n + label) must equal those of its group's first node. On
+a mismatch the values are redrawn from the next seed. Two nodes of any
+networks therefore share an iteration's label exactly when any injective
+relabelling, such as the dict and string ones `tests/oracles.py` keeps as
+references, gives them one, whichever values passed. The identity labels
+are the nodes' graph ranks, which partition the nodes as the user ids do.
 
 All pairwise values come from one Gram matrix per labelling: the sum over
 iterations of A_i A_iᵀ, with A_i the networks x labels count block of
 iteration i. It depends only on which nodes share a label within an
 iteration, and its entries are exact integer sums, so it is the same matrix
-for every injective relabelling. The normalization keeps Python's `** 0.5`,
-so each entry equals wl_kernel_normalized of the string signatures bit for bit.
+for every injective relabelling, and so are its bytes. The normalization
+keeps Python's `** 0.5`, so each entry equals wl_kernel_normalized of the
+string signatures bit for bit; the matrix is symmetric and x * y == y * x,
+so the square roots are taken over its nonzero upper triangle and mirrored.
 
 WLSignature, wl_kernel and wl_kernel_normalized are that pairwise reference.
 No package code calls them, but the benchmark's tracer counts
@@ -96,32 +106,74 @@ def _gram(network: np.ndarray, iterations, n: int) -> np.ndarray:
     return gram
 
 
+def _hash_values(size: int, attempt: int) -> np.ndarray:
+    """`size` random 64-bit values, drawn from seed `attempt`."""
+    return np.random.default_rng(attempt).integers(0, 1 << 64, size=size, dtype=np.uint64)
+
+
+def _refine(table, labels) -> list:
+    """Every node's label id at iterations 0..h, in node order: hashed
+    groups of (own label, neighbour multiset), checked exactly and redrawn
+    on a collision (see the module docstring)."""
+    ptr = table.neighbour_ptr
+    n = ptr.size - 1
+    degree = np.diff(ptr)
+    owner = np.repeat(np.arange(n), degree)  # the node of each neighbour slot
+    slot = np.arange(owner.size) - ptr[:-1][owner]  # its place in the node's row
+    current = np.unique(np.asarray(labels), return_inverse=True)[1]
+    iterations = [current]
+    attempt = 0
+    # neighbour values, then own-label values (labels are below n); from one
+    # table, x next to y and y next to x would collide under every draw
+    values = _hash_values(2 * n, attempt)
+    for _ in range(table.h):
+        gathered = current[table.neighbours]
+        # each node's neighbour labels ascending; keys below n * n, inside
+        # int64 for any table of fewer than 3e9 nodes
+        offset = owner * n
+        ascending = np.sort(offset + gathered) - offset
+        while True:
+            sums = np.zeros(gathered.size + 1, dtype=np.uint64)
+            np.cumsum(values[gathered], out=sums[1:])
+            hashed = sums[ptr[1:]] - sums[ptr[:-1]] + values[n:][current]
+            order = np.argsort(hashed)
+            ranked = hashed[order]
+            starts = np.ones(n, dtype=bool)
+            np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+            group = np.empty(n, dtype=np.int64)
+            group[order] = np.cumsum(starts) - 1
+            first = order[starts][group]
+            if (np.array_equal(current[first], current)
+                    and np.array_equal(degree[first], degree)
+                    and np.array_equal(ascending[ptr[first][owner] + slot], ascending)):
+                break
+            attempt += 1
+            values = _hash_values(2 * n, attempt)
+        current = group
+        iterations.append(current)
+    return iterations
+
+
 def normalized_gram(table, labels) -> np.ndarray:
     """wl_kernel_normalized between every pair of a node table's networks.
 
     `table` is a `features.NodeTable`, which fixes the node numbering, the
     undirected adjacency and h; `labels` holds every node's raw label, in
-    node order. Entries follow `table.order` and equal the pairwise
-    function's value bit for bit: the square root is Python's float `** 0.5`
-    (libm pow), which differs from np.sqrt in the last place on some
-    products.
+    node order (an array or a list of any values numpy can sort). Entries
+    follow `table.order` and equal the pairwise function's value bit for
+    bit: the square root is Python's float `** 0.5` (libm pow), which differs
+    from np.sqrt in the last place on some products. The Gram matrix is
+    symmetric and x * y == y * x, so only its nonzero upper triangle is
+    normalized, then mirrored.
     """
-    flat, bounds = table.neighbours.tolist(), table.neighbour_ptr.tolist()
-    neighbours = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-    ids: dict = {}
-    current = [ids.setdefault(label, len(ids)) for label in labels]
-    iterations = [current]
-    for _ in range(table.h):
-        previous, ids = current, {}
-        current = [ids.setdefault((own, tuple(sorted([previous[u] for u in adjacent]))),
-                                  len(ids))
-                   for own, adjacent in zip(previous, neighbours)]
-        iterations.append(current)
-    gram = _gram(table.network, iterations, len(table.order))
+    gram = _gram(table.network, _refine(table, labels), len(table.order))
+    i, j = np.nonzero(np.triu(gram))
     diag = np.diag(gram)
-    roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
-    root = np.array(roots).reshape(gram.shape)
-    return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
+    roots = [x ** 0.5 for x in (diag[i] * diag[j]).tolist()]
+    out = np.zeros_like(gram)
+    out[i, j] = gram[i, j] / np.array(roots)
+    out[j, i] = out[i, j]
+    return out
 
 
 class SimilarityIndex:

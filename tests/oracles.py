@@ -7,7 +7,8 @@ set partitions, the pure-Python centrality loops the array code in
 per-source BFS and heap Dijkstra the all-sources array relaxation in
 `newsnet.distances` replaced, the WL signatures by string relabelling
 through one shared dictionary and the pairwise similarity loops over them that the integer refinement and Gram
-matrices in `newsnet.wl` replaced, the recursive per-node tree growth the
+matrices in `newsnet.wl` replaced, the dict refinement its hashed array
+refinement replaced, the recursive per-node tree growth the
 presorted batched grower in `newsnet.ml.forest` replaced, the per-network
 dict loops (susceptibility classes, engagement and edge partitions, triad
 census, the static block) that the array blocks in `newsnet.features`
@@ -18,8 +19,9 @@ that the rank arrays of `newsnet.distances`, `newsnet.triads` and
 candidate communities in sorted order that `newsnet.louvain` replaced.
 Networks are walked as `IdNetwork`s, sets of user ids read back from the
 package's rank arrays, and per-rank arrays as {user id: value} dicts
-(`by_id`). Apart from the pairwise WL kernel and the Louvain levels'
-bookkeeping, these paths share no code with the package internals.
+(`by_id`). Apart from the pairwise WL kernel, the WL Gram product the dict
+refinement feeds and the Louvain levels' bookkeeping, these paths share no
+code with the package internals.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NOR
 from newsnet.louvain import MIN_GAIN, _Level
 from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES
 from newsnet.util import derive_seed
-from newsnet.wl import WLSignature, wl_kernel_normalized
+from newsnet.wl import WLSignature, _gram, wl_kernel_normalized
 
 IDENTITY = "identity"
 SUSCEPTIBILITY_CLASS = "susceptibility_class"
@@ -193,6 +195,50 @@ def string_normalized_gram(networks: dict, scheme: str, model=None, h: int = 3):
             for news in sorted(networks)]
     return np.array([[wl_kernel_normalized(a, b) for b in sigs]
                      for a in sigs]).reshape(len(sigs), len(sigs))
+
+
+def dict_refinement(table: NodeTable, labels) -> list:
+    """Every node's WL label id at iterations 0..h, by dict compression.
+
+    A node's next label is `ids.setdefault((own, sorted neighbour labels),
+    len(ids))`, with one fresh `ids` per iteration shared by all of the
+    table's networks: the refinement `newsnet.wl` ran before it hashed
+    neighbour multisets on arrays.
+    """
+    flat, bounds = table.neighbours.tolist(), table.neighbour_ptr.tolist()
+    neighbours = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    ids: dict = {}
+    current = [ids.setdefault(label, len(ids)) for label in np.asarray(labels).tolist()]
+    iterations = [current]
+    for _ in range(table.h):
+        previous, ids = current, {}
+        current = [ids.setdefault((own, tuple(sorted([previous[u] for u in adjacent]))),
+                                  len(ids))
+                   for own, adjacent in zip(previous, neighbours)]
+        iterations.append(current)
+    return iterations
+
+
+def dict_normalized_gram(table: NodeTable, labels) -> np.ndarray:
+    """The normalized Gram matrix of `dict_refinement`'s labels: every one of
+    the n x n products takes Python's `** 0.5`, as before the package
+    normalized half of them."""
+    gram = _gram(table.network, dict_refinement(table, labels), len(table.order))
+    diag = np.diag(gram)
+    roots = [x ** 0.5 for x in np.outer(diag, diag).ravel().tolist()]
+    root = np.array(roots).reshape(gram.shape)
+    return np.divide(gram, root, out=np.zeros_like(gram), where=gram != 0.0)
+
+
+def same_partition(a, b) -> bool:
+    """Whether two labellings of the same nodes group them alike."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if a.size != b.size:
+        return False
+    if not a.size:
+        return True
+    pairs = np.unique(a * (int(b.max()) + 1) + b).size
+    return pairs == np.unique(a).size == np.unique(b).size
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@ import pickle
 import pytest
 
 from newsnet import experiments, features
-from newsnet.experiments import (ABLATION_SUBSETS, ConfigError, ExperimentConfig,
-                                 feature_class_stats, run_ablation,
+from newsnet.experiments import (ABLATION_SUBSETS, SUBSET_BY_NAME, ConfigError,
+                                 ExperimentConfig, feature_class_stats, run_ablation,
                                  run_early_detection, run_sampling_study,
                                  run_threshold_sweep)
-from newsnet.features import extract_matrix, feature_index, pattern_mask
-from newsnet.ml.crossval import cross_validate
+from newsnet.features import FEATURE_REGISTRY, STATIC, extract_matrix, feature_index, pattern_mask
+from newsnet.ml import crossval
+from newsnet.ml.crossval import N_FOLDS, cross_validate, evaluate_masks
 from newsnet.util import write_csv
 
 
@@ -54,6 +55,33 @@ def test_threshold_sweep_distance_subset_constant(small_strong_extractor):
     fd = [(r[2], r[3]) for r in rows if r[1] == "farther_distance"]
     assert len(fd) == 3
     assert all(pair == fd[0] for pair in fd)  # exact equality across theta
+
+
+def test_threshold_sweep_equals_a_per_theta_loop(monkeypatch, small_strong_extractor):
+    # Every row equals evaluating every subset at its own threshold, and the
+    # subset of static features only is fitted once per fold, not per threshold.
+    ex = small_strong_extractor
+    config = _config(sweep_subsets=("more_spreaders", "farther_distance", "all_patterns"))
+    masks = {name: pattern_mask(SUBSET_BY_NAME[name]) for name in config.sweep_subsets}
+    static = {name for name, mask in masks.items()
+              if all(FEATURE_REGISTRY[i - 1].block == STATIC for i in mask)}
+    assert static == {"farther_distance"}
+    expected = []
+    for theta in config.theta_grid:
+        reports = evaluate_masks(ex, masks, classifier=config.classifier, theta=theta,
+                                 seed=config.seed, params=config.classifier_params)
+        expected += [(theta, name, reports[name].accuracy, reports[name].f1)
+                     for name in config.sweep_subsets]
+    widths = {len(mask): name for name, mask in masks.items()}
+    assert len(widths) == len(masks)
+    fitted = []
+    fit = crossval.fit_classifier
+    monkeypatch.setattr(crossval, "fit_classifier", lambda kind, X, y, **kw: (
+        fitted.append(widths[X.shape[1]]) or fit(kind, X, y, **kw)))
+    assert run_threshold_sweep(ex, config)[1] == expected
+    per_theta = N_FOLDS * len(config.theta_grid)
+    assert {name: fitted.count(name) for name in masks} == {
+        "more_spreaders": per_theta, "farther_distance": N_FOLDS, "all_patterns": per_theta}
 
 
 def test_theta_boundary_degeneracy(small_strong_extractor):

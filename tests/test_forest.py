@@ -14,10 +14,10 @@ from newsnet.experiments import DEFAULT_SWEEP_SUBSETS, SUBSET_BY_NAME
 from newsnet.features import extract_matrix, pattern_mask
 from newsnet.ml.crossval import encode_labels, fit_classifier, stratified_folds
 from newsnet.ml.forest import (DecisionTreeClassifier, RandomForestClassifier, _draws,
-                               _roots)
+                               _Presorted, _roots)
 from newsnet.util import derive_seed
 
-from oracles import ReferenceDecisionTree, ReferenceRandomForest, _Leaf
+from oracles import ReferenceDecisionTree, ReferenceRandomForest, _gini_best_split, _Leaf
 
 KINDS = ("ties", "continuous", "inf", "nan")
 FOREST_CASES = (
@@ -242,3 +242,66 @@ def test_property_forest_equals_reference(problem):
     fast = RandomForestClassifier(**params).fit(X, y)
     ref = ReferenceRandomForest(**params).fit(X, y)
     assert_same_forest(fast, ref, X)
+
+
+def degenerate_matrix(kind, seed):
+    """Seeded (X, y, min_leaf) where few or no cuts are valid, both classes present."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(4, 24)), int(rng.integers(1, 6))
+    X = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    min_leaf = 1
+    if kind == "constant":  # every column holds one value
+        X[:] = rng.normal(size=d)
+    elif kind == "no_cut":  # one row apart per column: min_leaf 2 keeps it there
+        # unless a bootstrap repeats it
+        X[:] = 0.0
+        X[rng.integers(0, n, size=d), np.arange(d)] = 1.0
+        min_leaf = 2
+    elif kind == "nan_columns":  # whole NaN columns next to partly NaN ones
+        X[:, rng.random(d) < 0.5] = np.nan
+        X[rng.random(X.shape) < 0.3] = np.nan
+    elif kind == "half_leaf":  # only cuts at the middle are valid
+        X = rng.normal(size=(n, d)).round(1)
+        min_leaf = n // 2
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    return X, y, min_leaf
+
+
+DEGENERATE = ("constant", "no_cut", "nan_columns", "half_leaf")
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+@pytest.mark.parametrize("seed", range(10))
+def test_best_splits_equal_the_recursive_oracle(kind, seed):
+    # Every node's first best (Gini, feature, threshold) equals the oracle's
+    # search over that node's rows, one per unit of weight, whether no cut,
+    # a few cuts or all of them are valid.
+    X, y, min_leaf = degenerate_matrix(kind, seed)
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    W = np.vstack([np.ones(n, dtype=np.int64),
+                   rng.multinomial(n, np.full(n, 1.0 / n), size=3),
+                   rng.integers(0, 2, size=(3, n))])
+    F = np.sort(np.argsort(rng.random((len(W), d)), axis=1)[:, :max(1, d - 1)], axis=1)
+    ginis, features, thresholds = _Presorted(X, y).best_splits(W, F, min_leaf)
+    for w, f, gini, feature, threshold in zip(W, F, ginis, features, thresholds):
+        rows = np.repeat(np.arange(n), w)
+        want = _gini_best_split(X, y, rows, f.tolist(), min_leaf)
+        assert (float(gini), int(feature)) == want[:2]
+        if feature >= 0:
+            assert float(threshold).hex() == want[2].hex()
+        if kind == "constant" or (kind == "no_cut" and w.max() <= 1):
+            assert feature == -1 and gini == np.inf
+
+
+@pytest.mark.parametrize("kind", DEGENERATE)
+@pytest.mark.parametrize("seed", range(5))
+def test_forest_on_degenerate_columns_equals_reference(kind, seed):
+    X, y, min_leaf = degenerate_matrix(kind, seed)
+    for params in ({"min_leaf": min_leaf}, {"min_leaf": min_leaf, "bootstrap": False}):
+        params = dict(params, n_trees=8, seed=seed)
+        fast = RandomForestClassifier(**params).fit(X, y)
+        assert_same_forest(fast, ReferenceRandomForest(**params).fit(X, y), X)
+    fast = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
+    assert_same_tree(fast, ReferenceDecisionTree(min_leaf=min_leaf).fit(X, y), X)

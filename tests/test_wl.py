@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -5,15 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsnet.diffusion import build_all_networks
+from newsnet import wl
+from newsnet.diffusion import SUBSAMPLE_MODES, DiffusionNetwork, build_all_networks, subsample
 from newsnet.features import NodeTable, extract_matrix
 from newsnet.ml.crossval import stratified_folds
-from newsnet.susceptibility import NORMAL, SUSCEPTIBLE, fit
+from newsnet.susceptibility import BY_NEWS, NORMAL, SUSCEPTIBLE, fit, fit_all
+from newsnet.util import derive_seed
 from newsnet.wl import SimilarityIndex, normalized_gram, wl_kernel, wl_kernel_normalized
 
 from oracles import (IDENTITY, SUSCEPTIBILITY_CLASS, LabeledGraph, PairwiseSimilarityIndex,
-                     WLDictionary, id_networks, labeled_graph, make_network, random_corpus,
-                     rank_networks, similarity_features, string_normalized_gram, wl_signature)
+                     WLDictionary, dict_normalized_gram, dict_refinement, id_networks,
+                     labeled_graph, make_network, random_corpus, rank_networks,
+                     same_partition, similarity_features, string_normalized_gram,
+                     wl_signature)
 from oracles import fit as dict_fit
 
 
@@ -392,3 +397,165 @@ def test_property_order_preserving_relabel(corpus, stride):
     after = _index(renamed, training, renamed_model, h)
     for news in sorted(networks):
         assert before.features(news) == after.features(news)
+
+
+def assert_refinement_equals_dict_oracle(table, labels):
+    """Each iteration groups the nodes as the dict refinement does, and the
+    normalized Gram matrix equals the dict oracle's, which takes `** 0.5` of
+    all n x n products."""
+    fast = wl._refine(table, labels)
+    slow = dict_refinement(table, labels)
+    assert len(fast) == len(slow) == table.h + 1
+    for ours, theirs in zip(fast, slow):
+        assert same_partition(ours, theirs)
+    assert np.array_equal(normalized_gram(table, labels), dict_normalized_gram(table, labels))
+
+
+def _corpus_variants(seed):
+    """random_corpus(seed)'s whole rank networks and node- and
+    edge-subsampled copies, with every user's class code fit on the whole
+    networks."""
+    graph, engagements = random_corpus(seed)
+    networks = build_all_networks(graph, engagements)
+    news = sorted(networks)
+    training = [n for i, n in enumerate(news) if i % 3 != 0]
+    codes = fit_all(NodeTable(networks), graph.n_nodes, training, 0.5)[BY_NEWS][1]
+    variants = [networks] + [
+        {n: subsample(networks[n], mode, 0.5, derive_seed(seed, mode, n)) for n in news}
+        for mode in SUBSAMPLE_MODES]
+    return variants, codes
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_refinement_equals_dict_oracle_on_random_corpora(seed):
+    variants, codes = _corpus_variants(seed)
+    for networks in variants:
+        for h in (0, 1, 3):
+            table = NodeTable(networks, h)
+            assert_refinement_equals_dict_oracle(table, table.rank)
+            assert_refinement_equals_dict_oracle(table, codes[table.rank])
+
+
+def test_refinement_equals_dict_oracle_on_synthetic_corpus(strong_extractor):
+    table = strong_extractor.node_table
+    assert_refinement_equals_dict_oracle(table, table.rank)
+    assert_refinement_equals_dict_oracle(table, table.rank % 3)
+
+
+def test_refinement_with_isolated_nodes_and_an_empty_table():
+    networks = {
+        "n1": _net("n1", [("a", "b")], nodes={"a", "b", "c", "d"}),
+        "n2": _net("n2", [], nodes={"c", "d"}, label="true"),
+        "n3": _net("n3", [], nodes=set(), label="true"),
+    }
+    for h in (0, 1, 3):
+        table = _table(networks, h)
+        assert_refinement_equals_dict_oracle(table, table.rank)
+        assert_refinement_equals_dict_oracle(table, ["x", "y", "x", "x", "y", "y"])
+        empty = NodeTable({}, h)
+        assert [x.size for x in wl._refine(empty, empty.rank)] == [0] * (h + 1)
+        assert normalized_gram(empty, empty.rank).shape == (0, 0)
+        assert_refinement_equals_dict_oracle(empty, empty.rank)
+
+
+def _halves(neighbours, own):
+    """A value table whose first half (the neighbour values) and second half
+    (the own-label values) come from the two given functions of a size."""
+    return lambda size: np.concatenate([neighbours(size // 2), own(size // 2)])
+
+
+_ZEROS = functools.partial(np.zeros, dtype=np.uint64)
+_COUNT = functools.partial(np.arange, dtype=np.uint64)
+
+
+# Value tables under which many different signatures collide in the first
+# iteration: all values equal, equal neighbour values, equal own-label values,
+# and three values throughout.
+@pytest.mark.parametrize("few", [_ZEROS, _halves(_ZEROS, _COUNT), _halves(_COUNT, _ZEROS),
+                                 lambda size: np.arange(size, dtype=np.uint64) % 3],
+                         ids=["equal", "equal_neighbours", "equal_own", "mod3"])
+def test_hash_collisions_are_caught_and_redrawn(monkeypatch, small_strong_extractor, few):
+    # The exact check must see the collision and redraw, and the redrawn
+    # values must give the dict oracle's partition and the same Gram.
+    table = small_strong_extractor.node_table
+    classes = table.rank % 2
+    expected = [normalized_gram(table, labels) for labels in (table.rank, classes)]
+    draw = wl._hash_values
+    attempts = []
+
+    def collide_first(size, attempt):
+        attempts.append(attempt)
+        return few(size) if attempt == 0 else draw(size, attempt)
+
+    monkeypatch.setattr(wl, "_hash_values", collide_first)
+    for labels, gram in zip((table.rank, classes), expected):
+        attempts.clear()
+        assert np.array_equal(normalized_gram(table, labels), gram)
+        assert attempts == [0, 1]
+        attempts.clear()
+        assert_refinement_equals_dict_oracle(table, labels)  # refines twice
+        assert attempts == [0, 1, 0, 1]
+
+
+# Hand-made collisions that only one part of the exact check can tell apart,
+# as (edges, labels in node order, the first value table): the neighbour
+# values come first, then the own-label values, indexed by sorted label.
+CHECK_CASES = {
+    # a's neighbour labels (p, q) and b's (r, r) have equal sums
+    "sorted_labels": ([("a", "c"), ("a", "d"), ("b", "e"), ("b", "f")],
+                      ["s", "s", "p", "q", "r", "r"],
+                      [1, 3, 2, 10, 0, 0, 100, 200, 300, 400, 0, 0]),
+    # z's neighbour labels (p) are a prefix of a's (p, q), and q's value is
+    # 0; z's row is the last, so a read of a's length from it runs past the end
+    "degree": ([("a", "c"), ("a", "d"), ("z", "c")], ["s", "p", "q", "s"],
+               [5, 0, 7, 0, 100, 200, 300, 0]),
+    # a and b have the same neighbour and equal own-label values
+    "own_label": ([("a", "c"), ("b", "c")], ["s", "t", "p"], [5, 7, 9, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_each_part_of_the_check_catches_its_collision(monkeypatch, case):
+    edges, labels, values = CHECK_CASES[case]
+    table = _table({"n1": _net("n1", edges)}, 1)
+    draw = wl._hash_values
+    attempts = []
+
+    def collide_first(size, attempt):
+        attempts.append(attempt)
+        return np.array(values, dtype=np.uint64) if attempt == 0 else draw(size, attempt)
+
+    monkeypatch.setattr(wl, "_hash_values", collide_first)
+    first = wl._refine(table, labels)[1]
+    assert attempts == [0, 1]
+    assert same_partition(first, dict_refinement(table, labels)[1])
+
+
+def test_distinct_values_draw_once(monkeypatch, small_strong_extractor):
+    table = small_strong_extractor.node_table
+    draw = wl._hash_values
+    attempts = []
+    monkeypatch.setattr(wl, "_hash_values",
+                        lambda size, attempt: attempts.append(attempt) or draw(size, attempt))
+    wl._refine(table, table.rank)
+    assert attempts == [0]
+
+
+def test_refinement_keys_at_the_target_shape():
+    # The check sorts keys node * n + label over a table of n nodes, labels
+    # below n. The real benchmark has about 24k users; even if every user
+    # spread each of 10k stories, the keys stay inside int64.
+    n = 24_000 * 10_000
+    assert (n - 1) * n + (n - 1) < 2 ** 63
+    # and past 2**31 the sorted keys keep every node's labels: 60k nodes in
+    # 600 paths of 100 distinct users, so node * n reaches 3.6e9
+    networks = {}
+    for t in range(600):
+        ranks = np.arange(100 * t, 100 * t + 100, dtype=np.int64)
+        edges = np.column_stack([np.arange(99), np.arange(1, 100)]).astype(np.int64)
+        networks[f"n{t:03d}"] = DiffusionNetwork(f"n{t:03d}", "fake" if t % 2 else "true",
+                                                 ranks, np.ones(100, dtype=np.int64), edges)
+    table = NodeTable(networks, 1)
+    assert table.network.size ** 2 > 2 ** 31
+    assert_refinement_equals_dict_oracle(table, table.rank)
+    assert_refinement_equals_dict_oracle(table, table.position % 7)
