@@ -34,7 +34,7 @@ import json
 import logging
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -196,12 +196,6 @@ class EngagementTable:
     def n_records(self) -> int:
         return sum(len(by_user) for by_user in self.counts.values())
 
-    def spreaders(self, news_id) -> dict:
-        return self.counts[news_id]
-
-    def label(self, news_id) -> str:
-        return self.labels[news_id]
-
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -213,14 +207,7 @@ class CorpusStats:
     n_true: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_follow_edges": self.n_follow_edges,
-            "n_engagement_records": self.n_engagement_records,
-            "n_news": self.n_news,
-            "n_fake": self.n_fake,
-            "n_true": self.n_true,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -263,7 +250,8 @@ def load_corpus(edges_path, engagements_path, labels_path):
 
     Returns (SocialGraph, EngagementTable). Self-loops and duplicate follow
     edges are dropped (counted in the log); all other violations raise
-    CorpusError.
+    CorpusError. Engagement rows are checked once and summed into the table
+    as they are read.
     """
     edges_name = Path(edges_path).name
     engage_name = Path(engagements_path).name
@@ -294,7 +282,7 @@ def load_corpus(edges_path, engagements_path, labels_path):
                               file=labels_name, line=lineno)
         labels[news] = label
 
-    records: dict = {}
+    counts: dict = {news: {} for news in labels}
     for lineno, (news, user, count) in _read_rows(engagements_path,
                                                   ("news_id", "user_id", "count")):
         try:
@@ -311,11 +299,9 @@ def load_corpus(edges_path, engagements_path, labels_path):
         if user not in ids:
             raise CorpusError(f"engagement references unknown user {user!r}",
                               file=engage_name, line=lineno)
-        key = (news, user)
-        records[key] = records.get(key, 0) + value  # shard-merge by summation
-
-    table = EngagementTable.from_records(records, labels)
-    return graph, table
+        by_user = counts[news]
+        by_user[user] = by_user.get(user, 0) + value  # shard-merge by summation
+    return graph, EngagementTable(counts=counts, labels=labels)
 
 
 def save_corpus(graph: SocialGraph, table: EngagementTable,

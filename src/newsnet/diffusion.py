@@ -47,7 +47,7 @@ def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> Diffus
     """Induce the diffusion network of one news story from the social graph."""
     if news_id not in table.labels:
         raise KeyError(f"unknown news id {news_id!r}")
-    spreaders = table.spreaders(news_id)
+    spreaders = table.counts[news_id]
     users = sorted(spreaders)
     ranks = graph.ranks(users)
     if (ranks < 0).any():
@@ -58,7 +58,7 @@ def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> Diffus
     at, kept = find(ranks, dst)
     return DiffusionNetwork(
         news_id=news_id,
-        label=table.label(news_id),
+        label=table.labels[news_id],
         ranks=ranks,
         counts=np.array([spreaders[user] for user in users], dtype=np.int64),
         edges=np.column_stack([np.searchsorted(ranks, src[kept]), at[kept]]),

@@ -35,17 +35,17 @@ MIN_GAIN = 1e-7
 class _Level:
     """One aggregation level: adjacency with self-loops, community bookkeeping.
 
-    Edge i joins nodes lows[i] and highs[i] with weight weights[i]. Every
-    weight is a sum of 1.0s, an integer below 2**53, so the degrees `k` are
-    exact sums whatever order their edges are added in.
+    Edge i joins nodes lows[i] and highs[i] with int weight weights[i], a
+    count of symmetrized pairs, so the degrees `k`, self-loop weights and
+    community totals are exact int sums at any scale and in any order.
     """
 
     def __init__(self, n, lows, highs, weights):
         self.n = n
         self.adj = [dict() for _ in range(n)]
-        self.self_w = [0.0] * n
-        self.k = k = [0.0] * n
-        m = 0.0
+        self.self_w = [0] * n
+        self.k = k = [0] * n
+        m = 0
         for u, v, w in zip(lows, highs, weights):
             m += w
             k[u] += w
@@ -53,8 +53,8 @@ class _Level:
             if u == v:
                 self.self_w[u] += w
             else:
-                self.adj[u][v] = self.adj[u].get(v, 0.0) + w
-                self.adj[v][u] = self.adj[v].get(u, 0.0) + w
+                self.adj[u][v] = self.adj[u].get(v, 0) + w
+                self.adj[v][u] = self.adj[v].get(u, 0) + w
         self.m = m
         self.com = list(range(n))
         self.com_tot = list(self.k)
@@ -80,9 +80,9 @@ class _Level:
         two_m = 2.0 * self.m
         for i in order:
             old, k_i = com[i], k[i]
-            neigh = {old: 0.0}
+            neigh = {old: 0}
             for j, w in adj[i].items():
-                neigh[com[j]] = neigh.get(com[j], 0.0) + w
+                neigh[com[j]] = neigh.get(com[j], 0) + w
             # detach i before evaluating gains
             com_tot[old] -= k_i
             com_in[old] -= neigh[old] + self_w[i]
@@ -127,25 +127,26 @@ class _Level:
             ci = partition[i]
             if self.self_w[i]:
                 key = (ci, ci)
-                edges[key] = edges.get(key, 0.0) + self.self_w[i]
+                edges[key] = edges.get(key, 0) + self.self_w[i]
             for j, w in self.adj[i].items():
                 if i < j:
                     a, b = partition[i], partition[j]
                     key = (a, b) if a <= b else (b, a)
-                    edges[key] = edges.get(key, 0.0) + w
+                    edges[key] = edges.get(key, 0) + w
         pairs = sorted(edges)
         return [a for a, _ in pairs], [b for _, b in pairs], [edges[pair] for pair in pairs]
 
 
-def communities(n, lows, highs, weights, seed: int) -> list:
-    """Louvain over the nodes 0..n-1: each node's community, numbered by first
-    appearance over the nodes; nodes without edges end up as singletons."""
+def communities(n, lows, highs, seed: int) -> list:
+    """Louvain over the nodes 0..n-1 and the unit edges (lows[i], highs[i]): each
+    node's community, numbered by first appearance; edgeless nodes stay singletons."""
     if not n:
         raise ValueError("louvain requires a nonempty node set")
     assignment = list(range(n))  # original node -> community label
     level_n = n
     best_q = None
     level_no = 0
+    weights = [1] * len(lows)
     while True:
         level = _Level(level_n, lows, highs, weights)
         level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
@@ -182,7 +183,7 @@ def global_communities(graph, seed: int) -> np.ndarray:
     """
     n = graph.n_nodes
     lows, highs = _pairs(graph.sources(), graph.indices, n)
-    return np.array(communities(n, lows, highs, [1.0] * len(lows), seed), dtype=np.int64)
+    return np.array(communities(n, lows, highs, seed), dtype=np.int64)
 
 
 def local_communities(network, seed: int) -> int:
@@ -193,4 +194,4 @@ def local_communities(network, seed: int) -> int:
     """
     n = network.n_nodes
     lows, highs = _pairs(network.edges[:, 0], network.edges[:, 1], n)
-    return len(set(communities(n, lows, highs, [1.0] * len(lows), seed)))
+    return len(set(communities(n, lows, highs, seed)))

@@ -18,7 +18,9 @@ features, and computes them all in one array pass over the presorted
 columns. Running sums of w and w·y give the left-side row and fake counts
 at every sorted position. A cut lies after a present row (w > 0) whose value
 is strictly below the next present non-NaN value, and leaves at least
-`min_leaf` rows on each side. Only the cuts are scored: their flat
+`min_leaf` rows on each side. A reversed `np.fmin` scan gives that next
+value; it skips NaN, so it is NaN, and fails the test, where only NaN rows
+(sorted last) follow. Only the cuts are scored: their flat
 positions index the counts, each cut's node totals come from its (node,
 candidate) row, and the weighted Ginis are scattered into an inf array, so
 no Gini is computed where a side could be empty (a third of the positions
@@ -103,7 +105,6 @@ class _Presorted:
         self.order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
         self.values = X.T[np.arange(d)[:, None], self.order]
         self.labels = y[self.order]
-        self.not_nan = ~np.isnan(self.values)
 
     def best_splits(self, W, F, min_leaf):
         """First best (weighted Gini, feature, threshold) of each node.
@@ -118,14 +119,12 @@ class _Presorted:
         left_n = np.cumsum(ws, axis=2)
         left_pos = np.cumsum(ws * self.labels[F], axis=2)
         n_node = left_n[:, :, -1:]
-        # value of the next present non-NaN row after each position (fmin
-        # skips NaN), and the weight of the present non-NaN rows
-        after = np.fmin.accumulate(np.where(ws > 0, vs, np.inf)[:, :, ::-1],
+        # the next present non-NaN value after each position, NaN if none
+        after = np.fmin.accumulate(np.where(ws > 0, vs, np.nan)[:, :, ::-1],
                                    axis=2)[:, :, ::-1]
-        numbered = np.where(self.not_nan[F], ws, 0).sum(axis=2, keepdims=True)
         head = left_n[:, :, :-1]
         here, after = vs[:, :, :-1], after[:, :, 1:]
-        cut = ((ws[:, :, :-1] > 0) & (here < after) & (head < numbered)
+        cut = ((ws[:, :, :-1] > 0) & (here < after)
                & (head >= min_leaf) & (head <= n_node - min_leaf))
         # the weighted Gini of the cuts only; both sides hold >= min_leaf >= 1 rows
         idx = np.flatnonzero(cut)

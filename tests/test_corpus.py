@@ -167,11 +167,14 @@ def test_from_edges_errors():
     ([("n9", "u1", "1")], "unlabeled news"),
 ])
 def test_malformed_engagements_raise(tmp_path, rows, expected):
-    paths = write_corpus_files(tmp_path, [("u1", "u2")], rows, [("n1", "fake")])
+    # the bad row comes after good ones, one of them a duplicate to be summed
+    good = [("n1", "u1", "1"), ("n1", "u2", "2"), ("n1", "u1", "3")]
+    paths = write_corpus_files(tmp_path, [("u1", "u2")], good + rows + good,
+                               [("n1", "fake")])
     with pytest.raises(CorpusError) as err:
         load_corpus(*paths)
     assert expected in str(err.value)
-    assert ":2:" in str(err.value)  # line number reported
+    assert "engagements.csv:5:" in str(err.value)  # line number reported
 
 
 def test_conflicting_label_raises(tmp_path):
@@ -225,6 +228,30 @@ def test_property_save_then_load_is_the_identity(tmp_path, seed):
     assert string_graph(graph2).nodes == endpoints
     assert table2.counts == table.counts
     assert table2.labels == table.labels
+
+
+def _records(table) -> dict:
+    return {(news, user): count for news, by_user in table.counts.items()
+            for user, count in by_user.items()}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_loaded_table_equals_from_records(tmp_path, seed):
+    # load_corpus checks and sums rows as it reads them; the table is the one
+    # from_records builds from the same records, also when each count is
+    # split over two rows
+    corpus = generate(SyntheticSpec(n_users=40, news_per_class=5, seed=seed))
+    write_corpus(corpus, tmp_path)
+    paths = (tmp_path / "edges.csv", tmp_path / "engagements.csv", tmp_path / "labels.csv")
+    records = _records(corpus.table)
+    expected = EngagementTable.from_records(records, corpus.table.labels)
+    assert load_corpus(*paths)[1] == expected
+    rows = [(news, user, part) for (news, user), count in records.items()
+            for part in ([count] if count == 1 else [1, count - 1])]
+    np.random.default_rng(seed).shuffle(rows)
+    paths[1].write_text("news_id,user_id,count\n"
+                        + "".join(f"{n},{u},{c}\n" for n, u, c in rows))
+    assert load_corpus(*paths)[1] == expected
 
 
 def test_save_rejects_a_spreader_without_follow_edges(tmp_path):

@@ -305,3 +305,41 @@ def test_forest_on_degenerate_columns_equals_reference(kind, seed):
         assert_same_forest(fast, ReferenceRandomForest(**params).fit(X, y), X)
     fast = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
     assert_same_tree(fast, ReferenceDecisionTree(min_leaf=min_leaf).fit(X, y), X)
+
+
+NAN, INF = np.nan, np.inf
+# Columns where a cut next to NaN or inf is valid or not, as (X, y): the
+# next-value scan ends in NaN where only NaN rows follow, and that alone
+# must reject the cut after the last number.
+SENTINEL_CASES = {
+    # the cut between 2 and the NaN rows would separate the classes
+    "numbers_then_nan": ([[0.0], [1.0], [2.0], [NAN], [NAN]], [0, 0, 0, 1, 1]),
+    # a finite value followed only by +inf: that cut is valid
+    "finite_then_inf": ([[1.0], [1.0], [INF], [INF], [NAN]], [0, 0, 1, 1, 1]),
+    "neg_inf_next_to_nan": ([[-INF], [-INF], [NAN], [NAN]], [0, 0, 1, 1]),
+    # column 0's present rows are all NaN under some weights; column 1 cuts
+    "present_rows_all_nan": ([[0.0, 0.0], [1.0, 1.0], [NAN, 0.0], [NAN, 1.0],
+                              [NAN, 0.0], [NAN, 1.0]], [0, 1, 0, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SENTINEL_CASES))
+def test_best_splits_next_to_nan_and_inf_equal_the_oracle(case):
+    X, y = (np.array(a) for a in SENTINEL_CASES[case])
+    n, d = X.shape
+    rng = np.random.default_rng(0)
+    W = np.vstack([np.ones(n, dtype=np.int64), np.eye(n, dtype=np.int64)[::-1].cumsum(axis=0),
+                   rng.integers(0, 3, size=(20, n))])
+    F = np.broadcast_to(np.arange(d), (len(W), d))
+    for min_leaf in (1, 2):
+        ginis, features, thresholds = _Presorted(X, y).best_splits(W, F, min_leaf)
+        for w, gini, feature, threshold in zip(W, ginis, features, thresholds):
+            rows = np.repeat(np.arange(n), w)
+            want = _gini_best_split(X, y, rows, list(range(d)), min_leaf)
+            assert (float(gini), int(feature)) == want[:2]
+            if want[1] < 0:
+                assert gini == np.inf and feature == -1
+            else:
+                assert float(threshold).hex() == want[2].hex()
+        tree = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
+        assert_same_tree(tree, ReferenceDecisionTree(min_leaf=min_leaf).fit(X, y), X)

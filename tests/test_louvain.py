@@ -113,6 +113,16 @@ def test_sweep_breaks_a_gain_tie_for_the_smallest_community(level):
     assert path.com_tot == [3.0, 0.0, 1.0] and path.com_in == [1.0, 0.0, 0.0]
 
 
+def test_level_sums_are_exact_ints_at_any_scale():
+    # Weights count symmetrized pairs, so every sum is an int: 2**60 + 1 would
+    # round to 2**60 as a float.
+    assert _Level(2, [0], [1], [2 ** 60]).k == [2 ** 60, 2 ** 60]
+    level = _Level(3, [0, 0, 2], [1, 1, 2], [2 ** 60, 1, 2 ** 60])
+    assert level.k == [2 ** 60 + 1, 2 ** 60 + 1, 2 ** 61] and level.m == 2 ** 61 + 1
+    assert level.self_w == [0, 0, 2 ** 60] and level.adj[0] == {1: 2 ** 60 + 1}
+    assert all(type(x) is int for x in level.k + level.com_tot + level.com_in + [level.m])
+
+
 TRIANGLES_AND_BRIDGE = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"),
                         ("d", "e"), ("e", "f"), ("e", "g"), ("f", "g")]
 

@@ -430,7 +430,7 @@ def _corpus_variants(seed):
 def test_refinement_equals_dict_oracle_on_random_corpora(seed):
     variants, codes = _corpus_variants(seed)
     for networks in variants:
-        for h in (0, 1, 3):
+        for h in (0, 1, 3, 5):
             table = NodeTable(networks, h)
             assert_refinement_equals_dict_oracle(table, table.rank)
             assert_refinement_equals_dict_oracle(table, codes[table.rank])
