@@ -186,7 +186,33 @@ def test_decision_tree_baseline_equals_reference(params):
     assert_same_tree(fast, ref, np.vstack([X, X_new]))
 
 
-def test_strong_corpus_fold_under_sweep_masks(strong_extractor):
+def count_nodes(monkeypatch):
+    """Count the nodes the separating check settles and those sent to best_splits."""
+    counts = {"settled": 0, "searched": 0}
+    check, search = _Presorted.separating_splits, _Presorted.best_splits
+
+    def counting_check(self, W, F, min_leaf):
+        found = check(self, W, F, min_leaf)
+        counts["settled"] += int((found[0] >= 0).sum())
+        return found
+
+    def counting_search(self, W, F, min_leaf):
+        counts["searched"] += len(W)
+        return search(self, W, F, min_leaf)
+
+    monkeypatch.setattr(_Presorted, "separating_splits", counting_check)
+    monkeypatch.setattr(_Presorted, "best_splits", counting_search)
+    return counts
+
+
+def no_separating_cut(self, W, F, min_leaf):
+    """The check reporting nothing: every node goes through best_splits."""
+    none = np.zeros(len(W), dtype=np.int64)
+    return none - 1, np.zeros(len(W)), none, none.astype(bool)
+
+
+def test_strong_corpus_fold_under_sweep_masks(strong_extractor, monkeypatch):
+    counts = count_nodes(monkeypatch)
     labels = {n: strong_extractor.table.labels[n] for n in strong_extractor.networks}
     split = stratified_folds(labels, 5, seed=11)
     train_news, test_news = split.train_news(0), split.test_news(0)
@@ -200,6 +226,8 @@ def test_strong_corpus_fold_under_sweep_masks(strong_extractor):
         fast = fit_classifier("random_forest", X_train[:, cols], y_train, seed=seed)
         ref = ReferenceRandomForest(seed=seed).fit(X_train[:, cols], y_train)
         assert_same_forest(fast, ref, X_test[:, cols])
+    # most searched nodes of these forests have a cut that separates the classes
+    assert counts["settled"] > counts["searched"] > 0
 
 
 @pytest.mark.parametrize("lo,hi", [(-np.inf, 5.0), (-np.inf, np.inf),
@@ -343,3 +371,125 @@ def test_best_splits_next_to_nan_and_inf_equal_the_oracle(case):
                 assert float(threshold).hex() == want[2].hex()
         tree = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
         assert_same_tree(tree, ReferenceDecisionTree(min_leaf=min_leaf).fit(X, y), X)
+
+
+# Small problems for the separating check, as (X, y, min_leaf, settled):
+# settled is the number of nodes the check settles in a DecisionTreeClassifier
+# fit. The fit must equal both the reference and a fit whose every node goes
+# through best_splits.
+SEPARATING_CASES = {
+    # NaN rows of the upper class go right with it
+    "nan_in_upper": ([[0.0], [1.0], [2.0], [3.0], [NAN], [4.0]], [0, 0, 0, 1, 1, 1], 1, 1),
+    "nan_in_upper_fake_lower": ([[5.0], [NAN], [9.0], [1.0], [2.0], [0.5]],
+                                [0, 0, 0, 1, 1, 1], 1, 1),
+    # no number in the upper class: no cut has it on the right
+    "upper_all_nan": ([[0.0], [1.0], [2.0], [NAN], [NAN], [NAN]], [0, 0, 0, 1, 1, 1], 1, 0),
+    # a NaN row of the lower class goes right, with the upper class
+    "nan_in_lower": ([[0.0], [NAN], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1, 1, 1], 1, 0),
+    "neg_inf_then_pos_inf": ([[-INF], [-INF], [INF], [INF]], [0, 0, 1, 1], 1, 1),
+    "neg_inf_then_finite": ([[-INF], [5.0], [5.0]], [0, 1, 1], 1, 1),
+    "finite_then_pos_inf": ([[INF], [-3.0], [INF]], [1, 0, 1], 1, 1),
+    "midpoint_overflows": ([[1.7e308], [1e308], [1e308]], [1, 0, 0], 1, 1),
+    # after -inf the threshold is the zero itself, whose sign the search
+    # takes from the tied row it meets first: left to best_splits
+    "neg_inf_then_signed_zeros": ([[-INF], [0.0], [-0.0]], [0, 1, 1], 1, 0),
+    "neg_inf_then_zeros_other_order": ([[-INF], [-0.0], [0.0]], [0, 1, 1], 1, 0),
+    # two separating columns: the first wins, whichever class is lower in each
+    "two_real_lower": ([[0.0, 10.0], [1.0, 11.0], [5.0, 20.0], [6.0, 21.0]], [0, 0, 1, 1], 1, 1),
+    "two_fake_lower": ([[0.0, 10.0], [1.0, 11.0], [5.0, 20.0], [6.0, 21.0]], [1, 1, 0, 0], 1, 1),
+    "fake_lower_then_real_lower": ([[0.0, 20.0], [1.0, 21.0], [5.0, 10.0], [6.0, 11.0]],
+                                   [1, 1, 0, 0], 1, 1),
+    "two_in_one_block": ([[0.0, 0.0, 10.0], [1.0, 1.0, 11.0], [0.0, 5.0, 20.0], [1.0, 6.0, 21.0]],
+                         [0, 0, 1, 1], 1, 1),
+    # a later column separates, the first does not
+    "second_column_separates": ([[0.0, 10.0], [5.0, 11.0], [1.0, 20.0], [6.0, 21.0]],
+                                [0, 0, 1, 1], 1, 1),
+    # the candidates are checked in blocks (1, 3, the rest): a separating
+    # column in the last block, and one there after a first separating column
+    # the check must leave to the search
+    "sixth_column_separates": ([[0.0, 0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0, 0.0, 2.0],
+                                [2.0, 0.0, 1.0, 1.0, 0.0, 3.0], [0.5, 1.0, 0.0, 0.0, 1.0, 4.0]],
+                               [0, 0, 1, 1], 1, 1),
+    "left_to_search_before_sixth_column": ([[-INF, 0.0, 1.0, 0.0, 1.0, 1.0],
+                                            [-INF, 1.0, 0.0, 1.0, 0.0, 2.0],
+                                            [0.0, 0.0, 1.0, 1.0, 0.0, 3.0],
+                                            [0.0, 1.0, 0.0, 0.0, 1.0, 4.0]], [0, 0, 1, 1], 1, 0),
+    # min_leaf above the smaller class count: the separating cut is invalid
+    "min_leaf_above_fake_count": ([[0.0], [1.0], [2.0], [3.0], [9.0]], [0, 0, 0, 0, 1], 2, 0),
+    "min_leaf_at_fake_count": ([[0.0], [1.0], [2.0], [8.0], [9.0]], [0, 0, 0, 1, 1], 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEPARATING_CASES))
+def test_separating_check_equals_the_full_search(case, monkeypatch):
+    X, y, min_leaf, settled = SEPARATING_CASES[case]
+    X, y = np.array(X), np.array(y)
+    X_new = np.vstack([X, X * 0.5, -X, np.full((1, X.shape[1]), NAN)])
+    ref = ReferenceDecisionTree(min_leaf=min_leaf).fit(X, y)
+    with monkeypatch.context() as patch:
+        counts = count_nodes(patch)
+        fast = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
+    assert counts["settled"] == settled
+    with monkeypatch.context() as patch:
+        patch.setattr(_Presorted, "separating_splits", no_separating_cut)
+        full = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
+    assert_same_tree(fast, ref, X_new)
+    assert_same_tree(full, ref, X_new)
+    params = dict(n_trees=6, min_leaf=min_leaf, max_features=X.shape[1], seed=3)
+    fast = RandomForestClassifier(**params).fit(X, y)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Presorted, "separating_splits", no_separating_cut)
+        full = RandomForestClassifier(**params).fit(X, y)
+    assert ([structure(fast._trees, t) for t in range(6)]
+            == [structure(full._trees, t) for t in range(6)])
+    assert np.array_equal(fast.predict(X_new), full.predict(X_new))
+    if "zeros" not in case:  # the reference takes a tied zero's sign from
+        # its bootstrap row order, which the presorted search does not see
+        assert_same_forest(fast, ReferenceRandomForest(**params).fit(X, y), X_new)
+
+
+NUMBERS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf]
+
+
+@st.composite
+def planted_problems(draw):
+    # small_problems with one column that separates the classes: the lower
+    # class takes numbers below a cut, the upper one numbers above it or NaN
+    X, y, params = draw(small_problems())
+    cut = draw(st.integers(1, len(NUMBERS) - 1))
+    below = st.sampled_from(NUMBERS[:cut])
+    above = st.sampled_from(NUMBERS[cut:] + [np.nan])
+    lower = draw(st.integers(0, 1))
+    column = [draw(below if label == lower else above) for label in y]
+    X[:, draw(st.integers(0, X.shape[1] - 1))] = column
+    return X, y, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_problems())
+def test_property_planted_separating_column(problem):
+    X, y, params = problem
+    fast = RandomForestClassifier(**params).fit(X, y)
+    ref = ReferenceRandomForest(**params).fit(X, y)
+    assert_same_forest(fast, ref, X)
+    # every root holding both classes, against the full search: the check
+    # settles exactly the nodes whose best cut has Gini 0.0, with its cut,
+    # except after -inf with a zero threshold
+    W = _roots(params["seed"], params["n_trees"], len(y), params["bootstrap"])
+    n_fake = W @ y
+    W = W[(n_fake > 0) & (n_fake < W.sum(axis=1))]
+    if not len(W):
+        return
+    d = X.shape[1]
+    rng = np.random.default_rng(params["seed"])
+    k = rng.integers(1, d + 1)
+    F = np.sort(np.argsort(rng.random((len(W), d)), axis=1)[:, :k], axis=1)
+    presorted = _Presorted(X, y)
+    features, thresholds, _, separated = presorted.separating_splits(W, F, params["min_leaf"])
+    ginis, best, best_thresholds = presorted.best_splits(W, F, params["min_leaf"])
+    for f, threshold, sep, gini, g, t in zip(features, thresholds, separated,
+                                             ginis, best, best_thresholds):
+        if f >= 0:
+            assert sep and (gini, f, float(threshold).hex()) == (0.0, g, float(t).hex())
+        else:
+            assert gini > 0.0 or (sep and t == 0.0)
