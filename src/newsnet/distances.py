@@ -17,16 +17,30 @@ lengths, and effective distance over the edge lengths it is given. It
 reports the max, mean and median over all finite ordered pairs (s, t), s != t.
 The three floats equal, bit for bit, those of one breadth-first search
 (geodesic) or binary-heap Dijkstra (effective) per source, sources in sorted
-order, with the mean taken by Python's `sum` (see the last paragraph).
+order, with the mean taken by Python's `sum` (see "The effective mean").
 
-Algorithm. Nodes are the network's positions, which follow its sorted ids,
-and only edges of finite length take part. A block of sources is relaxed at once,
-Bellman-Ford style, on a nodes x sources distance array: each round sets
-d(s, v) to the minimum of itself and of d(s, u) + w(u, v) over the in-edges
-(u, v), and the rounds stop when nothing improves. Geodesic distance is the
-case w = 1.0. The per-target minimum runs over the edges in slot-major
-order (the first in-edge of every target, then the second of every target
-with two or more, ...), as one contiguous `np.minimum` per slot.
+Hop counts. A bit-parallel multi-source BFS (MS-BFS; Then et al., VLDB 2014)
+counts the ordered pairs at each hop distance, with 64 BFS roots to a uint64
+word. It runs backwards, from every node at once over the reversed edges: the
+pairs at distance h are the same set either way, and backwards each level
+groups the edges by tail, the order they come sorted in. A level gathers the
+frontier words of every edge's head, ORs them per tail with one
+`np.bitwise_or.reduceat`, keeps the bits of roots the tail has not reached
+and counts them through a byte table (`np.bitwise_count` needs numpy 2). The
+stats then come from the counts alone: the max is the deepest level, the
+mean the exact int sum of h x count(h) divided once by the number of pairs,
+and the median is read off the cumulative counts. The distances are small
+integers, whose float sum is exact in any order, so these are the floats of
+the per-source BFS.
+
+Effective distance. Nodes are the network's positions, which follow its
+sorted ids, and only edges of finite length take part. A block of sources is
+relaxed at once, Bellman-Ford style, on a nodes x sources distance array:
+each round sets d(s, v) to the minimum of itself and of d(s, u) + w(u, v)
+over the in-edges (u, v), and the rounds stop when nothing improves. The
+per-target minimum runs over the edges in slot-major order (the first
+in-edge of every target, then the second of every target with two or more,
+...), as one contiguous `np.minimum` per slot.
 
 Exactness. Rounded addition is monotone, and every length is >= 1, so
 fl(d + w) > d for every finite d below 2**53. Under these two conditions the
@@ -36,9 +50,8 @@ algorithm returns the same values (Knuth, "A generalization of Dijkstra's
 algorithm", IPL 1977). The distances therefore equal the heap's bit for bit,
 whatever order the relaxations take.
 
-The mean. Max and median do not depend on the order of the values, and
-geodesic distances are small integers, whose float sum is exact in any order.
-The effective mean is a left-to-right sum over sources in sorted order and,
+The effective mean. Max and median do not depend on the order of the
+values. The mean is a left-to-right sum over sources in sorted order and,
 within a source, over targets in the order the heap Dijkstra first touches
 them. That order is recovered from the final distances alone:
 
@@ -55,17 +68,21 @@ That is the order and the rounding of CPython 3.11's `sum` over a list of
 floats. Python 3.12 made the float `sum` compensated, so there a plain `sum`
 of the same list can differ from this mean in the last bits.
 
-Memory. Sources are taken in blocks: as many as keep each dense nodes x
-sources or edges x sources array at or under `_BLOCK` entries (512 KB), and
-never fewer than `_MIN_WIDTH`, below which per-call overhead dominates. The
+Memory. Both take their sources in blocks. The relaxation takes as many as
+keep each dense nodes x sources or edges x sources array at or under
+`_BLOCK` entries (512 KB), and never fewer than `_MIN_WIDTH`, below which
+per-call overhead dominates; it keeps the finite distances themselves,
+8 bytes per reachable pair, whole for the median. The MS-BFS takes as many
+words of roots as keep its nodes x words and edges x words arrays within
+`_BLOCK`, at least one (`_word_width`), and keeps one count per level. The
 arrays of a call thus stay small on the benchmark's networks, and under
-64 MB for networks of up to a million nodes or edges. Only the finite
-distances themselves, 8 bytes per reachable pair, are kept whole, for the
-median.
+64 MB for networks of up to a million nodes or edges.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +98,8 @@ FLOW_DEFINITIONS = (SHARED_NEWS, SHARED_FREQUENCY)
 
 _BLOCK = 1 << 16  # entries of one (nodes or edges) x sources array: 512 KB
 _MIN_WIDTH = 8  # sources per block on large networks; fewer run at per-call overhead
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # root r of a word: bit r
+_BITS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.uint8)  # set bits
 
 
 @dataclass(frozen=True)
@@ -154,11 +173,11 @@ def _slot_min(values, widths):
     return least
 
 
-def _relax(dist, src, heads, widths, step) -> None:
+def _relax(dist, src, heads, widths, lengths) -> None:
     """Bellman-Ford rounds on dist (nodes x sources) until nothing improves."""
     while True:
         candidates = dist[src]
-        candidates += step
+        candidates += lengths
         reach = _slot_min(candidates, widths)
         current = dist[heads]
         if not (reach < current).any():
@@ -185,6 +204,50 @@ def _touch_order_sum(total, dist, src, heads, widths) -> float:
     return float(np.cumsum(np.append(total, values.T))[-1])
 
 
+def _word_width(n, m) -> int:
+    """Words of 64 roots per block: the most that keep words x max(n, m) within
+    _BLOCK, at least one, and no more than the network's nodes fill."""
+    return max(1, min(-(-n // 64), _BLOCK // max(n, m, 1)))
+
+
+def _hop_counts(n, src, dst) -> list:
+    """counts[h - 1]: the ordered pairs (s, t), s != t, at hop distance h.
+
+    The MS-BFS of the module docstring: level h finds, for each tail, the
+    roots (targets) it reaches first through its out-neighbours' frontier.
+    """
+    new_tail = np.empty(src.size, dtype=bool)  # edges come sorted by src
+    new_tail[:1] = True
+    np.not_equal(src[1:], src[:-1], out=new_tail[1:])
+    starts = np.flatnonzero(new_tail)
+    tails = src[starts]
+    row = np.searchsorted(tails, dst)  # each edge's head among the tails, or the
+    row[tails.take(row, mode="clip") != dst] = tails.size  # last row of found_by, 0
+    n_words = -(-n // 64)
+    width = _word_width(n, src.size)
+    counts = []
+    for first in range(0, n_words, width):
+        roots = np.arange(64 * first, min(64 * (first + width), n))
+        own = np.zeros((n, -(-roots.size // 64)), dtype=np.uint64)  # each root's bit
+        own[roots, roots // 64 - first] = _BIT[roots % 64]
+        unseen = ~own[tails]
+        frontier = own[dst]
+        found_by = np.zeros((tails.size + 1, own.shape[1]), dtype=np.uint64)
+        for level in itertools.count():
+            reach = np.bitwise_or.reduceat(frontier, starts, axis=0)
+            reach &= unseen
+            found = int(_BITS[reach.view(np.uint8)].sum())
+            if not found:
+                break
+            unseen ^= reach
+            found_by[:-1] = reach
+            frontier = found_by[row]
+            if level == len(counts):
+                counts.append(0)
+            counts[level] += found
+    return counts
+
+
 def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
     """Max / mean / median over all finite ordered-pair distances in a network.
 
@@ -194,15 +257,26 @@ def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
     """
     n = network.n_nodes
     src, dst = network.edges.T
-    if lengths is not None:
-        finite = lengths < math.inf
-        src, dst, step = src[finite], dst[finite], lengths[finite]
+    if lengths is None:
+        counts = _hop_counts(n, src, dst)
+        if not counts:
+            return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
+        below = list(itertools.accumulate(counts))  # below[h - 1]: pairs at most h apart
+        count = below[-1]
+        mid = count // 2
+        middle = float(bisect.bisect_right(below, mid) + 1)
+        if not count % 2:
+            middle = (float(bisect.bisect_right(below, mid - 1) + 1) + middle) / 2.0
+        total = sum(h * c for h, c in enumerate(counts, 1))
+        return DistanceStats(maximum=float(len(counts)), mean=total / count, median=middle)
+    finite = lengths < math.inf
+    src, dst, lengths = src[finite], dst[finite], lengths[finite]
     if not src.size:
         return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
     slot_major, heads, widths = _in_edge_slots(src, dst, n)
     width = max(_MIN_WIDTH, _BLOCK // max(n, src.size))
     src = src[slot_major]
-    step = 1.0 if lengths is None else step[slot_major, None]
+    lengths = lengths[slot_major, None]
 
     values = np.empty(n * (n - 1))  # pages are touched only as values are found
     count = 0
@@ -211,18 +285,13 @@ def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
         sources = np.arange(first, min(first + width, n))
         dist = np.full((n, sources.size), math.inf)
         dist[sources, np.arange(sources.size)] = 0.0
-        _relax(dist, src, heads, widths, step)
+        _relax(dist, src, heads, widths, lengths)
         finite = dist[(dist > 0.0) & (dist < math.inf)]
         values[count:count + finite.size] = finite
         count += finite.size
-        if lengths is not None:
-            total = _touch_order_sum(total, dist, src, heads, widths)
-    if not count:
-        return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
+        total = _touch_order_sum(total, dist, src, heads, widths)
     values = values[:count]
     values.sort()
-    if lengths is None:
-        total = float(values.sum())  # integers below 2**53: exact in any order
     mid = values.size // 2
     if values.size % 2:
         middle = float(values[mid])

@@ -8,6 +8,18 @@ drops to <= 1e-7. Deterministic for a given seed: nodes are sorted before the
 seeded shuffle, and of the candidate communities tied at the best gain the
 smallest wins.
 
+Each node keeps the weights from it into every neighbouring community, a
+dict `nc[i]` that starts as a copy of its adjacency (every node starts
+alone), so a visit reads them instead of summing its neighbours' weights
+again (Blondel et al., J. Stat. Mech. 2008). A move of node i from community
+a to b takes each edge weight w of i off nc[j][a], dropping the entry at 0,
+and adds it to nc[j][b], for every neighbour j. The weights are ints, so the
+kept sums equal the rebuilt ones exactly; the gains are the same float
+expressions of them; and the tie rule (keep the old community unless it is
+strictly beaten, else take the smallest tied one) does not depend on the
+order the candidates come in. So the partitions equal those of the
+rebuilding sweep (`RebuildSweepLevel` in `tests/oracles.py`).
+
 Directed follow edges are symmetrized first (weight 1 per unordered connected
 pair, reciprocal pairs also weight 1), as rank or position pairs: one sort of
 the pair keys, with no tuple per edge.
@@ -36,8 +48,9 @@ class _Level:
     """One aggregation level: adjacency with self-loops, community bookkeeping.
 
     Edge i joins nodes lows[i] and highs[i] with int weight weights[i], a
-    count of symmetrized pairs, so the degrees `k`, self-loop weights and
-    community totals are exact int sums at any scale and in any order.
+    count of symmetrized pairs, so the degrees `k`, self-loop weights,
+    community totals and kept neighbour-community weights `nc` are exact int
+    sums at any scale and in any order.
     """
 
     def __init__(self, n, lows, highs, weights):
@@ -57,6 +70,7 @@ class _Level:
                 self.adj[v][u] = self.adj[v].get(u, 0) + w
         self.m = m
         self.com = list(range(n))
+        self.nc = [dict(weights) for weights in self.adj]  # every node starts alone
         self.com_tot = list(self.k)
         self.com_in = list(self.self_w)
 
@@ -75,27 +89,34 @@ class _Level:
     def sweep(self, order) -> bool:
         """One pass over all nodes; returns True if any node moved."""
         moved = False
-        com, adj, k, self_w = self.com, self.adj, self.k, self.self_w
+        com, adj, nc, k, self_w = self.com, self.adj, self.nc, self.k, self.self_w
         com_tot, com_in = self.com_tot, self.com_in
         two_m = 2.0 * self.m
         for i in order:
-            old, k_i = com[i], k[i]
-            neigh = {old: 0}
-            for j, w in adj[i].items():
-                neigh[com[j]] = neigh.get(com[j], 0) + w
+            old, k_i, neigh = com[i], k[i], nc[i]
+            w_old = neigh.get(old, 0)
             # detach i before evaluating gains
             com_tot[old] -= k_i
-            com_in[old] -= neigh[old] + self_w[i]
+            com_in[old] -= w_old + self_w[i]
             best_c = old
-            best_gain = neigh[old] - k_i * com_tot[old] / two_m
-            for c, w in neigh.items():  # old comes first and ties only with itself
+            best_gain = w_old - k_i * com_tot[old] / two_m
+            for c, w in neigh.items():  # old ties only with itself
                 gain = w - k_i * com_tot[c] / two_m
                 if gain > best_gain or (gain == best_gain and old != best_c > c):
                     best_gain, best_c = gain, c
             com[i] = best_c
             com_tot[best_c] += k_i
-            com_in[best_c] += neigh[best_c] + self_w[i]
-            moved = moved or best_c != old
+            com_in[best_c] += neigh.get(best_c, 0) + self_w[i]
+            if best_c != old:
+                moved = True
+                for j, w in adj[i].items():
+                    weights = nc[j]
+                    left = weights[old] - w
+                    if left:
+                        weights[old] = left
+                    else:
+                        del weights[old]
+                    weights[best_c] = weights.get(best_c, 0) + w
         return moved
 
     def optimize(self, rng) -> None:

@@ -44,11 +44,13 @@ NaN rows sort last and go right. The lower class's max lets NaN propagate,
 which blocks the cut; the upper class's `np.fmin` over NaN fill is NaN when it
 has no number, which blocks it too. `min_leaf` holds exactly when both class
 counts reach it, a test on the whole node. The threshold comes from
-`_threshold` on the same two values. One case goes to the full search: after
-a -inf lower value the threshold is the upper value itself, and if that is a
-zero its sign depends on which of the tied rows a reduction meets first. A
-node with a separating cut splits (its own Gini is positive) and its two
-children are pure leaves at once. On the benchmark's `sweep_demo` at master
+`_threshold` on the same two values. `fit` adds 0.0 to X, which turns -0.0
+into 0.0 and changes no other value, so a threshold taken as the upper value
+itself (after -inf) cannot be a zero whose sign depends on which of the tied
+rows a reduction or a search meets first; `x < 0.0` and `x < -0.0` are the
+same test, so predictions do not change. A node with a separating cut
+splits (its own Gini is positive) and its two children are pure leaves at
+once. On the benchmark's `sweep_demo` at master
 seed 7 the check settles 9,672 of the 10,817 searched nodes, and all 1,500 on
 `early_bignets`.
 
@@ -76,9 +78,9 @@ that needs more replays the tree's generator from its seed for that fit only.
 The bootstrap multiplicities are cached per (seed, n_trees, n, bootstrap).
 
 The result is bit-identical to growing each tree recursively on a copy of its
-bootstrap rows (the reference in `tests/oracles.py`). A cut's counts depend
-only on the multiset of (value, label) pairs on each side, which the weights
-give as the same int64 values. The Gini and threshold use the same
+bootstrap rows of X + 0.0 (the reference in `tests/oracles.py`). A cut's
+counts depend only on the multiset of (value, label) pairs on each side,
+which the weights give as the same int64 values. The Gini and threshold use the same
 elementwise float formulas on the same operands; an entry that is not a cut
 is inf whether or not its Gini was computed. The first minimum is the
 reference's "first strictly best" rule over sorted candidates, and a
@@ -190,9 +192,8 @@ class _Presorted:
         W is (B, n) node weights of nodes holding both classes and F (B, k)
         candidate features. The lower class's rows all go left and the other
         class's right. `separated` says whether any candidate has such a cut.
-        Feature is -1 where none has, and where the first one may not be taken:
-        a class has fewer than min_leaf rows, or the threshold would be a zero
-        after -inf (its sign depends on which tied row a search meets first).
+        Feature is -1 where none has, and where a class has fewer than
+        min_leaf rows, so that the cut may not be taken.
         """
         b = np.arange(len(W))
         v = self.columns[F][:, :, None, :]  # (B, k, 1, n)
@@ -209,8 +210,7 @@ class _Presorted:
         lo, hi = lo[b, j, lower], hi[b, j, lower]
         n_fake = W @ self.fake
         separated = flat[b, first]
-        taken = (separated & (np.minimum(n_fake, W.sum(axis=1) - n_fake) >= min_leaf)
-                 & ((lo > -np.inf) | (hi != 0)))
+        taken = separated & (np.minimum(n_fake, W.sum(axis=1) - n_fake) >= min_leaf)
         return np.where(taken, F[b, j], -1), _threshold(lo, hi), lower, separated
 
 
@@ -396,7 +396,7 @@ class DecisionTreeClassifier:
         self._trees = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64) + 0.0  # no -0.0: see the module docstring
         y = np.asarray(y, dtype=np.int64)
         self._trees = _grow(X, y, np.ones((1, X.shape[0]), dtype=np.int64), None,
                             self.max_depth, self.min_leaf)
@@ -420,7 +420,7 @@ class RandomForestClassifier:
         self._trees = None
 
     def fit(self, X, y):
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64) + 0.0  # no -0.0: see the module docstring
         y = np.asarray(y, dtype=np.int64)
         n, d = X.shape
         if self.max_features == "sqrt":

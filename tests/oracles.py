@@ -4,9 +4,9 @@ Everything here is written from the definitions: exhaustive triple loops,
 Floyd-Warshall with matrix-power path counts, eigendecompositions, exhaustive
 set partitions, the pure-Python centrality loops the array code in
 `newsnet.centrality` replaced and its one-source-at-a-time Brandes loop, the
-per-source BFS and heap Dijkstra the all-sources array relaxation in
-`newsnet.distances` replaced, the WL signatures by string relabelling
-through one shared dictionary and the pairwise similarity loops over them that the integer refinement and Gram
+per-source BFS and heap Dijkstra the bit-parallel hop counts and the
+all-sources array relaxation in `newsnet.distances` replaced, the WL
+signatures by string relabelling through one shared dictionary and the pairwise similarity loops over them that the integer refinement and Gram
 matrices in `newsnet.wl` replaced, the dict refinement its hashed array
 refinement replaced, the recursive per-node tree growth the
 presorted batched grower in `newsnet.ml.forest` replaced, the per-network
@@ -15,8 +15,10 @@ census, the static block) that the array blocks in `newsnet.features`
 replaced, the id-keyed flow matrix, triangle enumeration and subsampling
 that the rank arrays of `newsnet.distances`, `newsnet.triads` and
 `newsnet.diffusion` replaced, the per-user dict susceptibility fit that
-`newsnet.susceptibility.fit` replaced, and the Louvain sweep scanning
-candidate communities in sorted order that `newsnet.louvain` replaced.
+`newsnet.susceptibility.fit` replaced, and the two Louvain sweeps that
+`newsnet.louvain` replaced: one scanning candidate communities in sorted
+order, and one rebuilding each node's neighbour-community weights at every
+visit.
 Networks are walked as `IdNetwork`s, sets of user ids read back from the
 package's rank arrays, and per-rank arrays as {user id: value} dicts
 (`by_id`). Apart from the pairwise WL kernel, the WL Gram product the dict
@@ -348,6 +350,36 @@ class CommunityAssignment:
     @property
     def n_communities(self) -> int:
         return len(set(self.communities.values()))
+
+
+class RebuildSweepLevel(_Level):
+    """`louvain._Level` with the sweep it replaced: each visit rebuilds node i's
+    neighbour-community weights from `adj[i]` and `com`."""
+
+    def sweep(self, order) -> bool:
+        moved = False
+        com, adj, k, self_w = self.com, self.adj, self.k, self.self_w
+        com_tot, com_in = self.com_tot, self.com_in
+        two_m = 2.0 * self.m
+        for i in order:
+            old, k_i = com[i], k[i]
+            neigh = {old: 0}
+            for j, w in adj[i].items():
+                neigh[com[j]] = neigh.get(com[j], 0) + w
+            # detach i before evaluating gains
+            com_tot[old] -= k_i
+            com_in[old] -= neigh[old] + self_w[i]
+            best_c = old
+            best_gain = neigh[old] - k_i * com_tot[old] / two_m
+            for c, w in neigh.items():  # old comes first and ties only with itself
+                gain = w - k_i * com_tot[c] / two_m
+                if gain > best_gain or (gain == best_gain and old != best_c > c):
+                    best_gain, best_c = gain, c
+            com[i] = best_c
+            com_tot[best_c] += k_i
+            com_in[best_c] += neigh[best_c] + self_w[i]
+            moved = moved or best_c != old
+        return moved
 
 
 class SortedSweepLevel(_Level):
@@ -1325,7 +1357,8 @@ def _gini_best_split(X, y, rows, features, min_leaf):
         i = int(np.argmin(weighted))
         if weighted[i] < best[0]:
             lo, hi = cs[cuts[i]], cs[cuts[i] + 1]
-            threshold = (lo + hi) / 2.0
+            with np.errstate(over="ignore", invalid="ignore"):  # -inf + inf, overflow
+                threshold = (lo + hi) / 2.0
             if not lo < threshold <= hi:  # the one change: see the note above
                 threshold = hi
             best = (float(weighted[i]), f, float(threshold))

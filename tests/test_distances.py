@@ -420,3 +420,73 @@ def test_lengths_take_math_log():
     assert float(np.log(np.array([14 / 37]))[0]) != math.log(14 / 37)
     assert flow_lengths(graph.users, nodes, flow) == {("s0", "hub"): 1.0 - math.log(14 / 37),
                                                ("s1", "hub"): 1.0 - math.log(23 / 37)}
+
+
+def _shape_network(shape, n):
+    """A directed path, out-star, in-star or cycle over n nodes, as a network."""
+    nodes = [f"v{i:03d}" for i in range(n)]
+    edges = {"path": list(zip(nodes, nodes[1:])),
+             "out_star": [(nodes[0], v) for v in nodes[1:]],
+             "in_star": [(v, nodes[0]) for v in nodes[1:]],
+             "cycle": list(zip(nodes, nodes[1:] + nodes[:1]))}[shape]
+    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    return graph, _network(graph, nodes, edges)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+@pytest.mark.parametrize("shape", ["path", "out_star", "in_star", "cycle"])
+def test_hop_counts_across_word_boundaries(shape, n):
+    graph, net = _shape_network(shape, n)
+    assert_equals_oracle(graph, net)
+    stats = distance_stats(net)
+    if shape == "cycle":  # every ordered pair, at each of 1..n-1 hops n times
+        assert (stats.maximum, stats.mean, stats.median) == (n - 1, n / 2, n / 2)
+
+
+@pytest.mark.parametrize("block", [1, 300])
+def test_hop_counts_in_forced_blocks_of_words(monkeypatch, block):
+    # 129 nodes take three words of roots: blocks of one word, or of two
+    # words and then one word holding a single root
+    monkeypatch.setattr(distances, "_BLOCK", block)
+    assert distances._word_width(129, 128) == (2 if block == 300 else 1)
+    for shape in ("path", "cycle", "in_star"):
+        assert_equals_oracle(*_shape_network(shape, 129))
+    for seed in (0, 4, 9):
+        graph, table = random_corpus(seed)
+        for net in _networks(graph, table):
+            assert_equals_oracle(graph, net)
+
+
+def test_hop_counts_with_isolated_nodes():
+    nodes = [f"v{i:03d}" for i in range(70)]
+    edges = [(nodes[i], nodes[i + 1]) for i in range(0, 68, 2)]  # 34 pairs and v068, v069
+    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    net = _network(graph, nodes, edges)
+    assert_equals_oracle(graph, net)
+    stats = distance_stats(net)
+    assert (stats.maximum, stats.mean, stats.median) == (1.0, 1.0, 1.0)
+    edgeless = _network(graph, nodes, [])
+    assert distance_stats(edgeless) == distances.DistanceStats(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_unit_lengths_give_the_hop_statistics(seed):
+    # the relaxation, a second oracle: every edge of length 1.0
+    graph, table = random_corpus(seed)
+    nets = _networks(graph, table)
+    for net in nets + _subsampled(nets, "nodes") + _subsampled(nets, "edges"):
+        assert distance_stats(net, np.ones(net.n_edges)) == distance_stats(net), net.news_id
+
+
+def test_word_width_at_the_target_shape():
+    # one diffusion network spanning the real benchmark's follow graph:
+    # about 24k users and 600k edges
+    n, m = 24_000, 600_000
+    width = distances._word_width(n, m)
+    assert width == 1
+    # the gathered frontier words (edges x width) and the seen words (nodes x width)
+    assert max(width * n, width * m) <= max(distances._BLOCK, n, m)
+    # early_bignets' largest network fits all its roots in one block
+    assert distances._word_width(207, 1000) == 4
+    assert distances._word_width(1200, 18967) * 18967 <= distances._BLOCK
+    assert distances._word_width(5, 3) == 1

@@ -390,10 +390,10 @@ SEPARATING_CASES = {
     "neg_inf_then_finite": ([[-INF], [5.0], [5.0]], [0, 1, 1], 1, 1),
     "finite_then_pos_inf": ([[INF], [-3.0], [INF]], [1, 0, 1], 1, 1),
     "midpoint_overflows": ([[1.7e308], [1e308], [1e308]], [1, 0, 0], 1, 1),
-    # after -inf the threshold is the zero itself, whose sign the search
-    # takes from the tied row it meets first: left to best_splits
-    "neg_inf_then_signed_zeros": ([[-INF], [0.0], [-0.0]], [0, 1, 1], 1, 0),
-    "neg_inf_then_zeros_other_order": ([[-INF], [-0.0], [0.0]], [0, 1, 1], 1, 0),
+    # after -inf the threshold is the zero itself, 0.0 once fit has
+    # turned -0.0 into 0.0, whichever tied row comes first
+    "neg_inf_then_signed_zeros": ([[-INF], [0.0], [-0.0]], [0, 1, 1], 1, 1),
+    "neg_inf_then_zeros_other_order": ([[-INF], [-0.0], [0.0]], [0, 1, 1], 1, 1),
     # two separating columns: the first wins, whichever class is lower in each
     "two_real_lower": ([[0.0, 10.0], [1.0, 11.0], [5.0, 20.0], [6.0, 21.0]], [0, 0, 1, 1], 1, 1),
     "two_fake_lower": ([[0.0, 10.0], [1.0, 11.0], [5.0, 20.0], [6.0, 21.0]], [1, 1, 0, 0], 1, 1),
@@ -406,14 +406,16 @@ SEPARATING_CASES = {
                                 [0, 0, 1, 1], 1, 1),
     # the candidates are checked in blocks (1, 3, the rest): a separating
     # column in the last block, and one there after a first separating column
-    # the check must leave to the search
+    # the check must leave to the search (one fake row, min_leaf 2)
     "sixth_column_separates": ([[0.0, 0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0, 0.0, 2.0],
                                 [2.0, 0.0, 1.0, 1.0, 0.0, 3.0], [0.5, 1.0, 0.0, 0.0, 1.0, 4.0]],
                                [0, 0, 1, 1], 1, 1),
-    "left_to_search_before_sixth_column": ([[-INF, 0.0, 1.0, 0.0, 1.0, 1.0],
-                                            [-INF, 1.0, 0.0, 1.0, 0.0, 2.0],
-                                            [0.0, 0.0, 1.0, 1.0, 0.0, 3.0],
-                                            [0.0, 1.0, 0.0, 0.0, 1.0, 4.0]], [0, 0, 1, 1], 1, 0),
+    "left_to_search_before_sixth_column": ([[0.0, 0.0, 1.0, 0.0, 1.0, 1.0],
+                                            [1.0, 1.0, 0.0, 1.0, 0.0, 2.0],
+                                            [2.0, 0.0, 1.0, 1.0, 0.0, 3.0],
+                                            [3.0, 1.0, 0.0, 0.0, 1.0, 4.0],
+                                            [9.0, 1.0, 1.0, 0.0, 1.0, 5.0]],
+                                           [0, 0, 0, 0, 1], 2, 0),
     # min_leaf above the smaller class count: the separating cut is invalid
     "min_leaf_above_fake_count": ([[0.0], [1.0], [2.0], [3.0], [9.0]], [0, 0, 0, 0, 1], 2, 0),
     "min_leaf_at_fake_count": ([[0.0], [1.0], [2.0], [8.0], [9.0]], [0, 0, 0, 1, 1], 2, 1),
@@ -425,7 +427,7 @@ def test_separating_check_equals_the_full_search(case, monkeypatch):
     X, y, min_leaf, settled = SEPARATING_CASES[case]
     X, y = np.array(X), np.array(y)
     X_new = np.vstack([X, X * 0.5, -X, np.full((1, X.shape[1]), NAN)])
-    ref = ReferenceDecisionTree(min_leaf=min_leaf).fit(X, y)
+    ref = ReferenceDecisionTree(min_leaf=min_leaf).fit(X + 0.0, y)
     with monkeypatch.context() as patch:
         counts = count_nodes(patch)
         fast = DecisionTreeClassifier(min_leaf=min_leaf).fit(X, y)
@@ -443,9 +445,8 @@ def test_separating_check_equals_the_full_search(case, monkeypatch):
     assert ([structure(fast._trees, t) for t in range(6)]
             == [structure(full._trees, t) for t in range(6)])
     assert np.array_equal(fast.predict(X_new), full.predict(X_new))
-    if "zeros" not in case:  # the reference takes a tied zero's sign from
-        # its bootstrap row order, which the presorted search does not see
-        assert_same_forest(fast, ReferenceRandomForest(**params).fit(X, y), X_new)
+    # the reference takes a tied zero's sign from its bootstrap row order
+    assert_same_forest(fast, ReferenceRandomForest(**params).fit(X + 0.0, y), X_new)
 
 
 NUMBERS = [-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf]
@@ -473,8 +474,7 @@ def test_property_planted_separating_column(problem):
     ref = ReferenceRandomForest(**params).fit(X, y)
     assert_same_forest(fast, ref, X)
     # every root holding both classes, against the full search: the check
-    # settles exactly the nodes whose best cut has Gini 0.0, with its cut,
-    # except after -inf with a zero threshold
+    # settles exactly the nodes whose best cut has Gini 0.0, with its cut
     W = _roots(params["seed"], params["n_trees"], len(y), params["bootstrap"])
     n_fake = W @ y
     W = W[(n_fake > 0) & (n_fake < W.sum(axis=1))]
@@ -492,4 +492,4 @@ def test_property_planted_separating_column(problem):
         if f >= 0:
             assert sep and (gini, f, float(threshold).hex()) == (0.0, g, float(t).hex())
         else:
-            assert gini > 0.0 or (sep and t == 0.0)
+            assert gini > 0.0

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +8,8 @@ from newsnet.corpus import SocialGraph
 from newsnet.diffusion import build_all_networks
 from newsnet.louvain import _Level, global_communities, local_communities
 
-from oracles import (SortedSweepLevel, best_partition, by_id, id_network, louvain,
-                     matrix_modularity, random_corpus, string_graph, symmetrize)
+from oracles import (RebuildSweepLevel, SortedSweepLevel, best_partition, by_id, id_network,
+                     louvain, matrix_modularity, random_corpus, string_graph, symmetrize)
 
 
 def _clique_edges(nodes):
@@ -103,7 +104,7 @@ def test_local_communities_equal_louvain_over_user_ids(seed):
             == louvain(ids.nodes, symmetrize(ids.edges), seed).n_communities, news
 
 
-@pytest.mark.parametrize("level", [_Level, SortedSweepLevel])
+@pytest.mark.parametrize("level", [_Level, RebuildSweepLevel, SortedSweepLevel])
 def test_sweep_breaks_a_gain_tie_for_the_smallest_community(level):
     # Path 0 - 1 - 2 with singletons: node 1 gains 1 - 2 * 1 / 4 = 0.5 by
     # joining either neighbour, and takes the smaller community, 0.
@@ -111,6 +112,64 @@ def test_sweep_breaks_a_gain_tie_for_the_smallest_community(level):
     assert path.sweep([1])
     assert path.com == [0, 0, 2]
     assert path.com_tot == [3.0, 0.0, 1.0] and path.com_in == [1.0, 0.0, 0.0]
+    # Weight 2 on both edges and a self-loop of 1 at each end, as in an
+    # aggregated level: k = 4 everywhere and m = 6, so node 1 gains
+    # 2 - 4 * 4 / 12 by joining either end, and again takes community 0.
+    path = level(3, [0, 0, 1, 2], [0, 1, 2, 2], [1, 2, 2, 1])
+    assert path.sweep([1])
+    assert path.com == [0, 0, 2]
+    assert path.com_tot == [8, 0, 4] and path.com_in == [3, 0, 1]
+
+
+def _random_level(rng):
+    """The pair lists of a random weighted level: self-loops, repeated pairs and
+    weights above 1, as an aggregated level has."""
+    n = rng.randint(1, 24)
+    lows, highs, weights = [], [], []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = sorted((rng.randrange(n), rng.randrange(n)))
+        lows.append(u)
+        highs.append(v)
+        weights.append(rng.choice([1, 1, 1, 2, 3, 7]))
+    return n, lows, highs, weights
+
+
+def assert_neighbour_weights(level):
+    """Each node's kept weights are those recomputed from adj and com, none zero."""
+    for i, kept in enumerate(level.nc):
+        want: dict = {}
+        for j, w in level.adj[i].items():
+            want[level.com[j]] = want.get(level.com[j], 0) + w
+        assert kept == want and 0 not in kept.values(), i
+
+
+# Levels where a node's gains tie in some visiting orders: the weighted path
+# of the test above, and the triangles-and-bridge graph below with every pair
+# weighing 2.
+TIED_LEVELS = [(3, [0, 0, 1, 2], [0, 1, 2, 2], [1, 2, 2, 1]),
+               (7, [0, 0, 1, 2, 3, 4, 4, 5], [1, 2, 2, 3, 4, 5, 6, 6], [2] * 8)]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sweep_equals_the_rebuilding_sweep(seed):
+    # sweep by sweep until nothing moves, each level in a seeded order
+    rng = random.Random(seed)
+    for shape in TIED_LEVELS + [_random_level(rng) for _ in range(20)]:
+        fast, slow = _Level(*shape), RebuildSweepLevel(*shape)
+        assert_neighbour_weights(fast)
+        if not fast.m:
+            continue  # optimize leaves an edgeless level as it is
+        order = list(range(shape[0]))
+        rng.shuffle(order)
+        for _ in range(100):
+            moved = fast.sweep(order)
+            assert moved == slow.sweep(order)
+            assert (fast.com, fast.com_tot, fast.com_in) == (slow.com, slow.com_tot, slow.com_in)
+            assert_neighbour_weights(fast)
+            if not moved:
+                break
+        else:
+            pytest.fail("the sweeps did not settle")
 
 
 def test_level_sums_are_exact_ints_at_any_scale():
@@ -119,7 +178,7 @@ def test_level_sums_are_exact_ints_at_any_scale():
     assert _Level(2, [0], [1], [2 ** 60]).k == [2 ** 60, 2 ** 60]
     level = _Level(3, [0, 0, 2], [1, 1, 2], [2 ** 60, 1, 2 ** 60])
     assert level.k == [2 ** 60 + 1, 2 ** 60 + 1, 2 ** 61] and level.m == 2 ** 61 + 1
-    assert level.self_w == [0, 0, 2 ** 60] and level.adj[0] == {1: 2 ** 60 + 1}
+    assert level.self_w == [0, 0, 2 ** 60] and level.adj[0] == level.nc[0] == {1: 2 ** 60 + 1}
     assert all(type(x) is int for x in level.k + level.com_tot + level.com_in + [level.m])
 
 
