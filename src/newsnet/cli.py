@@ -64,8 +64,7 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
-def cmd_ingest(args) -> int:
-    config = _build_config(args)
+def cmd_ingest(config, args) -> int:
     graph, table = _require_corpus(config)
     out = _out_dir(config)
     save_corpus(graph, table, out / "edges.csv", out / "engagements.csv",
@@ -76,8 +75,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
-    config = _build_config(args)
+def cmd_stats(config, args) -> int:
     graph, table = _require_corpus(config)
     print(corpus_stats(graph, table).to_json())
     return 0
@@ -88,8 +86,7 @@ def _descriptive_matrix(config: ExperimentConfig, extractor: FeatureExtractor):
     return extract_matrix(extractor, extractor.table.news_ids(), config.theta)
 
 
-def cmd_extract(args) -> int:
-    config = _build_config(args)
+def cmd_extract(config, args) -> int:
     extractor = _build_extractor(config)
     matrix = _descriptive_matrix(config, extractor)
     out = _out_dir(config)
@@ -101,8 +98,7 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = _build_config(args)
+def cmd_evaluate(config, args) -> int:
     extractor = _build_extractor(config)
     mask = pattern_mask(config.patterns)
     report = cross_validate(extractor, classifier=config.classifier, mask=mask,
@@ -114,29 +110,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    config = _build_config(args)
-    extractor = _build_extractor(config)
-    header, rows = experiments.run_ablation(extractor, config)
-    out = _out_dir(config)
-    write_csv(out / "ablation.csv", header, rows)
-    for row in rows:
-        print(f"{row[0]}: accuracy={row[2]:.3f} f1={row[3]:.3f}")
-    return 0
-
-
-def cmd_sweep_threshold(args) -> int:
-    config = _build_config(args)
-    extractor = _build_extractor(config)
-    header, rows = experiments.run_threshold_sweep(extractor, config)
-    out = _out_dir(config)
-    write_csv(out / "threshold_sweep.csv", header, rows)
-    print(f"wrote {out / 'threshold_sweep.csv'} ({len(rows)} rows)")
-    return 0
-
-
-def cmd_sample_study(args) -> int:
-    config = _build_config(args)
+def cmd_sample_study(config, args) -> int:
     modes = args.modes.split(",")
     unknown = [mode for mode in modes if mode not in experiments.SAMPLING_MODES]
     if unknown:
@@ -150,44 +124,43 @@ def cmd_sample_study(args) -> int:
     return 0
 
 
-def cmd_early_detect(args) -> int:
-    config = _build_config(args)
-    extractor = _build_extractor(config)
-    header, rows = experiments.run_early_detection(extractor, config)
-    out = _out_dir(config)
-    write_csv(out / "early_detection.csv", header, rows)
-    print(f"wrote {out / 'early_detection.csv'} ({len(rows)} rows)")
-    return 0
-
-
-def cmd_rank_features(args) -> int:
-    config = _build_config(args)
-    extractor = _build_extractor(config)
+def _relief_ranking(extractor: FeatureExtractor, config: ExperimentConfig):
     matrix = _descriptive_matrix(config, extractor)
     ranking = relief_rank(matrix.X, encode_labels(matrix.labels), seed=config.seed)
-    out = _out_dir(config)
-    rows = [(rank + 1, f + 1, FEATURE_NAMES[f], weight)
-            for rank, (f, weight) in enumerate(ranking)]
-    write_csv(out / "feature_ranking.csv",
-              ("rank", "feature_index", "feature_name", "weight"), rows)
-    for rank, index, name, weight in rows[:10]:
-        print(f"{rank:>3}  {name} (f{index:03d})  weight={weight:.4f}")
+    return (("rank", "feature_index", "feature_name", "weight"),
+            [(rank + 1, f + 1, FEATURE_NAMES[f], weight)
+             for rank, (f, weight) in enumerate(ranking)])
+
+
+# command -> (output file, study(extractor, config) -> (header, rows),
+# summary(rows) -> lines, or None for one "wrote <path> (<n> rows)" line)
+STUDIES = {
+    "ablate": ("ablation.csv", experiments.run_ablation,
+               lambda rows: [f"{row[0]}: accuracy={row[2]:.3f} f1={row[3]:.3f}"
+                             for row in rows]),
+    "sweep-threshold": ("threshold_sweep.csv", experiments.run_threshold_sweep, None),
+    "early-detect": ("early_detection.csv", experiments.run_early_detection, None),
+    "rank-features": ("feature_ranking.csv", _relief_ranking,
+                      lambda rows: [f"{rank:>3}  {name} (f{index:03d})  weight={weight:.4f}"
+                                    for rank, index, name, weight in rows[:10]]),
+    "feature-stats": ("feature_stats.csv", lambda extractor, config:
+                      experiments.feature_class_stats(_descriptive_matrix(config, extractor)),
+                      None),
+}
+
+
+def cmd_study(config, args) -> int:
+    """Run one of STUDIES, write its CSV and print its summary."""
+    filename, study, summary = STUDIES[args.command]
+    header, rows = study(_build_extractor(config), config)
+    path = _out_dir(config) / filename
+    write_csv(path, header, rows)
+    for line in summary(rows) if summary else [f"wrote {path} ({len(rows)} rows)"]:
+        print(line)
     return 0
 
 
-def cmd_feature_stats(args) -> int:
-    config = _build_config(args)
-    extractor = _build_extractor(config)
-    matrix = _descriptive_matrix(config, extractor)
-    header, rows = experiments.feature_class_stats(matrix)
-    out = _out_dir(config)
-    write_csv(out / "feature_stats.csv", header, rows)
-    print(f"wrote {out / 'feature_stats.csv'} ({len(rows)} rows)")
-    return 0
-
-
-def cmd_synth(args) -> int:
-    config = _build_config(args)
+def cmd_synth(config, args) -> int:
     if not isinstance(config.synthetic, dict):
         raise ConfigError("synthetic must be a JSON object")
     spec_data = dict(config.synthetic)
@@ -232,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("stats", cmd_stats, "print corpus statistics as JSON"),
         ("extract", cmd_extract, "write the feature matrix and index registry"),
         ("evaluate", cmd_evaluate, "stratified 5-fold cross-validation"),
-        ("ablate", cmd_ablate, "evaluate the 17 canonical pattern subsets"),
-        ("sweep-threshold", cmd_sweep_threshold, "re-evaluate across thresholds"),
+        ("ablate", cmd_study, "evaluate the 17 canonical pattern subsets"),
+        ("sweep-threshold", cmd_study, "re-evaluate across thresholds"),
         ("sample-study", cmd_sample_study, "news count / class balance sampling"),
-        ("early-detect", cmd_early_detect, "node/edge-subsampled evaluation"),
-        ("rank-features", cmd_rank_features, "Relief feature ranking"),
-        ("feature-stats", cmd_feature_stats, "per-feature stats split by label"),
+        ("early-detect", cmd_study, "node/edge-subsampled evaluation"),
+        ("rank-features", cmd_study, "Relief feature ranking"),
+        ("feature-stats", cmd_study, "per-feature stats split by label"),
         ("synth", cmd_synth, "generate a synthetic corpus"),
     )
     for name, handler, help_text in commands:
@@ -256,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_build_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

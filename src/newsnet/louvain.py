@@ -75,14 +75,10 @@ class _Level:
         self.com_in = list(self.self_w)
 
     def _modularity(self) -> float:
-        if self.m == 0.0:
+        if not self.m:
             return 0.0
         q = 0.0
-        seen = set()
-        for c in self.com:
-            if c in seen:
-                continue
-            seen.add(c)
+        for c in dict.fromkeys(self.com):
             q += self.com_in[c] / self.m - (self.com_tot[c] / (2.0 * self.m)) ** 2
         return q
 
@@ -119,17 +115,18 @@ class _Level:
                     weights[best_c] = weights.get(best_c, 0) + w
         return moved
 
-    def optimize(self, rng) -> None:
-        if self.m == 0.0:
-            return  # edgeless: all singletons, modularity 0
+    def optimize(self, rng) -> float:
+        """Sweep until no node moves or a sweep gains <= MIN_GAIN; the final modularity."""
+        if not self.m:
+            return 0.0  # edgeless: all singletons
         order = list(range(self.n))
         rng.shuffle(order)
-        current = self._modularity()
+        q = self._modularity()
         while self.sweep(order):
-            new = self._modularity()
-            if new - current <= MIN_GAIN:
+            last, q = q, self._modularity()
+            if q - last <= MIN_GAIN:
                 break
-            current = new
+        return q
 
     def partition(self) -> list:
         """Community of each node, renumbered to 0..k-1 by node order."""
@@ -170,10 +167,9 @@ def communities(n, lows, highs, seed: int) -> list:
     weights = [1] * len(lows)
     while True:
         level = _Level(level_n, lows, highs, weights)
-        level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
+        q = level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
         part = level.partition()
         assignment = [part[c] for c in assignment]
-        q = level._modularity()
         if best_q is not None and q - best_q <= MIN_GAIN:
             break
         best_q = q
@@ -183,9 +179,8 @@ def communities(n, lows, highs, seed: int) -> list:
         lows, highs, weights = level.aggregated_edges(part)
         level_n = n_coms
         level_no += 1
-    # canonical community ids: first appearance over the nodes
-    relabel: dict = {}
-    return [relabel.setdefault(c, len(relabel)) for c in assignment]
+    # every level numbers by first appearance, and so does their composition
+    return assignment
 
 
 def _pairs(lows, highs, n) -> tuple:

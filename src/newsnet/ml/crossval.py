@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -169,13 +169,6 @@ def _check_training_set(y):
         raise CorpusError("single-class training set")
 
 
-@dataclass
-class _MaskState:
-    fold_accuracy: list = field(default_factory=list)
-    fold_f1: list = field(default_factory=list)
-    confusion: dict = field(default_factory=lambda: {"tp": 0, "fp": 0, "tn": 0, "fn": 0})
-
-
 def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
                    theta: float, seed: int, params: dict | None = None) -> dict:
     """Cross-validate several feature masks sharing one extraction per fold.
@@ -189,7 +182,7 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     # split over the extractor's networks: a restricted corpus sees only its news
     labels = {news: extractor.table.labels[news] for news in extractor.networks}
     split = stratified_folds(labels, N_FOLDS, seed)
-    states = {name: _MaskState() for name in masks}
+    confusions = {name: [] for name in masks}  # name -> one confusion per fold
     for fold in range(split.n_folds):
         train_news = split.train_news(fold)
         test_news = split.test_news(fold)
@@ -203,20 +196,13 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
             cols = [i - 1 for i in mask]
             clf = fit_classifier(classifier, X_train[:, cols], y_train,
                                  seed=clf_seed, params=params)
-            pred = clf.predict(X_test[:, cols])
-            conf = confusion(y_test, pred)
-            state = states[name]
-            state.fold_accuracy.append(accuracy_from(conf))
-            state.fold_f1.append(f1_from(conf))
-            for key in state.confusion:
-                state.confusion[key] += conf[key]
-    return {
-        name: EvalReport(classifier=classifier, theta=theta,
-                         fold_accuracy=tuple(state.fold_accuracy),
-                         fold_f1=tuple(state.fold_f1),
-                         confusion=state.confusion)
-        for name, state in states.items()
-    }
+            confusions[name].append(confusion(y_test, clf.predict(X_test[:, cols])))
+    return {name: EvalReport(classifier=classifier, theta=theta,
+                             fold_accuracy=tuple(map(accuracy_from, folds)),
+                             fold_f1=tuple(map(f1_from, folds)),
+                             confusion={key: sum(conf[key] for conf in folds)
+                                        for key in folds[0]})
+            for name, folds in confusions.items()}
 
 
 def cross_validate(extractor: FeatureExtractor, *, classifier: str = "random_forest",

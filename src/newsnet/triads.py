@@ -27,13 +27,13 @@ directed edge keys. Node numbers are sorted ids within a network, so the
 ranks and the (u, v, w) order are those of a per-network loop over ids by
 (degree, id), kept in `tests/oracles.py` as the oracle.
 
-`Triangles` holds every network's triangle total and reciprocal count, and
-the oriented triangles as arrays over the table's node numbering. `census`
-classifies all of them at once from one class-code vector: class index
-4·[source is s] + 2·[middle is s] + [sink is s] for a transitive triangle,
-8 + (number of s) for a cyclic one, counted per network with one
-`np.bincount`. The counts are exact integers, so they equal a per-triangle
-loop (the dict census in `tests/oracles.py`) whatever the order.
+`Triangles` holds every network's triangle total, and the oriented triangles
+as arrays over the table's node numbering. `census` classifies all of them
+at once from one class-code vector: class index 4·[source is s] +
+2·[middle is s] + [sink is s] for a transitive triangle, 8 + (number of s)
+for a cyclic one, counted per network with one `np.bincount`. The counts
+are exact integers, so they equal a per-triangle loop (the dict census in
+`tests/oracles.py`) whatever the order.
 """
 
 from __future__ import annotations
@@ -59,14 +59,13 @@ _UNKNOWN = CLASSES.index(UNKNOWN)
 class Triangles:
     """The triangles of many networks over one node numbering.
 
-    Network t has `total[t]` triangles, `reciprocal[t]` of them with a
-    reciprocal pair. The others are oriented: triangle i lies in network
-    `network[i]`, and `roles[i]` holds its node numbers as (source, middle,
-    sink), or, when `cyclic[i]`, in rank order.
+    Network t has `total[t]` triangles. Those without a reciprocal pair are
+    oriented: triangle i lies in network `network[i]`, and `roles[i]` holds
+    its node numbers as (source, middle, sink), or, when `cyclic[i]`, in
+    rank order.
     """
 
     total: np.ndarray  # (networks,) int64
-    reciprocal: np.ndarray  # (networks,) int64
     network: np.ndarray  # (m,) int64
     cyclic: np.ndarray  # (m,) bool
     roles: np.ndarray  # (m, 3) int64
@@ -115,9 +114,7 @@ def enumerate_triangles(table) -> Triangles:
     tri, out = tri[oriented], out[oriented]
     # source (2 out-arcs), middle (1), sink (0); a cyclic triangle stays in rank order
     roles = np.take_along_axis(tri, np.argsort(-out, axis=1, kind="stable"), axis=1)
-    networks = table.sizes.size
-    return Triangles(total=np.bincount(listed, minlength=networks),
-                     reciprocal=np.bincount(listed[reciprocal], minlength=networks),
+    return Triangles(total=np.bincount(listed, minlength=table.sizes.size),
                      network=listed[oriented], cyclic=(out == 1).all(axis=1), roles=roles)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,98 @@ def test_grid_commands_with_config(corpus_dir, tmp_path):
     assert (out / "early_detection.csv").is_file()
     assert (out / "sampling_news_count.csv").is_file()
     assert (out / "feature_stats.csv").is_file()
+
+
+# Each corpus command with default settings on `corpus_dir`: its stdout, the
+# output directory shown as <out>, and the sha256 of every file it writes.
+# ingest, stats and evaluate print a JSON document, pinned by its sha256; it
+# is the text of the stats.json or evaluation.json they write.
+_STATS_JSON = "e8a39a57c8b21cacd44be26bd781fc522e7f59c17dcd7a1309c2dfc7ee120ac9"
+_EVALUATION_JSON = "5766afe99eb0c368563b67d34241a763afca7425180f6acb668ca79d0d985095"
+COMMAND_OUTPUTS = {
+    "ingest": (_STATS_JSON, {
+        "edges.csv": "14bb6f80a5f0f125d3050086814f2ccbd2a2726f76fbc617b4b7bbc79cd8f0ec",
+        "engagements.csv": "53ffdd3e39ac5b9a97a01305a8b0b9476d6745da8e922fa273c024946a856fc3",
+        "labels.csv": "9a7058ab323be99f29e4d521a252fdafd7fb2c21fcae86c4e330dc99fc5986a4",
+        "stats.json": _STATS_JSON,
+    }),
+    "stats": (_STATS_JSON, {}),
+    "extract": ("wrote <out>/features.csv (16 news x 142 features)\n", {
+        "feature_registry.json":
+            "3654b92543b26d3bf01232dc124037ca32f2eac5a67f4ca1a3e66c98603a0ae9",
+        "features.csv": "2d4fa7899237e2915c6d1ce7cf8e9365a9e733d33965f7bc51b51c85846ee8e4",
+    }),
+    "evaluate": (_EVALUATION_JSON, {"evaluation.json": _EVALUATION_JSON}),
+    "ablate": ("""\
+more_spreaders: accuracy=0.950 f1=0.960
+farther_distance: accuracy=0.850 f1=0.867
+stronger_engagement: accuracy=1.000 f1=1.000
+denser_networks: accuracy=1.000 f1=1.000
+more_spreaders+farther_distance: accuracy=1.000 f1=1.000
+more_spreaders+stronger_engagement: accuracy=1.000 f1=1.000
+more_spreaders+denser_networks: accuracy=1.000 f1=1.000
+farther_distance+stronger_engagement: accuracy=0.950 f1=0.933
+farther_distance+denser_networks: accuracy=0.950 f1=0.933
+stronger_engagement+denser_networks: accuracy=1.000 f1=1.000
+all_minus_denser_networks: accuracy=1.000 f1=1.000
+all_minus_stronger_engagement: accuracy=1.000 f1=1.000
+all_minus_farther_distance: accuracy=1.000 f1=1.000
+all_minus_more_spreaders: accuracy=0.950 f1=0.933
+all_patterns: accuracy=1.000 f1=1.000
+similarity_only: accuracy=1.000 f1=1.000
+all_plus_similarity: accuracy=1.000 f1=1.000
+""", {"ablation.csv": "6e41eb1717d6d969592ea216e043f6e2235572bb98bec9aa5926259c1cb78cc3"}),
+    "sweep-threshold": ("wrote <out>/threshold_sweep.csv (77 rows)\n", {
+        "threshold_sweep.csv":
+            "6a3ce82fd9fc2c7b93e998149fc337b59d6c04ee11e8c4e13ff1eff66343934c",
+    }),
+    "sample-study": ("wrote <out>/sampling_news_count.csv (10 rows)\n"
+                     "wrote <out>/sampling_class_balance.csv (9 rows)\n", {
+        "sampling_class_balance.csv":
+            "d1b8f505503fb457d84a586f372d743408030f038a6ffb214f9d2a4b26cb5201",
+        "sampling_news_count.csv":
+            "9c564c361ce64eeb871e5b88d29f12d9f67c461e2e942c4cb25aa54d87b95347",
+    }),
+    "early-detect": ("wrote <out>/early_detection.csv (20 rows)\n", {
+        "early_detection.csv":
+            "237f84f6ff9ed05714d662c20f8d39f11527421991665da47d2b2d04574a2a80",
+    }),
+    "rank-features": ("""\
+  1  sim_fake_id (f139)  weight=12.8861
+  2  pct_edges_ss_news (f070)  weight=11.4034
+  3  mean_susceptibility_freq (f011)  weight=10.8595
+  4  sim_true_id (f140)  weight=10.1629
+  5  community_density_global (f137)  weight=9.8733
+  6  median_susceptibility_freq (f013)  weight=9.6203
+  7  pct_edges_delta_zero_news (f078)  weight=9.3792
+  8  mean_susceptibility_news (f010)  weight=8.9911
+  9  n_edges_delta_zero_news (f076)  weight=8.5000
+ 10  n_susceptible_spreaders_news (f004)  weight=8.3636
+""", {"feature_ranking.csv": "f57724275b858b9ced239e084ff726a4ea486008efdcf0805b6013cc78257dec"}),
+    "feature-stats": ("wrote <out>/feature_stats.csv (284 rows)\n", {
+        "feature_stats.csv": "99865297e3685436fb59c1166243f4f8df842f441ebc45ee12c313d92eb49ae0",
+    }),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython" or sys.version_info[:2] != (3, 11),
+    reason="pinned on CPython 3.11, like tests/test_pinned_outputs.py")
+@pytest.mark.parametrize("command", COMMAND_OUTPUTS)
+def test_command_stdout_and_files_are_pinned(corpus_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)] + _corpus_flags(corpus_dir)) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    expected_stdout, expected_files = COMMAND_OUTPUTS[command]
+    if command in ("ingest", "stats", "evaluate"):
+        stdout = _sha256(stdout.encode())
+    assert stdout == expected_stdout
+    written = sorted(out.iterdir()) if out.exists() else []
+    assert {path.name: _sha256(path.read_bytes()) for path in written} == expected_files
 
 
 def test_exit_code_input_error(tmp_path, capsys):

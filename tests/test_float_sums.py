@@ -26,6 +26,7 @@ INTEGER_SUMS = {
         "sum((1 for lab in table.labels.values() if lab == TRUE))",
     ],
     "distances.py": ["sum((h * c for h, c in enumerate(counts, 1)))"],
+    "ml/crossval.py": ["sum((conf[key] for conf in folds))"],
     "wl.py": ["sum((count * large.get(label, 0) for label, count in small.items()))"],
 }
 
