@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, FileNotFoundError) as exc:
+    except CorpusError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

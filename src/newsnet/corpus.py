@@ -217,32 +217,36 @@ def _read_rows(path, expected_header):
     path = Path(path)
     if not path.is_file():
         raise CorpusError("file not found", file=str(path))
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError("missing header row", file=path.name, line=1) from None
-        header = [h.strip() for h in header]
-        if header != list(expected_header):
-            raise CorpusError(
-                f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
-                file=path.name,
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue  # tolerate blank lines
-            if len(row) != len(expected_header):
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CorpusError("missing header row", file=path.name, line=1) from None
+            header = [h.strip() for h in header]
+            if header != list(expected_header):
                 raise CorpusError(
-                    f"expected {len(expected_header)} columns, got {len(row)}",
+                    f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
                     file=path.name,
-                    line=lineno,
+                    line=1,
                 )
-            cells = [c.strip() for c in row]
-            if any(not c for c in cells):
-                raise CorpusError("empty field", file=path.name, line=lineno)
-            yield lineno, cells
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue  # tolerate blank lines
+                if len(row) != len(expected_header):
+                    raise CorpusError(
+                        f"expected {len(expected_header)} columns, got {len(row)}",
+                        file=path.name,
+                        line=lineno,
+                    )
+                cells = [c.strip() for c in row]
+                if any(not c for c in cells):
+                    raise CorpusError("empty field", file=path.name, line=lineno)
+                yield lineno, cells
+    except UnicodeDecodeError:
+        # decoded in chunks, so the error's offset locates no line
+        raise CorpusError("not UTF-8 text", file=path.name) from None
 
 
 def load_corpus(edges_path, engagements_path, labels_path):

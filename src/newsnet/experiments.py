@@ -116,12 +116,9 @@ class ExperimentConfig:
         for name in ("seed", "jobs", "repetitions", "wl_iterations"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.wl_iterations < 0:
-            raise ConfigError("wl_iterations must be >= 0")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        for name, low in (("repetitions", 1), ("wl_iterations", 0), ("jobs", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.balance_total is not None and not (_is_int(self.balance_total)
                                                    and self.balance_total >= 1):
             raise ConfigError("balance_total must be null or an int >= 1")
@@ -225,22 +222,34 @@ def _share(*shared):
     _SHARED = shared
 
 
-def _with_shared(worker, point):
-    return worker(_SHARED + point)
+def _with_shared(worker, task):
+    return worker(_SHARED + task)
 
 
-def _run_jobs(worker, shared, points, jobs):
-    """worker(shared + point) for each point, in order.
+def _by_point(worker, shared, runs, jobs) -> dict:
+    """Each point's (runs, mean accuracy, mean F1), from (point, run, task)
+    triples in order.
 
-    With jobs > 1, each pool process receives `shared` (extractor, config,
-    mask) once, through the pool's initializer, and a task carries only
-    its point.
+    A run is evaluated once, as worker(shared + task) of its first triple,
+    and its result counts for every point that lists it. With jobs > 1,
+    each pool process receives `shared` (extractor, config, mask) once,
+    through the pool's initializer, and a task carries only its own part.
     """
+    tasks: dict = {}  # distinct run -> its first task
+    for _, run, task in runs:
+        tasks.setdefault(run, task)
     if jobs <= 1:
-        return [worker(shared + point) for point in points]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
-                             initargs=shared) as pool:
-        return list(pool.map(partial(_with_shared, worker), points))
+        results = [worker(shared + task) for task in tasks.values()]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+                                 initargs=shared) as pool:
+            results = list(pool.map(partial(_with_shared, worker), tasks.values()))
+    results = dict(zip(tasks, results))
+    grouped: dict = {}
+    for point, run, _ in runs:
+        grouped.setdefault(point, []).append(results[run])
+    return {point: (len(values), _mean([a for a, _ in values]), _mean([f for _, f in values]))
+            for point, values in grouped.items()}
 
 
 def _eval_task(args):
@@ -303,8 +312,7 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     header = ("mode", "proportion", "n_fake", "n_true", "repetitions", "status",
               "accuracy", "f1", "metric")
     points = []
-    distinct: dict = {}  # each distinct draw once, in the order first drawn
-    draws = []
+    runs = []
     for mode_name, p, n_fake, n_true in grid:
         feasible = (5 <= n_fake <= len(fake_pop)) and (5 <= n_true <= len(true_pop))
         points.append((mode_name, p, n_fake, n_true, feasible))
@@ -315,22 +323,15 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
                                             repr(p), rep))
             draw = (tuple(sorted(rng.sample(fake_pop, n_fake))),
                     tuple(sorted(rng.sample(true_pop, n_true))))
-            distinct.setdefault(draw)
-            draws.append(((mode_name, p), draw))
-    results = dict(zip(distinct, _run_jobs(_sampling_task, (extractor, config, mask),
-                                           list(distinct), config.jobs)))
-    by_point: dict = {}
-    for key, draw in draws:
-        by_point.setdefault(key, []).append(results[draw])
+            runs.append(((mode_name, p), draw, draw))
+    by_point = _by_point(_sampling_task, (extractor, config, mask), runs, config.jobs)
     rows = []
     for mode_name, p, n_fake, n_true, feasible in points:
         if not feasible:
             rows.append((mode_name, p, n_fake, n_true, 0, "skipped", "", "", metric))
             continue
-        values = by_point[(mode_name, p)]
-        rows.append((mode_name, p, n_fake, n_true, len(values), "ok",
-                     _mean([a for a, _ in values]), _mean([f for _, f in values]),
-                     metric))
+        n_runs, accuracy, f1 = by_point[(mode_name, p)]
+        rows.append((mode_name, p, n_fake, n_true, n_runs, "ok", accuracy, f1, metric))
     return header, rows
 
 
@@ -343,27 +344,12 @@ def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
     """
     mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")
-    tasks: dict = {}  # distinct run -> its point
-    points = []
-    for mode in config.modes:
-        for p in config.proportions:
-            for rep in range(config.repetitions):
-                run = (p,) if p == 1.0 else (mode, p, rep)
-                tasks.setdefault(run, (mode, p, rep))
-                points.append(((mode, p), run))
-    results = dict(zip(tasks, _run_jobs(_early_task, (extractor, config, mask),
-                                        list(tasks.values()), config.jobs)))
-    grouped: dict = {}
-    for point, run in points:
-        grouped.setdefault(point, []).append(results[run])
-    rows = []
-    for mode in config.modes:
-        for p in config.proportions:
-            values = grouped[(mode, p)]
-            rows.append((mode, p, len(values),
-                         _mean([a for a, _ in values]),
-                         _mean([f for _, f in values])))
-    return header, rows
+    runs = [((mode, p), (p,) if p == 1.0 else (mode, p, rep), (mode, p, rep))
+            for mode in config.modes for p in config.proportions
+            for rep in range(config.repetitions)]
+    by_point = _by_point(_early_task, (extractor, config, mask), runs, config.jobs)
+    return header, [(mode, p) + by_point[(mode, p)]
+                    for mode in config.modes for p in config.proportions]
 
 
 def feature_class_stats(matrix: FeatureMatrix):

@@ -50,11 +50,13 @@ class _Level:
     Edge i joins nodes lows[i] and highs[i] with int weight weights[i], a
     count of symmetrized pairs, so the degrees `k`, self-loop weights,
     community totals and kept neighbour-community weights `nc` are exact int
-    sums at any scale and in any order.
+    sums at any scale and in any order. The edge list stays as `edges`, for
+    `aggregated_edges`.
     """
 
     def __init__(self, n, lows, highs, weights):
         self.n = n
+        self.edges = (lows, highs, weights)
         self.adj = [dict() for _ in range(n)]
         self.self_w = [0] * n
         self.k = k = [0] * n
@@ -75,8 +77,7 @@ class _Level:
         self.com_in = list(self.self_w)
 
     def _modularity(self) -> float:
-        if not self.m:
-            return 0.0
+        """The partition's modularity; m > 0 (`optimize` stops first when m = 0)."""
         q = 0.0
         for c in dict.fromkeys(self.com):
             q += self.com_in[c] / self.m - (self.com_tot[c] / (2.0 * self.m)) ** 2
@@ -139,18 +140,15 @@ class _Level:
         return out
 
     def aggregated_edges(self, partition) -> tuple:
-        """The edges between communities: (lows, highs, weights), pairs sorted."""
+        """The edges between communities: (lows, highs, weights), pairs sorted.
+
+        Each edge's weight adds to its (lower, higher) community pair.
+        """
         edges: dict = {}
-        for i in range(self.n):
-            ci = partition[i]
-            if self.self_w[i]:
-                key = (ci, ci)
-                edges[key] = edges.get(key, 0) + self.self_w[i]
-            for j, w in self.adj[i].items():
-                if i < j:
-                    a, b = partition[i], partition[j]
-                    key = (a, b) if a <= b else (b, a)
-                    edges[key] = edges.get(key, 0) + w
+        for u, v, w in zip(*self.edges):
+            a, b = partition[u], partition[v]
+            key = (a, b) if a <= b else (b, a)
+            edges[key] = edges.get(key, 0) + w
         pairs = sorted(edges)
         return [a for a, _ in pairs], [b for _, b in pairs], [edges[pair] for pair in pairs]
 

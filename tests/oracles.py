@@ -18,7 +18,8 @@ that the rank arrays of `newsnet.distances`, `newsnet.triads` and
 `newsnet.susceptibility.fit` replaced, and the two Louvain sweeps that
 `newsnet.louvain` replaced: one scanning candidate communities in sorted
 order, and one rebuilding each node's neighbour-community weights at every
-visit.
+visit, and the Louvain aggregation by a walk of each level's adjacency
+dicts that summing the level's edge list replaced.
 Networks are walked as `IdNetwork`s, sets of user ids read back from the
 package's rank arrays, and per-rank arrays as {user id: value} dicts
 (`by_id`). Apart from the pairwise WL kernel, the WL Gram product the dict
@@ -412,6 +413,27 @@ class SortedSweepLevel(_Level):
                 moved = True
         return moved
 
+    def aggregated_edges(self, partition) -> tuple:
+        return adjacency_aggregated_edges(self, partition)
+
+
+def adjacency_aggregated_edges(level: _Level, partition) -> tuple:
+    """`_Level.aggregated_edges` as a walk of the level's adjacency dicts, its
+    self-loops apart and each other pair once (i < j): (lows, highs, weights)."""
+    edges: dict = {}
+    for i in range(level.n):
+        ci = partition[i]
+        if level.self_w[i]:
+            key = (ci, ci)
+            edges[key] = edges.get(key, 0) + level.self_w[i]
+        for j, w in level.adj[i].items():
+            if i < j:
+                a, b = partition[i], partition[j]
+                key = (a, b) if a <= b else (b, a)
+                edges[key] = edges.get(key, 0) + w
+    pairs = sorted(edges)
+    return [a for a, _ in pairs], [b for _, b in pairs], [edges[pair] for pair in pairs]
+
 
 def sorted_sweep_communities(n, lows, highs, weights, seed: int) -> list:
     """`louvain.communities` over `SortedSweepLevel`s: each node's community."""
@@ -419,10 +441,9 @@ def sorted_sweep_communities(n, lows, highs, weights, seed: int) -> list:
     level_n, best_q, level_no = n, None, 0
     while True:
         level = SortedSweepLevel(level_n, lows, highs, weights)
-        level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
+        q = level.optimize(random.Random(derive_seed(seed, "louvain", level_no)))
         part = level.partition()
         assignment = [part[c] for c in assignment]
-        q = level._modularity()
         if best_q is not None and q - best_q <= MIN_GAIN:
             break
         best_q = q

@@ -375,6 +375,28 @@ def test_internal_value_error_is_not_an_input_error(corpus_dir, monkeypatch):
         main(["stats"] + _corpus_flags(corpus_dir))
 
 
+@pytest.mark.parametrize("name", ["edges.csv", "engagements.csv", "labels.csv"])
+def test_non_utf8_corpus_file_exits_one(corpus_dir, tmp_path, capsys, name):
+    flags = _corpus_flags(corpus_dir)
+    bad = tmp_path / name
+    bad.write_bytes((corpus_dir / name).read_bytes() + b"\xff\n")
+    flags[flags.index(str(corpus_dir / name))] = str(bad)
+    assert main(["stats"] + flags) == 1
+    assert capsys.readouterr().err == f"input error: {name}: not UTF-8 text\n"
+
+
+def test_missing_file_inside_a_study_is_not_an_input_error(corpus_dir, tmp_path,
+                                                           monkeypatch, capsys):
+    # every missing input is a CorpusError or ConfigError before any study runs
+    def broken(extractor, config):
+        raise FileNotFoundError("a program bug")
+
+    monkeypatch.setitem(cli.STUDIES, "ablate", ("ablation.csv", broken, None))
+    with pytest.raises(FileNotFoundError, match="a program bug"):
+        main(["ablate", "--out", str(tmp_path / "out")] + _corpus_flags(corpus_dir))
+    assert "input error" not in capsys.readouterr().err
+
+
 def test_byte_identical_across_hash_seeds(corpus_dir, tmp_path):
     """Re-running in fresh interpreters with different hash seeds must agree."""
     # the child imports the same newsnet as this process, installed or not

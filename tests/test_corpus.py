@@ -198,6 +198,21 @@ def test_wrong_column_count_reports_line(tmp_path):
         load_corpus(*paths)
 
 
+@pytest.mark.parametrize("file", range(3))
+@pytest.mark.parametrize("repeats", [0, 1, 2000])
+def test_non_utf8_file_raises_naming_it(tmp_path, file, repeats):
+    # a 0xff byte in the header, after one row, or past the first chunk
+    # (8 KiB) the reader decodes
+    paths = write_corpus_files(tmp_path, [("u1", "u2")] * repeats,
+                               [("n1", "u1", 1)] * repeats, [("n1", "fake")] * repeats)
+    text = paths[file].read_bytes()
+    bad = b"\xff" + text[1:] if repeats == 0 else text + b"n\xff1,u1,1\n"
+    paths[file].write_bytes(bad)
+    with pytest.raises(CorpusError) as err:
+        load_corpus(*paths)
+    assert str(err.value) == f"{paths[file].name}: not UTF-8 text"
+
+
 def test_round_trip(tmp_path):
     graph, table = random_corpus(seed=5)
     paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")

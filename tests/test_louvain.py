@@ -8,8 +8,9 @@ from newsnet.corpus import SocialGraph
 from newsnet.diffusion import build_all_networks
 from newsnet.louvain import _Level, global_communities, local_communities
 
-from oracles import (RebuildSweepLevel, SortedSweepLevel, best_partition, by_id, id_network,
-                     louvain, matrix_modularity, random_corpus, string_graph, symmetrize)
+from oracles import (RebuildSweepLevel, SortedSweepLevel, adjacency_aggregated_edges,
+                     best_partition, by_id, id_network, louvain, matrix_modularity,
+                     random_corpus, string_graph, symmetrize)
 
 
 def _clique_edges(nodes):
@@ -170,6 +171,23 @@ def test_sweep_equals_the_rebuilding_sweep(seed):
                 break
         else:
             pytest.fail("the sweeps did not settle")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_aggregation_equals_the_adjacency_walk(seed):
+    # self-loops, repeated pairs and weights up to 7, under random partitions,
+    # the singletons, one community, and the partition a level settles in
+    rng = random.Random(seed)
+    for shape in TIED_LEVELS + [_random_level(rng) for _ in range(20)]:
+        n = shape[0]
+        level = _Level(*shape)
+        k = rng.randint(1, n)
+        partitions = [[rng.randrange(k) for _ in range(n)], list(range(n)), [0] * n]
+        level.optimize(random.Random(seed))
+        for part in partitions + [level.partition()]:
+            got = level.aggregated_edges(part)
+            assert got == adjacency_aggregated_edges(level, part)
+            assert all(type(w) is int for w in got[2])
 
 
 def test_level_sums_are_exact_ints_at_any_scale():
