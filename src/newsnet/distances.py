@@ -9,8 +9,8 @@ turns flow into an edge length (Brockmann & Helbing, Science 2013)
 
 which is >= 1 whenever F_ij > 0 and infinite on zero-flow edges.
 `flow_matrix` computes these lengths with `math.log` for every edge of a
-`features.NodeTable`, in the table's edge order, so each network's lengths
-are one slice of the array.
+`features.NodeTable`, under both definitions, in the table's edge order, so
+each network's lengths are one slice of a definition's array.
 
 `distance_stats` measures hop counts (geodesic distance) when it is given no
 lengths, and effective distance over the edge lengths it is given. It
@@ -109,8 +109,9 @@ class DistanceStats:
     median: float
 
 
-def flow_matrix(graph: SocialGraph, table, definition: str) -> np.ndarray:
-    """The effective length of every edge of a `features.NodeTable`, in its edge order.
+def flow_matrix(graph: SocialGraph, table) -> dict:
+    """The effective length of every edge of a `features.NodeTable`, in its
+    edge order, as {definition: lengths} over FLOW_DEFINITIONS.
 
     Each table edge becomes its key over the graph's ranks; the flows are one
     `bincount` over the distinct keys, and the inflows one over their
@@ -119,8 +120,6 @@ def flow_matrix(graph: SocialGraph, table, definition: str) -> np.ndarray:
     on Python floats. Every edge carries flow from its own story, so every
     length is finite and >= 1.
     """
-    if definition not in FLOW_DEFINITIONS:
-        raise ValueError(f"definition must be one of {FLOW_DEFINITIONS}, got {definition!r}")
     followers, followees = table.rank[table.source], table.rank[table.target]
     followed = graph.follows(followers, followees)
     if not followed.all():
@@ -131,15 +130,17 @@ def flow_matrix(graph: SocialGraph, table, definition: str) -> np.ndarray:
     keys = followers * n + followees
     edge_keys = distinct(keys)
     edge = np.searchsorted(edge_keys, keys)
-    weights = None
-    if definition == SHARED_FREQUENCY:
-        weights = np.minimum(table.count[table.source], table.count[table.target])
-    flows = np.bincount(edge, weights=weights, minlength=edge_keys.size)
     heads = edge_keys % max(n, 1)
-    inflow = np.bincount(heads, weights=flows, minlength=n)[heads]
-    lengths = [1.0 - math.log(f / total)
-               for f, total in zip(flows.astype(np.float64).tolist(), inflow.tolist())]
-    return np.array(lengths, dtype=np.float64)[edge]
+    lengths = {}
+    for definition, weights in ((SHARED_NEWS, None), (SHARED_FREQUENCY, np.minimum(
+            table.count[table.source], table.count[table.target]))):
+        flows = np.bincount(edge, weights=weights, minlength=edge_keys.size)
+        inflow = np.bincount(heads, weights=flows, minlength=n)[heads]
+        lengths[definition] = np.array(
+            [1.0 - math.log(f / total)
+             for f, total in zip(flows.astype(np.float64).tolist(), inflow.tolist())],
+            dtype=np.float64)[edge]
+    return lengths
 
 
 def _in_edge_slots(src, dst, n) -> tuple:

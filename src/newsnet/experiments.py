@@ -287,7 +287,7 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     Balanced runs report accuracy as headline metric, unbalanced runs F1;
     rows whose sample cannot be stratified are flagged and skipped. Each
     distinct draw is evaluated once, and a draw of the whole population on
-    `extractor` itself.
+    `extractor` itself. A value listed twice is drawn once and gets two rows.
     """
     if mode not in SAMPLING_MODES:
         raise ConfigError(f"unknown sampling mode {mode!r}")
@@ -311,11 +311,11 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
 
     header = ("mode", "proportion", "n_fake", "n_true", "repetitions", "status",
               "accuracy", "f1", "metric")
-    points = []
+    points = [(mode_name, p, n_fake, n_true,
+               (5 <= n_fake <= len(fake_pop)) and (5 <= n_true <= len(true_pop)))
+              for mode_name, p, n_fake, n_true in grid]
     runs = []
-    for mode_name, p, n_fake, n_true in grid:
-        feasible = (5 <= n_fake <= len(fake_pop)) and (5 <= n_true <= len(true_pop))
-        points.append((mode_name, p, n_fake, n_true, feasible))
+    for mode_name, p, n_fake, n_true, feasible in dict.fromkeys(points):
         if not feasible:
             continue
         for rep in range(config.repetitions):
@@ -340,12 +340,13 @@ def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
 
     Either mode keeps every network whole at p = 1.0, whatever the seed, so
     that point is evaluated once, on `extractor` itself, and counted for
-    every mode and repetition.
+    every mode and repetition. A value listed twice is evaluated once and
+    gets two rows.
     """
     mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")
     runs = [((mode, p), (p,) if p == 1.0 else (mode, p, rep), (mode, p, rep))
-            for mode in config.modes for p in config.proportions
+            for mode in dict.fromkeys(config.modes) for p in dict.fromkeys(config.proportions)
             for rep in range(config.repetitions)]
     by_point = _by_point(_early_task, (extractor, config, mask), runs, config.jobs)
     return header, [(mode, p) + by_point[(mode, p)]

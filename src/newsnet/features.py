@@ -41,7 +41,7 @@ the table, and the distance statistics (over each network's slice of the
 lengths) and local communities network by network; the dict loop it
 replaced is `static_features` in `tests/oracles.py`, which it equals bit
 for bit. Per (fold, threshold) and scoring method, one score and one
-class-code vector over the graph ranks (`susceptibility.fit`) give every
+class-code vector over the graph ranks (`susceptibility.fit_all`) give every
 node's score and class; counts are `np.bincount`s over network × class
 keys, the median susceptibility reads a `lexsort` by (network, score), and
 the triad counts are one `triads.census`. Every count is an exact integer
@@ -53,9 +53,9 @@ left to right in sorted-node order like Python's `sum` on CPython 3.11
 (the trailing zeros add exactly). CPython 3.12's `sum` is compensated, so
 there the oracle can differ in the last bits.
 
-`extract` assembles one network's vector from its rows of the three blocks,
-a float64 array of 142 values in index order; `extract_matrix` stacks the
-vectors of every network under one training fold, WL similarity included.
+`extract` writes the three blocks' columns into float64 vectors of 142
+values in index order; `extract_matrix` calls it once, on every network's
+rows under one training fold, WL similarity included.
 """
 
 from __future__ import annotations
@@ -190,15 +190,7 @@ def registry_json() -> list:
 class FeatureMatrix:
     news_ids: tuple
     labels: tuple
-    X: np.ndarray  # shape (n_news, 142)
-
-    @cached_property
-    def _row_index(self) -> dict:
-        return {news: i for i, news in enumerate(self.news_ids)}
-
-    def rows_for(self, news_ids) -> tuple:
-        idx = [self._row_index[n] for n in news_ids]
-        return self.X[idx], [self.labels[i] for i in idx]
+    X: np.ndarray  # shape (n_news, 142), rows in sorted news order
 
     def write_csv(self, path) -> None:
         header = ["news_id", "label"] + [f"f{i:03d}" for i in range(1, N_FEATURES + 1)]
@@ -292,7 +284,7 @@ def dynamic_features(table: NodeTable, vectors: dict) -> np.ndarray:
     """The dynamic block of every network, (networks, 100) in DYNAMIC_NAMES order.
 
     `vectors` maps each scoring method to its (scores, class codes) over the
-    graph ranks (`susceptibility.fit`). Rows follow `table.order`.
+    graph ranks (`susceptibility.fit_all`). Rows follow `table.order`.
     """
     n = len(table.order)
     unknown = CLASSES.index(UNKNOWN)
@@ -363,8 +355,7 @@ class FeatureExtractor:
         self.h = h
         self.seed = seed
         self.node_table = NodeTable(networks, h)
-        self.flows = {d: flow_matrix(graph, self.node_table, d)
-                      for d in (SHARED_NEWS, SHARED_FREQUENCY)}
+        self.flows = flow_matrix(graph, self.node_table)
         self.history = self.node_table if history is None else history
 
     @classmethod
@@ -436,18 +427,18 @@ class FeatureExtractor:
 
 
 def extract(static, dynamic, references) -> np.ndarray:
-    """Assemble one network's full 142-value feature vector, in index order.
+    """Assemble full 142-value feature vectors, in index order.
 
-    `static` and `dynamic` are the network's rows of the static block
-    (STATIC_NAMES order) and of `dynamic_features` (DYNAMIC_NAMES order);
-    `references` is its 4-tuple of WL similarity values
-    (SimilarityIndex.features).
+    `static`, `dynamic` and `references` are rows of the static block
+    (STATIC_NAMES order), of `dynamic_features` (DYNAMIC_NAMES order) and of
+    `SimilarityIndex.features`: one network's rows give its vector, every
+    network's stacked rows a matrix of one vector per row.
     """
-    row = np.empty(N_FEATURES)
-    row[_COLUMNS[STATIC]] = static
-    row[_COLUMNS[DYNAMIC]] = dynamic
-    row[_COLUMNS[SIMILARITY]] = references
-    return row
+    X = np.empty(np.shape(static)[:-1] + (N_FEATURES,))
+    X[..., _COLUMNS[STATIC]] = static
+    X[..., _COLUMNS[DYNAMIC]] = dynamic
+    X[..., _COLUMNS[SIMILARITY]] = references
+    return X
 
 
 def extract_matrix(extractor: FeatureExtractor, training_news,
@@ -461,9 +452,6 @@ def extract_matrix(extractor: FeatureExtractor, training_news,
                                      training_news, theta)
     table = extractor.node_table
     classes = vectors[BY_NEWS][1][table.rank]
-    sim_index = SimilarityIndex(table, training_news, classes)
-    dynamic = dynamic_features(table, vectors)
-    static = extractor.static_block
-    X = np.array([extract(static[t], dynamic[t], sim_index.features(news))
-                  for t, news in enumerate(table.order)], dtype=np.float64)
+    X = extract(extractor.static_block, dynamic_features(table, vectors),
+                SimilarityIndex(table, training_news, classes).features())
     return FeatureMatrix(news_ids=tuple(table.order), labels=tuple(table.labels), X=X)

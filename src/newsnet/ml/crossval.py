@@ -182,21 +182,19 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     # split over the extractor's networks: a restricted corpus sees only its news
     labels = {news: extractor.table.labels[news] for news in extractor.networks}
     split = stratified_folds(labels, N_FOLDS, seed)
+    news_ids = sorted(labels)  # every fold matrix's rows, as in split.train_news
+    y = encode_labels([labels[news] for news in news_ids])
+    fold_of = np.array([split.folds[news] for news in news_ids])
     confusions = {name: [] for name in masks}  # name -> one confusion per fold
     for fold in range(split.n_folds):
-        train_news = split.train_news(fold)
-        test_news = split.test_news(fold)
-        matrix = extract_matrix(extractor, train_news, theta)
-        X_train, lab_train = matrix.rows_for(train_news)
-        X_test, lab_test = matrix.rows_for(test_news)
-        y_train = encode_labels(lab_train)
-        y_test = encode_labels(lab_test)
+        X = extract_matrix(extractor, split.train_news(fold), theta).X
+        train, test = fold_of != fold, fold_of == fold
         clf_seed = derive_seed(seed, "clf", classifier, fold)
         for name, mask in masks.items():
             cols = [i - 1 for i in mask]
-            clf = fit_classifier(classifier, X_train[:, cols], y_train,
+            clf = fit_classifier(classifier, X[train][:, cols], y[train],
                                  seed=clf_seed, params=params)
-            confusions[name].append(confusion(y_test, clf.predict(X_test[:, cols])))
+            confusions[name].append(confusion(y[test], clf.predict(X[test][:, cols])))
     return {name: EvalReport(classifier=classifier, theta=theta,
                              fold_accuracy=tuple(map(accuracy_from, folds)),
                              fold_f1=tuple(map(f1_from, folds)),

@@ -11,11 +11,12 @@ Scores are always fit on a declared training news set so that no test-fold
 label can influence a feature (leakage-safe protocol). Users with no training
 history get exactly the threshold value, i.e. their class is "unknown".
 
-Users are graph ranks. `fit` reads the spreading records from a
+Users are graph ranks. `fit_all` reads the spreading records from a
 `features.NodeTable` of a corpus's full diffusion networks: node k is
 `count[k]` spreads of story `order[network[k]]` by the user of graph rank
-`rank[k]`. It gives every rank's score and class code as two arrays over
-all graph ranks, from `np.bincount`s of the training stories' nodes by rank.
+`rank[k]`. It gives every rank's score and class code under both methods,
+two arrays over all graph ranks each, from `np.bincount`s of the training
+stories' nodes by rank; the training mask and the fake flags are shared.
 Each total is an exact integer and each score one float division, so the
 scores equal the per-user dict loop kept in `tests/oracles.py` bit for bit.
 """
@@ -36,11 +37,10 @@ UNKNOWN = "unknown"
 CLASSES = (NORMAL, SUSCEPTIBLE, UNKNOWN)  # a class code is an index into this
 
 
-def fit(table, n_users: int, training_news, method: str, theta: float) -> tuple:
+def fit_all(table, n_users: int, training_news, theta: float) -> dict:
     """Every one of the `n_users` graph ranks' score and class code (an index
-    into CLASSES), as arrays, fit on the training news of a `NodeTable` only."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    into CLASSES) under each scoring method, as {method: (scores, codes)}
+    arrays, fit on the training news of a `NodeTable` only."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     training = frozenset(training_news)
@@ -52,15 +52,11 @@ def fit(table, n_users: int, training_news, method: str, theta: float) -> tuple:
 
     kept = np.array([news in training for news in table.order], dtype=bool)[table.network]
     rank = table.rank[kept]
-    weights = table.count[kept] if method == BY_FREQUENCY else np.ones(rank.size)
     fake = np.array([label == FAKE for label in table.labels], dtype=bool)[table.network[kept]]
-    total = np.bincount(rank, weights=weights, minlength=n_users)
-    fakes = np.bincount(rank[fake], weights=weights[fake], minlength=n_users)
-    scores = np.divide(fakes, total, out=np.full(n_users, float(theta)), where=total > 0)
-    codes = np.where(scores < theta, 0, np.where(scores > theta, 1, 2))
-    return scores, codes
-
-
-def fit_all(table, n_users: int, training_news, theta: float) -> dict:
-    """`fit` for each scoring method; keys are the method names."""
-    return {m: fit(table, n_users, training_news, m, theta) for m in METHODS}
+    vectors = {}
+    for method, weights in ((BY_NEWS, np.ones(rank.size)), (BY_FREQUENCY, table.count[kept])):
+        total = np.bincount(rank, weights=weights, minlength=n_users)
+        fakes = np.bincount(rank[fake], weights=weights[fake], minlength=n_users)
+        scores = np.divide(fakes, total, out=np.full(n_users, float(theta)), where=total > 0)
+        vectors[method] = scores, np.where(scores < theta, 0, np.where(scores > theta, 1, 2))
+    return vectors

@@ -61,14 +61,11 @@ def find(keys, wanted) -> tuple:
 
 def _cell(value) -> str:
     # repr() of a Python float is the shortest round-trip form, so re-runs
-    # produce byte-identical CSV output.
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return _cell(value.item())
-    return str(value)
+    # produce byte-identical CSV output. A numpy scalar is unwrapped first:
+    # np.float64 subclasses float, but numpy 2's repr names the type.
+    if hasattr(value, "item"):
+        value = value.item()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_csv(path, header, rows) -> None:

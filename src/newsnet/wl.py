@@ -41,6 +41,7 @@ benchmark stops naming them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,31 +180,26 @@ def normalized_gram(table, labels) -> np.ndarray:
 class SimilarityIndex:
     """Mean normalized kernel of every network to one fold's training references.
 
-    features(news) is (fake_identity, true_identity, fake_class, true_class),
-    each in [0, 1]; a value is 0 when its reference class is empty. The
-    kernels come from the identity-labelled Gram matrix the table keeps and one
-    Gram matrix of `classes`, every node's susceptibility class in node
-    order (any labels that tell the classes apart).
+    features() is one (networks, 4) array in `table.order`, columns
+    (fake_identity, true_identity, fake_class, true_class), each in [0, 1];
+    a value is 0 when its reference class is empty. The kernels come from
+    the identity-labelled Gram matrix the table keeps and one Gram matrix of
+    `classes`, every node's susceptibility class in node order (any labels
+    that tell the classes apart).
     """
 
     def __init__(self, table, training_news, classes):
         training = set(training_news)
-        order = table.order
         grams = (table.identity_gram, normalized_gram(table, classes))
-        refs = [[i for i, news in enumerate(order)
+        refs = [[i for i, news in enumerate(table.order)
                  if news in training and table.labels[i] == label]
                 for label in ("fake", "true")]
-        columns = []
-        for gram in grams:
-            for cols in refs:
-                if not cols:
-                    columns.append([0.0] * len(order))
-                    continue
+        self._values = np.zeros((len(table.order), 4))
+        for k, (gram, cols) in enumerate(itertools.product(grams, refs)):
+            if cols:
                 # each row's kernels added left to right in sorted news
                 # order, exactly as the pairwise loop did
-                columns.append((np.cumsum(gram[:, cols], axis=1)[:, -1]
-                                / len(cols)).tolist())
-        self._values = dict(zip(order, zip(*columns)))
+                self._values[:, k] = np.cumsum(gram[:, cols], axis=1)[:, -1] / len(cols)
 
-    def features(self, news_id) -> tuple:
-        return self._values[news_id]
+    def features(self) -> np.ndarray:
+        return self._values

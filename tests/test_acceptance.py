@@ -27,7 +27,7 @@ from newsnet.features import (DYNAMIC_NAMES, FeatureExtractor, NodeTable, dynami
 from newsnet.ml.crossval import (cross_validate, encode_labels, evaluate_masks,
                                  fit_classifier, stratified_folds)
 from newsnet.ml.relief import relief_rank
-from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, fit, fit_all
+from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, fit_all
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.triads import TRIAD_CLASSES
 from newsnet.util import write_csv
@@ -114,22 +114,23 @@ def test_criterion_2_formula_checks():
     history = NodeTable(build_all_networks(graph, table))
     training = {"f1", "t1"}
     v = graph.users.index("v")
-    assert fit(history, graph.n_nodes, training, BY_NEWS, 0.5)[0][v] == 0.5
-    assert fit(history, graph.n_nodes, training, BY_FREQUENCY, 0.5)[0][v] == 0.25
+    vectors = fit_all(history, graph.n_nodes, training, 0.5)
+    assert vectors[BY_NEWS][0][v] == 0.5
+    assert vectors[BY_FREQUENCY][0][v] == 0.25
 
     # sole inflow: distance exactly 1
     graph = SocialGraph.from_edges([("a", "b")])
     t2 = EngagementTable.from_records({("n1", "a"): 1, ("n1", "b"): 1},
                                       {"n1": "fake"})
     nodes = NodeTable(build_all_networks(graph, t2))
-    flow = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes, "shared_news"))
+    flow = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes)["shared_news"])
     assert abs(flow[("a", "b")] - 1.0) <= 1e-12
 
     for seed in range(20):
         g, t = random_corpus(seed)
         nodes = NodeTable(build_all_networks(g, t))
         for definition in ("shared_news", "shared_frequency"):
-            lengths = flow_lengths(g.users, nodes, flow_matrix(g, nodes, definition))
+            lengths = flow_lengths(g.users, nodes, flow_matrix(g, nodes)[definition])
             assert lengths
             for length in lengths.values():
                 assert length >= 1.0 - 1e-12
@@ -185,11 +186,11 @@ def test_criterion_4_leakage_safety():
     def run(table):
         ex = FeatureExtractor.build(corpus.graph, table, seed=1)
         matrix = extract_matrix(ex, train_news, 0.5)
-        X_train, lab_train = matrix.rows_for(train_news)
-        X_test, _ = matrix.rows_for(test_news)
-        clf = fit_classifier("random_forest", X_train, encode_labels(lab_train),
-                             seed=7)
-        return X_train.tobytes(), clf.predict(X_test)
+        train = np.array([split.folds[n] != 0 for n in matrix.news_ids])
+        X_train = matrix.X[train]
+        clf = fit_classifier("random_forest", X_train,
+                             encode_labels(matrix.labels)[train], seed=7)
+        return X_train.tobytes(), clf.predict(matrix.X[~train])
 
     flipped = dict(labels)
     for n in test_news:

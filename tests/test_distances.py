@@ -52,7 +52,7 @@ class Flow:
     def __init__(self, graph, nets, definition):
         self.users = graph.users
         self.table = _table(nets)
-        self.fast = flow_matrix(graph, self.table, definition)
+        self.fast = flow_matrix(graph, self.table)[definition]
         self.slow = dict_flow_matrix(_ids(graph, nets), definition)
 
     def flow(self, i, j):
@@ -78,7 +78,7 @@ def test_flow_matrix_rejects_an_edge_outside_the_graph():
     for bad in (("b", "a"), ("c", "a")):
         second = _network(graph, "abc", {("a", "b"), ("b", "c"), bad}, "n2", "true")
         with pytest.raises(ValueError, match=re.escape(f"network edge {bad!r} not in")):
-            flow_matrix(graph, _table([first, second]), SHARED_NEWS)
+            flow_matrix(graph, _table([first, second]))
 
 
 def test_shared_news_counts_networks():
@@ -149,7 +149,7 @@ def test_effective_distance_at_least_one():
         nets = _networks(graph, table)
         nodes = _table(nets)
         for definition in (SHARED_NEWS, SHARED_FREQUENCY):
-            flow = flow_matrix(graph, nodes, definition)
+            flow = flow_matrix(graph, nodes)[definition]
             assert (flow >= 1.0 - 1e-12).all()
             assert flow.shape == nodes.source.shape
             assert len(flow_lengths(graph.users, nodes, flow)) > 0
@@ -180,7 +180,7 @@ def test_cycle_uniform_flow_effective_equals_geodesic():
     table = EngagementTable.from_records(
         {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     nets = _networks(graph, table)
-    flow = flow_matrix(graph, _table(nets), SHARED_NEWS)
+    flow = flow_matrix(graph, _table(nets))[SHARED_NEWS]
     net = nets[0]
     eff = distance_stats(net, flow)
     geo = distance_stats(net)
@@ -211,7 +211,7 @@ def test_effective_stats_match_floyd_warshall():
         graph, table = random_corpus(seed)
         nets = _networks(graph, table)
         node_table = _table(nets)
-        flow = flow_matrix(graph, node_table, SHARED_NEWS)
+        flow = flow_matrix(graph, node_table)[SHARED_NEWS]
         lengths = flow_lengths(graph.users, node_table, flow)
         by_network = _by_network(node_table, flow)
         for net in nets:
@@ -236,7 +236,7 @@ def test_lengths_are_math_log_of_flow_share():
         for definition in FLOW_DEFINITIONS:
             slow = dict_flow_matrix(_ids(graph, nets), definition)
             nodes = _table(nets)
-            lengths = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes, definition))
+            lengths = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes)[definition])
             assert lengths.keys() == slow.flows.keys()
             for (i, j), f in slow.flows.items():
                 assert lengths[(i, j)] == 1.0 - math.log(f / slow.inflow[j])
@@ -253,7 +253,7 @@ def assert_equals_oracle(graph, net, flow=None):
 def _flow_pairs(graph, nets, definition) -> dict:
     """{news: (its network's package lengths, the dict oracle over `nets`)}, checked equal."""
     table = _table(nets)
-    fast = flow_matrix(graph, table, definition)
+    fast = flow_matrix(graph, table)[definition]
     slow = dict_flow_matrix(_ids(graph, nets), definition)
     assert flow_lengths(graph.users, table, fast) == slow.lengths
     by_network = _by_network(table, fast)
@@ -382,7 +382,7 @@ def test_lengths_equal_the_dict_oracle(seed):
     for flow_nets in (nets, _subsampled(nets, "nodes"), _subsampled(nets, "edges")):
         nodes = _table(flow_nets)
         for definition in FLOW_DEFINITIONS:
-            fast = flow_matrix(graph, nodes, definition)
+            fast = flow_matrix(graph, nodes)[definition]
             slow = dict_flow_matrix(_ids(graph, flow_nets), definition)
             assert flow_lengths(graph.users, nodes, fast) == slow.lengths, (seed, definition)
 
@@ -416,7 +416,7 @@ def test_lengths_take_math_log():
     table = EngagementTable.from_records(
         {("n1", "s0"): 14, ("n1", "s1"): 23, ("n1", "hub"): 100}, {"n1": "fake"})
     nodes = _table(_networks(graph, table))
-    flow = flow_matrix(graph, nodes, SHARED_FREQUENCY)
+    flow = flow_matrix(graph, nodes)[SHARED_FREQUENCY]
     assert float(np.log(np.array([14 / 37]))[0]) != math.log(14 / 37)
     assert flow_lengths(graph.users, nodes, flow) == {("s0", "hub"): 1.0 - math.log(14 / 37),
                                                ("s1", "hub"): 1.0 - math.log(23 / 37)}

@@ -170,7 +170,7 @@ def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monk
     calls = []
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(features, "flow_matrix", counted)
@@ -180,7 +180,7 @@ def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monk
         assert result == (full.accuracy, full.f1)
     assert calls == []
     experiments._early_task((small_strong_extractor, config, mask, "nodes", 0.5, 0))
-    assert calls == ["shared_news", "shared_frequency"]
+    assert len(calls) == 1
 
 
 def test_whole_population_draws_build_no_flow_matrix(small_strong_extractor, monkeypatch):
@@ -190,7 +190,7 @@ def test_whole_population_draws_build_no_flow_matrix(small_strong_extractor, mon
     real_flows, real_cv = features.flow_matrix, experiments.cross_validate
     calls, runs = [], []
     monkeypatch.setattr(features, "flow_matrix",
-                        lambda *args: calls.append(args[2]) or real_flows(*args))
+                        lambda *args: calls.append(args) or real_flows(*args))
     monkeypatch.setattr(experiments, "cross_validate",
                         lambda *args, **kwargs: runs.append(args) or real_cv(*args, **kwargs))
     full = cross_validate(small_strong_extractor, seed=config.seed)
@@ -200,6 +200,27 @@ def test_whole_population_draws_build_no_flow_matrix(small_strong_extractor, mon
     assert rows == [("news_count", 1.0, labels.count("fake"), labels.count("true"), 3, "ok",
                      experiments._mean([full.accuracy] * 3), experiments._mean([full.f1] * 3),
                      "accuracy")]
+
+
+def test_repeated_early_detection_values_keep_their_repetitions(small_strong_extractor):
+    # a value listed twice is one grid point: its rows repeat, its runs do not
+    config = _config(proportions=(1.0, 0.5, 1.0), modes=("nodes", "nodes"), repetitions=2)
+    _, rows = run_early_detection(small_strong_extractor, config)
+    _, once = run_early_detection(small_strong_extractor,
+                                  _config(proportions=(1.0, 0.5), modes=("nodes",),
+                                          repetitions=2))
+    assert [row[2] for row in once] == [2, 2]
+    assert rows == [once[0], once[1], once[0]] * 2
+
+
+def test_repeated_sampling_values_keep_their_repetitions(small_strong_extractor):
+    for mode, grid in (("news_count", dict(proportions=(0.5, 0.5))),
+                       ("class_balance", dict(balance_fractions=(0.5, 0.5)))):
+        _, rows = run_sampling_study(small_strong_extractor, _config(**grid), mode)
+        _, once = run_sampling_study(small_strong_extractor,
+                                     _config(**{k: v[:1] for k, v in grid.items()}), mode)
+        assert once[0][4:6] == (2, "ok")
+        assert rows == once * 2
 
 
 def test_early_detection_degrades_gracefully(strong_extractor):

@@ -216,8 +216,8 @@ def test_order_preserving_user_relabel_keeps_every_value(seed):
     after = extract_matrix(_extractor(graph2, table2, seed=seed), training, 0.5)
     assert after.news_ids == before.news_ids
     assert after.labels == before.labels
-    for news in before.news_ids:
-        assert after.rows_for([news])[0].tolist() == before.rows_for([news])[0].tolist(), news
+    for news, row, row2 in zip(before.news_ids, before.X, after.X):
+        assert row2.tolist() == row.tolist(), news
 
 
 # Float sums whose addends follow sorted-id order: a scrambling relabel
@@ -457,3 +457,19 @@ def test_networks_flows_and_table_hold_nodes_edges_and_flows_only_as_arrays(
                 assert value.dtype.kind in "biuf", (type(obj).__name__, name)
     assert isinstance(vars(table)["triangles"], Triangles)
     assert all(isinstance(v, (str, int)) for v in (*table.order, *table.labels, table.h))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_extract_of_a_row_equals_that_row_of_the_block_call(n):
+    rng = np.random.default_rng(n)
+    static = rng.normal(size=(n, len(STATIC_NAMES)))
+    dynamic = rng.normal(size=(n, len(DYNAMIC_NAMES)))
+    references = rng.random((n, 4))
+    X = extract(static, dynamic, references)
+    assert X.shape == (n, N_FEATURES) and X.dtype == np.float64
+    for t in range(n):
+        assert extract(static[t], dynamic[t], references[t]).tobytes() == X[t].tobytes()
+    for names, block in ((STATIC_NAMES, static), (DYNAMIC_NAMES, dynamic),
+                         (FEATURE_NAMES[-4:], references)):
+        for j, name in enumerate(names):
+            assert X[:, feature_index(name) - 1].tobytes() == block[:, j].tobytes()

@@ -215,11 +215,10 @@ def test_strong_corpus_fold_under_sweep_masks(strong_extractor, monkeypatch):
     counts = count_nodes(monkeypatch)
     labels = {n: strong_extractor.table.labels[n] for n in strong_extractor.networks}
     split = stratified_folds(labels, 5, seed=11)
-    train_news, test_news = split.train_news(0), split.test_news(0)
-    matrix = extract_matrix(strong_extractor, train_news, 0.5)
-    X_train, lab_train = matrix.rows_for(train_news)
-    X_test, _ = matrix.rows_for(test_news)
-    y_train = encode_labels(lab_train)
+    matrix = extract_matrix(strong_extractor, split.train_news(0), 0.5)
+    train = np.array([split.folds[n] != 0 for n in matrix.news_ids])
+    X_train, X_test = matrix.X[train], matrix.X[~train]
+    y_train = encode_labels(matrix.labels)[train]
     seed = derive_seed(11, "clf", "random_forest", 0)
     for name in DEFAULT_SWEEP_SUBSETS:
         cols = [i - 1 for i in pattern_mask(SUBSET_BY_NAME[name])]

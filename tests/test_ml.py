@@ -180,11 +180,11 @@ def test_leakage_invariance_fold_zero():
     def run(table):
         ex_run = FeatureExtractor.build(corpus.graph, table, seed=1)
         matrix = extract_matrix(ex_run, train_news, 0.5)
-        X_train, lab_train = matrix.rows_for(train_news)
-        X_test, _ = matrix.rows_for(test_news)
-        clf = fit_classifier("random_forest", X_train, encode_labels(lab_train),
-                             seed=7)
-        return X_train.tobytes(), clf.predict(X_test)
+        train = np.array([split.folds[n] != 0 for n in matrix.news_ids])
+        X_train = matrix.X[train]
+        clf = fit_classifier("random_forest", X_train,
+                             encode_labels(matrix.labels)[train], seed=7)
+        return X_train.tobytes(), clf.predict(matrix.X[~train])
 
     flipped = dict(labels)
     for n in test_news:

@@ -6,7 +6,7 @@ from newsnet.corpus import EngagementTable, SocialGraph
 from newsnet.diffusion import build_all_networks
 from newsnet.features import NodeTable
 from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
-                                    SUSCEPTIBLE, UNKNOWN, fit)
+                                    SUSCEPTIBLE, UNKNOWN, fit_all)
 
 from oracles import fit as dict_fit
 from oracles import random_corpus
@@ -38,30 +38,30 @@ def _classes(codes) -> list:
 def test_all_fake_history_scores_one():
     history = _history(_table())
     for method in METHODS:
-        scores, _ = fit(*history, {"f1", "f2", "t1"}, method, 0.5)
+        scores, _ = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[method]
         assert scores[ALICE] == 1.0
 
 
 def test_mixed_history_example():
     history = _history(_table())
-    by_news, _ = fit(*history, {"f1", "f2", "t1"}, BY_NEWS, 0.5)
-    by_freq, _ = fit(*history, {"f1", "f2", "t1"}, BY_FREQUENCY, 0.5)
+    by_news, _ = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[BY_NEWS]
+    by_freq, _ = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[BY_FREQUENCY]
     assert by_news[BOB] == 0.5       # 1 fake of 2 news
     assert by_freq[BOB] == 0.25      # 1 of 4 spreads
 
 
 def test_no_training_history_gets_theta():
-    scores, codes = fit(*_history(_table()), {"f1", "f2"}, BY_NEWS, theta=0.5)
+    scores, codes = fit_all(*_history(_table()), {"f1", "f2"}, 0.5)[BY_NEWS]
     assert scores[CAROL] == 0.5
     assert _classes(codes)[CAROL] == UNKNOWN
 
 
 def test_classification_boundaries():
     history = _history(_table())
-    _, codes = fit(*history, {"f1", "f2", "t1"}, BY_NEWS, 0.5)
+    _, codes = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[BY_NEWS]
     assert _classes(codes)[ALICE] == SUSCEPTIBLE   # 1.0 > 0.5
     assert _classes(codes)[BOB] == UNKNOWN         # exactly theta
-    _, codes_low = fit(*history, {"f1", "f2", "t1"}, BY_NEWS, 0.9)
+    _, codes_low = fit_all(*history, {"f1", "f2", "t1"}, 0.9)[BY_NEWS]
     assert _classes(codes_low)[BOB] == NORMAL      # 0.5 < 0.9
 
 
@@ -74,7 +74,7 @@ def test_classify_all_matches_score_and_classify(theta):
         history = (NodeTable(build_all_networks(graph, table)), graph.n_nodes)
         training = table.news_ids()[::2]
         for method in METHODS:
-            scores, codes = fit(*history, training, method, theta)
+            scores, codes = fit_all(*history, training, theta)[method]
             model = dict_fit(table, training, method, theta)
             assert scores.tolist() == [model.score(u) for u in graph.users]
             assert _classes(codes) == [model.classify(u) for u in graph.users]
@@ -84,21 +84,19 @@ def test_classify_all_matches_score_and_classify(theta):
 
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError, match="empty"):
-        fit(*_history(_table()), set(), BY_NEWS, 0.5)
+        fit_all(*_history(_table()), set(), 0.5)
 
 
 def test_training_ids_must_be_labeled():
     with pytest.raises(ValueError, match="not in corpus"):
-        fit(*_history(_table()), {"zz"}, BY_NEWS, 0.5)
+        fit_all(*_history(_table()), {"zz"}, 0.5)
 
 
-def test_method_and_theta_are_checked():
+def test_theta_is_checked():
     history = _history(_table())
-    with pytest.raises(ValueError, match="method must be one of"):
-        fit(*history, {"f1"}, "by_votes", 0.5)
     for theta in (-0.1, 1.5):
         with pytest.raises(ValueError, match="theta must be in"):
-            fit(*history, {"f1"}, BY_NEWS, theta)
+            fit_all(*history, {"f1"}, theta)
 
 
 def test_scores_in_unit_interval():
@@ -107,7 +105,7 @@ def test_scores_in_unit_interval():
         history = (NodeTable(build_all_networks(graph, table)), graph.n_nodes)
         training = set(table.news_ids()[: max(1, len(table.news_ids()) // 2)])
         for method in METHODS:
-            scores, _ = fit(*history, training, method, 0.3)
+            scores, _ = fit_all(*history, training, 0.3)[method]
             assert ((0.0 <= scores) & (scores <= 1.0)).all()
 
 
@@ -126,8 +124,8 @@ def test_leakage_safety_scores_ignore_test_labels():
         h1 = (NodeTable(build_all_networks(graph, table)), graph.n_nodes)
         h2 = (NodeTable(build_all_networks(graph, table2)), graph.n_nodes)
         for method in METHODS:
-            s1, c1 = fit(*h1, training, method, 0.5)
-            s2, c2 = fit(*h2, training, method, 0.5)
+            s1, c1 = fit_all(*h1, training, 0.5)[method]
+            s2, c2 = fit_all(*h2, training, 0.5)[method]
             assert s1.tolist() == s2.tolist(), (seed, method)
             assert c1.tolist() == c2.tolist(), (seed, method)
 
@@ -143,8 +141,8 @@ def test_methods_agree_when_all_counts_one():
         for u in rng.sample(users, 4):
             records[(news, u)] = 1
     history = _history(EngagementTable.from_records(records, labels), users)
-    by_news, _ = fit(*history, set(labels), BY_NEWS, 0.5)
-    by_freq, _ = fit(*history, set(labels), BY_FREQUENCY, 0.5)
+    by_news, _ = fit_all(*history, set(labels), 0.5)[BY_NEWS]
+    by_freq, _ = fit_all(*history, set(labels), 0.5)[BY_FREQUENCY]
     assert by_news.tolist() == by_freq.tolist()
 
 
@@ -157,8 +155,8 @@ def test_theta_extremes():
     for news, by_user in table.counts.items():
         for user in by_user:
             spread.setdefault(graph.users.index(user), set()).add(news)
-    at_zero = _classes(fit(*history, training, BY_NEWS, 0.0)[1])
-    at_one = _classes(fit(*history, training, BY_NEWS, 1.0)[1])
+    at_zero = _classes(fit_all(*history, training, 0.0)[BY_NEWS][1])
+    at_one = _classes(fit_all(*history, training, 1.0)[BY_NEWS][1])
     for rank, news in sorted(spread.items()):
         if news & fakes:
             assert at_zero[rank] == SUSCEPTIBLE  # S > 0

@@ -10,7 +10,7 @@ from newsnet import wl
 from newsnet.diffusion import SUBSAMPLE_MODES, DiffusionNetwork, build_all_networks, subsample
 from newsnet.features import NodeTable, extract_matrix
 from newsnet.ml.crossval import stratified_folds
-from newsnet.susceptibility import BY_NEWS, NORMAL, SUSCEPTIBLE, fit, fit_all
+from newsnet.susceptibility import BY_NEWS, NORMAL, SUSCEPTIBLE, fit_all
 from newsnet.util import derive_seed
 from newsnet.wl import SimilarityIndex, normalized_gram, wl_kernel, wl_kernel_normalized
 
@@ -193,25 +193,24 @@ def test_similarity_index_matches_standalone():
     index = _index(networks, training, model)
     fakes = [networks[n] for n in training if networks[n].label == "fake"]
     trues = [networks[n] for n in training if networks[n].label == "true"]
-    for news, net in networks.items():
-        batch = index.features(news)
-        single = similarity_features(net, fakes, trues, model, h=3)
-        assert batch == pytest.approx(single, abs=1e-12)
+    batch = index.features()
+    for t, news in enumerate(sorted(networks)):
+        single = similarity_features(networks[news], fakes, trues, model, h=3)
+        assert batch[t].tolist() == pytest.approx(single, abs=1e-12)
 
 
 def test_planted_density_separates_classes(strong_extractor):
     """Dense fake cliques vs sparse true sets: fake targets prefer fake refs."""
     networks = strong_extractor.networks
     training = sorted(networks)
-    _, codes = fit(strong_extractor.history, strong_extractor.graph.n_nodes, training,
-                   "by_news", 0.5)
+    _, codes = fit_all(strong_extractor.history, strong_extractor.graph.n_nodes, training,
+                       0.5)[BY_NEWS]
     table = strong_extractor.node_table
     index = SimilarityIndex(table, training, codes[table.rank].tolist())
     fake_margin = []
-    for news in sorted(networks):
+    for news, sims in zip(table.order, index.features()):
         if networks[news].label != "fake":
             continue
-        sims = index.features(news)
         fake_margin.append(sims[2] - sims[3])  # class-labeled scheme
     assert sum(fake_margin) / len(fake_margin) > 0.0
 
@@ -227,8 +226,8 @@ def assert_equals_pairwise_oracle(networks, training, model, h=3, graphs=None):
                           string_normalized_gram(networks, SUSCEPTIBILITY_CLASS, model, h))
     fast = SimilarityIndex(graphs, training, classes)
     slow = PairwiseSimilarityIndex(networks, training, model, h=h)
-    for news in sorted(networks):
-        assert fast.features(news) == slow.features(news)
+    for news, values in zip(sorted(networks), fast.features()):
+        assert tuple(values.tolist()) == slow.features(news)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -253,8 +252,8 @@ def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
     model = dict_fit(strong_extractor.table, training, "by_news", 0.5)
     slow = PairwiseSimilarityIndex(networks, training, model, h=strong_extractor.h)
     matrix = extract_matrix(strong_extractor, training, 0.5)
-    for news in sorted(networks):
-        assert tuple(matrix.rows_for([news])[0][0, 138:].tolist()) == slow.features(news)
+    for news, row in zip(matrix.news_ids, matrix.X):
+        assert tuple(row[138:].tolist()) == slow.features(news)
 
 
 def test_identity_gram_cached_per_extractor(small_strong_extractor):
@@ -277,7 +276,7 @@ def test_empty_reference_class_is_zero():
                 "n3": _net("n3", [("a", "c")], label="fake")}
     model = TwoClassModel({"a"})
     fast = _index(networks, ["n1", "n3"], model)
-    assert fast.features("n2")[1] == fast.features("n2")[3] == 0.0
+    assert fast.features()[1, 1] == fast.features()[1, 3] == 0.0  # n2
     assert_equals_pairwise_oracle(networks, ["n1", "n3"], model)
     assert_equals_pairwise_oracle(networks, [], model)
 
@@ -293,8 +292,8 @@ def test_isolated_nodes_edgeless_and_empty_networks():
     model = TwoClassModel({"a", "c"})
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, sorted(networks), model, h=h)
-    assert _index(networks, sorted(networks), model).features("n5") \
-        == (0.0, 0.0, 0.0, 0.0)
+    assert _index(networks, sorted(networks), model).features()[4].tolist() \
+        == [0.0, 0.0, 0.0, 0.0]  # n5
 
 
 def test_iterations_keep_separate_label_spaces():
@@ -395,8 +394,7 @@ def test_property_order_preserving_relabel(corpus, stride):
     renamed_model = TwoClassModel(rename[v] for v in model.susceptible if v in rename)
     before = _index(networks, training, model, h)
     after = _index(renamed, training, renamed_model, h)
-    for news in sorted(networks):
-        assert before.features(news) == after.features(news)
+    assert before.features().tolist() == after.features().tolist()
 
 
 def assert_refinement_equals_dict_oracle(table, labels):
