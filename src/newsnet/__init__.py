@@ -1,6 +1,6 @@
 """Network-based fake news detection from diffusion patterns on a follow graph."""
 
-from .corpus import (CorpusError, CorpusStats, EngagementTable, SocialGraph,
+from .corpus import (CorpusError, EngagementTable, SocialGraph,
                      corpus_stats, load_corpus, save_corpus)
 from .diffusion import DiffusionNetwork, build_all_networks, build_network, subsample
 from .features import (FEATURE_REGISTRY, PATTERNS, FeatureExtractor, FeatureMatrix,
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusError",
-    "CorpusStats",
     "DiffusionNetwork",
     "EngagementTable",
     "FEATURE_REGISTRY",

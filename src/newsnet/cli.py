@@ -18,7 +18,7 @@ from pathlib import Path
 from . import experiments
 from .corpus import CorpusError, corpus_stats, load_corpus, save_corpus
 from .experiments import ConfigError, ExperimentConfig
-from .features import (FEATURE_NAMES, FeatureExtractor, extract_matrix,
+from .features import (FEATURE_NAMES, N_FEATURES, FeatureExtractor, extract_matrix,
                        pattern_mask, registry_json)
 from .ml.crossval import cross_validate, encode_labels
 from .ml.relief import relief_rank
@@ -64,20 +64,25 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _report(data, path=None) -> None:
+    """Print `data` as indented JSON and, given a path, write the same text there."""
+    text = json.dumps(data, indent=2)
+    if path is not None:
+        path.write_text(text + "\n", encoding="utf-8")
+    print(text)
+
+
 def cmd_ingest(config, args) -> int:
     graph, table = _require_corpus(config)
     out = _out_dir(config)
     save_corpus(graph, table, out / "edges.csv", out / "engagements.csv",
                 out / "labels.csv")
-    stats = corpus_stats(graph, table)
-    (out / "stats.json").write_text(stats.to_json() + "\n", encoding="utf-8")
-    print(stats.to_json())
+    _report(corpus_stats(graph, table), out / "stats.json")
     return 0
 
 
 def cmd_stats(config, args) -> int:
-    graph, table = _require_corpus(config)
-    print(corpus_stats(graph, table).to_json())
+    _report(corpus_stats(*_require_corpus(config)))
     return 0
 
 
@@ -90,7 +95,10 @@ def cmd_extract(config, args) -> int:
     extractor = _build_extractor(config)
     matrix = _descriptive_matrix(config, extractor)
     out = _out_dir(config)
-    matrix.write_csv(out / "features.csv")
+    write_csv(out / "features.csv",
+              ["news_id", "label"] + [f"f{i:03d}" for i in range(1, N_FEATURES + 1)],
+              ([news, label] + row for news, label, row
+               in zip(matrix.news_ids, matrix.labels, matrix.X.tolist())))
     with open(out / "feature_registry.json", "w", encoding="utf-8") as f:
         json.dump(registry_json(), f, indent=2)
     print(f"wrote {out / 'features.csv'} ({len(matrix.news_ids)} news x "
@@ -104,14 +112,12 @@ def cmd_evaluate(config, args) -> int:
     report = cross_validate(extractor, classifier=config.classifier, mask=mask,
                             theta=config.theta, seed=config.seed,
                             params=config.classifier_params)
-    out = _out_dir(config)
-    (out / "evaluation.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    print(report.to_json())
+    _report(report.to_dict(), _out_dir(config) / "evaluation.json")
     return 0
 
 
 def cmd_sample_study(config, args) -> int:
-    modes = args.modes.split(",")
+    modes = list(dict.fromkeys(args.modes.split(",")))
     unknown = [mode for mode in modes if mode not in experiments.SAMPLING_MODES]
     if unknown:
         raise ConfigError(f"unknown sampling mode(s): {unknown}")
@@ -176,8 +182,7 @@ def cmd_synth(config, args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic spec: {exc}") from None
     corpus = generate(spec)
-    paths = write_corpus(corpus, config.out)
-    print(json.dumps(paths, indent=2))
+    _report(write_corpus(corpus, config.out))
     return 0
 
 

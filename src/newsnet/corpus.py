@@ -4,7 +4,8 @@ Input files are CSV with a header row, UTF-8, comma separated:
 
   edges.csv:        follower,followee     one directed follow edge per row
   engagements.csv:  news_id,user_id,count spreading counts; duplicate rows for
-                                          the same (news, user) are summed
+                                          the same (news, user) are summed,
+                                          up to a total of 2**53
   labels.csv:       news_id,label         label is "fake" or "true"
 
 User and news ids are opaque strings. Validation is total: any malformed
@@ -30,11 +31,10 @@ ids to ranks where a story's spreaders enter its network.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,8 @@ log = logging.getLogger(__name__)
 FAKE = "fake"
 TRUE = "true"
 LABELS = (FAKE, TRUE)
+# the largest (news, user) count: int64 arrays and float64 features hold it exactly
+MAX_COUNT = 2**53
 
 
 class CorpusError(ValueError):
@@ -186,31 +188,13 @@ class EngagementTable:
             count = int(count)
             if count < 1:
                 raise ValueError(f"non-positive count for ({news!r}, {user!r})")
+            if count > MAX_COUNT:
+                raise ValueError(f"count for ({news!r}, {user!r}) exceeds 2**53")
             counts[news][user] = count
         return cls(counts=counts, labels=labels)
 
     def news_ids(self) -> list:
         return sorted(self.labels)
-
-    @property
-    def n_records(self) -> int:
-        return sum(len(by_user) for by_user in self.counts.values())
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    n_users: int
-    n_follow_edges: int
-    n_engagement_records: int
-    n_news: int
-    n_fake: int
-    n_true: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _read_rows(path, expected_header):
@@ -304,7 +288,11 @@ def load_corpus(edges_path, engagements_path, labels_path):
             raise CorpusError(f"engagement references unknown user {user!r}",
                               file=engage_name, line=lineno)
         by_user = counts[news]
-        by_user[user] = by_user.get(user, 0) + value  # shard-merge by summation
+        total = by_user.get(user, 0) + value  # shard-merge by summation
+        if total > MAX_COUNT:
+            raise CorpusError(f"count for ({news!r}, {user!r}) sums to {total}, "
+                              "above 2**53", file=engage_name, line=lineno)
+        by_user[user] = total
     return graph, EngagementTable(counts=counts, labels=labels)
 
 
@@ -338,14 +326,8 @@ def save_corpus(graph: SocialGraph, table: EngagementTable,
               [(news, table.labels[news]) for news in table.news_ids()])
 
 
-def corpus_stats(graph: SocialGraph, table: EngagementTable) -> CorpusStats:
-    n_fake = sum(1 for lab in table.labels.values() if lab == FAKE)
-    n_true = sum(1 for lab in table.labels.values() if lab == TRUE)
-    return CorpusStats(
-        n_users=graph.n_nodes,
-        n_follow_edges=graph.n_edges,
-        n_engagement_records=table.n_records,
-        n_news=len(table.labels),
-        n_fake=n_fake,
-        n_true=n_true,
-    )
+def corpus_stats(graph: SocialGraph, table: EngagementTable) -> dict:
+    labels = list(table.labels.values())
+    return {"n_users": graph.n_nodes, "n_follow_edges": graph.n_edges,
+            "n_engagement_records": sum(len(by_user) for by_user in table.counts.values()),
+            "n_news": len(labels), "n_fake": labels.count(FAKE), "n_true": labels.count(TRUE)}

@@ -189,28 +189,29 @@ def run_ablation(extractor: FeatureExtractor, config: ExperimentConfig):
 
 
 def run_threshold_sweep(extractor: FeatureExtractor, config: ExperimentConfig):
-    """Re-extract per threshold and evaluate every subset.
+    """Re-extract per distinct threshold and evaluate every subset.
 
     A subset of static features only is θ-free: its fits see the same
     columns, folds and seeds at every threshold, so it is evaluated at the
-    first threshold alone and its accuracy and F1 repeat at the others.
+    first threshold alone and its accuracy and F1 repeat at the others. A
+    repeated threshold repeats its rows without new fits.
     """
     masks = {name: pattern_mask(SUBSET_BY_NAME[name]) for name in config.sweep_subsets}
     theta_free = {name for name, mask in masks.items()
                   if all(FEATURE_REGISTRY[i - 1].block == STATIC for i in mask)}
-    header = ("theta", "subset", "accuracy", "f1")
-    rows = []
-    reports: dict = {}
-    for theta in config.theta_grid:
-        todo = {name: mask for name, mask in masks.items()
-                if name not in theta_free or name not in reports}
+    free: dict = {}  # θ-free subset -> its report at the first threshold
+    reports: dict = {}  # distinct threshold -> {subset: report}
+    for theta in dict.fromkeys(config.theta_grid):
+        todo = {name: mask for name, mask in masks.items() if name not in free}
+        reports[theta] = dict(free)
         if todo:
-            reports.update(evaluate_masks(extractor, todo, classifier=config.classifier,
-                                          theta=theta, seed=config.seed,
-                                          params=config.classifier_params))
-        for name in config.sweep_subsets:
-            rows.append((theta, name, reports[name].accuracy, reports[name].f1))
-    return header, rows
+            reports[theta].update(evaluate_masks(extractor, todo, classifier=config.classifier,
+                                                 theta=theta, seed=config.seed,
+                                                 params=config.classifier_params))
+        free = {name: reports[theta][name] for name in theta_free}
+    header = ("theta", "subset", "accuracy", "f1")
+    return header, [(theta, name, reports[theta][name].accuracy, reports[theta][name].f1)
+                    for theta in config.theta_grid for name in config.sweep_subsets]
 
 
 _SHARED: tuple = ()  # in a pool process: what every task of its pool shares

@@ -73,7 +73,7 @@ from .distances import SHARED_FREQUENCY, SHARED_NEWS, distance_stats, flow_matri
 from .louvain import global_communities, local_communities
 from .susceptibility import BY_FREQUENCY, BY_NEWS, CLASSES, UNKNOWN
 from .triads import TRIAD_CLASSES, Triangles, census, enumerate_triangles
-from .util import derive_seed, distinct, write_csv
+from .util import derive_seed, distinct
 from .wl import SimilarityIndex, normalized_gram
 
 MORE_SPREADERS = "more_spreaders"
@@ -191,12 +191,6 @@ class FeatureMatrix:
     news_ids: tuple
     labels: tuple
     X: np.ndarray  # shape (n_news, 142), rows in sorted news order
-
-    def write_csv(self, path) -> None:
-        header = ["news_id", "label"] + [f"f{i:03d}" for i in range(1, N_FEATURES + 1)]
-        rows = [[news, label] + [float(v) for v in self.X[i]]
-                for i, (news, label) in enumerate(zip(self.news_ids, self.labels))]
-        write_csv(path, header, rows)
 
 
 class NodeTable:

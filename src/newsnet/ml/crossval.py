@@ -8,7 +8,6 @@ The fake class is positive for F1.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from numbers import Integral
@@ -129,9 +128,6 @@ class EvalReport:
             "f1_mean": self.f1,
             "confusion": dict(self.confusion),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def fit_classifier(kind: str, X, y, seed: int = 0, params: dict | None = None):

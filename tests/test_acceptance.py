@@ -259,7 +259,7 @@ def test_criterion_6_dataset_reproduction(name):
                                path / "labels.csv")
     stats = corpus_stats(graph, table)
     for key, expected in _EXPECTED_STATS[name].items():
-        assert getattr(stats, key) == expected, key
+        assert stats[key] == expected, key
 
     extractor = FeatureExtractor.build(graph, table, seed=3)
     report = cross_validate(extractor, seed=11)

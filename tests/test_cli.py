@@ -311,6 +311,34 @@ def test_bad_sampling_mode_exits_two_before_output(corpus_dir, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_repeated_sampling_mode_runs_once(corpus_dir, tmp_path, capsys, monkeypatch):
+    ran = []
+    study = cli.experiments.run_sampling_study
+    monkeypatch.setattr(cli.experiments, "run_sampling_study",
+                        lambda extractor, config, mode: ran.append(mode)
+                        or study(extractor, config, mode))
+    out = tmp_path / "out"
+    assert main(["sample-study", "--out", str(out), "--repetitions", "1",
+                 "--modes", "news_count,news_count"] + _corpus_flags(corpus_dir)) == 0
+    assert ran == ["news_count"]
+    assert capsys.readouterr().out == f"wrote {out / 'sampling_news_count.csv'} (10 rows)\n"
+    assert [path.name for path in out.iterdir()] == ["sampling_news_count.csv"]
+
+
+@pytest.mark.parametrize("command", ["stats", "extract"])
+def test_count_beyond_two_to_the_53_exits_one(tmp_path, capsys, command):
+    (tmp_path / "edges.csv").write_text("follower,followee\na,b\n")
+    (tmp_path / "engagements.csv").write_text("news_id,user_id,count\n"
+                                              "n1,a,99999999999999999999\n")
+    (tmp_path / "labels.csv").write_text("news_id,label\nn1,fake\n")
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)] + _corpus_flags(tmp_path)) == 1
+    assert capsys.readouterr().err == ("input error: engagements.csv:2: count for "
+                                       "('n1', 'a') sums to 99999999999999999999, "
+                                       "above 2**53\n")
+    assert not out.exists()
+
+
 def test_classifier_params_accepted(corpus_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier_params": {

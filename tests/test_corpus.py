@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsnet import cli
 from newsnet.corpus import (CorpusError, EngagementTable, SocialGraph, corpus_stats,
                             load_corpus, save_corpus)
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 from newsnet.util import distinct
 
 from oracles import random_corpus, string_graph
+
+STATS_KEYS = ["n_users", "n_follow_edges", "n_engagement_records", "n_news", "n_fake",
+              "n_true"]
 
 
 def write_corpus_files(tmp_path, edge_rows, engagement_rows, label_rows):
@@ -45,10 +49,10 @@ def test_load_simple_corpus(tmp_path):
 def test_empty_engagements_gives_zero_news(tmp_path):
     paths = write_corpus_files(tmp_path, [("u1", "u2")], [], [])
     graph, table = load_corpus(*paths)
-    assert table.n_records == 0
-    assert len(table.labels) == 0
     stats = corpus_stats(graph, table)
-    assert stats.n_news == 0 and stats.n_fake == 0 and stats.n_true == 0
+    assert stats["n_engagement_records"] == 0
+    assert len(table.labels) == 0
+    assert stats["n_news"] == 0 and stats["n_fake"] == 0 and stats["n_true"] == 0
 
 
 def test_duplicate_engagement_rows_sum(tmp_path):
@@ -58,9 +62,9 @@ def test_duplicate_engagement_rows_sum(tmp_path):
         [("n1", "u1", 2), ("n1", "u1", 3)],
         [("n1", "fake")],
     )
-    _, table = load_corpus(*paths)
+    graph, table = load_corpus(*paths)
     assert table.counts["n1"]["u1"] == 5
-    assert table.n_records == 1
+    assert corpus_stats(graph, table)["n_engagement_records"] == 1
 
 
 def test_self_loop_and_duplicate_edges_dropped(tmp_path, caplog):
@@ -165,6 +169,8 @@ def test_from_edges_errors():
     ([("n1", "u1", "0")], ">= 1"),
     ([("n1", "u9", "1")], "unknown user"),
     ([("n9", "u1", "1")], "unlabeled news"),
+    ([("n1", "u1", str(2**53 - 3))], "above 2**53"),  # (n1, u1) sums to 2**53 + 1
+    ([("n1", "u2", "99999999999999999999")], "above 2**53"),  # beyond int64
 ])
 def test_malformed_engagements_raise(tmp_path, rows, expected):
     # the bad row comes after good ones, one of them a duplicate to be summed
@@ -175,6 +181,20 @@ def test_malformed_engagements_raise(tmp_path, rows, expected):
         load_corpus(*paths)
     assert expected in str(err.value)
     assert "engagements.csv:5:" in str(err.value)  # line number reported
+
+
+def test_count_bound_is_two_to_the_53(tmp_path):
+    # int64 arrays and float64 features hold every count up to 2**53 exactly
+    edges = [("u1", "u2")]
+    paths = write_corpus_files(tmp_path, edges, [("n1", "u1", 2**53)], [("n1", "fake")])
+    assert load_corpus(*paths)[1].counts["n1"]["u1"] == 2**53
+    paths = write_corpus_files(tmp_path, edges, [("n1", "u1", 2**53 + 1)], [("n1", "fake")])
+    with pytest.raises(CorpusError, match=r"engagements.csv:2: .*above 2\*\*53"):
+        load_corpus(*paths)
+    assert EngagementTable.from_records({("n1", "u1"): 2**53}, {"n1": "fake"}).counts \
+        == {"n1": {"u1": 2**53}}
+    with pytest.raises(ValueError, match=r"count for \('n1', 'u1'\) exceeds 2\*\*53"):
+        EngagementTable.from_records({("n1", "u1"): 2**53 + 1}, {"n1": "fake"})
 
 
 def test_conflicting_label_raises(tmp_path):
@@ -292,26 +312,20 @@ def test_synthetic_round_trip_exact(tmp_path):
 def test_stats_single_user_no_edges():
     graph = SocialGraph.from_edges([], nodes=["u1"])
     table = EngagementTable.from_records({("n1", "u1"): 1}, {"n1": "fake"})
-    stats = corpus_stats(graph, table)
-    assert (stats.n_users, stats.n_follow_edges, stats.n_engagement_records,
-            stats.n_news, stats.n_fake, stats.n_true) == (1, 0, 1, 1, 1, 0)
+    assert corpus_stats(graph, table) == dict(zip(STATS_KEYS, (1, 0, 1, 1, 1, 0)))
 
 
 def test_stats_match_generator_bookkeeping():
     corpus = generate(SyntheticSpec(n_users=100, news_per_class=10, seed=9))
     stats = corpus_stats(corpus.graph, corpus.table)
-    truth = corpus.truth
-    assert stats.n_users == truth["n_users"]
-    assert stats.n_follow_edges == truth["n_follow_edges"]
-    assert stats.n_engagement_records == truth["n_engagement_records"]
-    assert stats.n_news == truth["n_news"]
-    assert stats.n_fake == truth["n_fake"]
-    assert stats.n_true == truth["n_true"]
+    assert stats == {key: corpus.truth[key] for key in STATS_KEYS}
 
 
-def test_stats_json_fields():
-    graph = SocialGraph.from_edges([("u1", "u2")])
-    table = EngagementTable.from_records({("n1", "u1"): 1}, {"n1": "true"})
-    data = json.loads(corpus_stats(graph, table).to_json())
-    assert set(data) == {"n_users", "n_follow_edges", "n_engagement_records",
-                         "n_news", "n_fake", "n_true"}
+def test_stats_json_fields(tmp_path, capsys):
+    edges, engagements, labels = write_corpus_files(tmp_path, [("u1", "u2")],
+                                                    [("n1", "u1", 1)], [("n1", "true")])
+    assert cli.main(["stats", "--edges", str(edges), "--engagements", str(engagements),
+                     "--labels", str(labels)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == STATS_KEYS
+    assert data == dict(zip(STATS_KEYS, (2, 1, 1, 1, 0, 1)))

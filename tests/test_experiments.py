@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +85,19 @@ def test_threshold_sweep_equals_a_per_theta_loop(monkeypatch, small_strong_extra
     per_theta = N_FOLDS * len(config.theta_grid)
     assert {name: fitted.count(name) for name in masks} == {
         "more_spreaders": per_theta, "farther_distance": N_FOLDS, "all_patterns": per_theta}
+
+
+def test_repeated_threshold_is_evaluated_once(monkeypatch, small_strong_extractor):
+    # a threshold listed twice repeats its rows without refitting a subset
+    fitted = []
+    fit = crossval.fit_classifier
+    monkeypatch.setattr(crossval, "fit_classifier",
+                        lambda *args, **kw: fitted.append(1) or fit(*args, **kw))
+    _, once = run_threshold_sweep(small_strong_extractor, _config(theta_grid=(0.5,)))
+    assert len(fitted) == N_FOLDS * len(experiments.DEFAULT_SWEEP_SUBSETS) == 35
+    _, rows = run_threshold_sweep(small_strong_extractor, _config(theta_grid=(0.5, 0.5)))
+    assert len(fitted) == 2 * 35
+    assert rows == once * 2
 
 
 def test_theta_boundary_degeneracy(small_strong_extractor):
@@ -347,3 +363,14 @@ def test_config_json_round_trip(tmp_path):
     bad.write_text("{broken")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_file(bad)
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config", 1)[1]
+    shown = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert list(shown) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
+    paths = ("edges", "engagements", "labels")
+    assert {key: value for key, value in shown.items() if key not in paths} \
+        == {key: value for key, value in defaults.items() if key not in paths}

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from newsnet import susceptibility
-from newsnet.corpus import EngagementTable, SocialGraph
+from newsnet import cli, susceptibility
+from newsnet.corpus import EngagementTable, SocialGraph, load_corpus, save_corpus
 from newsnet.diffusion import DiffusionNetwork, subsample
 from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_FEATURES,
                               PATTERNS, STATIC_NAMES, FeatureExtractor, NodeTable,
@@ -177,15 +177,18 @@ def test_extraction_is_pure():
 
 
 def test_matrix_csv_round_shape(tmp_path):
-    graph, table = random_corpus(3)
-    ex = _extractor(graph, table)
-    matrix = extract_matrix(ex, table.news_ids(), 0.5)
-    out = tmp_path / "features.csv"
-    matrix.write_csv(out)
-    lines = out.read_text().strip().splitlines()
+    paths = [tmp_path / name for name in ("edges.csv", "engagements.csv", "labels.csv")]
+    save_corpus(*random_corpus(3), *paths)
+    assert cli.main(["extract", "--out", str(tmp_path / "out"), "--edges", str(paths[0]),
+                     "--engagements", str(paths[1]), "--labels", str(paths[2])]) == 0
+    graph, table = load_corpus(*paths)
+    matrix = extract_matrix(_extractor(graph, table), table.news_ids(), 0.5)
+    lines = (tmp_path / "out" / "features.csv").read_text().strip().splitlines()
     assert lines[0].startswith("news_id,label,f001")
     assert lines[0].endswith("f142")
     assert len(lines) == len(matrix.news_ids) + 1
+    assert lines[1:] == [",".join([news, label] + list(map(repr, row))) for news, label, row
+                         in zip(matrix.news_ids, matrix.labels, matrix.X.tolist())]
 
 
 def _relabel_users(graph, table, rename):

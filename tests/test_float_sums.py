@@ -21,9 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "newsnet"
 # module -> source text of each builtin `sum` call there; all add integers
 INTEGER_SUMS = {
     "corpus.py": [
-        "sum((len(by_user) for by_user in self.counts.values()))",
-        "sum((1 for lab in table.labels.values() if lab == FAKE))",
-        "sum((1 for lab in table.labels.values() if lab == TRUE))",
+        "sum((len(by_user) for by_user in table.counts.values()))",
     ],
     "distances.py": ["sum((h * c for h, c in enumerate(counts, 1)))"],
     "ml/crossval.py": ["sum((conf[key] for conf in folds))"],

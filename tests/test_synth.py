@@ -81,5 +81,4 @@ def test_every_user_has_an_edge():
     graph = string_graph(corpus.graph)
     endpoints = {u for e in graph.edges for u in e}
     assert endpoints == graph.nodes
-    stats = corpus_stats(corpus.graph, corpus.table)
-    assert stats.n_users == 60
+    assert corpus_stats(corpus.graph, corpus.table)["n_users"] == 60
