@@ -13,14 +13,14 @@ input raises CorpusError (with file and line number) instead of producing a
 partially constructed corpus. Duplicate follow edges and self-loops are
 dropped, counted, and logged rather than raised.
 
-The follow graph is held as integers. While `load_corpus` streams
-edges.csv it numbers each user id on first sight and appends the two
-numbers of every edge to int arrays; no set of id pairs is ever built. At
-the end the users are renumbered by sorted id (a user's rank), and the
-edges, deduplicated by one sort of their keys, become an out-CSR
-of ranks (`SocialGraph`). Rank order is sorted-id order, so every loop over
-sorted ids or sorted id pairs sees the same order over ranks, and the
-features computed from ranks are the ones computed from ids. User ids stay
+The follow graph is held as integers. `load_corpus` streams edges.csv
+into `SocialGraph.from_edges`, which numbers each user id on first sight
+and appends the two numbers of every edge to int arrays; no set of id pairs
+is ever built. At the end the users are renumbered by sorted id (a user's
+rank), and the edges, deduplicated by one sort of their keys, become an
+out-CSR of ranks (`SocialGraph`). Rank order is sorted-id order, so every
+loop over sorted ids or sorted id pairs sees the same order over ranks, and
+the features computed from ranks are the ones computed from ids. User ids stay
 strings at the I/O boundary only: in `SocialGraph.users`, the engagement
 table's per-news counts and the files `save_corpus` writes. Past
 `load_corpus` every per-user value (networks, centralities, communities,
@@ -83,7 +83,7 @@ class SocialGraph:
 
         Nodes default to the edge endpoints; duplicate pairs collapse.
         """
-        ids: dict = {}
+        ids: dict = {}  # user id -> first-seen number
         for v in nodes if nodes is not None else ():
             ids.setdefault(v, len(ids))
         src, dst = array("q"), array("q")
@@ -98,7 +98,19 @@ class SocialGraph:
             dst.append(ids.setdefault(v, len(ids)))
         if stray is not None:
             raise ValueError(f"edge endpoint not a declared node: {stray!r}")
-        return _intern(ids, src, dst)[0]
+        # renumbered by sorted id; one sort of the edge keys drops duplicates
+        first_seen = list(ids)
+        order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+        n = len(order)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        keys = rank[np.frombuffer(src, dtype=np.int64)] * n
+        keys += rank[np.frombuffer(dst, dtype=np.int64)]
+        followers, followees = np.divmod(distinct(keys), max(n, 1))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(followers, minlength=n), out=indptr[1:])
+        return cls(users=tuple(first_seen[k] for k in order), indptr=indptr,
+                   indices=followees)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialGraph):
@@ -135,28 +147,6 @@ class SocialGraph:
         n = self.n_nodes
         return find(self.sources() * n + self.indices,
                     np.asarray(followers, dtype=np.int64) * n + followees)[1]
-
-
-def _intern(ids: dict, src, dst) -> tuple:
-    """The graph of the edges (src[i], dst[i]), and how many duplicates it dropped.
-
-    `ids` maps each user id to its number in `src`/`dst` (first-seen order);
-    the graph renumbers users by sorted id.
-    """
-    first_seen = list(ids)
-    order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-    n = len(order)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    keys = rank[np.frombuffer(src, dtype=np.int64)] * n
-    keys += rank[np.frombuffer(dst, dtype=np.int64)]
-    unique = distinct(keys)
-    followers, followees = np.divmod(unique, max(n, 1))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(followers, minlength=n), out=indptr[1:])
-    graph = SocialGraph(users=tuple(first_seen[k] for k in order), indptr=indptr,
-                        indices=followees)
-    return graph, keys.size - unique.size
 
 
 def csr_rows(frontier, csr) -> tuple:
@@ -245,20 +235,23 @@ def load_corpus(edges_path, engagements_path, labels_path):
     engage_name = Path(engagements_path).name
     labels_name = Path(labels_path).name
 
-    ids: dict = {}  # user id -> first-seen number
-    src, dst = array("q"), array("q")
-    n_self_loops = 0
-    for _lineno, (follower, followee) in _read_rows(edges_path, ("follower", "followee")):
-        if follower == followee:
-            n_self_loops += 1
-            continue
-        src.append(ids.setdefault(follower, len(ids)))
-        dst.append(ids.setdefault(followee, len(ids)))
-    graph, n_duplicates = _intern(ids, src, dst)
+    n_kept = n_self_loops = 0
+
+    def follows():
+        nonlocal n_kept, n_self_loops
+        for _lineno, edge in _read_rows(edges_path, ("follower", "followee")):
+            if edge[0] == edge[1]:
+                n_self_loops += 1
+            else:
+                n_kept += 1
+                yield edge
+
+    graph = SocialGraph.from_edges(follows())
+    users = set(graph.users)
     if n_self_loops:
         log.warning("%s: dropped %d self-loop edge(s)", edges_name, n_self_loops)
-    if n_duplicates:
-        log.warning("%s: dropped %d duplicate edge(s)", edges_name, n_duplicates)
+    if n_kept > graph.n_edges:
+        log.warning("%s: dropped %d duplicate edge(s)", edges_name, n_kept - graph.n_edges)
 
     labels: dict = {}
     for lineno, (news, label) in _read_rows(labels_path, ("news_id", "label")):
@@ -284,7 +277,7 @@ def load_corpus(edges_path, engagements_path, labels_path):
         if news not in labels:
             raise CorpusError(f"engagement references unlabeled news {news!r}",
                               file=engage_name, line=lineno)
-        if user not in ids:
+        if user not in users:
             raise CorpusError(f"engagement references unknown user {user!r}",
                               file=engage_name, line=lineno)
         by_user = counts[news]

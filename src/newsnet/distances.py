@@ -249,6 +249,12 @@ def _hop_counts(n, src, dst) -> list:
     return counts
 
 
+def _median(count, kth) -> float:
+    """The median of `count` ascending values, where kth(k) is the k-th from 0."""
+    mid = count // 2
+    return kth(mid) if count % 2 else (kth(mid - 1) + kth(mid)) / 2.0
+
+
 def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
     """Max / mean / median over all finite ordered-pair distances in a network.
 
@@ -264,11 +270,8 @@ def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
             return DistanceStats(maximum=0.0, mean=0.0, median=0.0)
         below = list(itertools.accumulate(counts))  # below[h - 1]: pairs at most h apart
         count = below[-1]
-        mid = count // 2
-        middle = float(bisect.bisect_right(below, mid) + 1)
-        if not count % 2:
-            middle = (float(bisect.bisect_right(below, mid - 1) + 1) + middle) / 2.0
         total = sum(h * c for h, c in enumerate(counts, 1))
+        middle = _median(count, lambda k: float(bisect.bisect_right(below, k) + 1))
         return DistanceStats(maximum=float(len(counts)), mean=total / count, median=middle)
     finite = lengths < math.inf
     src, dst, lengths = src[finite], dst[finite], lengths[finite]
@@ -293,10 +296,5 @@ def distance_stats(network: DiffusionNetwork, lengths=None) -> DistanceStats:
         total = _touch_order_sum(total, dist, src, heads, widths)
     values = values[:count]
     values.sort()
-    mid = values.size // 2
-    if values.size % 2:
-        middle = float(values[mid])
-    else:
-        middle = (float(values[mid - 1]) + float(values[mid])) / 2.0
     return DistanceStats(maximum=float(values[-1]), mean=total / count,
-                         median=middle)
+                         median=_median(count, lambda k: float(values[k])))

@@ -228,27 +228,25 @@ def _with_shared(worker, task):
 
 
 def _by_point(worker, shared, runs, jobs) -> dict:
-    """Each point's (runs, mean accuracy, mean F1), from (point, run, task)
-    triples in order.
+    """Each point's (runs, mean accuracy, mean F1), from (point, task) pairs
+    in order.
 
-    A run is evaluated once, as worker(shared + task) of its first triple,
-    and its result counts for every point that lists it. With jobs > 1,
-    each pool process receives `shared` (extractor, config, mask) once,
-    through the pool's initializer, and a task carries only its own part.
+    A distinct task is evaluated once, as worker(shared + task), and its
+    result counts for every pair that lists it. With jobs > 1, each pool
+    process receives `shared` (extractor, config, mask) once, through the
+    pool's initializer, and a task carries only its own part.
     """
-    tasks: dict = {}  # distinct run -> its first task
-    for _, run, task in runs:
-        tasks.setdefault(run, task)
+    tasks = list(dict.fromkeys(task for _, task in runs))
     if jobs <= 1:
-        results = [worker(shared + task) for task in tasks.values()]
+        results = [worker(shared + task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
                                  initargs=shared) as pool:
-            results = list(pool.map(partial(_with_shared, worker), tasks.values()))
+            results = list(pool.map(partial(_with_shared, worker), tasks))
     results = dict(zip(tasks, results))
     grouped: dict = {}
-    for point, run, _ in runs:
-        grouped.setdefault(point, []).append(results[run])
+    for point, task in runs:
+        grouped.setdefault(point, []).append(results[task])
     return {point: (len(values), _mean([a for a, _ in values]), _mean([f for _, f in values]))
             for point, values in grouped.items()}
 
@@ -298,41 +296,39 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     true_pop = sorted(n for n in extractor.networks
                       if extractor.table.labels[n] == TRUE)
     if mode == "news_count":
-        grid = [("news_count", p, math.ceil(p * len(fake_pop)),
-                 math.ceil(p * len(true_pop))) for p in config.proportions]
+        grid = [(p, math.ceil(p * len(fake_pop)), math.ceil(p * len(true_pop)))
+                for p in config.proportions]
         metric = "accuracy"
     else:
         total = config.balance_total
         if total is None:
             total = int(min(len(fake_pop), len(true_pop)) /
                         max(config.balance_fractions))
-        grid = [("class_balance", q, round(q * total), total - round(q * total))
+        grid = [(q, round(q * total), total - round(q * total))
                 for q in config.balance_fractions]
         metric = "f1"
 
     header = ("mode", "proportion", "n_fake", "n_true", "repetitions", "status",
               "accuracy", "f1", "metric")
-    points = [(mode_name, p, n_fake, n_true,
+    points = [(p, n_fake, n_true,
                (5 <= n_fake <= len(fake_pop)) and (5 <= n_true <= len(true_pop)))
-              for mode_name, p, n_fake, n_true in grid]
+              for p, n_fake, n_true in grid]
     runs = []
-    for mode_name, p, n_fake, n_true, feasible in dict.fromkeys(points):
+    for p, n_fake, n_true, feasible in dict.fromkeys(points):
         if not feasible:
             continue
         for rep in range(config.repetitions):
-            rng = random.Random(derive_seed(config.seed, "sample", mode_name,
-                                            repr(p), rep))
-            draw = (tuple(sorted(rng.sample(fake_pop, n_fake))),
-                    tuple(sorted(rng.sample(true_pop, n_true))))
-            runs.append(((mode_name, p), draw, draw))
+            rng = random.Random(derive_seed(config.seed, "sample", mode, repr(p), rep))
+            runs.append((p, (tuple(sorted(rng.sample(fake_pop, n_fake))),
+                             tuple(sorted(rng.sample(true_pop, n_true))))))
     by_point = _by_point(_sampling_task, (extractor, config, mask), runs, config.jobs)
     rows = []
-    for mode_name, p, n_fake, n_true, feasible in points:
+    for p, n_fake, n_true, feasible in points:
         if not feasible:
-            rows.append((mode_name, p, n_fake, n_true, 0, "skipped", "", "", metric))
+            rows.append((mode, p, n_fake, n_true, 0, "skipped", "", "", metric))
             continue
-        n_runs, accuracy, f1 = by_point[(mode_name, p)]
-        rows.append((mode_name, p, n_fake, n_true, n_runs, "ok", accuracy, f1, metric))
+        n_runs, accuracy, f1 = by_point[p]
+        rows.append((mode, p, n_fake, n_true, n_runs, "ok", accuracy, f1, metric))
     return header, rows
 
 
@@ -340,13 +336,13 @@ def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
     """Subsample every network per (mode, proportion), re-extract, evaluate.
 
     Either mode keeps every network whole at p = 1.0, whatever the seed, so
-    that point is evaluated once, on `extractor` itself, and counted for
-    every mode and repetition. A value listed twice is evaluated once and
+    that point is one task, evaluated once on `extractor` itself and counted
+    for every mode and repetition. A value listed twice is evaluated once and
     gets two rows.
     """
     mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")
-    runs = [((mode, p), (p,) if p == 1.0 else (mode, p, rep), (mode, p, rep))
+    runs = [((mode, p), (mode, p, rep) if p < 1.0 else (None, p, None))
             for mode in dict.fromkeys(config.modes) for p in dict.fromkeys(config.proportions)
             for rep in range(config.repetitions)]
     by_point = _by_point(_early_task, (extractor, config, mask), runs, config.jobs)

@@ -62,9 +62,6 @@ class DatasetSplit:
     def train_news(self, fold) -> list:
         return sorted(n for n, f in self.folds.items() if f != fold)
 
-    def test_news(self, fold) -> list:
-        return sorted(n for n, f in self.folds.items() if f == fold)
-
 
 def stratified_folds(labels: dict, n_folds: int = N_FOLDS, seed: int = 0) -> DatasetSplit:
     """Deal each class round-robin after a seeded shuffle; counts differ <= 1."""

@@ -75,7 +75,9 @@ draws depend only on (seed, tree, d, k). `_draws` keeps, per (seed, n_trees,
 d, k), every tree's draws made so far in one small read-only int array; a
 refit of the same shape (another threshold of a sweep) reads them, and a fit
 that needs more replays the tree's generator from its seed for that fit only.
-The bootstrap multiplicities are cached per (seed, n_trees, n, bootstrap).
+Where k = d (a decision tree, or `max_features` ≥ d) every sorted draw is
+0..d-1, every column. The bootstrap multiplicities are cached per (seed,
+n_trees, n, bootstrap).
 
 The result is bit-identical to growing each tree recursively on a copy of its
 bootstrap rows of X + 0.0 (the reference in `tests/oracles.py`). A cut's
@@ -228,15 +230,14 @@ def _grow(X, y, roots, draws, max_depth, min_leaf) -> _Trees:
     """Grow one tree per row of roots (root weights), all trees in lockstep.
 
     The i-th node of tree t in preorder that reaches the split search takes
-    the candidate features `draws.stream[t, i]`, or every column when draws
-    is None. A separating cut among them has weighted Gini exactly 0.0 and
-    every other cut a positive one, so it is the cut `best_splits` would
-    pick: such a node splits there without the search, and its children are
-    leaves. Only the other nodes go to `best_splits`.
+    the candidate features `draws.stream[t, i]`. A separating cut among them
+    has weighted Gini exactly 0.0 and every other cut a positive one, so it
+    is the cut `best_splits` would pick: such a node splits there without
+    the search, and its children are leaves. Only the other nodes go to
+    `best_splits`.
     """
     presorted = _Presorted(X, y)
     n_trees = len(roots)
-    everything = np.arange(X.shape[1])
     nodes = [None] * n_trees  # (feature, threshold, left, right, prediction)
     stacks = [[(t, w, 0, n_rows, n_fake)] for t, (w, n_rows, n_fake) in enumerate(
         zip(roots, roots.sum(axis=1).tolist(), (roots @ y).tolist()))]
@@ -254,18 +255,15 @@ def _grow(X, y, roots, draws, max_depth, min_leaf) -> _Trees:
                     continue
                 i = searched[t]
                 searched[t] += 1
-                if draws is not None and i == draws.filled[t]:
+                if i == draws.filled[t]:
                     draws.extend(t, live)
                 batch.append((t, i, node, w, depth, n_rows, n_fake))
                 break
         if not batch:
             return _Trees(n_trees, nodes)
         W = np.stack([item[3] for item in batch])
-        if draws is None:
-            F = np.broadcast_to(everything, (len(batch), everything.size))
-        else:
-            F = draws.stream[[item[0] for item in batch],
-                             [item[1] for item in batch]].astype(np.intp)
+        F = draws.stream[[item[0] for item in batch],
+                         [item[1] for item in batch]].astype(np.intp)
         rest, open_ = [], list(range(len(batch)))  # open: no block has decided yet
         for block in _BLOCKS:
             Fb = F[:, slice(*block)]
@@ -409,9 +407,9 @@ class RandomForestClassifier:
             per_split = math.ceil(math.sqrt(d))
         else:
             per_split = min(int(self.max_features), d)
-        draws = _draws(self.seed, self.n_trees, d, per_split) if per_split < d else None
         self._trees = _grow(X, y, _roots(self.seed, self.n_trees, n, bool(self.bootstrap)),
-                            draws, self.max_depth, self.min_leaf)
+                            _draws(self.seed, self.n_trees, d, per_split),
+                            self.max_depth, self.min_leaf)
         return self
 
     def predict(self, X):

@@ -54,8 +54,12 @@ class SyntheticSpec:
                 raise ValueError(f"{f.name} must be {kind}")
         if self.n_users < 2:
             raise ValueError("need at least 2 users")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ValueError("edge_prob must be in [0, 1]")
+        for name in ("edge_prob", "susceptible_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("base_engagement", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.news_per_class < 1:
             raise ValueError("need at least 1 news story per class")
         for name in ("spreader_ratio", "density_ratio", "engagement_ratio",

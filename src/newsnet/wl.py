@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import FAKE, TRUE
+
 
 @dataclass(frozen=True)
 class WLSignature:
@@ -193,7 +195,7 @@ class SimilarityIndex:
         grams = (table.identity_gram, normalized_gram(table, classes))
         refs = [[i for i, news in enumerate(table.order)
                  if news in training and table.labels[i] == label]
-                for label in ("fake", "true")]
+                for label in (FAKE, TRUE)]
         self._values = np.zeros((len(table.order), 4))
         for k, (gram, cols) in enumerate(itertools.product(grams, refs)):
             if cols:

@@ -69,6 +69,11 @@ def median(values) -> float:
     return (float(vs[mid - 1]) + float(vs[mid])) / 2.0
 
 
+def held_out_news(split, fold) -> list:
+    """The news of one cross-validation fold, sorted: read off `split.folds`."""
+    return sorted(news for news, f in split.folds.items() if f == fold)
+
+
 def safe_ratio(num, den) -> float:
     return float(num) / float(den) if den else 0.0
 

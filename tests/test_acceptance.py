@@ -35,8 +35,8 @@ from newsnet.wl import wl_kernel, wl_kernel_normalized
 
 from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
                      brute_induced_edges, by_id, dense_betweenness, dense_closeness,
-                     enumerate_triangles, flow_lengths, id_network, random_corpus, string_graph,
-                     wl_signature)
+                     enumerate_triangles, flow_lengths, held_out_news, id_network, random_corpus,
+                     string_graph, wl_signature)
 from oracles import fit_all as dict_fit_all
 from oracles import flow_matrix as dict_flow_matrix
 
@@ -181,7 +181,7 @@ def test_criterion_4_leakage_safety():
     labels = dict(corpus.table.labels)
     split = stratified_folds(labels, 5, seed=5)
     train_news = split.train_news(0)
-    test_news = split.test_news(0)
+    test_news = held_out_news(split, 0)
 
     def run(table):
         ex = FeatureExtractor.build(corpus.graph, table, seed=1)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -288,6 +289,10 @@ def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
     ({"spreader_ratio": 0.5}, "spreader_ratio must be >= 1"),
     ({"base_spreaders": 500}, "infeasible spec"),
     ([["n_users", 80]], "synthetic must be a JSON object"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"base_engagement": -1}, "base_engagement must be >= 0"),
+    ({"susceptible_fraction": 1.5}, "susceptible_fraction must be in [0, 1]"),
+    ({"susceptible_fraction": -0.5}, "susceptible_fraction must be in [0, 1]"),
 ])
 def test_bad_synthetic_spec_exits_two_before_output(tmp_path, capsys, synthetic,
                                                     message):
@@ -299,6 +304,16 @@ def test_bad_synthetic_spec_exits_two_before_output(tmp_path, capsys, synthetic,
     err = capsys.readouterr().err
     assert "config error" in err
     assert message in err
+    assert not out.exists()
+
+
+def test_negative_synth_seed_flag_exits_two_before_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["synth", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "seed must be >= 0" in err
     assert not out.exists()
 
 
@@ -440,3 +455,12 @@ def test_byte_identical_across_hash_seeds(corpus_dir, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out / "evaluation.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_readme_cli_block_names_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    shown = [line.split()[1] for line in block.splitlines() if line.startswith("newsnet ")]
+    subcommands, = (action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert sorted(shown) == sorted(subcommands)

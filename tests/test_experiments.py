@@ -164,7 +164,7 @@ def test_early_detection_runs_the_whole_networks_once(small_strong_extractor,
 
     monkeypatch.setattr(experiments, "_early_task", counted)
     header, rows = run_early_detection(small_strong_extractor, config)
-    assert runs == [("nodes", 0.5, 0), ("nodes", 0.5, 1), ("nodes", 1.0, 0),
+    assert runs == [("nodes", 0.5, 0), ("nodes", 0.5, 1), (None, 1.0, None),
                     ("edges", 0.5, 0), ("edges", 0.5, 1)]
     # every (mode, proportion, repetition) evaluated on its own, as before
     mask = pattern_mask(config.patterns)

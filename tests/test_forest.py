@@ -14,7 +14,7 @@ from newsnet.experiments import DEFAULT_SWEEP_SUBSETS, SUBSET_BY_NAME
 from newsnet.features import extract_matrix, pattern_mask
 from newsnet.ml.crossval import encode_labels, fit_classifier, stratified_folds
 from newsnet.ml.forest import (DecisionTreeClassifier, RandomForestClassifier, _draws,
-                               _grow, _Presorted, _roots)
+                               _Presorted, _roots)
 from newsnet.util import derive_seed
 
 from oracles import ReferenceDecisionTree, ReferenceRandomForest, _gini_best_split, _Leaf
@@ -29,6 +29,8 @@ FOREST_CASES = (
     {"max_depth": 5, "min_leaf": 3, "max_features": 3},
     {"max_features": 100, "bootstrap": False},
     {"min_leaf": 2, "max_features": 2},
+    {"max_features": 7},  # d <= 7: every column a candidate, with bootstrap
+    {"max_depth": 2, "min_leaf": 2, "max_features": 8},
 )
 TREE_CASES = (
     {},
@@ -273,17 +275,13 @@ def test_property_forest_equals_reference(problem):
 
 @given(small_problems())
 def test_property_decision_tree_is_the_grown_whole_tree(problem):
-    # one tree on every row (root weights all 1), every feature a candidate
-    # (no draws), grown by _grow from X + 0.0 and int64 labels
+    # one tree on every row, every feature a candidate: the reference tree
     X, y, params = problem
     depth, min_leaf = params["max_depth"], params["min_leaf"]
     tree = DecisionTreeClassifier(max_depth=depth, min_leaf=min_leaf).fit(X, y)
-    grown = _grow(X + 0.0, y.astype(np.int64), np.ones((1, len(X)), dtype=np.int64), None,
-                  depth, min_leaf)
-    assert structure(tree._trees, 0) == structure(grown, 0)
-    predicted = tree.predict(X)
-    assert predicted.dtype == np.int64
-    assert np.array_equal(predicted, grown.predict_each(X)[0])
+    ref = ReferenceDecisionTree(max_depth=depth, min_leaf=min_leaf).fit(X, y)
+    assert_same_tree(tree, ref, X)
+    assert tree.predict(X).dtype == np.int64
 
 
 def degenerate_matrix(kind, seed):

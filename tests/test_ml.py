@@ -10,6 +10,8 @@ from newsnet.ml.crossval import (accuracy_from, confusion, cross_validate,
 from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier
 from newsnet.synth import SyntheticSpec, generate
 
+from oracles import held_out_news
+
 
 def _separable(n=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -110,7 +112,7 @@ def test_stratified_folds_balanced():
     labels.update({f"t{i}": "true" for i in range(10)})
     split = stratified_folds(labels, 5, seed=3)
     for fold in range(5):
-        test = split.test_news(fold)
+        test = held_out_news(split, fold)
         n_fake = sum(1 for n in test if labels[n] == "fake")
         n_true = len(test) - n_fake
         assert abs(n_fake - n_true) <= 1
@@ -158,7 +160,7 @@ def test_leakage_invariance_every_fold_and_theta():
     ex = FeatureExtractor.build(corpus.graph, corpus.table, seed=1)
     for fold in range(5):
         flipped = dict(labels)
-        for n in split.test_news(fold):
+        for n in held_out_news(split, fold):
             flipped[n] = "true" if flipped[n] == "fake" else "fake"
         ex_flipped = FeatureExtractor.build(
             corpus.graph, EngagementTable.from_records(records, flipped), seed=1)
@@ -175,7 +177,7 @@ def test_leakage_invariance_fold_zero():
     labels = dict(corpus.table.labels)
     split = stratified_folds(labels, 5, seed=5)
     train_news = split.train_news(0)
-    test_news = split.test_news(0)
+    test_news = held_out_news(split, 0)
 
     def run(table):
         ex_run = FeatureExtractor.build(corpus.graph, table, seed=1)
