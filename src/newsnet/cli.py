@@ -60,7 +60,10 @@ def _build_extractor(config: ExperimentConfig) -> FeatureExtractor:
 
 def _out_dir(config: ExperimentConfig) -> Path:
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc.strerror}") from None
     return out
 
 
@@ -181,8 +184,8 @@ def cmd_synth(config, args) -> int:
         spec.validate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad synthetic spec: {exc}") from None
-    corpus = generate(spec)
-    _report(write_corpus(corpus, config.out))
+    out = _out_dir(config)
+    _report(write_corpus(generate(spec), out))
     return 0
 
 

@@ -21,11 +21,13 @@ rank), and the edges, deduplicated by one sort of their keys, become an
 out-CSR of ranks (`SocialGraph`). Rank order is sorted-id order, so every
 loop over sorted ids or sorted id pairs sees the same order over ranks, and
 the features computed from ranks are the ones computed from ids. User ids stay
-strings at the I/O boundary only: in `SocialGraph.users`, the engagement
-table's per-news counts and the files `save_corpus` writes. Past
-`load_corpus` every per-user value (networks, centralities, communities,
-susceptibility) is an array over the ranks, and `SocialGraph.ranks` maps
-ids to ranks where a story's spreaders enter its network.
+strings at the I/O boundary only: in `SocialGraph.users` and the files
+`save_corpus` writes. `load_corpus` turns each engagement row's user id into
+its rank as it reads the row, so the engagement table keys each story's
+counts by rank, and past `load_corpus` every per-user value (engagement
+counts, networks, centralities, communities, susceptibility) is keyed or
+indexed by rank. `EngagementTable.from_records` builds a table from
+in-memory records through the loader's own row checks.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,14 +131,6 @@ class SocialGraph:
         """The follower rank of every edge, in CSR order."""
         return np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
 
-    def ranks(self, users) -> np.ndarray:
-        """The rank of each of `users`, -1 for one that is not a node of the graph."""
-        out = []
-        for user in users:
-            i = bisect_left(self.users, user)
-            out.append(i if i < len(self.users) and self.users[i] == user else -1)
-        return np.array(out, dtype=np.int64)
-
     def follows(self, followers, followees) -> np.ndarray:
         """For each (followers[i], followees[i]) pair of ranks, whether it is an edge.
 
@@ -161,27 +154,18 @@ def csr_rows(frontier, csr) -> tuple:
 class EngagementTable:
     """Per (news, user) spreading counts plus a label for every news story."""
 
-    counts: dict  # news_id -> {user_id: count}
+    counts: dict  # news_id -> {user rank: count}
     labels: dict  # news_id -> "fake" | "true"
 
     @classmethod
-    def from_records(cls, records, labels) -> "EngagementTable":
-        """records: mapping (news_id, user_id) -> count. Validates invariants."""
-        labels = dict(labels)
-        for news, label in labels.items():
-            if label not in LABELS:
-                raise ValueError(f"unknown label {label!r} for news {news!r}")
-        counts: dict = {news: {} for news in labels}
-        for (news, user), count in records.items():
-            if news not in labels:
-                raise ValueError(f"engagement references unlabeled news {news!r}")
-            count = int(count)
-            if count < 1:
-                raise ValueError(f"non-positive count for ({news!r}, {user!r})")
-            if count > MAX_COUNT:
-                raise ValueError(f"count for ({news!r}, {user!r}) exceeds 2**53")
-            counts[news][user] = count
-        return cls(counts=counts, labels=labels)
+    def from_records(cls, graph: SocialGraph, records, labels) -> "EngagementTable":
+        """records: mapping (news_id, user_id) -> count; labels: news_id -> label.
+
+        Checked by the rules `load_corpus` applies to its rows, in the same
+        order and with the same messages, less the file and line prefix.
+        """
+        return _table(graph, ((None, row) for row in dict(labels).items()),
+                      ((None, (news, user, count)) for (news, user), count in records.items()))
 
     def news_ids(self) -> list:
         return sorted(self.labels)
@@ -232,9 +216,6 @@ def load_corpus(edges_path, engagements_path, labels_path):
     as they are read.
     """
     edges_name = Path(edges_path).name
-    engage_name = Path(engagements_path).name
-    labels_name = Path(labels_path).name
-
     n_kept = n_self_loops = 0
 
     def follows():
@@ -247,14 +228,24 @@ def load_corpus(edges_path, engagements_path, labels_path):
                 yield edge
 
     graph = SocialGraph.from_edges(follows())
-    users = set(graph.users)
     if n_self_loops:
         log.warning("%s: dropped %d self-loop edge(s)", edges_name, n_self_loops)
     if n_kept > graph.n_edges:
         log.warning("%s: dropped %d duplicate edge(s)", edges_name, n_kept - graph.n_edges)
+    return graph, _table(graph, _read_rows(labels_path, ("news_id", "label")),
+                         _read_rows(engagements_path, ("news_id", "user_id", "count")),
+                         Path(labels_path).name, Path(engagements_path).name)
 
+
+def _table(graph, label_rows, engagement_rows, labels_name=None,
+           engage_name=None) -> EngagementTable:
+    """The table of (line, cells) label and engagement rows, checked row by row.
+
+    Each user id becomes its graph rank; rows for the same (news, user) are
+    summed. An error names the file and line when given a file name.
+    """
     labels: dict = {}
-    for lineno, (news, label) in _read_rows(labels_path, ("news_id", "label")):
+    for lineno, (news, label) in label_rows:
         if label not in LABELS:
             raise CorpusError(f"label must be 'fake' or 'true', got {label!r}",
                               file=labels_name, line=lineno)
@@ -263,9 +254,9 @@ def load_corpus(edges_path, engagements_path, labels_path):
                               file=labels_name, line=lineno)
         labels[news] = label
 
+    rank = dict(zip(graph.users, range(graph.n_nodes)))
     counts: dict = {news: {} for news in labels}
-    for lineno, (news, user, count) in _read_rows(engagements_path,
-                                                  ("news_id", "user_id", "count")):
+    for lineno, (news, user, count) in engagement_rows:
         try:
             value = int(count)
         except ValueError:
@@ -277,16 +268,17 @@ def load_corpus(edges_path, engagements_path, labels_path):
         if news not in labels:
             raise CorpusError(f"engagement references unlabeled news {news!r}",
                               file=engage_name, line=lineno)
-        if user not in users:
+        r = rank.get(user)
+        if r is None:
             raise CorpusError(f"engagement references unknown user {user!r}",
                               file=engage_name, line=lineno)
-        by_user = counts[news]
-        total = by_user.get(user, 0) + value  # shard-merge by summation
+        by_rank = counts[news]
+        total = by_rank.get(r, 0) + value  # shard-merge by summation
         if total > MAX_COUNT:
             raise CorpusError(f"count for ({news!r}, {user!r}) sums to {total}, "
                               "above 2**53", file=engage_name, line=lineno)
-        by_user[user] = total
-    return graph, EngagementTable(counts=counts, labels=labels)
+        by_rank[r] = total
+    return EngagementTable(counts=counts, labels=labels)
 
 
 def save_corpus(graph: SocialGraph, table: EngagementTable,
@@ -302,15 +294,15 @@ def save_corpus(graph: SocialGraph, table: EngagementTable,
     """
     linked = np.zeros(graph.n_nodes, dtype=bool)
     linked[graph.sources()] = linked[graph.indices] = True
+    users = graph.users
     rows = []
     for news in table.news_ids():
-        users = sorted(table.counts[news])
-        for user, rank in zip(users, graph.ranks(users).tolist()):
-            if rank < 0 or not linked[rank]:
-                raise CorpusError(f"spreader {user!r} of news {news!r} has no follow "
-                                  f"edge, so the saved corpus would not load")
-            rows.append((news, user, table.counts[news][user]))
-    users = graph.users
+        by_rank = table.counts[news]
+        for rank in sorted(by_rank):
+            if not linked[rank]:
+                raise CorpusError(f"spreader {users[rank]!r} of news {news!r} has no "
+                                  f"follow edge, so the saved corpus would not load")
+            rows.append((news, users[rank], by_rank[rank]))
     write_csv(edges_path, ("follower", "followee"),
               ((users[u], users[v]) for u, v in zip(graph.sources().tolist(),
                                                     graph.indices.tolist())))

@@ -4,8 +4,9 @@ The diffusion network of a news story contains exactly the users that spread
 it, and every follow edge of the social graph whose endpoints both spread it.
 Subsampling (by nodes or by edges) emulates partially observed propagation.
 
-A network is held as int arrays over the follow graph's ranks: `ranks` lists
-the spreaders' ranks ascending (rank order is sorted-id order), `counts` their
+A network is held as int arrays over the follow graph's ranks, which the
+engagement table already keys each story's counts by: `ranks` lists the
+spreaders' ranks ascending (rank order is sorted-id order), `counts` their
 spreading counts in the same order, and `edges` the (follower, followee)
 pairs as positions into `ranks`, sorted. A node's position is thus its index
 in the sorted ids, and the sorted position pairs are the sorted id pairs, so
@@ -48,11 +49,8 @@ def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> Diffus
     if news_id not in table.labels:
         raise KeyError(f"unknown news id {news_id!r}")
     spreaders = table.counts[news_id]
-    users = sorted(spreaders)
-    ranks = graph.ranks(users)
-    if (ranks < 0).any():
-        user = users[int(np.argmax(ranks < 0))]
-        raise ValueError(f"spreader {user!r} of news {news_id!r} is not in the social graph")
+    order = sorted(spreaders)
+    ranks = np.array(order, dtype=np.int64)
     # each spreader's CSR row, kept where the followee spreads the news too
     src, dst = csr_rows(ranks, (graph.indptr, graph.indices))
     at, kept = find(ranks, dst)
@@ -60,7 +58,7 @@ def build_network(graph: SocialGraph, table: EngagementTable, news_id) -> Diffus
         news_id=news_id,
         label=table.labels[news_id],
         ranks=ranks,
-        counts=np.array([spreaders[user] for user in users], dtype=np.int64),
+        counts=np.array([spreaders[rank] for rank in order], dtype=np.int64),
         edges=np.column_stack([np.searchsorted(ranks, src[kept]), at[kept]]),
     )
 

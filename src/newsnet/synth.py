@@ -195,7 +195,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
         news_truth.append({"news_id": news, "label": label,
                            "n_spreaders": len(spreaders), "total_engagements": total})
 
-    table = EngagementTable.from_records(records, labels)
+    table = EngagementTable.from_records(graph, records, labels)
     truth = {
         "spec": asdict(spec),
         "planted": planted,

@@ -21,8 +21,9 @@ order, and one rebuilding each node's neighbour-community weights at every
 visit, and the Louvain aggregation by a walk of each level's adjacency
 dicts that summing the level's edge list replaced.
 Networks are walked as `IdNetwork`s, sets of user ids read back from the
-package's rank arrays, and per-rank arrays as {user id: value} dicts
-(`by_id`). Apart from the pairwise WL kernel, the WL Gram product the dict
+package's rank arrays, per-rank arrays as {user id: value} dicts
+(`by_id`), and engagement tables as {(news, user id): count} records
+(`id_records`). Apart from the pairwise WL kernel, the WL Gram product the dict
 refinement feeds and the Louvain levels' bookkeeping, these paths share no
 code with the package internals.
 """
@@ -108,15 +109,22 @@ class SusceptibilityModel:
         return UNKNOWN
 
 
-def fit(table: EngagementTable, training_news, method: str, theta: float) -> SusceptibilityModel:
+def id_records(graph: SocialGraph, table: EngagementTable) -> dict:
+    """{(news, user id): count} of every engagement: the table's ranks read back
+    through `graph.users`, the records `EngagementTable.from_records` takes."""
+    return {(news, graph.users[rank]): count for news, by_rank in table.counts.items()
+            for rank, count in by_rank.items()}
+
+
+def fit(graph: SocialGraph, table: EngagementTable, training_news, method: str,
+        theta: float) -> SusceptibilityModel:
     """Per-user susceptibility scores from the training news only, by a loop
     over each user's spreading history: the dict fit `susceptibility.fit`
     replaced."""
     training = frozenset(training_news)
     user_news: dict = {}
-    for news, by_user in table.counts.items():
-        for user, count in by_user.items():
-            user_news.setdefault(user, {})[news] = count
+    for (news, user), count in id_records(graph, table).items():
+        user_news.setdefault(user, {})[news] = count
     scores: dict = {}
     for user, by_news in user_news.items():
         fake_n = total_n = fake_t = total_t = 0
@@ -134,9 +142,9 @@ def fit(table: EngagementTable, training_news, method: str, theta: float) -> Sus
     return SusceptibilityModel(theta=float(theta), scores=scores)
 
 
-def fit_all(table: EngagementTable, training_news, theta: float) -> dict:
+def fit_all(graph: SocialGraph, table: EngagementTable, training_news, theta: float) -> dict:
     """One id-keyed model per scoring method; keys are the method names."""
-    return {m: fit(table, training_news, m, theta) for m in METHODS}
+    return {m: fit(graph, table, training_news, m, theta) for m in METHODS}
 
 
 class WLDictionary:
@@ -608,7 +616,7 @@ def random_corpus(seed):
         spreaders = rng.sample(users, rng.randint(1, min(12, n_users)))
         for u in spreaders:
             records[(news, u)] = rng.randint(1, 4)
-    table = EngagementTable.from_records(records, labels)
+    table = EngagementTable.from_records(graph, records, labels)
     return graph, table
 
 

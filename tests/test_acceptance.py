@@ -35,8 +35,8 @@ from newsnet.wl import wl_kernel, wl_kernel_normalized
 
 from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
                      brute_induced_edges, by_id, dense_betweenness, dense_closeness,
-                     enumerate_triangles, flow_lengths, held_out_news, id_network, random_corpus,
-                     string_graph, wl_signature)
+                     enumerate_triangles, flow_lengths, held_out_news, id_network, id_records,
+                     random_corpus, string_graph, wl_signature)
 from oracles import fit_all as dict_fit_all
 from oracles import flow_matrix as dict_flow_matrix
 
@@ -75,7 +75,7 @@ def test_criterion_1_oracle_equivalence():
             assert flow_lengths(graph.users, ex.node_table, ex.flows[definition]) \
                 == slow.lengths
 
-        models = dict_fit_all(table, table.news_ids(), 0.5)
+        models = dict_fit_all(graph, table, table.news_ids(), 0.5)
         node_table = ex.node_table
         block = dynamic_features(node_table, fit_all(ex.history, graph.n_nodes,
                                                      table.news_ids(), 0.5))
@@ -107,10 +107,9 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_formula_checks():
-    table = EngagementTable.from_records(
-        {("f1", "v"): 1, ("t1", "v"): 3},
-        {"f1": "fake", "t1": "true"})
     graph = SocialGraph.from_edges([], nodes=["v"])
+    table = EngagementTable.from_records(graph, {("f1", "v"): 1, ("t1", "v"): 3},
+                                         {"f1": "fake", "t1": "true"})
     history = NodeTable(build_all_networks(graph, table))
     training = {"f1", "t1"}
     v = graph.users.index("v")
@@ -120,7 +119,7 @@ def test_criterion_2_formula_checks():
 
     # sole inflow: distance exactly 1
     graph = SocialGraph.from_edges([("a", "b")])
-    t2 = EngagementTable.from_records({("n1", "a"): 1, ("n1", "b"): 1},
+    t2 = EngagementTable.from_records(graph, {("n1", "a"): 1, ("n1", "b"): 1},
                                       {"n1": "fake"})
     nodes = NodeTable(build_all_networks(graph, t2))
     flow = flow_lengths(graph.users, nodes, flow_matrix(graph, nodes)["shared_news"])
@@ -195,10 +194,9 @@ def test_criterion_4_leakage_safety():
     flipped = dict(labels)
     for n in test_news:
         flipped[n] = "true" if flipped[n] == "fake" else "fake"
-    records = {(n, u): c for n, by_user in corpus.table.counts.items()
-               for u, c in by_user.items()}
+    records = id_records(corpus.graph, corpus.table)
     bytes_a, pred_a = run(corpus.table)
-    bytes_b, pred_b = run(EngagementTable.from_records(records, flipped))
+    bytes_b, pred_b = run(EngagementTable.from_records(corpus.graph, records, flipped))
     assert bytes_a == bytes_b
     assert (pred_a == pred_b).all()
     print("\n[acceptance 4] leakage safety (byte-identical training matrix): PASS")

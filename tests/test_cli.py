@@ -354,6 +354,23 @@ def test_count_beyond_two_to_the_53_exits_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "ingest", "extract", "ablate"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_a_directory_is_a_config_error(corpus_dir, tmp_path, capsys,
+                                                          command, under):
+    # --out names an existing file, or a path under one
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    out = blocker / "sub" if under else blocker
+    flags = [] if command == "synth" else _corpus_flags(corpus_dir)
+    assert main([command, "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"config error: cannot make output directory {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "keep me\n"
+
+
 def test_classifier_params_accepted(corpus_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier_params": {

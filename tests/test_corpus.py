@@ -14,7 +14,7 @@ from newsnet.corpus import (CorpusError, EngagementTable, SocialGraph, corpus_st
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 from newsnet.util import distinct
 
-from oracles import random_corpus, string_graph
+from oracles import id_records, random_corpus, string_graph
 
 STATS_KEYS = ["n_users", "n_follow_edges", "n_engagement_records", "n_news", "n_fake",
               "n_true"]
@@ -39,10 +39,11 @@ def test_load_simple_corpus(tmp_path):
         [("n1", "fake"), ("n2", "true")],
     )
     graph, table = load_corpus(*paths)
+    assert table.counts["n1"] == {0: 2, 1: 1}  # u1, u2 by rank
+    assert id_records(graph, table) == {("n1", "u1"): 2, ("n1", "u2"): 1, ("n2", "u3"): 1}
     graph = string_graph(graph)
     assert graph.nodes == {"u1", "u2", "u3"}
     assert ("u1", "u2") in graph.edges and ("u2", "u1") in graph.edges
-    assert table.counts["n1"] == {"u1": 2, "u2": 1}
     assert table.labels == {"n1": "fake", "n2": "true"}
 
 
@@ -63,7 +64,7 @@ def test_duplicate_engagement_rows_sum(tmp_path):
         [("n1", "fake")],
     )
     graph, table = load_corpus(*paths)
-    assert table.counts["n1"]["u1"] == 5
+    assert table.counts["n1"][graph.users.index("u1")] == 5
     assert corpus_stats(graph, table)["n_engagement_records"] == 1
 
 
@@ -152,9 +153,6 @@ def test_follows_checks_each_pair():
     assert graph.follows([0, 1, 1, 2, 3, 3], [1, 0, 2, 3, 3, 0]).tolist() \
         == [True, False, True, False, False, False]
     assert graph.follows([], []).tolist() == []
-    ranks = graph.ranks(["d", "z", "a"])
-    assert ranks.dtype == np.int64 and ranks.tolist() == [3, -1, 0]
-    assert graph.ranks([]).tolist() == []
 
 
 def test_from_edges_errors():
@@ -187,14 +185,39 @@ def test_count_bound_is_two_to_the_53(tmp_path):
     # int64 arrays and float64 features hold every count up to 2**53 exactly
     edges = [("u1", "u2")]
     paths = write_corpus_files(tmp_path, edges, [("n1", "u1", 2**53)], [("n1", "fake")])
-    assert load_corpus(*paths)[1].counts["n1"]["u1"] == 2**53
+    graph, table = load_corpus(*paths)
+    assert id_records(graph, table) == {("n1", "u1"): 2**53}
     paths = write_corpus_files(tmp_path, edges, [("n1", "u1", 2**53 + 1)], [("n1", "fake")])
     with pytest.raises(CorpusError, match=r"engagements.csv:2: .*above 2\*\*53"):
         load_corpus(*paths)
-    assert EngagementTable.from_records({("n1", "u1"): 2**53}, {"n1": "fake"}).counts \
-        == {"n1": {"u1": 2**53}}
-    with pytest.raises(ValueError, match=r"count for \('n1', 'u1'\) exceeds 2\*\*53"):
-        EngagementTable.from_records({("n1", "u1"): 2**53 + 1}, {"n1": "fake"})
+    table = EngagementTable.from_records(graph, {("n1", "u1"): 2**53}, {"n1": "fake"})
+    assert id_records(graph, table) == {("n1", "u1"): 2**53}
+    with pytest.raises(ValueError,
+                       match=rf"count for \('n1', 'u1'\) sums to {2**53 + 1}, above 2\*\*53"):
+        EngagementTable.from_records(graph, {("n1", "u1"): 2**53 + 1}, {"n1": "fake"})
+
+
+@pytest.mark.parametrize("engagement,label,message", [
+    (None, ("n1", "maybe"), "label must be 'fake' or 'true', got 'maybe'"),
+    (("n9", "u1", 1), ("n1", "fake"), "engagement references unlabeled news 'n9'"),
+    (("n1", "u1", 0), ("n1", "fake"), "count must be >= 1, got 0"),
+    (("n1", "u9", 1), ("n1", "fake"), "engagement references unknown user 'u9'"),
+    (("n1", "u1", 2**53 + 1), ("n1", "fake"),
+     f"count for ('n1', 'u1') sums to {2**53 + 1}, above 2**53"),
+])
+def test_loader_and_from_records_apply_one_rule_set(tmp_path, engagement, label, message):
+    # the loader prefixes its file and line; in-memory records have neither
+    paths = write_corpus_files(tmp_path, [("u1", "u2")], [engagement] if engagement else [],
+                               [label])
+    with pytest.raises(CorpusError) as err:
+        load_corpus(*paths)
+    name = "labels.csv" if engagement is None else "engagements.csv"
+    assert str(err.value) == f"{name}:2: {message}"
+    graph = SocialGraph.from_edges([("u1", "u2")])
+    records = {engagement[:2]: engagement[2]} if engagement else {}
+    with pytest.raises(ValueError) as err:
+        EngagementTable.from_records(graph, records, dict([label]))
+    assert str(err.value) == message
 
 
 def test_conflicting_label_raises(tmp_path):
@@ -240,7 +263,7 @@ def test_round_trip(tmp_path):
     graph2, table2 = load_corpus(*paths)
     # user set differs only by isolated users, which edges.csv cannot carry
     assert string_graph(graph2).edges == string_graph(graph).edges
-    assert table2.counts == table.counts
+    assert id_records(graph2, table2) == id_records(graph, table)
     assert table2.labels == table.labels
 
 
@@ -249,8 +272,8 @@ def test_property_save_then_load_is_the_identity(tmp_path, seed):
     graph, table = random_corpus(seed)
     paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")
     endpoints = {user for edge in string_graph(graph).edges for user in edge}
-    stranded = [(news, user) for news in table.news_ids()
-                for user in sorted(table.counts[news]) if user not in endpoints]
+    stranded = [(news, graph.users[rank]) for news in table.news_ids()
+                for rank in sorted(table.counts[news]) if graph.users[rank] not in endpoints]
     if stranded:
         news, user = stranded[0]
         with pytest.raises(CorpusError, match=f"spreader '{user}' of news '{news}'"):
@@ -261,13 +284,8 @@ def test_property_save_then_load_is_the_identity(tmp_path, seed):
     graph2, table2 = load_corpus(*paths)
     assert string_graph(graph2).edges == string_graph(graph).edges
     assert string_graph(graph2).nodes == endpoints
-    assert table2.counts == table.counts
+    assert id_records(graph2, table2) == id_records(graph, table)
     assert table2.labels == table.labels
-
-
-def _records(table) -> dict:
-    return {(news, user): count for news, by_user in table.counts.items()
-            for user, count in by_user.items()}
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -278,8 +296,8 @@ def test_loaded_table_equals_from_records(tmp_path, seed):
     corpus = generate(SyntheticSpec(n_users=40, news_per_class=5, seed=seed))
     write_corpus(corpus, tmp_path)
     paths = (tmp_path / "edges.csv", tmp_path / "engagements.csv", tmp_path / "labels.csv")
-    records = _records(corpus.table)
-    expected = EngagementTable.from_records(records, corpus.table.labels)
+    records = id_records(corpus.graph, corpus.table)
+    expected = EngagementTable.from_records(corpus.graph, records, corpus.table.labels)
     assert load_corpus(*paths)[1] == expected
     rows = [(news, user, part) for (news, user), count in records.items()
             for part in ([count] if count == 1 else [1, count - 1])]
@@ -292,7 +310,7 @@ def test_loaded_table_equals_from_records(tmp_path, seed):
 def test_save_rejects_a_spreader_without_follow_edges(tmp_path):
     graph = SocialGraph.from_edges([("u1", "u2")], nodes=["u1", "u2", "u3", "u4"])
     table = EngagementTable.from_records(
-        {("n1", "u1"): 1, ("n2", "u4"): 2, ("n2", "u3"): 1},
+        graph, {("n1", "u1"): 1, ("n2", "u4"): 2, ("n2", "u3"): 1},
         {"n1": "fake", "n2": "true"})
     paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")
     with pytest.raises(CorpusError, match="spreader 'u3' of news 'n2' has no follow edge"):
@@ -311,7 +329,7 @@ def test_synthetic_round_trip_exact(tmp_path):
 
 def test_stats_single_user_no_edges():
     graph = SocialGraph.from_edges([], nodes=["u1"])
-    table = EngagementTable.from_records({("n1", "u1"): 1}, {"n1": "fake"})
+    table = EngagementTable.from_records(graph, {("n1", "u1"): 1}, {"n1": "fake"})
     assert corpus_stats(graph, table) == dict(zip(STATS_KEYS, (1, 0, 1, 1, 1, 0)))
 
 

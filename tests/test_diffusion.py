@@ -14,7 +14,7 @@ def _corpus():
         [("u1", "u2"), ("u4", "u1"), ("u2", "u3"), ("u3", "u4")],
     )
     table = EngagementTable.from_records(
-        {("n1", "u1"): 1, ("n1", "u2"): 2, ("n1", "u3"): 1, ("n2", "u4"): 3},
+        graph, {("n1", "u1"): 1, ("n1", "u2"): 2, ("n1", "u3"): 1, ("n2", "u4"): 3},
         {"n1": "fake", "n2": "true"},
     )
     return graph, table
@@ -39,10 +39,10 @@ def test_induced_subgraph():
 
 
 def test_spreader_outside_the_graph_is_rejected():
+    # no table holds one, so no network can
     graph, _ = _corpus()
-    table = EngagementTable.from_records({("n1", "u1"): 1, ("n1", "z"): 1}, {"n1": "fake"})
-    with pytest.raises(ValueError, match="spreader 'z' of news 'n1' is not in the social graph"):
-        build_network(graph, table, "n1")
+    with pytest.raises(ValueError, match="engagement references unknown user 'z'"):
+        EngagementTable.from_records(graph, {("n1", "u1"): 1, ("n1", "z"): 1}, {"n1": "fake"})
 
 
 def test_single_spreader_network():
@@ -101,7 +101,7 @@ def test_subsample_nodes_deterministic():
     if net.n_nodes < 10:
         users = list(graph.users)[:10]
         records = {(news, u): 1 for u in users}
-        table = EngagementTable.from_records(records, {news: "fake"})
+        table = EngagementTable.from_records(graph, records, {news: "fake"})
         net = build_network(graph, table, news)
     sub1 = subsample(net, "nodes", 0.5, seed=99)
     sub2 = subsample(net, "nodes", 0.5, seed=99)

@@ -88,7 +88,7 @@ def test_shared_news_counts_networks():
     records[("n9", "u3")] = 1
     labels = {f"n{i}": "fake" for i in range(3)}
     labels["n9"] = "true"
-    table = EngagementTable.from_records(records, labels)
+    table = EngagementTable.from_records(graph, records, labels)
     flow = Flow(graph, _networks(graph, table), SHARED_NEWS)
     assert flow.flow("u1", "u2") == 3.0
     assert flow.flow("u2", "u3") == 0.0  # never co-spread
@@ -98,7 +98,7 @@ def test_shared_news_counts_networks():
 def test_shared_frequency_min_rule():
     graph = SocialGraph.from_edges([("u1", "u2")])
     table = EngagementTable.from_records(
-        {("n1", "u1"): 2, ("n1", "u2"): 5}, {"n1": "fake"})
+        graph, {("n1", "u1"): 2, ("n1", "u2"): 5}, {"n1": "fake"})
     flow = Flow(graph, _networks(graph, table), SHARED_FREQUENCY)
     assert flow.flow("u1", "u2") == 2.0
 
@@ -117,8 +117,8 @@ def test_flow_matches_brute_force():
 def test_effective_distance_values():
     graph = SocialGraph.from_edges([("a", "j"), ("b", "j"), ("c", "k")])
     table = EngagementTable.from_records(
-        {("n1", "a"): 1, ("n1", "j"): 1, ("n2", "b"): 1, ("n2", "j"): 1,
-         ("n3", "c"): 1, ("n3", "k"): 1},
+        graph, {("n1", "a"): 1, ("n1", "j"): 1, ("n2", "b"): 1, ("n2", "j"): 1,
+                ("n3", "c"): 1, ("n3", "k"): 1},
         {"n1": "fake", "n2": "true", "n3": "true"})
     flow = Flow(graph, _networks(graph, table), SHARED_NEWS)
     # (c, k) carries all inflow to k
@@ -138,7 +138,7 @@ def test_effective_distance_ratio_point_one():
         labels[news] = "fake" if i % 2 else "true"
         records[(news, f"s{i}")] = 1
         records[(news, "hub")] = 1
-    table = EngagementTable.from_records(records, labels)
+    table = EngagementTable.from_records(graph, records, labels)
     flow = Flow(graph, _networks(graph, table), SHARED_NEWS)
     assert flow.length("s0", "hub") == pytest.approx(1.0 - math.log(0.1), abs=1e-12)
 
@@ -158,7 +158,7 @@ def test_effective_distance_at_least_one():
 def test_geodesic_stats_on_path():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c")])
     table = EngagementTable.from_records(
-        {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
+        graph, {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     net = build_network(graph, table, "n1")
     stats = distance_stats(net)
     # finite ordered pairs: a-b=1, b-c=1, a-c=2
@@ -169,7 +169,7 @@ def test_geodesic_stats_on_path():
 
 def test_single_node_stats_zero():
     graph = SocialGraph.from_edges([("a", "b")])
-    table = EngagementTable.from_records({("n1", "a"): 1}, {"n1": "fake"})
+    table = EngagementTable.from_records(graph, {("n1", "a"): 1}, {"n1": "fake"})
     net = build_network(graph, table, "n1")
     stats = distance_stats(net)
     assert (stats.maximum, stats.mean, stats.median) == (0.0, 0.0, 0.0)
@@ -178,7 +178,7 @@ def test_single_node_stats_zero():
 def test_cycle_uniform_flow_effective_equals_geodesic():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
     table = EngagementTable.from_records(
-        {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
+        graph, {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     nets = _networks(graph, table)
     flow = flow_matrix(graph, _table(nets))[SHARED_NEWS]
     net = nets[0]
@@ -414,7 +414,7 @@ def test_lengths_take_math_log():
     # np.log(14 / 37) differs from math.log(14 / 37) in the last place
     graph = SocialGraph.from_edges([("s0", "hub"), ("s1", "hub")])
     table = EngagementTable.from_records(
-        {("n1", "s0"): 14, ("n1", "s1"): 23, ("n1", "hub"): 100}, {"n1": "fake"})
+        graph, {("n1", "s0"): 14, ("n1", "s1"): 23, ("n1", "hub"): 100}, {"n1": "fake"})
     nodes = _table(_networks(graph, table))
     flow = flow_matrix(graph, nodes)[SHARED_FREQUENCY]
     assert float(np.log(np.array([14 / 37]))[0]) != math.log(14 / 37)

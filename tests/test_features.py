@@ -14,7 +14,7 @@ from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_
 from newsnet.triads import Triangles
 from newsnet.susceptibility import METHODS, fit_all
 
-from oracles import brute_ego_delta, id_network, random_corpus, string_graph
+from oracles import brute_ego_delta, id_network, id_records, random_corpus, string_graph
 from oracles import dynamic_features as oracle_dynamic_features
 from oracles import feature_row as oracle_feature_row
 from oracles import fit_all as dict_fit_all
@@ -72,7 +72,7 @@ def test_pattern_mask_contract():
 def test_singleton_network_features():
     graph = SocialGraph.from_edges([("u1", "u2")])
     table = EngagementTable.from_records(
-        {("n1", "u1"): 3, ("n2", "u2"): 1}, {"n1": "fake", "n2": "true"})
+        graph, {("n1", "u1"): 3, ("n2", "u2"): 1}, {"n1": "fake", "n2": "true"})
     ex = _extractor(graph, table)
     vec = _vector(ex, fit_all(ex.history, ex.graph.n_nodes, {"n1", "n2"}, 0.5), "n1")
     assert _value(vec, "n_spreaders") == 1.0
@@ -87,7 +87,7 @@ def test_singleton_network_features():
 def test_all_susceptible_triangle():
     graph = SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")])
     table = EngagementTable.from_records(
-        {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
+        graph, {("n1", "a"): 1, ("n1", "b"): 1, ("n1", "c"): 1}, {"n1": "fake"})
     ex = _extractor(graph, table)
     vec = _vector(ex, fit_all(ex.history, ex.graph.n_nodes, {"n1"}, 0.5), "n1")
     assert _value(vec, "ego_density") == 1.0  # 3 edges / C(3,2)
@@ -126,7 +126,7 @@ def test_ego_and_delta_partitions_match_oracle():
         graph, table = random_corpus(seed)
         ex = _extractor(graph, table, seed=seed)
         training = table.news_ids()
-        models = dict_fit_all(table, training, 0.5)
+        models = dict_fit_all(graph, table, training, 0.5)
         vectors = fit_all(ex.history, graph.n_nodes, training, 0.5)
         for news in training:
             net = id_network(graph.users, ex.networks[news])
@@ -147,9 +147,7 @@ def test_ego_and_delta_partitions_match_oracle():
 def test_scale_consistency_for_by_news_proportions():
     graph, table = random_corpus(7)
     doubled = EngagementTable.from_records(
-        {(n, u): 2 * c for n, by_user in table.counts.items()
-         for u, c in by_user.items()},
-        dict(table.labels))
+        graph, {key: 2 * c for key, c in id_records(graph, table).items()}, dict(table.labels))
     ex1 = _extractor(graph, table)
     ex2 = _extractor(graph, doubled)
     training = table.news_ids()
@@ -196,9 +194,8 @@ def _relabel_users(graph, table, rename):
                                      for u, v in string_graph(graph).edges],
                                     nodes=[rename[v] for v in graph.users])
     records = {(news, rename[user]): count
-               for news, by_user in table.counts.items()
-               for user, count in by_user.items()}
-    return graph2, EngagementTable.from_records(records, dict(table.labels))
+               for (news, user), count in id_records(graph, table).items()}
+    return graph2, EngagementTable.from_records(graph2, records, dict(table.labels))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -266,7 +263,7 @@ def test_order_scrambling_user_relabel_moves_only_id_ordered_values(seed):
 def assert_block_equals_oracle(ex, training, theta):
     """The array block equals the dict loops, and every extract_matrix row the
     by-name assembly of the static block, the dict loops and the WL values."""
-    models = dict_fit_all(ex.table, training, theta)
+    models = dict_fit_all(ex.graph, ex.table, training, theta)
     table = ex.node_table
     block = dynamic_features(table, fit_all(ex.history, ex.graph.n_nodes, training, theta))
     assert block.shape == (len(ex.networks), len(DYNAMIC_NAMES))
@@ -310,7 +307,7 @@ def _degenerate_extractor():
                ("n4", "h"): 5, ("n5", "x"): 1, ("n5", "y"): 2, ("n5", "z"): 1}
     labels = {"n1": "fake", "n2": "true", "n3": "fake", "n4": "true", "n5": "fake",
               "n6": "true"}
-    return _extractor(graph, EngagementTable.from_records(records, labels))
+    return _extractor(graph, EngagementTable.from_records(graph, records, labels))
 
 
 DYNAMIC_EDGE_VALUES = [name for name in DYNAMIC_NAMES

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from newsnet.ml.crossval import (accuracy_from, confusion, cross_validate,
                                  encode_labels, f1_from, fit_classifier,
                                  stratified_folds)
 from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier
-from newsnet.synth import SyntheticSpec, generate
+from newsnet.synth import SyntheticSpec, generate, write_corpus
 
-from oracles import held_out_news
+from oracles import held_out_news, id_records
 
 
 def _separable(n=40, seed=0):
@@ -142,9 +144,8 @@ def test_shuffled_labels_drop_to_chance(strong_corpus):
     news = sorted(strong_corpus.table.labels)
     labels = [strong_corpus.table.labels[n] for n in news]
     shuffled = dict(zip(news, rng.permutation(labels)))
-    records = {(n, u): c for n, by_user in strong_corpus.table.counts.items()
-               for u, c in by_user.items()}
-    table = EngagementTable.from_records(records, shuffled)
+    records = id_records(strong_corpus.graph, strong_corpus.table)
+    table = EngagementTable.from_records(strong_corpus.graph, records, shuffled)
     ex = FeatureExtractor.build(strong_corpus.graph, table, seed=3)
     report = cross_validate(ex, seed=11)
     assert abs(report.accuracy - 0.5) <= 0.15
@@ -155,15 +156,14 @@ def test_leakage_invariance_every_fold_and_theta():
                                     spreader_ratio=2.0))
     labels = dict(corpus.table.labels)
     split = stratified_folds(labels, 5, seed=5)
-    records = {(n, u): c for n, by_user in corpus.table.counts.items()
-               for u, c in by_user.items()}
+    records = id_records(corpus.graph, corpus.table)
     ex = FeatureExtractor.build(corpus.graph, corpus.table, seed=1)
     for fold in range(5):
         flipped = dict(labels)
         for n in held_out_news(split, fold):
             flipped[n] = "true" if flipped[n] == "fake" else "fake"
         ex_flipped = FeatureExtractor.build(
-            corpus.graph, EngagementTable.from_records(records, flipped), seed=1)
+            corpus.graph, EngagementTable.from_records(corpus.graph, records, flipped), seed=1)
         train_news = split.train_news(fold)
         for theta in (0.0, 0.5, 1.0):
             assert extract_matrix(ex, train_news, theta).X.tobytes() \
@@ -191,9 +191,8 @@ def test_leakage_invariance_fold_zero():
     flipped = dict(labels)
     for n in test_news:
         flipped[n] = "true" if flipped[n] == "fake" else "fake"
-    records = {(n, u): c for n, by_user in corpus.table.counts.items()
-               for u, c in by_user.items()}
-    table_flipped = EngagementTable.from_records(records, flipped)
+    records = id_records(corpus.graph, corpus.table)
+    table_flipped = EngagementTable.from_records(corpus.graph, records, flipped)
 
     bytes_a, pred_a = run(corpus.table)
     bytes_b, pred_b = run(table_flipped)
@@ -230,3 +229,15 @@ def test_tree_and_forest_classes():
         fit_classifier("svm", X, y)
     with pytest.raises(ValueError, match="'n_tree'"):
         fit_classifier("random_forest", X, y, params={"n_tree": 5})
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    write_corpus(generate(SyntheticSpec(n_users=40, news_per_class=10, seed=3)), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert 0.0 <= namespace["report"].accuracy <= 1.0
+    assert capsys.readouterr().out.split() == [repr(namespace["report"].accuracy),
+                                               repr(namespace["report"].f1)]

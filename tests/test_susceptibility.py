@@ -9,26 +9,24 @@ from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NOR
                                     SUSCEPTIBLE, UNKNOWN, fit_all)
 
 from oracles import fit as dict_fit
-from oracles import random_corpus
+from oracles import id_records, random_corpus
 
 ALICE, BOB, CAROL = range(3)  # graph ranks, in sorted id order
 
 
-def _history(table, users=("alice", "bob", "carol")):
+RECORDS = {
+    ("f1", "alice"): 1, ("f2", "alice"): 1,          # all fake
+    ("f1", "bob"): 1, ("t1", "bob"): 3,              # 1 fake once, 1 true x3
+    ("t1", "carol"): 2,                              # test-only user via split
+}
+LABELS = {"f1": "fake", "f2": "fake", "t1": "true"}
+
+
+def _history(records=RECORDS, labels=LABELS, users=("alice", "bob", "carol")):
     """The node table of the corpus's networks and the graph's user count."""
     graph = SocialGraph.from_edges([], nodes=users)
+    table = EngagementTable.from_records(graph, records, labels)
     return NodeTable(build_all_networks(graph, table)), graph.n_nodes
-
-
-def _table():
-    return EngagementTable.from_records(
-        {
-            ("f1", "alice"): 1, ("f2", "alice"): 1,          # all fake
-            ("f1", "bob"): 1, ("t1", "bob"): 3,              # 1 fake once, 1 true x3
-            ("t1", "carol"): 2,                              # test-only user via split
-        },
-        {"f1": "fake", "f2": "fake", "t1": "true"},
-    )
 
 
 def _classes(codes) -> list:
@@ -36,14 +34,14 @@ def _classes(codes) -> list:
 
 
 def test_all_fake_history_scores_one():
-    history = _history(_table())
+    history = _history()
     for method in METHODS:
         scores, _ = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[method]
         assert scores[ALICE] == 1.0
 
 
 def test_mixed_history_example():
-    history = _history(_table())
+    history = _history()
     by_news, _ = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[BY_NEWS]
     by_freq, _ = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[BY_FREQUENCY]
     assert by_news[BOB] == 0.5       # 1 fake of 2 news
@@ -51,13 +49,13 @@ def test_mixed_history_example():
 
 
 def test_no_training_history_gets_theta():
-    scores, codes = fit_all(*_history(_table()), {"f1", "f2"}, 0.5)[BY_NEWS]
+    scores, codes = fit_all(*_history(), {"f1", "f2"}, 0.5)[BY_NEWS]
     assert scores[CAROL] == 0.5
     assert _classes(codes)[CAROL] == UNKNOWN
 
 
 def test_classification_boundaries():
-    history = _history(_table())
+    history = _history()
     _, codes = fit_all(*history, {"f1", "f2", "t1"}, 0.5)[BY_NEWS]
     assert _classes(codes)[ALICE] == SUSCEPTIBLE   # 1.0 > 0.5
     assert _classes(codes)[BOB] == UNKNOWN         # exactly theta
@@ -75,7 +73,7 @@ def test_classify_all_matches_score_and_classify(theta):
         training = table.news_ids()[::2]
         for method in METHODS:
             scores, codes = fit_all(*history, training, theta)[method]
-            model = dict_fit(table, training, method, theta)
+            model = dict_fit(graph, table, training, method, theta)
             assert scores.tolist() == [model.score(u) for u in graph.users]
             assert _classes(codes) == [model.classify(u) for u in graph.users]
             untrained += sum(u not in model.scores for u in graph.users)
@@ -84,16 +82,16 @@ def test_classify_all_matches_score_and_classify(theta):
 
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError, match="empty"):
-        fit_all(*_history(_table()), set(), 0.5)
+        fit_all(*_history(), set(), 0.5)
 
 
 def test_training_ids_must_be_labeled():
     with pytest.raises(ValueError, match="not in corpus"):
-        fit_all(*_history(_table()), {"zz"}, 0.5)
+        fit_all(*_history(), {"zz"}, 0.5)
 
 
 def test_theta_is_checked():
-    history = _history(_table())
+    history = _history()
     for theta in (-0.1, 1.5):
         with pytest.raises(ValueError, match="theta must be in"):
             fit_all(*history, {"f1"}, theta)
@@ -118,9 +116,7 @@ def test_leakage_safety_scores_ignore_test_labels():
         outside = [n for n in news if n not in training]
         flipped = {n: ("true" if permuted[n] == "fake" else "fake") for n in outside}
         permuted.update(flipped)
-        records = {(n, u): c for n, by_user in table.counts.items()
-                   for u, c in by_user.items()}
-        table2 = EngagementTable.from_records(records, permuted)
+        table2 = EngagementTable.from_records(graph, id_records(graph, table), permuted)
         h1 = (NodeTable(build_all_networks(graph, table)), graph.n_nodes)
         h2 = (NodeTable(build_all_networks(graph, table2)), graph.n_nodes)
         for method in METHODS:
@@ -140,7 +136,7 @@ def test_methods_agree_when_all_counts_one():
         labels[news] = rng.choice(["fake", "true"])
         for u in rng.sample(users, 4):
             records[(news, u)] = 1
-    history = _history(EngagementTable.from_records(records, labels), users)
+    history = _history(records, labels, users)
     by_news, _ = fit_all(*history, set(labels), 0.5)[BY_NEWS]
     by_freq, _ = fit_all(*history, set(labels), 0.5)[BY_FREQUENCY]
     assert by_news.tolist() == by_freq.tolist()
@@ -152,9 +148,9 @@ def test_theta_extremes():
     training = set(table.news_ids())
     fakes = {n for n, label in table.labels.items() if label == "fake"}
     spread: dict = {}
-    for news, by_user in table.counts.items():
-        for user in by_user:
-            spread.setdefault(graph.users.index(user), set()).add(news)
+    for news, by_rank in table.counts.items():
+        for rank in by_rank:
+            spread.setdefault(rank, set()).add(news)
     at_zero = _classes(fit_all(*history, training, 0.0)[BY_NEWS][1])
     at_one = _classes(fit_all(*history, training, 1.0)[BY_NEWS][1])
     for rank, news in sorted(spread.items()):

@@ -163,7 +163,7 @@ def test_enumeration_order_independent():
 def _static_block(edges, nodes):
     """The label-free features of one network spread by every node."""
     graph = SocialGraph.from_edges(edges, nodes=nodes)
-    table = EngagementTable.from_records({("n1", v): 1 for v in nodes}, {"n1": "fake"})
+    table = EngagementTable.from_records(graph, {("n1", v): 1 for v in nodes}, {"n1": "fake"})
     return dict(zip(STATIC_NAMES, FeatureExtractor.build(graph, table).static_block[0].tolist()))
 
 

@@ -239,7 +239,7 @@ def test_equals_pairwise_oracle_on_random_corpora(seed):
     for fold in range(3):
         training = [n for i, n in enumerate(news) if i % 3 != fold]
         for theta in (0.0, 0.5, 1.0):
-            model = dict_fit(table, training, "by_news", theta)
+            model = dict_fit(graph, table, training, "by_news", theta)
             assert_equals_pairwise_oracle(networks, training, model, graphs=graphs)
     for h in (0, 1, 3):
         assert_equals_pairwise_oracle(networks, training, model, h=h)
@@ -249,7 +249,7 @@ def test_equals_pairwise_oracle_on_synthetic_corpus(strong_extractor):
     networks = id_networks(strong_extractor.graph.users, strong_extractor.networks)
     split = stratified_folds({n: net.label for n, net in networks.items()}, seed=7)
     training = split.train_news(0)
-    model = dict_fit(strong_extractor.table, training, "by_news", 0.5)
+    model = dict_fit(strong_extractor.graph, strong_extractor.table, training, "by_news", 0.5)
     slow = PairwiseSimilarityIndex(networks, training, model, h=strong_extractor.h)
     matrix = extract_matrix(strong_extractor, training, 0.5)
     for news, row in zip(matrix.news_ids, matrix.X):
