@@ -3,8 +3,8 @@
 Subcommands: ingest, stats, extract, evaluate, ablate, sweep-threshold,
 sample-study, early-detect, rank-features, feature-stats, synth.
 
-Common flags: --config <json>, --seed, --out, --jobs; flags override config
-values. Exit codes: 0 success, 1 input error, 2 config error.
+Common flags: --config <json>, --seed, --out, --jobs; flags replace config
+values before validation. Exit codes: 0 success, 1 input error, 2 config error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import experiments
@@ -27,18 +26,15 @@ from .util import write_csv
 
 
 def _build_config(args) -> ExperimentConfig:
-    data = {}
+    """The --config JSON object, or {}, with each given flag replacing its value."""
+    keys = ("edges", "engagements", "labels", "seed", "out", "jobs", "classifier",
+            "theta", "repetitions")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    if args.patterns:
+        flags["patterns"] = tuple(args.patterns.split(","))
     if args.config:
-        config = ExperimentConfig.from_json_file(args.config)
-        data = asdict(config)
-    for key in ("edges", "engagements", "labels", "seed", "out", "jobs",
-                "classifier", "theta", "repetitions"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    if getattr(args, "patterns", None):
-        data["patterns"] = tuple(args.patterns.split(","))
-    return ExperimentConfig.from_dict(data)
+        return ExperimentConfig.from_json_file(args.config, flags)
+    return ExperimentConfig.from_dict(flags)
 
 
 def _require_corpus(config: ExperimentConfig):
@@ -50,12 +46,14 @@ def _require_corpus(config: ExperimentConfig):
     return load_corpus(config.edges, config.engagements, config.labels)
 
 
-def _build_extractor(config: ExperimentConfig) -> FeatureExtractor:
+def _build_extractor(config: ExperimentConfig) -> tuple:
+    """(extractor, output directory), the directory made after every input check."""
     graph, table = _require_corpus(config)
     if not table.labels:
         raise CorpusError("no labeled news", file=Path(config.labels).name)
-    return FeatureExtractor.build(graph, table, h=config.wl_iterations,
-                                  seed=config.seed)
+    extractor = FeatureExtractor.build(graph, table, h=config.wl_iterations,
+                                       seed=config.seed)
+    return extractor, _out_dir(config)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -95,9 +93,8 @@ def _descriptive_matrix(config: ExperimentConfig, extractor: FeatureExtractor):
 
 
 def cmd_extract(config, args) -> int:
-    extractor = _build_extractor(config)
+    extractor, out = _build_extractor(config)
     matrix = _descriptive_matrix(config, extractor)
-    out = _out_dir(config)
     write_csv(out / "features.csv",
               ["news_id", "label"] + [f"f{i:03d}" for i in range(1, N_FEATURES + 1)],
               ([news, label] + row for news, label, row
@@ -110,12 +107,12 @@ def cmd_extract(config, args) -> int:
 
 
 def cmd_evaluate(config, args) -> int:
-    extractor = _build_extractor(config)
+    extractor, out = _build_extractor(config)
     mask = pattern_mask(config.patterns)
     report = cross_validate(extractor, classifier=config.classifier, mask=mask,
                             theta=config.theta, seed=config.seed,
                             params=config.classifier_params)
-    _report(report.to_dict(), _out_dir(config) / "evaluation.json")
+    _report(report.to_dict(), out / "evaluation.json")
     return 0
 
 
@@ -124,8 +121,7 @@ def cmd_sample_study(config, args) -> int:
     unknown = [mode for mode in modes if mode not in experiments.SAMPLING_MODES]
     if unknown:
         raise ConfigError(f"unknown sampling mode(s): {unknown}")
-    extractor = _build_extractor(config)
-    out = _out_dir(config)
+    extractor, out = _build_extractor(config)
     for mode in modes:
         header, rows = experiments.run_sampling_study(extractor, config, mode)
         write_csv(out / f"sampling_{mode}.csv", header, rows)
@@ -161,8 +157,9 @@ STUDIES = {
 def cmd_study(config, args) -> int:
     """Run one of STUDIES, write its CSV and print its summary."""
     filename, study, summary = STUDIES[args.command]
-    header, rows = study(_build_extractor(config), config)
-    path = _out_dir(config) / filename
+    extractor, out = _build_extractor(config)
+    header, rows = study(extractor, config)
+    path = out / filename
     write_csv(path, header, rows)
     for line in summary(rows) if summary else [f"wrote {path} ({len(rows)} rows)"]:
         print(line)
@@ -170,8 +167,6 @@ def cmd_study(config, args) -> int:
 
 
 def cmd_synth(config, args) -> int:
-    if not isinstance(config.synthetic, dict):
-        raise ConfigError("synthetic must be a JSON object")
     spec_data = dict(config.synthetic)
     if args.seed is not None:
         spec_data["seed"] = args.seed

@@ -27,7 +27,8 @@ its rank as it reads the row, so the engagement table keys each story's
 counts by rank, and past `load_corpus` every per-user value (engagement
 counts, networks, centralities, communities, susceptibility) is keyed or
 indexed by rank. `EngagementTable.from_records` builds a table from
-in-memory records through the loader's own row checks.
+in-memory records through the loader's own row checks; a count there is a
+decimal string or an integral number, and a bool or float (even 2.0) is not.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import csv
 import logging
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +260,8 @@ def _table(graph, label_rows, engagement_rows, labels_name=None,
     counts: dict = {news: {} for news in labels}
     for lineno, (news, user, count) in engagement_rows:
         try:
+            if not isinstance(count, (str, Integral)) or isinstance(count, bool):
+                raise ValueError
             value = int(count)
         except ValueError:
             raise CorpusError(f"count must be an integer, got {count!r}",

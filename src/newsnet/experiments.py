@@ -103,8 +103,9 @@ class ExperimentConfig:
     synthetic: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if not isinstance(self.classifier_params, dict):
-            raise ConfigError("classifier_params must be a JSON object")
+        for name in ("classifier_params", "synthetic"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object")
         try:
             check_params(self.classifier, self.classifier_params)
         except ValueError as exc:
@@ -149,19 +150,14 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        merged = {}
-        for f in fields(cls):
-            if f.name in data and data[f.name] is not None:
-                value = data[f.name]
-                if isinstance(value, list):
-                    value = tuple(value)
-                merged[f.name] = value
-        config = cls(**merged)
+        config = cls(**{key: tuple(value) if isinstance(value, list) else value
+                        for key, value in data.items() if value is not None})
         config.validate()
         return config
 
     @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
+    def from_json_file(cls, path, overrides=None) -> "ExperimentConfig":
+        """The JSON object in `path`, `overrides` replacing its values, validated once."""
         try:
             with open(path, encoding="utf-8") as f:
                 data = json.load(f)
@@ -169,7 +165,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict({**data, **(overrides or {})})
 
 
 def _mean(values) -> float:
@@ -232,15 +228,17 @@ def _by_point(worker, shared, runs, jobs) -> dict:
     in order.
 
     A distinct task is evaluated once, as worker(shared + task), and its
-    result counts for every pair that lists it. With jobs > 1, each pool
-    process receives `shared` (extractor, config, mask) once, through the
-    pool's initializer, and a task carries only its own part.
+    result counts for every pair that lists it. A pool of min(jobs, tasks)
+    processes runs them when that is above 1: each process receives `shared`
+    (extractor, config, mask) once, through the pool's initializer, and a
+    task carries only its own part.
     """
     tasks = list(dict.fromkeys(task for _, task in runs))
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         results = [worker(shared + task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share,
                                  initargs=shared) as pool:
             results = list(pool.map(partial(_with_shared, worker), tasks))
     results = dict(zip(tasks, results))

@@ -262,6 +262,7 @@ def test_classifier_params_rejected_as_config_error(corpus_dir, tmp_path, capsys
      "balance_fractions must be a nonempty list"),
     ("sample-study", {"balance_fractions": [0.0], "balance_total": None},
      "balance_fractions need a value above 0 when balance_total is null"),
+    ("evaluate", {"synthetic": [1]}, "synthetic must be a JSON object"),
 ])
 def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
                                                   command, config, message):
@@ -275,6 +276,18 @@ def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
     assert "config error" in err
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,code", [([], 2), (["--theta", "0.5"], 0)])
+def test_flag_replaces_a_config_value_before_the_one_validation(corpus_dir, tmp_path,
+                                                               flags, code):
+    # the config's theta is out of range; a --theta flag replaces it unchecked
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"theta": 5}))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--config", str(path), "--out", str(out)] + flags
+                + _corpus_flags(corpus_dir)) == code
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("synthetic,message", [
@@ -366,6 +379,29 @@ def test_out_that_cannot_be_a_directory_is_a_config_error(corpus_dir, tmp_path, 
     assert main([command, "--out", str(out)] + flags) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert err.startswith(f"config error: cannot make output directory {str(out)!r}: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("command", ["extract", "evaluate", "ablate", "sweep-threshold",
+                                     "early-detect", "rank-features", "feature-stats",
+                                     "sample-study"])
+def test_out_under_a_file_ends_a_command_before_its_work(corpus_dir, tmp_path, capsys,
+                                                         monkeypatch, command):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{command} ran its work")
+
+    monkeypatch.setattr(cli, "_descriptive_matrix", work)
+    monkeypatch.setattr(cli, "cross_validate", work)
+    monkeypatch.setattr(cli.experiments, "run_sampling_study", work)
+    for name, (filename, _, summary) in list(cli.STUDIES.items()):
+        monkeypatch.setitem(cli.STUDIES, name, (filename, work, summary))
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    out = blocker / "sub"
+    assert main([command, "--out", str(out)] + _corpus_flags(corpus_dir)) == 2
+    err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot make output directory {str(out)!r}: ")
     assert err.count("\n") == 1
     assert blocker.read_text() == "keep me\n"

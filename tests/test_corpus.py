@@ -220,6 +220,23 @@ def test_loader_and_from_records_apply_one_rule_set(tmp_path, engagement, label,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("count", [2.7, 2.0, True, float("inf"), None])
+def test_from_records_count_is_an_integer_or_a_decimal_string(count):
+    # the loader rejects "2.7" and "true"; a record's float or bool is no integer either
+    graph = SocialGraph.from_edges([("u1", "u2")])
+    with pytest.raises(CorpusError) as err:
+        EngagementTable.from_records(graph, {("n1", "u1"): count}, {"n1": "fake"})
+    assert str(err.value) == f"count must be an integer, got {count!r}"
+
+
+def test_from_records_reads_integral_counts_and_decimal_strings():
+    graph = SocialGraph.from_edges([("u1", "u2")])
+    table = EngagementTable.from_records(graph, {("n1", "u1"): np.int64(3), ("n1", "u2"): "4"},
+                                         {"n1": "fake"})
+    assert table.counts == {"n1": {0: 3, 1: 4}}
+    assert all(type(count) is int for count in table.counts["n1"].values())
+
+
 def test_conflicting_label_raises(tmp_path):
     paths = write_corpus_files(tmp_path, [("u1", "u2")], [],
                                [("n1", "fake"), ("n1", "true")])

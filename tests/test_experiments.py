@@ -263,13 +263,15 @@ def test_parallel_jobs_match_serial(small_strong_extractor):
 
 class _PicklingPool:
     """A stand-in for ProcessPoolExecutor that runs its tasks in this process
-    and records the pickled size of what the pool would send: the initializer
-    arguments once, then each (function, task)."""
+    and records the workers asked for and the pickled size of what the pool
+    would send: the initializer arguments once, then each (function, task)."""
 
     shared_bytes: list = []
     task_bytes: list = []
+    workers: list = []
 
     def __init__(self, max_workers, initializer, initargs):
+        self.workers.append(max_workers)
         self.shared_bytes.append(len(pickle.dumps(initargs)))
         initializer(*initargs)
 
@@ -303,6 +305,22 @@ def test_pool_tasks_carry_only_their_point(small_strong_extractor, monkeypatch):
     assert min(_PicklingPool.shared_bytes) > 10_000
     assert len(_PicklingPool.task_bytes) >= 9
     assert max(_PicklingPool.task_bytes) < 1024
+
+
+def test_pool_starts_at_most_one_process_per_distinct_task(small_strong_extractor,
+                                                           monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PicklingPool)
+    for name in ("shared_bytes", "task_bytes", "workers"):
+        monkeypatch.setattr(_PicklingPool, name, [])
+    # distinct tasks: each mode at p = 0.5, and the whole networks at p = 1.0;
+    # one task alone runs without a pool
+    for proportions, started in (((0.5, 1.0), [3]), ((1.0,), [])):
+        _PicklingPool.workers.clear()
+        overrides = dict(proportions=proportions, modes=("nodes", "edges"), repetitions=1)
+        serial = run_early_detection(small_strong_extractor, _config(**overrides))
+        parallel = run_early_detection(small_strong_extractor, _config(jobs=8, **overrides))
+        assert parallel == serial
+        assert _PicklingPool.workers == started
 
 
 def test_byte_reproducible_outputs(tmp_path, small_strong_extractor):
