@@ -207,6 +207,8 @@ def _read_rows(path, expected_header):
     except UnicodeDecodeError:
         # decoded in chunks, so the error's offset locates no line
         raise CorpusError("not UTF-8 text", file=path.name) from None
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise CorpusError(str(exc), file=path.name, line=reader.line_num) from None
 
 
 def load_corpus(edges_path, engagements_path, labels_path):

@@ -161,7 +161,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as f:
                 data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
@@ -289,10 +289,9 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     if mode not in SAMPLING_MODES:
         raise ConfigError(f"unknown sampling mode {mode!r}")
     mask = pattern_mask(config.patterns)
-    fake_pop = sorted(n for n in extractor.networks
-                      if extractor.table.labels[n] == FAKE)
-    true_pop = sorted(n for n in extractor.networks
-                      if extractor.table.labels[n] == TRUE)
+    table = extractor.node_table
+    fake_pop, true_pop = ([n for n, lab in zip(table.order, table.labels) if lab == label]
+                          for label in (FAKE, TRUE))
     if mode == "news_count":
         grid = [(p, math.ceil(p * len(fake_pop)), math.ceil(p * len(true_pop)))
                 for p in config.proportions]

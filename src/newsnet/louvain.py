@@ -130,14 +130,9 @@ class _Level:
         return q
 
     def partition(self) -> list:
-        """Community of each node, renumbered to 0..k-1 by node order."""
-        relabel: dict = {}
-        out = []
-        for c in self.com:
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            out.append(relabel[c])
-        return out
+        """Community of each node, renumbered to 0..k-1 by first appearance."""
+        relabel = {c: i for i, c in enumerate(dict.fromkeys(self.com))}
+        return [relabel[c] for c in self.com]
 
     def aggregated_edges(self, partition) -> tuple:
         """The edges between communities: (lows, highs, weights), pairs sorted.

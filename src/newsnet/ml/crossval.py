@@ -173,11 +173,10 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     """
     check_params(classifier, params or {})
     # split over the extractor's networks: a restricted corpus sees only its news
-    labels = {news: extractor.table.labels[news] for news in extractor.networks}
-    split = stratified_folds(labels, N_FOLDS, seed)
-    news_ids = sorted(labels)  # every fold matrix's rows, as in split.train_news
-    y = encode_labels([labels[news] for news in news_ids])
-    fold_of = np.array([split.folds[news] for news in news_ids])
+    table = extractor.node_table  # every fold matrix's rows, as in split.train_news
+    split = stratified_folds(dict(zip(table.order, table.labels)), N_FOLDS, seed)
+    y = encode_labels(table.labels)
+    fold_of = np.array([split.folds[news] for news in table.order])
     confusions = {name: [] for name in masks}  # name -> one confusion per fold
     for fold in range(split.n_folds):
         X = extract_matrix(extractor, split.train_news(fold), theta).X

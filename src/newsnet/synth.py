@@ -9,7 +9,7 @@ sizes above 1 plant the directional differences the detector looks for:
                      which fake spreaders are preferentially drawn
   engagement_ratio:  fake spreaders repeat-post proportionally more
   depth_effect:      fake spreader sets grow along follow edges (probability
-                     1 - 1/depth_effect per pick), stretching path lengths
+                     1 - 1/depth_effect per story), stretching path lengths
 
 The pool-concentration behavior activates whenever any effect size exceeds 1;
 with all at 1 the pool is never consulted. Every user is guaranteed at least
@@ -109,22 +109,14 @@ def _draw_graph(spec: SyntheticSpec, rng, users, pool) -> SocialGraph:
                                   for u, v in zip(src.tolist(), dst.tolist()))
 
 
-def _walk_grow(rng, size, start, undirected, candidates):
-    """Grow a connected-ish spreader set along follow edges."""
-    chosen = [start]
-    chosen_set = {start}
-    while len(chosen) < size:
-        frontier = sorted({v for u in chosen for v in undirected.get(u, ())
-                           if v not in chosen_set})
-        if not frontier:
-            rest = [u for u in candidates if u not in chosen_set]
-            if not rest:
-                break
-            frontier = rest
-        pick = frontier[int(rng.integers(0, len(frontier)))]
-        chosen.append(pick)
-        chosen_set.add(pick)
-    return chosen
+def _pick(rng, chosen, *orders):
+    """A uniform draw by position from the first order with a user not in
+    `chosen`, or None when every order is used up."""
+    for order in orders:
+        left = [u for u in order if u not in chosen]
+        if left:
+            return left[int(rng.integers(0, len(left)))]
+    return None
 
 
 def _draw_spreaders(spec, rng, size, label, pool, others, undirected, planted):
@@ -135,24 +127,22 @@ def _draw_spreaders(spec, rng, size, label, pool, others, undirected, planted):
     preferred, fallback = (sorted(pool), sorted(others))
     if label == TRUE:
         preferred, fallback = fallback, preferred
+    everyone = preferred + fallback
     walk_prob = 1.0 - 1.0 / spec.depth_effect if label == FAKE else 0.0
-    if walk_prob > 0.0 and rng.random() < walk_prob:
-        start = preferred[int(rng.integers(0, len(preferred)))]
-        candidates = preferred + fallback
-        return _walk_grow(rng, size, start, undirected, candidates)
-    chosen = []
-    chosen_set = set()
+    # a walk grows the set along follow edges from a preferred start
+    walk = walk_prob > 0.0 and rng.random() < walk_prob
+    chosen: dict = {}  # the picks, in order
     while len(chosen) < size:
-        source = preferred if rng.random() < POOL_BIAS else fallback
-        available = [u for u in source if u not in chosen_set]
-        if not available:
-            available = [u for u in preferred + fallback if u not in chosen_set]
-            if not available:
-                break
-        pick = available[int(rng.integers(0, len(available)))]
-        chosen.append(pick)
-        chosen_set.add(pick)
-    return chosen
+        if walk:
+            near = (sorted({v for u in chosen for v in undirected.get(u, ())})
+                    if chosen else preferred)
+        else:
+            near = preferred if rng.random() < POOL_BIAS else fallback
+        pick = _pick(rng, chosen, near, everyone)
+        if pick is None:
+            break
+        chosen[pick] = None
+    return list(chosen)
 
 
 def generate(spec: SyntheticSpec) -> SyntheticCorpus:

@@ -19,7 +19,9 @@ that the rank arrays of `newsnet.distances`, `newsnet.triads` and
 `newsnet.louvain` replaced: one scanning candidate communities in sorted
 order, and one rebuilding each node's neighbour-community weights at every
 visit, and the Louvain aggregation by a walk of each level's adjacency
-dicts that summing the level's edge list replaced.
+dicts that summing the level's edge list replaced, and the synthetic
+generator's two spreader-drawing loops (a follow-edge walk and a
+pool-biased draw) that `newsnet.synth._pick` replaced.
 Networks are walked as `IdNetwork`s, sets of user ids read back from the
 package's rank arrays, per-rank arrays as {user id: value} dicts
 (`by_id`), and engagement tables as {(news, user id): count} records
@@ -41,13 +43,14 @@ from itertools import combinations
 import numpy as np
 
 from newsnet.centrality import DAMPING, MAX_ITER, MEASURES, TOLERANCE, centralities
-from newsnet.corpus import FAKE, EngagementTable, SocialGraph
+from newsnet.corpus import FAKE, TRUE, EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
 from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, NodeTable
 from newsnet.features import dynamic_features as package_dynamic_features
 from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
                                     SUSCEPTIBLE, UNKNOWN)
+from newsnet.synth import POOL_BIAS
 from newsnet.louvain import MIN_GAIN, _Level
 from newsnet.triads import CYCLIC_CLASSES, TRIAD_CLASSES
 from newsnet.util import derive_seed
@@ -1494,3 +1497,49 @@ class ReferenceRandomForest:
         for tree in self._trees:
             votes += tree.predict(X)
         return (2 * votes >= len(self._trees)).astype(np.int64)
+
+
+def walk_grow(rng, size, start, undirected, candidates):
+    """Grow a connected-ish spreader set along follow edges."""
+    chosen = [start]
+    chosen_set = {start}
+    while len(chosen) < size:
+        frontier = sorted({v for u in chosen for v in undirected.get(u, ())
+                           if v not in chosen_set})
+        if not frontier:
+            rest = [u for u in candidates if u not in chosen_set]
+            if not rest:
+                break
+            frontier = rest
+        pick = frontier[int(rng.integers(0, len(frontier)))]
+        chosen.append(pick)
+        chosen_set.add(pick)
+    return chosen
+
+
+def draw_spreaders(spec, rng, size, label, pool, others, undirected, planted):
+    if not planted:
+        population = sorted(set(pool) | set(others))
+        picks = rng.choice(len(population), size=size, replace=False)
+        return [population[int(i)] for i in sorted(picks)]
+    preferred, fallback = (sorted(pool), sorted(others))
+    if label == TRUE:
+        preferred, fallback = fallback, preferred
+    walk_prob = 1.0 - 1.0 / spec.depth_effect if label == FAKE else 0.0
+    if walk_prob > 0.0 and rng.random() < walk_prob:
+        start = preferred[int(rng.integers(0, len(preferred)))]
+        candidates = preferred + fallback
+        return walk_grow(rng, size, start, undirected, candidates)
+    chosen = []
+    chosen_set = set()
+    while len(chosen) < size:
+        source = preferred if rng.random() < POOL_BIAS else fallback
+        available = [u for u in source if u not in chosen_set]
+        if not available:
+            available = [u for u in preferred + fallback if u not in chosen_set]
+            if not available:
+                break
+        pick = available[int(rng.integers(0, len(available)))]
+        chosen.append(pick)
+        chosen_set.add(pick)
+    return chosen

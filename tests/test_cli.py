@@ -216,6 +216,19 @@ def test_exit_code_config_error(tmp_path):
     assert main(["evaluate", "--config", str(missing_paths)]) == 2
 
 
+def test_config_that_is_not_utf8_is_a_config_error(corpus_dir, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"theta": 0.5, "out": "caf\xe9"}')
+    out = tmp_path / "out"
+    assert main(["stats", "--config", str(path), "--out", str(out)]
+                + _corpus_flags(corpus_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: ")
+    assert err.count("\n") == 1
+    assert "can't decode byte 0xe9" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("classifier,params,message", [
     ("random_forest", {"n_trees": 0}, "'n_trees' must be an int >= 1"),
     ("random_forest", {"n_tree": 5}, "does not take parameter 'n_tree'"),
@@ -479,6 +492,19 @@ def test_non_utf8_corpus_file_exits_one(corpus_dir, tmp_path, capsys, name):
     flags[flags.index(str(corpus_dir / name))] = str(bad)
     assert main(["stats"] + flags) == 1
     assert capsys.readouterr().err == f"input error: {name}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("name", ["edges.csv", "engagements.csv", "labels.csv"])
+def test_csv_field_over_the_size_limit_exits_one(corpus_dir, tmp_path, capsys, name):
+    flags = _corpus_flags(corpus_dir)
+    text = (corpus_dir / name).read_bytes()
+    bad = tmp_path / name
+    bad.write_bytes(text + b"n" * 200_000 + b",u0001,1\n")
+    flags[flags.index(str(corpus_dir / name))] = str(bad)
+    assert main(["stats"] + flags) == 1
+    line = len(text.splitlines()) + 1
+    assert capsys.readouterr().err == (
+        f"input error: {name}:{line}: field larger than field limit (131072)\n")
 
 
 def test_missing_file_inside_a_study_is_not_an_input_error(corpus_dir, tmp_path,

@@ -419,6 +419,48 @@ def test_order_preserving_user_relabel_keeps_the_static_block(seed):
     assert after.static_block.tobytes() == before.static_block.tobytes()
 
 
+# The effective distances weigh each edge by the stories that share it, so
+# these 6 columns belong to the set of stories an extractor holds, not to
+# any one story; the other 32 columns are a function of one network.
+EFFECTIVE = [j for j, name in enumerate(STATIC_NAMES) if name.startswith("effective_")]
+PER_NETWORK = [j for j in range(len(STATIC_NAMES)) if j not in EFFECTIVE]
+
+
+def _check_subset_child(parent, news_ids) -> int:
+    """A `with_networks` child over some of `parent`'s own network objects
+    holds the parent's per-network values for them; returns how many of its
+    rows differ from the parent's in an effective column."""
+    child = parent.with_networks({n: parent.networks[n] for n in news_ids})
+    rows = [parent.node_table.order.index(n) for n in child.node_table.order]
+    want, got = parent.static_block[rows], child.static_block
+    assert got[:, PER_NETWORK].tobytes() == want[:, PER_NETWORK].tobytes()
+    assert (child.node_table.identity_gram.tobytes()
+            == parent.node_table.identity_gram[np.ix_(rows, rows)].tobytes())
+    assert (child.node_table.triangles.total.tolist()
+            == parent.node_table.triangles.total[rows].tolist())
+    return int(np.any(got[:, EFFECTIVE] != want[:, EFFECTIVE], axis=1).sum())
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_subset_child_keeps_the_per_network_values(seed):
+    graph, table = random_corpus(seed)
+    ex = _extractor(graph, table, seed=seed)
+    rng = np.random.default_rng(seed)
+    news = ex.node_table.order
+    for size in rng.integers(1, len(news) + 1, 3):
+        _check_subset_child(ex, rng.choice(news, int(size), replace=False).tolist())
+
+
+def test_subset_child_keeps_the_per_network_values_on_the_demo(strong_extractor):
+    assert len(EFFECTIVE) == 6 and len(PER_NETWORK) == 32
+    rng = np.random.default_rng(0)
+    news = strong_extractor.node_table.order
+    changed = sum(_check_subset_child(
+        strong_extractor, rng.choice(news, int(size), replace=False).tolist())
+        for size in rng.integers(10, 91, 10))
+    assert changed > 0  # the effective columns move with the story set
+
+
 def test_networks_flows_and_table_hold_nodes_edges_and_flows_only_as_arrays(
         small_strong_extractor):
     # No set or dict of ids or id pairs: every field that holds nodes, edges,

@@ -1,12 +1,14 @@
+import random
 import time
 
+import numpy as np
 import pytest
 
-from newsnet.corpus import corpus_stats
+from newsnet.corpus import FAKE, TRUE, corpus_stats
 from newsnet.diffusion import build_all_networks
-from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
+from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, _draw_spreaders, generate
 
-from oracles import string_graph
+from oracles import draw_spreaders, string_graph
 
 
 def test_null_corpus_classes_same_distribution(null_report):
@@ -82,3 +84,42 @@ def test_every_user_has_an_edge():
     endpoints = {u for e in graph.edges for u in e}
     assert endpoints == graph.nodes
     assert corpus_stats(corpus.graph, corpus.table)["n_users"] == 60
+
+
+def _draw_case(case, seed):
+    """The arguments of one spreader draw: a random population and follow
+    graph, shaped so that the draw takes the path `case` names."""
+    r = random.Random(seed)
+    n = r.randint(2, 30)
+    users = [f"u{i:02d}" for i in range(n)]
+    pool = r.sample(users, r.randint(1, 2) if case == "small_pool" else r.randint(1, n))
+    others = sorted(set(users) - set(pool))
+    p = 0.0 if case == "stranded_walk" and seed % 2 else r.choice([0.0, 0.05, 0.2, 0.6])
+    undirected: dict = {}
+    for i, u in enumerate(users):
+        for v in users[i + 1:]:
+            if r.random() < p:
+                undirected.setdefault(u, []).append(v)
+                undirected.setdefault(v, []).append(u)
+    depth = {"walk": r.choice([1.5, 2.0, 10.0]), "stranded_walk": 1e12}.get(case, 1.0)
+    label = {"true": TRUE, "unplanted": r.choice([FAKE, TRUE])}.get(case, FAKE)
+    size = {"oversized": n + r.randint(1, 5),
+            "small_pool": r.randint(len(pool) + 1, n + 2)}.get(case, r.randint(1, n))
+    return (SyntheticSpec(depth_effect=depth), size, label, pool, others, undirected,
+            case != "unplanted")
+
+
+@pytest.mark.parametrize("case", ["unplanted", "walk", "true", "small_pool",
+                                  "oversized", "stranded_walk", "pool_biased"])
+def test_spreader_draw_matches_the_two_loop_oracle(case):
+    stopped = 0
+    for seed in range(200):
+        spec, size, *rest = _draw_case(case, seed)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = _draw_spreaders(spec, rng, size, *rest)
+        assert picks == draw_spreaders(spec, oracle_rng, size, *rest)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert len(set(picks)) == len(picks) <= size
+        stopped += len(picks) < size
+    # only a story larger than its population runs out of users
+    assert bool(stopped) == (case in ("oversized", "small_pool"))
