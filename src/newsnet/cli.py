@@ -30,7 +30,7 @@ def _build_config(args) -> ExperimentConfig:
     keys = ("edges", "engagements", "labels", "seed", "out", "jobs", "classifier",
             "theta", "repetitions")
     flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    if args.patterns:
+    if args.patterns is not None:
         flags["patterns"] = tuple(args.patterns.split(","))
     if args.config:
         return ExperimentConfig.from_json_file(args.config, flags)

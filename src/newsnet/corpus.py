@@ -81,26 +81,18 @@ class SocialGraph:
     indices: np.ndarray
 
     @classmethod
-    def from_edges(cls, edges, nodes=None) -> "SocialGraph":
+    def from_edges(cls, edges) -> "SocialGraph":
         """Build a simple directed graph from (follower, followee) id pairs.
 
-        Nodes default to the edge endpoints; duplicate pairs collapse.
+        The users are the edge endpoints; duplicate pairs collapse.
         """
         ids: dict = {}  # user id -> first-seen number
-        for v in nodes if nodes is not None else ():
-            ids.setdefault(v, len(ids))
         src, dst = array("q"), array("q")
-        stray = None
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop edge on {u!r}")
-            if nodes is not None and (u not in ids or v not in ids):
-                stray = stray or (u, v)
-                continue
             src.append(ids.setdefault(u, len(ids)))
             dst.append(ids.setdefault(v, len(ids)))
-        if stray is not None:
-            raise ValueError(f"edge endpoint not a declared node: {stray!r}")
         # renumbered by sorted id; one sort of the edge keys drops duplicates
         first_seen = list(ids)
         order = sorted(range(len(first_seen)), key=first_seen.__getitem__)
@@ -114,12 +106,6 @@ class SocialGraph:
         np.cumsum(np.bincount(followers, minlength=n), out=indptr[1:])
         return cls(users=tuple(first_seen[k] for k in order), indptr=indptr,
                    indices=followees)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SocialGraph):
-            return NotImplemented
-        return (self.users == other.users and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
 
     @property
     def n_nodes(self) -> int:
@@ -209,6 +195,8 @@ def _read_rows(path, expected_header):
         raise CorpusError("not UTF-8 text", file=path.name) from None
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
         raise CorpusError(str(exc), file=path.name, line=reader.line_num) from None
+    except OSError as exc:
+        raise CorpusError(f"cannot read: {exc.strerror or exc}", file=path.name) from None
 
 
 def load_corpus(edges_path, engagements_path, labels_path):
@@ -291,12 +279,12 @@ def save_corpus(graph: SocialGraph, table: EngagementTable,
                 edges_path, engagements_path, labels_path) -> None:
     """Write a corpus back to the three-file CSV format (sorted, canonical).
 
-    edges.csv lists follow edges only, so users without any follow edge are
-    not written, and `load_corpus` gives back the edge endpoints as the user
-    set. Users without an engagement are simply dropped; a spreader without a
-    follow edge raises CorpusError (naming the first one in engagements.csv
-    order) before any file is written, since `load_corpus` would reject its
-    engagement.
+    The files' directories must exist. edges.csv lists follow edges only, and
+    `load_corpus` gives back the edge endpoints as the user set. A
+    `SocialGraph` constructed directly may hold users without a follow edge:
+    they are not written, and a spreader among them raises CorpusError
+    (naming the first one in engagements.csv order) before any file is
+    written, since `load_corpus` would reject its engagement.
     """
     linked = np.zeros(graph.n_nodes, dtype=bool)
     linked[graph.sources()] = linked[graph.indices] = True

@@ -114,6 +114,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or (value is None and name != "out")):
                 raise ConfigError(f"{name} must be a path string")
+        if not self.out:
+            raise ConfigError("out must not be empty")
         for name in ("seed", "jobs", "repetitions", "wl_iterations"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an int")

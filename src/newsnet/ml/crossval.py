@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from ..corpus import FAKE, CorpusError
-from ..features import FeatureExtractor, N_FEATURES, extract_matrix
+from ..features import FeatureExtractor, extract_matrix
 from ..util import derive_seed, left_sum
 from .baselines import GaussianNBClassifier, KNNClassifier
 from .forest import DecisionTreeClassifier, RandomForestClassifier
@@ -195,11 +195,9 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
             for name, folds in confusions.items()}
 
 
-def cross_validate(extractor: FeatureExtractor, *, classifier: str = "random_forest",
-                   mask=None, theta: float = 0.5, seed: int = 0,
+def cross_validate(extractor: FeatureExtractor, *, mask, classifier: str = "random_forest",
+                   theta: float = 0.5, seed: int = 0,
                    params: dict | None = None) -> EvalReport:
-    if mask is None:
-        mask = list(range(1, N_FEATURES + 1))
     reports = evaluate_masks(extractor, {"all": list(mask)}, classifier=classifier,
                              theta=theta, seed=seed, params=params)
     return reports["all"]

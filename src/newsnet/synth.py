@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import FAKE, TRUE, EngagementTable, SocialGraph, save_corpus
+from .corpus import (FAKE, TRUE, EngagementTable, SocialGraph, corpus_stats,
+                     save_corpus)
 
 POOL_BIAS = 0.85
 
@@ -166,8 +167,7 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
     records = {}
     labels = {}
     news_truth = []
-    n_news = 2 * spec.news_per_class
-    for i in range(n_news):
+    for i in range(2 * spec.news_per_class):
         news = f"n{i:04d}"
         label = FAKE if i < spec.news_per_class else TRUE
         labels[news] = label
@@ -186,18 +186,8 @@ def generate(spec: SyntheticSpec) -> SyntheticCorpus:
                            "n_spreaders": len(spreaders), "total_engagements": total})
 
     table = EngagementTable.from_records(graph, records, labels)
-    truth = {
-        "spec": asdict(spec),
-        "planted": planted,
-        "n_users": len(users),
-        "n_follow_edges": graph.n_edges,
-        "n_engagement_records": len(records),
-        "n_news": n_news,
-        "n_fake": spec.news_per_class,
-        "n_true": spec.news_per_class,
-        "susceptible_pool": pool,
-        "news": news_truth,
-    }
+    truth = {**corpus_stats(graph, table), "spec": asdict(spec), "planted": planted,
+             "susceptible_pool": pool, "news": news_truth}
     return SyntheticCorpus(graph=graph, table=table, truth=truth)
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from pathlib import Path
 
 import numpy as np
 
@@ -69,8 +68,7 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write the header and rows to `path`; its directory must exist."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(list(header))

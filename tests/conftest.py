@@ -5,6 +5,8 @@ from newsnet.features import FeatureExtractor
 from newsnet.ml.crossval import cross_validate
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 
+from oracles import ALL_FEATURES
+
 # Wall-clock deadlines flake on small shared hosts; example counts stay per test.
 settings.register_profile("newsnet", deadline=None)
 settings.load_profile("newsnet")
@@ -23,7 +25,7 @@ def strong_extractor(strong_corpus):
 
 @pytest.fixture(scope="session")
 def strong_report(strong_extractor):
-    return cross_validate(strong_extractor, seed=11)
+    return cross_validate(strong_extractor, mask=ALL_FEATURES, seed=11)
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +36,7 @@ def null_corpus():
 @pytest.fixture(scope="session")
 def null_report(null_corpus):
     extractor = FeatureExtractor.build(null_corpus.graph, null_corpus.table, seed=3)
-    return cross_validate(extractor, seed=11)
+    return cross_validate(extractor, mask=ALL_FEATURES, seed=11)
 
 
 @pytest.fixture(scope="session")

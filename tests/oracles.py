@@ -46,7 +46,7 @@ from newsnet.centrality import DAMPING, MAX_ITER, MEASURES, TOLERANCE, centralit
 from newsnet.corpus import FAKE, TRUE, EngagementTable, SocialGraph
 from newsnet.diffusion import DiffusionNetwork
 from newsnet.distances import DistanceStats
-from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, NodeTable
+from newsnet.features import DYNAMIC_NAMES, FEATURE_NAMES, N_FEATURES, NodeTable
 from newsnet.features import dynamic_features as package_dynamic_features
 from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
                                     SUSCEPTIBLE, UNKNOWN)
@@ -57,6 +57,7 @@ from newsnet.util import derive_seed
 from newsnet.wl import WLSignature, _gram, wl_kernel_normalized
 
 IDENTITY = "identity"
+ALL_FEATURES = list(range(1, N_FEATURES + 1))  # the mask of every feature, 1-based
 SUSCEPTIBILITY_CLASS = "susceptibility_class"
 LABELING_SCHEMES = (IDENTITY, SUSCEPTIBILITY_CLASS)
 
@@ -596,6 +597,30 @@ def enumerate_triangles(network: IdNetwork) -> TriangleIndex:
     return TriangleIndex(total=total, reciprocal=reciprocal, oriented=tuple(oriented))
 
 
+def graph_with_users(edges, users) -> SocialGraph:
+    """The follow graph of (follower, followee) id pairs over `users`, which
+    holds every endpoint and may hold users without a follow edge.
+
+    No corpus file can name such a user (`SocialGraph.from_edges` takes the
+    edge endpoints as the users), so the sorted users and the out-CSR of
+    ranks are built here directly. Duplicate pairs collapse.
+    """
+    users = tuple(sorted(set(users)))
+    rank = {u: r for r, u in enumerate(users)}
+    pairs = sorted({(rank[u], rank[v]) for u, v in edges})
+    assert all(u != v for u, v in pairs), "self-loop edge"
+    degree = Counter(u for u, _ in pairs)
+    indptr = np.cumsum([0] + [degree[r] for r in range(len(users))], dtype=np.int64)
+    return SocialGraph(users=users, indptr=indptr,
+                       indices=np.array([v for _, v in pairs], dtype=np.int64))
+
+
+def same_graph(a: SocialGraph, b: SocialGraph) -> bool:
+    """Whether two graphs hold the same users and the same edges."""
+    return (a.users == b.users and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices))
+
+
 def random_corpus(seed):
     """Seeded corpus with <= 40 users and <= 20 labeled news stories."""
     rng = random.Random(seed)
@@ -607,7 +632,7 @@ def random_corpus(seed):
         for v in users:
             if u != v and rng.random() < p:
                 edges.add((u, v))
-    graph = SocialGraph.from_edges(edges, nodes=users)
+    graph = graph_with_users(edges, users)
 
     n_news = rng.randint(2, 20)
     labels = {}

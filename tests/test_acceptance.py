@@ -33,10 +33,10 @@ from newsnet.triads import TRIAD_CLASSES
 from newsnet.util import write_csv
 from newsnet.wl import wl_kernel, wl_kernel_normalized
 
-from oracles import (LabeledGraph, WLDictionary, brute_census, brute_ego_delta, brute_flow,
-                     brute_induced_edges, by_id, dense_betweenness, dense_closeness,
-                     enumerate_triangles, flow_lengths, held_out_news, id_network, id_records,
-                     random_corpus, string_graph, wl_signature)
+from oracles import (ALL_FEATURES, LabeledGraph, WLDictionary, brute_census, brute_ego_delta,
+                     brute_flow, brute_induced_edges, by_id, dense_betweenness, dense_closeness,
+                     enumerate_triangles, flow_lengths, graph_with_users, held_out_news,
+                     id_network, id_records, random_corpus, string_graph, wl_signature)
 from oracles import fit_all as dict_fit_all
 from oracles import flow_matrix as dict_flow_matrix
 
@@ -107,7 +107,7 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_formula_checks():
-    graph = SocialGraph.from_edges([], nodes=["v"])
+    graph = graph_with_users([], ["v"])
     table = EngagementTable.from_records(graph, {("f1", "v"): 1, ("t1", "v"): 3},
                                          {"f1": "fake", "t1": "true"})
     history = NodeTable(build_all_networks(graph, table))
@@ -207,13 +207,13 @@ def test_criterion_5_planted_signal():
     strong = generate(SyntheticSpec(n_users=200, news_per_class=50, seed=7,
                                     **STRONG_EFFECTS))
     strong_ex = FeatureExtractor.build(strong.graph, strong.table, seed=3)
-    strong_report = cross_validate(strong_ex, seed=11)
+    strong_report = cross_validate(strong_ex, mask=ALL_FEATURES, seed=11)
     assert strong_report.accuracy >= 0.90
     assert strong_report.f1 >= 0.90
 
     null = generate(SyntheticSpec(n_users=200, news_per_class=50, seed=7))
     null_ex = FeatureExtractor.build(null.graph, null.table, seed=3)
-    null_report = cross_validate(null_ex, seed=11)
+    null_report = cross_validate(null_ex, mask=ALL_FEATURES, seed=11)
     assert abs(null_report.accuracy - 0.5) <= 0.15
     elapsed = time.time() - start
     assert elapsed < 300.0
@@ -260,7 +260,7 @@ def test_criterion_6_dataset_reproduction(name):
         assert stats[key] == expected, key
 
     extractor = FeatureExtractor.build(graph, table, seed=3)
-    report = cross_validate(extractor, seed=11)
+    report = cross_validate(extractor, mask=ALL_FEATURES, seed=11)
     acc_target, f1_target = _EXPECTED_SCORES[name]
     assert abs(report.accuracy - acc_target) <= 0.05
     assert abs(report.f1 - f1_target) <= 0.05
@@ -301,7 +301,7 @@ def test_criterion_7_experiment_invariants(tmp_path, small_strong_extractor):
     assert len(results) == 1  # constant across theta, exact equality
 
     header, early = run_early_detection(small_strong_extractor, config)
-    full = cross_validate(small_strong_extractor, seed=config.seed)
+    full = cross_validate(small_strong_extractor, mask=ALL_FEATURES, seed=config.seed)
     assert early[0][3] == full.accuracy
     assert early[0][4] == full.f1
 

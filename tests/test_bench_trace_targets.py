@@ -11,6 +11,8 @@ from pathlib import Path
 
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 
+from oracles import ALL_FEATURES
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -41,7 +43,7 @@ def test_every_trace_span_is_reached(monkeypatch, tmp_path):
                                           tmp_path / "labels.csv")
         extractor = features.FeatureExtractor.build(graph, table)
         for kind in crossval.CLASSIFIERS:
-            crossval.cross_validate(extractor, classifier=kind)
+            crossval.cross_validate(extractor, mask=ALL_FEATURES, classifier=kind)
         experiments.run_early_detection(extractor, experiments.ExperimentConfig(
             modes=("nodes",), proportions=(0.5,), repetitions=1))
         matrix = features.extract_matrix(extractor, table.news_ids(), 0.5)

@@ -11,7 +11,7 @@ from newsnet.corpus import SocialGraph
 from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 
 from oracles import (dense_betweenness, dense_closeness, dense_hits_authority,
-                     id_centralities, per_source_shortest_paths, python_brandes,
+                     graph_with_users, id_centralities, per_source_shortest_paths, python_brandes,
                      python_closeness, python_hits, python_pagerank, random_corpus,
                      string_graph)
 
@@ -103,7 +103,7 @@ def test_pagerank_simplex_and_hits_norm():
 
 
 def test_edgeless_graph():
-    graph = SocialGraph.from_edges([], nodes=["a", "b", "c"])
+    graph = graph_with_users([], ["a", "b", "c"])
     scores = id_centralities(graph)
     assert sum(scores["pagerank"].values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v == 0.0 for v in scores["hub"].values())
@@ -152,10 +152,10 @@ def _diamonds(n_blocks, width):
     SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a")]),
     SocialGraph.from_edges([("a", "b"), ("b", "a"), ("b", "c"),
                             ("x", "y"), ("y", "z"), ("z", "x")]),
-    SocialGraph.from_edges([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "lone"]),
-    SocialGraph.from_edges([], nodes=["a", "b", "c", "d"]),
-    SocialGraph.from_edges([("a", "s"), ("b", "s"), ("c", "t"), ("s", "t")],
-                           nodes=["a", "b", "c", "s", "t", "u"]),
+    graph_with_users([("a", "b"), ("b", "c")], ["a", "b", "c", "lone"]),
+    graph_with_users([], ["a", "b", "c", "d"]),
+    graph_with_users([("a", "s"), ("b", "s"), ("c", "t"), ("s", "t")],
+                     ["a", "b", "c", "s", "t", "u"]),
     _grid(5, 4),
     _diamonds(4, 3),
 ], ids=["path", "star", "three_cycle", "two_components", "isolated_node",
@@ -208,8 +208,7 @@ def digraphs(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=120, unique=True)
                   if pairs else st.just([]))
     nodes = [f"v{i:02d}" for i in range(n)]
-    return SocialGraph.from_edges([(nodes[u], nodes[v]) for u, v in chosen],
-                                  nodes=nodes)
+    return graph_with_users([(nodes[u], nodes[v]) for u, v in chosen], nodes)
 
 
 @settings(max_examples=60)
@@ -223,9 +222,8 @@ def test_property_equals_python_oracles(graph):
 def test_property_order_preserving_relabel(graph, stride):
     nodes = list(graph.users)
     rename = {v: f"user{i * stride:05d}" for i, v in enumerate(nodes)}
-    relabeled = SocialGraph.from_edges(
-        [(rename[u], rename[v]) for u, v in string_graph(graph).edges],
-        nodes=list(rename.values()))
+    relabeled = graph_with_users(
+        [(rename[u], rename[v]) for u, v in string_graph(graph).edges], rename.values())
     scores = id_centralities(graph)
     renamed_scores = id_centralities(relabeled)
     for measure in MEASURES:
@@ -256,8 +254,8 @@ def test_blocks_equal_per_source_loop_on_random_corpora(seed, width, monkeypatch
 def _random_digraph(n, p, seed):
     rng = random.Random(seed)
     nodes = [f"v{i:02d}" for i in range(n)]
-    return SocialGraph.from_edges([(u, v) for u in nodes for v in nodes
-                                   if u != v and rng.random() < p], nodes=nodes)
+    return graph_with_users([(u, v) for u in nodes for v in nodes
+                             if u != v and rng.random() < p], nodes)
 
 
 @pytest.mark.parametrize("width", [None, 1, 3, 4])
@@ -270,8 +268,8 @@ def _random_digraph(n, p, seed):
     SocialGraph.from_edges([(f"p{i:02d}", f"p{i + 1:02d}") for i in range(30)]),
     SocialGraph.from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"),
                             ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"), ("x", "z")]),
-    SocialGraph.from_edges([("a", "s"), ("b", "s"), ("c", "t"), ("s", "t"), ("a", "b")],
-                           nodes=["a", "b", "c", "lone", "s", "t", "u"]),
+    graph_with_users([("a", "s"), ("b", "s"), ("c", "t"), ("s", "t"), ("a", "b")],
+                     ["a", "b", "c", "lone", "s", "t", "u"]),
     _grid(4, 4),
     _diamonds(3, 4),
     # n = 3 * 4 + 1 and 3 * 4 - 1: a partial last block at widths 3 and 4

@@ -507,6 +507,36 @@ def test_csv_field_over_the_size_limit_exits_one(corpus_dir, tmp_path, capsys, n
         f"input error: {name}:{line}: field larger than field limit (131072)\n")
 
 
+@pytest.mark.parametrize("name", ["edges.csv", "engagements.csv", "labels.csv"])
+def test_unreadable_corpus_file_exits_one(corpus_dir, capsys, monkeypatch, name):
+    def guarded_open(path, *args, **kwargs):
+        if Path(path).name == name:
+            raise PermissionError(13, "Permission denied")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr("newsnet.corpus.open", guarded_open, raising=False)
+    assert main(["stats"] + _corpus_flags(corpus_dir)) == 1
+    assert capsys.readouterr().err == f"input error: {name}: cannot read: Permission denied\n"
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--out", ""], "out must not be empty"),
+    (["--config", "empty_out.json"], "out must not be empty"),
+    (["--patterns", ""], "unknown patterns value(s): ['']"),
+])
+def test_empty_out_or_patterns_is_a_config_error(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                 flags, message):
+    # Path("") is the working directory, which would take the command's files
+    (tmp_path / "empty_out.json").write_text(json.dumps({"out": ""}))
+    flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["rank-features"] + flags + _corpus_flags(corpus_dir)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(work.iterdir()) == []
+
+
 def test_missing_file_inside_a_study_is_not_an_input_error(corpus_dir, tmp_path,
                                                            monkeypatch, capsys):
     # every missing input is a CorpusError or ConfigError before any study runs

@@ -14,7 +14,7 @@ from newsnet.corpus import (CorpusError, EngagementTable, SocialGraph, corpus_st
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 from newsnet.util import distinct
 
-from oracles import id_records, random_corpus, string_graph
+from oracles import graph_with_users, id_records, random_corpus, same_graph, string_graph
 
 STATS_KEYS = ["n_users", "n_follow_edges", "n_engagement_records", "n_news", "n_fake",
               "n_true"]
@@ -119,7 +119,7 @@ def test_property_loaded_arrays_equal_from_edges(rows):
         graph, _ = load_corpus(*paths)
     pairs = [(u, v) for u, v in rows if u != v]
     expected = SocialGraph.from_edges(pairs)
-    assert graph == expected
+    assert same_graph(graph, expected)
     assert graph.users == tuple(sorted({u for pair in pairs for u in pair}))
     assert string_graph(graph).edges == set(pairs)
     rank = {u: i for i, u in enumerate(graph.users)}
@@ -148,7 +148,7 @@ def test_loaded_graph_stores_edges_only_as_int_arrays(tmp_path):
 
 
 def test_follows_checks_each_pair():
-    graph = SocialGraph.from_edges([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "d"])
+    graph = graph_with_users([("a", "b"), ("b", "c")], ["a", "b", "c", "d"])
     # (a, b), (b, a), (b, c), (c, d), (d, d), (d, a) as ranks
     assert graph.follows([0, 1, 1, 2, 3, 3], [1, 0, 2, 3, 3, 0]).tolist() \
         == [True, False, True, False, False, False]
@@ -157,9 +157,7 @@ def test_follows_checks_each_pair():
 
 def test_from_edges_errors():
     with pytest.raises(ValueError, match="self-loop edge on 'a'"):
-        SocialGraph.from_edges([("a", "z"), ("a", "a")], nodes=["a"])
-    with pytest.raises(ValueError, match=r"edge endpoint not a declared node: \('a', 'z'\)"):
-        SocialGraph.from_edges([("a", "b"), ("a", "z")], nodes=["a", "b"])
+        SocialGraph.from_edges([("a", "z"), ("a", "a")])
 
 
 @pytest.mark.parametrize("rows,expected", [
@@ -325,7 +323,7 @@ def test_loaded_table_equals_from_records(tmp_path, seed):
 
 
 def test_save_rejects_a_spreader_without_follow_edges(tmp_path):
-    graph = SocialGraph.from_edges([("u1", "u2")], nodes=["u1", "u2", "u3", "u4"])
+    graph = graph_with_users([("u1", "u2")], ["u1", "u2", "u3", "u4"])
     table = EngagementTable.from_records(
         graph, {("n1", "u1"): 1, ("n2", "u4"): 2, ("n2", "u3"): 1},
         {"n1": "fake", "n2": "true"})
@@ -340,12 +338,12 @@ def test_synthetic_round_trip_exact(tmp_path):
     write_corpus(corpus, tmp_path)
     graph, table = load_corpus(tmp_path / "edges.csv", tmp_path / "engagements.csv",
                                tmp_path / "labels.csv")
-    assert graph == corpus.graph  # generator guarantees no isolated users
+    assert same_graph(graph, corpus.graph)  # generator guarantees no isolated users
     assert table == corpus.table
 
 
 def test_stats_single_user_no_edges():
-    graph = SocialGraph.from_edges([], nodes=["u1"])
+    graph = graph_with_users([], ["u1"])
     table = EngagementTable.from_records(graph, {("n1", "u1"): 1}, {"n1": "fake"})
     assert corpus_stats(graph, table) == dict(zip(STATS_KEYS, (1, 0, 1, 1, 1, 0)))
 

@@ -17,7 +17,8 @@ from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, generate
 from newsnet.util import derive_seed
 
 from oracles import (IdNetwork, brute_flow, dense_distances, effective_distance, flow_lengths,
-                     id_network, python_distance_stats, random_corpus, rank_network)
+                     graph_with_users, id_network, python_distance_stats, random_corpus,
+                     rank_network)
 from oracles import flow_matrix as dict_flow_matrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -338,7 +339,7 @@ def test_source_blocks_continue_the_sum(monkeypatch, width):
 ], ids=["empty", "single_node", "edgeless", "two_pairs", "in_star_and_pair",
         "bidirected_path"])
 def test_degenerate_networks_equal_oracle(nodes, edges):
-    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    graph = graph_with_users(edges, nodes)
     assert_network_set_equals_oracle(graph, [_network(graph, nodes, edges)])
 
 
@@ -351,7 +352,7 @@ def flow_digraphs(draw):
     edges = draw(st.lists(st.sampled_from(pairs), max_size=60, unique=True)
                  if pairs else st.just([]))
     counts = {v: draw(st.integers(1, 4)) for v in nodes}
-    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    graph = graph_with_users(edges, nodes)
     net = _network(graph, nodes, edges, counts=counts)
     others = []
     for k in range(draw(st.integers(0, 3))):
@@ -429,7 +430,7 @@ def _shape_network(shape, n):
              "out_star": [(nodes[0], v) for v in nodes[1:]],
              "in_star": [(v, nodes[0]) for v in nodes[1:]],
              "cycle": list(zip(nodes, nodes[1:] + nodes[:1]))}[shape]
-    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    graph = graph_with_users(edges, nodes)
     return graph, _network(graph, nodes, edges)
 
 
@@ -460,7 +461,7 @@ def test_hop_counts_in_forced_blocks_of_words(monkeypatch, block):
 def test_hop_counts_with_isolated_nodes():
     nodes = [f"v{i:03d}" for i in range(70)]
     edges = [(nodes[i], nodes[i + 1]) for i in range(0, 68, 2)]  # 34 pairs and v068, v069
-    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    graph = graph_with_users(edges, nodes)
     net = _network(graph, nodes, edges)
     assert_equals_oracle(graph, net)
     stats = distance_stats(net)

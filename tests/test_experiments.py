@@ -15,6 +15,8 @@ from newsnet.ml import crossval
 from newsnet.ml.crossval import N_FOLDS, cross_validate, evaluate_masks
 from newsnet.util import write_csv
 
+from oracles import ALL_FEATURES
+
 
 def _config(**overrides):
     base = dict(seed=11, repetitions=2, proportions=(0.5, 1.0),
@@ -113,7 +115,7 @@ def test_theta_boundary_degeneracy(small_strong_extractor):
 def test_sampling_full_proportion_equals_full_corpus(small_strong_extractor):
     config = _config(proportions=(1.0,), repetitions=3)
     header, rows = run_sampling_study(small_strong_extractor, config, "news_count")
-    full = cross_validate(small_strong_extractor, seed=config.seed)
+    full = cross_validate(small_strong_extractor, mask=ALL_FEATURES, seed=config.seed)
     assert len(rows) == 1
     row = rows[0]
     assert row[5] == "ok"
@@ -146,7 +148,7 @@ def test_sampling_infeasible_rows_flagged(small_strong_extractor):
 def test_early_detection_full_proportion_equals_full_corpus(small_strong_extractor):
     config = _config(proportions=(1.0,), modes=("nodes",), repetitions=2)
     header, rows = run_early_detection(small_strong_extractor, config)
-    full = cross_validate(small_strong_extractor, seed=config.seed)
+    full = cross_validate(small_strong_extractor, mask=ALL_FEATURES, seed=config.seed)
     assert rows[0][0] == "nodes" and rows[0][1] == 1.0
     assert rows[0][3] == full.accuracy
     assert rows[0][4] == full.f1
@@ -190,7 +192,7 @@ def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monk
         return real(*args)
 
     monkeypatch.setattr(features, "flow_matrix", counted)
-    full = cross_validate(small_strong_extractor, seed=config.seed)
+    full = cross_validate(small_strong_extractor, mask=ALL_FEATURES, seed=config.seed)
     for mode in ("nodes", "edges"):
         result = experiments._early_task((small_strong_extractor, config, mask, mode, 1.0, 0))
         assert result == (full.accuracy, full.f1)
@@ -209,7 +211,7 @@ def test_whole_population_draws_build_no_flow_matrix(small_strong_extractor, mon
                         lambda *args: calls.append(args) or real_flows(*args))
     monkeypatch.setattr(experiments, "cross_validate",
                         lambda *args, **kwargs: runs.append(args) or real_cv(*args, **kwargs))
-    full = cross_validate(small_strong_extractor, seed=config.seed)
+    full = cross_validate(small_strong_extractor, mask=ALL_FEATURES, seed=config.seed)
     header, rows = run_sampling_study(small_strong_extractor, config, "news_count")
     assert calls == [] and len(runs) == 1
     labels = [net.label for net in small_strong_extractor.networks.values()]

@@ -14,7 +14,8 @@ from newsnet.features import (DYNAMIC_NAMES, FEATURE_NAMES, FEATURE_REGISTRY, N_
 from newsnet.triads import Triangles
 from newsnet.susceptibility import METHODS, fit_all
 
-from oracles import brute_ego_delta, id_network, id_records, random_corpus, string_graph
+from oracles import (brute_ego_delta, graph_with_users, id_network, id_records, random_corpus,
+                     string_graph)
 from oracles import dynamic_features as oracle_dynamic_features
 from oracles import feature_row as oracle_feature_row
 from oracles import fit_all as dict_fit_all
@@ -190,9 +191,8 @@ def test_matrix_csv_round_shape(tmp_path):
 
 
 def _relabel_users(graph, table, rename):
-    graph2 = SocialGraph.from_edges([(rename[u], rename[v])
-                                     for u, v in string_graph(graph).edges],
-                                    nodes=[rename[v] for v in graph.users])
+    graph2 = graph_with_users([(rename[u], rename[v]) for u, v in string_graph(graph).edges],
+                              [rename[v] for v in graph.users])
     records = {(news, rename[user]): count
                for (news, user), count in id_records(graph, table).items()}
     return graph2, EngagementTable.from_records(graph2, records, dict(table.labels))
@@ -299,9 +299,8 @@ def test_dynamic_block_equals_dict_oracle(seed):
 def _degenerate_extractor():
     """Networks: a trained triangle and pair, a single node, an edgeless pair,
     an untrained triangle (every spreader unknown) and an empty network."""
-    graph = SocialGraph.from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"),
-                                    ("x", "y"), ("y", "z"), ("z", "x")],
-                                   nodes="abcdefghxyz")
+    graph = graph_with_users([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"),
+                              ("x", "y"), ("y", "z"), ("z", "x")], "abcdefghxyz")
     records = {("n1", "a"): 2, ("n1", "b"): 1, ("n1", "c"): 3, ("n2", "d"): 1,
                ("n2", "e"): 4, ("n2", "a"): 1, ("n3", "f"): 2, ("n4", "g"): 1,
                ("n4", "h"): 5, ("n5", "x"): 1, ("n5", "y"): 2, ("n5", "z"): 1}

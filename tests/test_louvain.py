@@ -9,8 +9,8 @@ from newsnet.diffusion import build_all_networks
 from newsnet.louvain import _Level, global_communities, local_communities
 
 from oracles import (RebuildSweepLevel, SortedSweepLevel, adjacency_aggregated_edges,
-                     best_partition, by_id, id_network, louvain, matrix_modularity,
-                     random_corpus, string_graph, symmetrize)
+                     best_partition, by_id, graph_with_users, id_network, louvain,
+                     matrix_modularity, random_corpus, string_graph, symmetrize)
 
 
 def _clique_edges(nodes):
@@ -89,7 +89,7 @@ def test_global_communities_equal_louvain_over_user_ids(seed):
 
 
 def test_global_scope_covers_isolated_nodes():
-    graph = SocialGraph.from_edges([("a", "b")], nodes=["a", "b", "c"])
+    graph = graph_with_users([("a", "b")], ["a", "b", "c"])
     assign = global_communities(graph, seed=0)
     assert isinstance(assign, np.ndarray) and assign.dtype == np.int64
     assert assign.tolist() == [0, 0, 1]  # one community per rank; c is on its own

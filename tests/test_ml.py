@@ -12,7 +12,7 @@ from newsnet.ml.crossval import (accuracy_from, confusion, cross_validate,
 from newsnet.ml.forest import DecisionTreeClassifier, RandomForestClassifier
 from newsnet.synth import SyntheticSpec, generate, write_corpus
 
-from oracles import held_out_news, id_records
+from oracles import ALL_FEATURES, held_out_news, id_records
 
 
 def _separable(n=40, seed=0):
@@ -147,7 +147,7 @@ def test_shuffled_labels_drop_to_chance(strong_corpus):
     records = id_records(strong_corpus.graph, strong_corpus.table)
     table = EngagementTable.from_records(strong_corpus.graph, records, shuffled)
     ex = FeatureExtractor.build(strong_corpus.graph, table, seed=3)
-    report = cross_validate(ex, seed=11)
+    report = cross_validate(ex, mask=ALL_FEATURES, seed=11)
     assert abs(report.accuracy - 0.5) <= 0.15
 
 
@@ -212,7 +212,7 @@ def test_cross_validate_report_shape(strong_report):
 
 def test_all_classifier_kinds_run(small_strong_extractor):
     for kind in ("decision_tree", "knn", "gaussian_nb"):
-        report = cross_validate(small_strong_extractor, classifier=kind, seed=4)
+        report = cross_validate(small_strong_extractor, mask=ALL_FEATURES, classifier=kind, seed=4)
         assert 0.0 <= report.accuracy <= 1.0
         assert report.accuracy >= 0.6  # planted signal should be visible to all
 

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from newsnet.corpus import EngagementTable, SocialGraph
+from newsnet.corpus import EngagementTable
 from newsnet.diffusion import build_all_networks
 from newsnet.features import NodeTable
 from newsnet.susceptibility import (BY_FREQUENCY, BY_NEWS, CLASSES, METHODS, NORMAL,
                                     SUSCEPTIBLE, UNKNOWN, fit_all)
 
 from oracles import fit as dict_fit
-from oracles import id_records, random_corpus
+from oracles import graph_with_users, id_records, random_corpus
 
 ALICE, BOB, CAROL = range(3)  # graph ranks, in sorted id order
 
@@ -24,7 +24,7 @@ LABELS = {"f1": "fake", "f2": "fake", "t1": "true"}
 
 def _history(records=RECORDS, labels=LABELS, users=("alice", "bob", "carol")):
     """The node table of the corpus's networks and the graph's user count."""
-    graph = SocialGraph.from_edges([], nodes=users)
+    graph = graph_with_users([], users)
     table = EngagementTable.from_records(graph, records, labels)
     return NodeTable(build_all_networks(graph, table)), graph.n_nodes
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -6,9 +7,10 @@ import pytest
 
 from newsnet.corpus import FAKE, TRUE, corpus_stats
 from newsnet.diffusion import build_all_networks
-from newsnet.synth import STRONG_EFFECTS, SyntheticSpec, _draw_spreaders, generate
+from newsnet.synth import (STRONG_EFFECTS, SyntheticSpec, _draw_spreaders, generate,
+                           write_corpus)
 
-from oracles import draw_spreaders, string_graph
+from oracles import draw_spreaders, same_graph, string_graph
 
 
 def test_null_corpus_classes_same_distribution(null_report):
@@ -72,9 +74,20 @@ def test_generation_deterministic():
     spec = SyntheticSpec(n_users=60, news_per_class=5, seed=31, **STRONG_EFFECTS)
     c1 = generate(spec)
     c2 = generate(spec)
-    assert c1.graph == c2.graph
+    assert same_graph(c1.graph, c2.graph)
     assert c1.table == c2.table
     assert c1.truth == c2.truth
+
+
+@pytest.mark.parametrize("effects,seed,digest", [
+    (STRONG_EFFECTS, 7, "5382dad7d04c27a3c42ad169c7ec0c9d2074db03da26ebac1eeedab0a23602b9"),
+    ({}, 3, "c03fd8086122a289acc800c2ec38902e23ff5ccfd81e7e8e1169b29b5bf068bc"),
+])
+def test_truth_json_is_pinned(tmp_path, effects, seed, digest):
+    # the demo corpus and an unplanted one; no float is summed, so every
+    # Python version writes these bytes
+    write_corpus(generate(SyntheticSpec(seed=seed, **effects)), tmp_path)
+    assert hashlib.sha256((tmp_path / "truth.json").read_bytes()).hexdigest() == digest
 
 
 def test_every_user_has_an_edge():

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from newsnet.corpus import EngagementTable, SocialGraph
+from newsnet.corpus import EngagementTable
 from newsnet.diffusion import build_all_networks, build_network
 from newsnet.features import STATIC_NAMES, FeatureExtractor, NodeTable
 from newsnet.susceptibility import BY_FREQUENCY, BY_NEWS, NORMAL, SUSCEPTIBLE, UNKNOWN
 from newsnet.triads import TRIAD_CLASSES, enumerate_triangles
 
-from oracles import (TriadCensus, array_dynamic_rows, brute_census, id_network, id_networks,
-                     make_network, random_corpus, rank_networks,
+from oracles import (TriadCensus, array_dynamic_rows, brute_census, graph_with_users, id_network,
+                     id_networks, make_network, random_corpus, rank_networks,
                      triad_features as oracle_triad_features)
 from oracles import census as oracle_census
 from oracles import enumerate_triangles as id_enumerate_triangles
@@ -162,7 +162,7 @@ def test_enumeration_order_independent():
 
 def _static_block(edges, nodes):
     """The label-free features of one network spread by every node."""
-    graph = SocialGraph.from_edges(edges, nodes=nodes)
+    graph = graph_with_users(edges, nodes)
     table = EngagementTable.from_records(graph, {("n1", v): 1 for v in nodes}, {"n1": "fake"})
     return dict(zip(STATIC_NAMES, FeatureExtractor.build(graph, table).static_block[0].tolist()))
 
