@@ -160,36 +160,36 @@ class EngagementTable:
 
 
 def _read_rows(path, expected_header):
+    """Yield (line, cells) for each data row of a CSV file, as it is read.
+
+    Four rules, in order: (1) cells are stripped; (2) a row of empty cells (a
+    blank line) is skipped; (3) a row of other than one cell per header column
+    raises CorpusError, (4) as does a row with an empty cell ("empty field").
+    `line` is the physical line a row ends on: a quoted id may span lines.
+    """
     path = Path(path)
     if not path.is_file():
         raise CorpusError("file not found", file=str(path))
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError("missing header row", file=path.name, line=1) from None
+            header = next(reader, None)
+            if header is None:
+                raise CorpusError("missing header row", file=path.name, line=1)
             header = [h.strip() for h in header]
             if header != list(expected_header):
-                raise CorpusError(
-                    f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}",
-                    file=path.name,
-                    line=1,
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue  # tolerate blank lines
-                if len(row) != len(expected_header):
-                    raise CorpusError(
-                        f"expected {len(expected_header)} columns, got {len(row)}",
-                        file=path.name,
-                        line=lineno,
-                    )
+                raise CorpusError(f"expected header {','.join(expected_header)!r}, got "
+                                  f"{','.join(header)!r}", file=path.name, line=1)
+            for row in reader:
                 cells = [c.strip() for c in row]
-                if any(not c for c in cells):
-                    raise CorpusError("empty field", file=path.name, line=lineno)
-                yield lineno, cells
+                if not any(cells):
+                    continue  # tolerate blank lines
+                if len(cells) != len(expected_header):
+                    raise CorpusError(f"expected {len(expected_header)} columns, got "
+                                      f"{len(cells)}", file=path.name, line=reader.line_num)
+                if not all(cells):
+                    raise CorpusError("empty field", file=path.name, line=reader.line_num)
+                yield reader.line_num, cells
     except UnicodeDecodeError:
         # decoded in chunks, so the error's offset locates no line
         raise CorpusError("not UTF-8 text", file=path.name) from None

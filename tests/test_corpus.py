@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import tempfile
@@ -254,6 +255,76 @@ def test_wrong_column_count_reports_line(tmp_path):
     paths[0].write_text("follower,followee\nu1,u2\nu3\n")
     with pytest.raises(CorpusError, match="edges.csv:3"):
         load_corpus(*paths)
+
+
+@pytest.mark.parametrize("file,body,message", [
+    (0, '"u\n1",u2\nu2,u3\nu3,\n', "edges.csv:5: empty field"),
+    (1, 'n1,"u\n1",1\nn1,u9,1\n', "engagements.csv:4: engagement references unknown user 'u9'"),
+    (2, '"n\n1",fake\nn2,maybe\n', "labels.csv:4: label must be 'fake' or 'true', got 'maybe'"),
+], ids=["edges", "engagements", "labels"])
+def test_errors_name_the_physical_line_after_a_multi_line_id(tmp_path, file, body, message):
+    # a quoted id may hold a newline (save_corpus's csv.writer quotes it), so
+    # one row can span two lines; later errors name the line they are on
+    paths = write_corpus_files(tmp_path, [('"u\n1"', "u2")], [], [("n1", "fake")])
+    header = paths[file].read_text().split("\n")[0]
+    paths[file].write_text(f"{header}\n{body}")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(*paths)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("file,body,message", [
+    (0, "u1,u2\n , \nu2,u3\n", None),  # a whitespace-only row is skipped
+    (0, "u1,u2\n\nu2,u3\n", None),  # so is an empty line
+    (0, "u1,u2\n\n , \nu2,u3\nu4\n", "edges.csv:6: expected 2 columns, got 1"),
+    (1, "n1,u1,1\nn1,\n", "engagements.csv:3: expected 3 columns, got 2"),  # count first
+    (1, "n1,u1,1\nn1, ,1\n", "engagements.csv:3: empty field"),
+    (2, "n1,fake\n,true\n", "labels.csv:3: empty field"),
+], ids=["whitespace-row", "empty-line", "line-after-blanks", "short-row", "blank-cell",
+        "empty-cell"])
+def test_row_rules(tmp_path, file, body, message):
+    paths = write_corpus_files(tmp_path, [("u1", "u2"), ("u2", "u3")], [("n1", "u1", 1)],
+                               [("n1", "fake")])
+    expected = corpus_stats(*load_corpus(*paths))
+    header = paths[file].read_text().split("\n")[0]
+    paths[file].write_text(f"{header}\n{body}")
+    if message is None:
+        assert corpus_stats(*load_corpus(*paths)) == expected
+    else:
+        with pytest.raises(CorpusError) as err:
+            load_corpus(*paths)
+        assert str(err.value) == message
+
+
+def test_loader_stops_at_the_first_bad_row(tmp_path, monkeypatch):
+    # rows are checked as they are read: none past the bad one is read
+    real_reader = csv.reader
+
+    class CountingReader:
+        data_rows = -1  # the header is not a data row
+
+        def __init__(self, f):
+            self.reader = real_reader(f)
+
+        @property
+        def line_num(self):
+            return self.reader.line_num
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.reader)
+            CountingReader.data_rows += 1
+            return row
+
+    paths = write_corpus_files(tmp_path, [("u1", "u2")], [], [])
+    paths[0].write_text("follower,followee\nu1,u2\nu3\n" + "u2,u3\n" * 10_000)
+    monkeypatch.setattr("newsnet.corpus.csv.reader", CountingReader)
+    with pytest.raises(CorpusError) as err:
+        load_corpus(*paths)
+    assert str(err.value) == "edges.csv:3: expected 2 columns, got 1"
+    assert CountingReader.data_rows == 2
 
 
 @pytest.mark.parametrize("file", range(3))
