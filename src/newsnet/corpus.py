@@ -284,11 +284,15 @@ def save_corpus(graph: SocialGraph, table: EngagementTable,
     `SocialGraph` constructed directly may hold users without a follow edge:
     they are not written, and a spreader among them raises CorpusError
     (naming the first one in engagements.csv order) before any file is
-    written, since `load_corpus` would reject its engagement.
+    written, since `load_corpus` would reject its engagement. So does a user
+    or news id that is empty or has surrounding whitespace; the loader strips cells.
     """
+    users = graph.users
+    for name in (*users, *table.news_ids()):
+        if not name or name != name.strip():
+            raise CorpusError(f"id {name!r} is empty or has surrounding whitespace")
     linked = np.zeros(graph.n_nodes, dtype=bool)
     linked[graph.sources()] = linked[graph.indices] = True
-    users = graph.users
     rows = []
     for news in table.news_ids():
         by_rank = table.counts[news]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -233,13 +232,15 @@ def _by_point(worker, shared, runs, jobs) -> dict:
     result counts for every pair that lists it. A pool of min(jobs, tasks)
     processes runs them when that is above 1: each process receives `shared`
     (extractor, config, mask) once, through the pool's initializer, and a
-    task carries only its own part.
+    task carries only its own part. The pool's modules (`concurrent.futures`,
+    `multiprocessing`) are imported only then, so a serial run never loads them.
     """
     tasks = list(dict.fromkeys(task for _, task in runs))
     workers = min(jobs, len(tasks))
     if workers <= 1:
         results = [worker(shared + task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_share,
                                  initargs=shared) as pool:
             results = list(pool.map(partial(_with_shared, worker), tasks))

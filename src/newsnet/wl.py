@@ -10,18 +10,19 @@ sorted multiset of neighbor labels). The normalized kernel lies in [0, 1].
 order, nodes sorted within a network) and holds their undirected adjacency
 as one CSR. `normalized_gram` refines integers over it, all networks at
 once, with one array pass per iteration (`_refine`): it gathers every
-node's neighbour labels, maps each label to a random 64-bit value and takes
-each node's wrapping sum of them as differences of one uint64 `cumsum`, an
-order-free multiset hash (Clarke et al., ASIACRYPT 2003). Adding a second
-random value of the node's own label gives one key per (own label,
-neighbour multiset); one sort groups equal keys, and a node's new label is
-its group's index. Hashes can collide, so the grouping is checked exactly:
-every node's own label, degree and sorted neighbour labels (one sort of the
-flat keys node * n + label) must equal those of its group's first node. On
-a mismatch the values are redrawn from the next seed. Two nodes of any
-networks therefore share an iteration's label exactly when any injective
-relabelling, such as the dict and string ones `tests/oracles.py` keeps as
-references, gives them one, whichever values passed. The identity labels
+node's neighbour labels, maps each label to a 64-bit value and takes each
+node's wrapping sum of them as differences of one uint64 `cumsum`, an
+order-free multiset hash (Clarke et al., ASIACRYPT 2003). A second value of
+the node's own label gives one key per (own label, neighbour multiset); one
+sort groups equal keys, and a node's new label is its group's index. Hashes
+can collide, so the grouping is checked exactly: every node's own label,
+degree and sorted neighbour labels (one sort of the flat keys node * n +
+label) must equal those of its group's first node. On a mismatch the values
+are drawn again from fresh counters. Two nodes of any networks therefore
+share an iteration's label exactly when any injective relabelling, such as
+the dict and string ones `tests/oracles.py` keeps as references, gives them
+one, whichever distinct values passed; so the values are SplitMix64 hashes
+of counters, with no numpy.random draw (or import). The identity labels
 are the nodes' graph ranks, which partition the nodes as the user ids do.
 
 All pairwise values come from one Gram matrix per labelling: the sum over
@@ -110,8 +111,12 @@ def _gram(network: np.ndarray, iterations, n: int) -> np.ndarray:
 
 
 def _hash_values(size: int, attempt: int) -> np.ndarray:
-    """`size` random 64-bit values, drawn from seed `attempt`."""
-    return np.random.default_rng(attempt).integers(0, 1 << 64, size=size, dtype=np.uint64)
+    """SplitMix64's finalizer (Steele et al., OOPSLA 2014), a uint64 bijection, of the
+    counters attempt*size+1 .. (attempt+1)*size, in arrays (scalars warn on wrap)."""
+    z = np.arange(attempt * size + 1, (attempt + 1) * size + 1, dtype=np.uint64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
 def _refine(table, labels) -> list:

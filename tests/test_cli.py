@@ -566,6 +566,30 @@ def test_byte_identical_across_hash_seeds(corpus_dir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+LAZY_MODULES = ("concurrent.futures", "multiprocessing", "numpy.random")
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ([], []),
+    (["rank-features"], []),
+    # the forest's draws are part of the result
+    (["evaluate"], ["numpy.random"]),
+], ids=["import", "rank-features", "evaluate"])
+def test_a_run_imports_only_what_it_runs(corpus_dir, tmp_path, command, loaded):
+    # a fresh interpreter imports the CLI and runs the command at --jobs 1;
+    # the pool's modules load only when a pool starts
+    src = str(Path(newsnet.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    args = command and command + ["--out", str(tmp_path)] + _corpus_flags(corpus_dir)
+    code = ("import json, sys\nfrom newsnet import cli\n"
+            f"assert not {args!r} or cli.main({args!r}) == 0\n"
+            f"print(json.dumps([m for m in {LAZY_MODULES!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+
+
 def test_readme_cli_block_names_every_subcommand():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]

@@ -404,6 +404,22 @@ def test_save_rejects_a_spreader_without_follow_edges(tmp_path):
     assert not any(path.exists() for path in paths)
 
 
+@pytest.mark.parametrize("edges, records, labels, name", [
+    # ' x' and 'x' would load back as one user 'x' with their counts summed
+    ([(" x", "a"), ("x", "b")], {("n1", " x"): 1, ("n1", "x"): 2}, {"n1": "fake"}, " x"),
+    # ' n1' and 'n1' would load back as one news with conflicting labels
+    ([("a", "b")], {("n1", "a"): 1, (" n1", "b"): 1}, {"n1": "fake", " n1": "true"}, " n1"),
+    ([("", "a")], {("n1", "a"): 1}, {"n1": "fake"}, ""),
+], ids=["user", "news", "empty"])
+def test_save_rejects_ids_the_loader_would_strip(tmp_path, edges, records, labels, name):
+    graph = SocialGraph.from_edges(edges)
+    table = EngagementTable.from_records(graph, records, labels)
+    paths = (tmp_path / "e.csv", tmp_path / "g.csv", tmp_path / "l.csv")
+    with pytest.raises(CorpusError, match=f"id {name!r} is empty or has surrounding"):
+        save_corpus(graph, table, *paths)
+    assert not any(path.exists() for path in paths)
+
+
 def test_synthetic_round_trip_exact(tmp_path):
     corpus = generate(SyntheticSpec(n_users=40, news_per_class=5, seed=3))
     write_corpus(corpus, tmp_path)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import pickle
@@ -291,7 +292,8 @@ class _PicklingPool:
 
 def test_pool_tasks_carry_only_their_point(small_strong_extractor, monkeypatch):
     # the extractor goes to each pool process once; a task is its grid point or draw
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PicklingPool)
+    # _by_point imports the pool class from its module when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PicklingPool)
     monkeypatch.setattr(_PicklingPool, "shared_bytes", [])
     monkeypatch.setattr(_PicklingPool, "task_bytes", [])
     early = dict(proportions=(0.5, 1.0), modes=("nodes", "edges"), repetitions=1)
@@ -311,7 +313,7 @@ def test_pool_tasks_carry_only_their_point(small_strong_extractor, monkeypatch):
 
 def test_pool_starts_at_most_one_process_per_distinct_task(small_strong_extractor,
                                                            monkeypatch):
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _PicklingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PicklingPool)
     for name in ("shared_bytes", "task_bytes", "workers"):
         monkeypatch.setattr(_PicklingPool, name, [])
     # distinct tasks: each mode at p = 0.5, and the whole networks at p = 1.0;

@@ -539,6 +539,15 @@ def test_distinct_values_draw_once(monkeypatch, small_strong_extractor):
     assert attempts == [0]
 
 
+@pytest.mark.parametrize("size", [1, 7, 2**20])
+def test_hash_values_are_distinct_within_and_across_attempts(size):
+    # uint64 arrays wrap without a warning; a scalar step would raise here,
+    # since the test configuration makes RuntimeWarning an error
+    draws = [wl._hash_values(size, attempt) for attempt in range(4)]
+    assert all(d.dtype == np.uint64 and d.shape == (size,) for d in draws)
+    assert np.unique(np.concatenate(draws)).size == 4 * size
+
+
 def test_refinement_keys_at_the_target_shape():
     # The check sorts keys node * n + label over a table of n nodes, labels
     # below n. The real benchmark has about 24k users; even if every user
