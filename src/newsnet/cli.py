@@ -188,7 +188,8 @@ def _add_common(parser) -> None:
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--jobs", type=int, help="parallel jobs for grid points")
+    parser.add_argument("--jobs", type=int, help="sample-study/early-detect processes, at "
+                        "most one per distinct task; other commands run serially")
     parser.add_argument("--edges", help="edges.csv path")
     parser.add_argument("--engagements", help="engagements.csv path")
     parser.add_argument("--labels", help="labels.csv path")

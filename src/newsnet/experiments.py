@@ -2,9 +2,10 @@
 
 Every run is reproducible from (config, master seed): repetition-derived
 seeds feed only the samplers, while fold assignment and classifier seeds
-derive from the master seed alone. Sampling a proportion of 1.0 therefore
-reproduces the full-corpus result exactly, and threshold sweeps of feature
-subsets that never touch susceptibility are exactly constant.
+derive from the master seed alone. So one key rule decides every study's
+work: `evaluate_masks` fits each (fold, θ, mask) key once, a mask of static
+features only dropping θ, and `_by_point` evaluates each distinct task once,
+the empty task (every network whole) on the study's extractor itself.
 
 Outputs are plotting-ready CSV rows; no plotting happens here.
 """
@@ -15,13 +16,12 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
 from .corpus import FAKE, TRUE
 from .features import (FARTHER_DISTANCE, DENSER_NETWORKS, FEATURE_REGISTRY,
-                       MORE_SPREADERS, PATTERNS, SIMILARITY, STATIC, STRONGER_ENGAGEMENT,
+                       MORE_SPREADERS, PATTERNS, SIMILARITY, STRONGER_ENGAGEMENT,
                        FeatureExtractor, FeatureMatrix, pattern_mask)
 from .diffusion import SUBSAMPLE_MODES, subsample
 from .ml.crossval import check_params, cross_validate, evaluate_masks
@@ -152,7 +152,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         config = cls(**{key: tuple(value) if isinstance(value, list) else value
-                        for key, value in data.items() if value is not None})
+                        for key, value in data.items()})
         config.validate()
         return config
 
@@ -174,40 +174,28 @@ def _mean(values) -> float:
 
 
 def run_ablation(extractor: FeatureExtractor, config: ExperimentConfig):
-    """Evaluate the 17 canonical pattern subsets; one extraction per fold."""
+    """Evaluate the 17 canonical pattern subsets at `config.theta`."""
     masks = {name: pattern_mask(patterns) for name, patterns in ABLATION_SUBSETS}
-    reports = evaluate_masks(extractor, masks, classifier=config.classifier,
-                             theta=config.theta, seed=config.seed,
-                             params=config.classifier_params)
+    reports = evaluate_masks(extractor, masks, (config.theta,), classifier=config.classifier,
+                             seed=config.seed, params=config.classifier_params)
     header = ("subset", "patterns", "accuracy", "f1")
-    rows = [(name, "+".join(patterns), reports[name].accuracy, reports[name].f1)
-            for name, patterns in ABLATION_SUBSETS]
+    rows = [(name, "+".join(patterns), reports[config.theta, name].accuracy,
+             reports[config.theta, name].f1) for name, patterns in ABLATION_SUBSETS]
     return header, rows
 
 
 def run_threshold_sweep(extractor: FeatureExtractor, config: ExperimentConfig):
-    """Re-extract per distinct threshold and evaluate every subset.
+    """Evaluate every sweep subset at every threshold of `config.theta_grid`.
 
-    A subset of static features only is θ-free: its fits see the same
-    columns, folds and seeds at every threshold, so it is evaluated at the
-    first threshold alone and its accuracy and F1 repeat at the others. A
-    repeated threshold repeats its rows without new fits.
+    `evaluate_masks`' key rule decides the fits: a subset of static features
+    only is fitted once per fold and repeats at every threshold, and a
+    repeated threshold repeats its rows.
     """
     masks = {name: pattern_mask(SUBSET_BY_NAME[name]) for name in config.sweep_subsets}
-    theta_free = {name for name, mask in masks.items()
-                  if all(FEATURE_REGISTRY[i - 1].block == STATIC for i in mask)}
-    free: dict = {}  # θ-free subset -> its report at the first threshold
-    reports: dict = {}  # distinct threshold -> {subset: report}
-    for theta in dict.fromkeys(config.theta_grid):
-        todo = {name: mask for name, mask in masks.items() if name not in free}
-        reports[theta] = dict(free)
-        if todo:
-            reports[theta].update(evaluate_masks(extractor, todo, classifier=config.classifier,
-                                                 theta=theta, seed=config.seed,
-                                                 params=config.classifier_params))
-        free = {name: reports[theta][name] for name in theta_free}
+    reports = evaluate_masks(extractor, masks, config.theta_grid, classifier=config.classifier,
+                             seed=config.seed, params=config.classifier_params)
     header = ("theta", "subset", "accuracy", "f1")
-    return header, [(theta, name, reports[theta][name].accuracy, reports[theta][name].f1)
+    return header, [(theta, name, reports[theta, name].accuracy, reports[theta, name].f1)
                     for theta in config.theta_grid for name in config.sweep_subsets]
 
 
@@ -220,30 +208,41 @@ def _share(*shared):
     _SHARED = shared
 
 
-def _with_shared(worker, task):
-    return worker(_SHARED + task)
+def _evaluate(networks, extractor, config, task):
+    """One task's (accuracy, F1). The empty task keeps every network whole and runs
+    on `extractor` itself; any other runs on networks(extractor, config, *task)."""
+    if task:
+        extractor = extractor.with_networks(networks(extractor, config, *task))
+    report = cross_validate(extractor, classifier=config.classifier,
+                            mask=pattern_mask(config.patterns), theta=config.theta,
+                            seed=config.seed, params=config.classifier_params)
+    return report.accuracy, report.f1
 
 
-def _by_point(worker, shared, runs, jobs) -> dict:
+def _evaluate_shared(task):
+    return _evaluate(*_SHARED, task)
+
+
+def _by_point(networks, extractor, config, runs) -> dict:
     """Each point's (runs, mean accuracy, mean F1), from (point, task) pairs
     in order.
 
-    A distinct task is evaluated once, as worker(shared + task), and its
-    result counts for every pair that lists it. A pool of min(jobs, tasks)
-    processes runs them when that is above 1: each process receives `shared`
-    (extractor, config, mask) once, through the pool's initializer, and a
-    task carries only its own part. The pool's modules (`concurrent.futures`,
+    A distinct task is evaluated once, by `_evaluate`, and its result counts
+    for every pair that lists it. A pool of min(config.jobs, tasks) processes
+    runs them when that is above 1: each process receives (networks,
+    extractor, config) once, through the pool's initializer, and a task
+    carries only its own part. The pool's modules (`concurrent.futures`,
     `multiprocessing`) are imported only then, so a serial run never loads them.
     """
     tasks = list(dict.fromkeys(task for _, task in runs))
-    workers = min(jobs, len(tasks))
+    workers = min(config.jobs, len(tasks))
     if workers <= 1:
-        results = [worker(shared + task) for task in tasks]
+        results = [_evaluate(networks, extractor, config, task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_share,
-                                 initargs=shared) as pool:
-            results = list(pool.map(partial(_with_shared, worker), tasks))
+                                 initargs=(networks, extractor, config)) as pool:
+            results = list(pool.map(_evaluate_shared, tasks))
     results = dict(zip(tasks, results))
     grouped: dict = {}
     for point, task in runs:
@@ -252,32 +251,14 @@ def _by_point(worker, shared, runs, jobs) -> dict:
             for point, values in grouped.items()}
 
 
-def _eval_task(args):
-    extractor, config, mask = args
-    report = cross_validate(extractor, classifier=config.classifier, mask=mask,
-                            theta=config.theta, seed=config.seed,
-                            params=config.classifier_params)
-    return report.accuracy, report.f1
+def _drawn(extractor, config, fake_ids, true_ids):
+    return {news: extractor.networks[news] for news in fake_ids + true_ids}
 
 
-def _sampling_task(args):
-    extractor, config, mask, fake_ids, true_ids = args
-    if len(fake_ids) + len(true_ids) < len(extractor.networks):
-        extractor = extractor.with_networks({n: extractor.networks[n]
-                                             for n in fake_ids + true_ids})
-    return _eval_task((extractor, config, mask))
-
-
-def _early_task(args):
-    extractor, config, mask, mode, proportion, rep = args
-    if proportion < 1.0:  # either mode keeps every network whole at p = 1.0
-        extractor = extractor.with_networks({
-            news: subsample(net, mode, proportion,
-                            derive_seed(config.seed, "early", mode, repr(proportion),
-                                        rep, news))
-            for news, net in sorted(extractor.networks.items())
-        })
-    return _eval_task((extractor, config, mask))
+def _subsampled(extractor, config, mode, proportion, rep):
+    return {news: subsample(net, mode, proportion,
+                            derive_seed(config.seed, "early", mode, repr(proportion), rep, news))
+            for news, net in sorted(extractor.networks.items())}
 
 
 def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
@@ -285,13 +266,13 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     """Scale the corpus (news_count) or skew the class ratio (class_balance).
 
     Balanced runs report accuracy as headline metric, unbalanced runs F1;
-    rows whose sample cannot be stratified are flagged and skipped. Each
-    distinct draw is evaluated once, and a draw of the whole population on
-    `extractor` itself. A value listed twice is drawn once and gets two rows.
+    rows whose sample cannot be stratified are flagged and skipped. A draw
+    of the whole population is the empty task, so it is evaluated once, on
+    `extractor` itself; each other distinct draw is evaluated once. A value
+    listed twice is drawn once and gets two rows.
     """
     if mode not in SAMPLING_MODES:
         raise ConfigError(f"unknown sampling mode {mode!r}")
-    mask = pattern_mask(config.patterns)
     table = extractor.node_table
     fake_pop, true_pop = ([n for n, lab in zip(table.order, table.labels) if lab == label]
                           for label in (FAKE, TRUE))
@@ -317,11 +298,12 @@ def run_sampling_study(extractor: FeatureExtractor, config: ExperimentConfig,
     for p, n_fake, n_true, feasible in dict.fromkeys(points):
         if not feasible:
             continue
+        whole = (n_fake, n_true) == (len(fake_pop), len(true_pop))
         for rep in range(config.repetitions):
             rng = random.Random(derive_seed(config.seed, "sample", mode, repr(p), rep))
-            runs.append((p, (tuple(sorted(rng.sample(fake_pop, n_fake))),
-                             tuple(sorted(rng.sample(true_pop, n_true))))))
-    by_point = _by_point(_sampling_task, (extractor, config, mask), runs, config.jobs)
+            runs.append((p, () if whole else (tuple(sorted(rng.sample(fake_pop, n_fake))),
+                                              tuple(sorted(rng.sample(true_pop, n_true))))))
+    by_point = _by_point(_drawn, extractor, config, runs)
     rows = []
     for p, n_fake, n_true, feasible in points:
         if not feasible:
@@ -336,16 +318,15 @@ def run_early_detection(extractor: FeatureExtractor, config: ExperimentConfig):
     """Subsample every network per (mode, proportion), re-extract, evaluate.
 
     Either mode keeps every network whole at p = 1.0, whatever the seed, so
-    that point is one task, evaluated once on `extractor` itself and counted
-    for every mode and repetition. A value listed twice is evaluated once and
-    gets two rows.
+    that point is the empty task: evaluated once, on `extractor` itself, and
+    counted for every mode and repetition. A value listed twice is evaluated
+    once and gets two rows.
     """
-    mask = pattern_mask(config.patterns)
     header = ("mode", "proportion", "repetitions", "accuracy", "f1")
-    runs = [((mode, p), (mode, p, rep) if p < 1.0 else (None, p, None))
+    runs = [((mode, p), (mode, p, rep) if p < 1.0 else ())
             for mode in dict.fromkeys(config.modes) for p in dict.fromkeys(config.proportions)
             for rep in range(config.repetitions)]
-    by_point = _by_point(_early_task, (extractor, config, mask), runs, config.jobs)
+    by_point = _by_point(_subsampled, extractor, config, runs)
     return header, [(mode, p) + by_point[(mode, p)]
                     for mode in config.modes for p in config.proportions]
 

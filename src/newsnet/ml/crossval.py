@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from ..corpus import FAKE, CorpusError
-from ..features import FeatureExtractor, extract_matrix
+from ..features import FEATURE_REGISTRY, STATIC, FeatureExtractor, extract_matrix
 from ..util import derive_seed, left_sum
 from .baselines import GaussianNBClassifier, KNNClassifier
 from .forest import DecisionTreeClassifier, RandomForestClassifier
@@ -162,14 +162,20 @@ def _check_training_set(y):
         raise CorpusError("single-class training set")
 
 
-def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
-                   theta: float, seed: int, params: dict | None = None) -> dict:
-    """Cross-validate several feature masks sharing one extraction per fold.
+def evaluate_masks(extractor: FeatureExtractor, masks: dict, thetas, *, classifier: str,
+                   seed: int, params: dict | None = None) -> dict:
+    """Cross-validate named feature masks at every threshold in `thetas`.
 
     `masks` maps a row name to a list of 1-based feature indices. Returns
-    {row name: EvalReport}. The fold assignment and classifier seeds depend
-    only on the master seed, never on the mask, so masks over identical
+    {(θ, name): EvalReport}. The fold assignment and classifier seeds depend
+    only on the master seed, never on the mask or θ, so masks over identical
     feature values produce identical reports.
+
+    One key rule decides the work: a fit is keyed by (fold, θ, name), and a
+    mask of static columns only drops θ from its key, as its values are the
+    same at every θ. Each distinct key is fitted once, and its report repeats
+    at every θ that shares the key. A fold is extracted at a θ only when
+    some fit needs that matrix.
     """
     check_params(classifier, params or {})
     # split over the extractor's networks: a restricted corpus sees only its news
@@ -177,27 +183,37 @@ def evaluate_masks(extractor: FeatureExtractor, masks: dict, *, classifier: str,
     split = stratified_folds(dict(zip(table.order, table.labels)), N_FOLDS, seed)
     y = encode_labels(table.labels)
     fold_of = np.array([split.folds[news] for news in table.order])
-    confusions = {name: [] for name in masks}  # name -> one confusion per fold
+    fits = {(theta, name): (None if all(FEATURE_REGISTRY[i - 1].block == STATIC
+                                        for i in mask) else theta, name)
+            for theta in thetas for name, mask in masks.items()}
+    fitted_at: dict = {}  # fit key -> the θ whose fold matrices it is fitted on
+    for (theta, _), fit in fits.items():
+        fitted_at.setdefault(fit, theta)
+    confusions = {fit: [] for fit in fitted_at}  # fit key -> one confusion per fold
     for fold in range(split.n_folds):
-        X = extract_matrix(extractor, split.train_news(fold), theta).X
         train, test = fold_of != fold, fold_of == fold
         clf_seed = derive_seed(seed, "clf", classifier, fold)
-        for name, mask in masks.items():
-            cols = [i - 1 for i in mask]
-            clf = fit_classifier(classifier, X[train][:, cols], y[train],
-                                 seed=clf_seed, params=params)
-            confusions[name].append(confusion(y[test], clf.predict(X[test][:, cols])))
-    return {name: EvalReport(classifier=classifier, theta=theta,
-                             fold_accuracy=tuple(map(accuracy_from, folds)),
-                             fold_f1=tuple(map(f1_from, folds)),
-                             confusion={key: sum(conf[key] for conf in folds)
-                                        for key in folds[0]})
-            for name, folds in confusions.items()}
+        for theta in dict.fromkeys(fitted_at.values()):
+            X = extract_matrix(extractor, split.train_news(fold), theta).X
+            for fit in (fit for fit, at in fitted_at.items() if at == theta):
+                cols = [i - 1 for i in masks[fit[1]]]
+                clf = fit_classifier(classifier, X[train][:, cols], y[train],
+                                     seed=clf_seed, params=params)
+                confusions[fit].append(confusion(y[test], clf.predict(X[test][:, cols])))
+    reports = {}
+    for (theta, name), fit in fits.items():
+        folds = confusions[fit]
+        reports[theta, name] = EvalReport(classifier=classifier, theta=theta,
+                                          fold_accuracy=tuple(map(accuracy_from, folds)),
+                                          fold_f1=tuple(map(f1_from, folds)),
+                                          confusion={key: sum(conf[key] for conf in folds)
+                                                     for key in folds[0]})
+    return reports
 
 
 def cross_validate(extractor: FeatureExtractor, *, mask, classifier: str = "random_forest",
                    theta: float = 0.5, seed: int = 0,
                    params: dict | None = None) -> EvalReport:
-    reports = evaluate_masks(extractor, {"all": list(mask)}, classifier=classifier,
-                             theta=theta, seed=seed, params=params)
-    return reports["all"]
+    """`evaluate_masks` for one mask at one θ."""
+    return evaluate_masks(extractor, {"all": list(mask)}, (theta,), classifier=classifier,
+                          seed=seed, params=params)[theta, "all"]

@@ -58,9 +58,9 @@ class SyntheticSpec:
         for name in ("edge_prob", "susceptible_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("base_engagement", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name, low in (("base_engagement", 0), ("seed", 0), ("base_spreaders", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.news_per_class < 1:
             raise ValueError("need at least 1 news story per class")
         for name in ("spreader_ratio", "density_ratio", "engagement_ratio",

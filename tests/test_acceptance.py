@@ -270,11 +270,12 @@ def test_criterion_6_dataset_reproduction(name):
 
     singles = {p: pattern_mask([p]) for p in
                ("more_spreaders", "farther_distance", "stronger_engagement")}
-    reports = evaluate_masks(extractor, singles, classifier="random_forest",
-                             theta=0.5, seed=11)
-    assert reports["more_spreaders"].accuracy > reports["farther_distance"].accuracy
-    assert reports["stronger_engagement"].accuracy \
-        > reports["farther_distance"].accuracy
+    reports = evaluate_masks(extractor, singles, (0.5,), classifier="random_forest",
+                             seed=11)
+    assert reports[0.5, "more_spreaders"].accuracy \
+        > reports[0.5, "farther_distance"].accuracy
+    assert reports[0.5, "stronger_engagement"].accuracy \
+        > reports[0.5, "farther_distance"].accuracy
 
     ranking = relief_rank(matrix.X, encode_labels(matrix.labels), seed=11)
     top5 = {feature_index_to_name(f) for f, _ in ranking[:5]}

@@ -276,6 +276,12 @@ def test_classifier_params_rejected_as_config_error(corpus_dir, tmp_path, capsys
     ("sample-study", {"balance_fractions": [0.0], "balance_total": None},
      "balance_fractions need a value above 0 when balance_total is null"),
     ("evaluate", {"synthetic": [1]}, "synthetic must be a JSON object"),
+    # null is not "the default": only the corpus paths and balance_total take it
+    ("evaluate", {"theta": None}, "theta must be a number"),
+    ("evaluate", {"seed": None}, "seed must be an int"),
+    ("evaluate", {"patterns": None}, "patterns must be a nonempty list"),
+    ("early-detect", {"jobs": None}, "jobs must be an int"),
+    ("evaluate", {"wl_iterations": None}, "wl_iterations must be an int"),
 ])
 def test_bad_config_values_exit_two_before_output(corpus_dir, tmp_path, capsys,
                                                   command, config, message):
@@ -319,6 +325,8 @@ def test_flag_replaces_a_config_value_before_the_one_validation(corpus_dir, tmp_
     ({"base_engagement": -1}, "base_engagement must be >= 0"),
     ({"susceptible_fraction": 1.5}, "susceptible_fraction must be in [0, 1]"),
     ({"susceptible_fraction": -0.5}, "susceptible_fraction must be in [0, 1]"),
+    ({"base_spreaders": 0}, "base_spreaders must be >= 1"),
+    ({"base_spreaders": -3}, "base_spreaders must be >= 1"),
 ])
 def test_bad_synthetic_spec_exits_two_before_output(tmp_path, capsys, synthetic,
                                                     message):
@@ -523,11 +531,13 @@ def test_unreadable_corpus_file_exits_one(corpus_dir, capsys, monkeypatch, name)
     (["--out", ""], "out must not be empty"),
     (["--config", "empty_out.json"], "out must not be empty"),
     (["--patterns", ""], "unknown patterns value(s): ['']"),
+    (["--config", "null_out.json"], "out must be a path string"),
 ])
 def test_empty_out_or_patterns_is_a_config_error(corpus_dir, tmp_path, capsys, monkeypatch,
                                                  flags, message):
     # Path("") is the working directory, which would take the command's files
     (tmp_path / "empty_out.json").write_text(json.dumps({"out": ""}))
+    (tmp_path / "null_out.json").write_text(json.dumps({"out": None}))
     flags = [str(tmp_path / flag) if flag.endswith(".json") else flag for flag in flags]
     work = tmp_path / "work"
     work.mkdir()

@@ -74,9 +74,9 @@ def test_threshold_sweep_equals_a_per_theta_loop(monkeypatch, small_strong_extra
     assert static == {"farther_distance"}
     expected = []
     for theta in config.theta_grid:
-        reports = evaluate_masks(ex, masks, classifier=config.classifier, theta=theta,
+        reports = evaluate_masks(ex, masks, (theta,), classifier=config.classifier,
                                  seed=config.seed, params=config.classifier_params)
-        expected += [(theta, name, reports[name].accuracy, reports[name].f1)
+        expected += [(theta, name, reports[theta, name].accuracy, reports[theta, name].f1)
                      for name in config.sweep_subsets]
     widths = {len(mask): name for name, mask in masks.items()}
     assert len(widths) == len(masks)
@@ -158,23 +158,24 @@ def test_early_detection_full_proportion_equals_full_corpus(small_strong_extract
 def test_early_detection_runs_the_whole_networks_once(small_strong_extractor,
                                                       monkeypatch):
     config = _config(proportions=(0.5, 1.0), modes=("nodes", "edges"), repetitions=2)
-    task = experiments._early_task
-    runs = []
-
-    def counted(args):
-        runs.append(args[3:])
-        return task(args)
-
-    monkeypatch.setattr(experiments, "_early_task", counted)
+    build, evaluate = experiments._subsampled, experiments._evaluate
+    built, evaluated = [], []
+    monkeypatch.setattr(experiments, "_subsampled",
+                        lambda extractor, config, *task: built.append(task)
+                        or build(extractor, config, *task))
+    monkeypatch.setattr(experiments, "_evaluate",
+                        lambda *args: evaluated.append(args[-1]) or evaluate(*args))
     header, rows = run_early_detection(small_strong_extractor, config)
-    assert runs == [("nodes", 0.5, 0), ("nodes", 0.5, 1), (None, 1.0, None),
-                    ("edges", 0.5, 0), ("edges", 0.5, 1)]
+    # p = 1.0 is the empty task: the whole networks, evaluated once for both modes
+    assert evaluated == [("nodes", 0.5, 0), ("nodes", 0.5, 1), (),
+                         ("edges", 0.5, 0), ("edges", 0.5, 1)]
+    assert built == [task for task in evaluated if task]
     # every (mode, proportion, repetition) evaluated on its own, as before
-    mask = pattern_mask(config.patterns)
     expected = []
     for mode in config.modes:
         for p in config.proportions:
-            values = [task((small_strong_extractor, config, mask, mode, p, rep))
+            values = [evaluate(build, small_strong_extractor, config,
+                               (mode, p, rep) if p < 1.0 else ())
                       for rep in range(config.repetitions)]
             expected.append((mode, p, 2, experiments._mean([a for a, _ in values]),
                              experiments._mean([f for _, f in values])))
@@ -182,9 +183,8 @@ def test_early_detection_runs_the_whole_networks_once(small_strong_extractor,
 
 
 def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monkeypatch):
-    # p = 1.0 keeps every network whole, so the task runs on the extractor itself
+    # p = 1.0 keeps every network whole: the empty task runs on the extractor itself
     config = _config(proportions=(1.0,), repetitions=1)
-    mask = pattern_mask(config.patterns)
     real = features.flow_matrix
     calls = []
 
@@ -195,10 +195,12 @@ def test_full_proportion_task_builds_no_flow_matrix(small_strong_extractor, monk
     monkeypatch.setattr(features, "flow_matrix", counted)
     full = cross_validate(small_strong_extractor, mask=ALL_FEATURES, seed=config.seed)
     for mode in ("nodes", "edges"):
-        result = experiments._early_task((small_strong_extractor, config, mask, mode, 1.0, 0))
-        assert result == (full.accuracy, full.f1)
+        _, rows = run_early_detection(small_strong_extractor,
+                                      dataclasses.replace(config, modes=(mode,)))
+        assert rows == [(mode, 1.0, 1, full.accuracy, full.f1)]
     assert calls == []
-    experiments._early_task((small_strong_extractor, config, mask, "nodes", 0.5, 0))
+    experiments._evaluate(experiments._subsampled, small_strong_extractor, config,
+                          ("nodes", 0.5, 0))
     assert len(calls) == 1
 
 
@@ -327,6 +329,70 @@ def test_pool_starts_at_most_one_process_per_distinct_task(small_strong_extracto
         assert _PicklingPool.workers == started
 
 
+def _evaluate_study(extractor, config):
+    # what `newsnet evaluate` runs
+    return cross_validate(extractor, mask=pattern_mask(config.patterns),
+                          classifier=config.classifier, theta=config.theta,
+                          seed=config.seed, params=config.classifier_params)
+
+
+_STUDIES = {
+    "evaluate": _evaluate_study,
+    "ablate": run_ablation,
+    "sweep-threshold": run_threshold_sweep,
+    "early-detect": run_early_detection,
+    "sample-study news_count": lambda ex, config: run_sampling_study(ex, config, "news_count"),
+    "sample-study class_balance":
+        lambda ex, config: run_sampling_study(ex, config, "class_balance"),
+}
+
+
+@pytest.mark.parametrize("study,overrides,tasks,extractions,fits", [
+    # one mask at one θ
+    ("evaluate", {}, 0, 1, 1),
+    # the 17 subsets share each fold's matrix
+    ("ablate", {}, 0, 1, 17),
+    # θ = 0.5 listed twice is one θ; farther_distance is θ-free, so its key
+    # drops θ: 2 subsets × 2 θ + 1
+    ("sweep-threshold", dict(theta_grid=(0.1, 0.5, 0.5),
+                             sweep_subsets=("more_spreaders", "farther_distance",
+                                            "all_patterns")), 0, 2, 5),
+    # no fit needs the second θ, so no fold is extracted at it
+    ("sweep-threshold", dict(theta_grid=(0.2, 0.8), sweep_subsets=("farther_distance",)),
+     0, 1, 1),
+    # p = 0.5 listed twice is one point: 2 modes × 2 repetitions subsampled, and
+    # p = 1.0 is the whole networks, one empty task for both modes
+    ("early-detect", dict(proportions=(0.5, 1.0, 0.5), modes=("nodes", "edges"),
+                          repetitions=2), 4, 5, 5),
+    # 2 draws at p = 0.5, listed twice; every draw at p = 1.0 is the whole population
+    ("sample-study news_count", dict(proportions=(0.5, 1.0, 0.5), repetitions=2), 2, 3, 3),
+    # 15 + 15 of the 30 news is the whole population; 0.4 (12 + 18) is skipped
+    ("sample-study class_balance", dict(balance_fractions=(0.5, 0.4, 0.5), balance_total=30,
+                                        repetitions=2), 0, 1, 1),
+])
+def test_each_study_runs_each_key_once(small_strong_extractor, monkeypatch, study, overrides,
+                                       tasks, extractions, fits):
+    # One key rule decides every study's work: a task other than the whole
+    # networks builds one extractor, and each distinct (task, θ) extraction
+    # and (task, θ or None, mask) fit runs once per fold.
+    counts = dict.fromkeys(("with_networks", "extract_matrix", "fit_classifier"), 0)
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(features.FeatureExtractor, "with_networks")
+    counting(crossval, "extract_matrix")
+    counting(crossval, "fit_classifier")
+    _STUDIES[study](small_strong_extractor, _config(**overrides))
+    assert counts == {"with_networks": tasks, "extract_matrix": N_FOLDS * extractions,
+                      "fit_classifier": N_FOLDS * fits}
+
+
 def test_byte_reproducible_outputs(tmp_path, small_strong_extractor):
     config = _config(sweep_subsets=("farther_distance",), theta_grid=(0.2, 0.8))
     for name, runner in (("a", run_threshold_sweep), ("b", run_threshold_sweep)):
@@ -373,6 +439,15 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({"out": ["runs"]})
     with pytest.raises(ConfigError, match="classifier_params"):
         _config(classifier_params=[("n_trees", 5)])
+
+
+def test_null_is_accepted_only_by_the_nullable_keys():
+    nullable = dict.fromkeys(("edges", "engagements", "labels", "balance_total"))
+    assert ExperimentConfig.from_dict(nullable) == ExperimentConfig()
+    for key in (f.name for f in dataclasses.fields(ExperimentConfig)):
+        if key not in nullable:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict({key: None})
 
 
 def test_config_json_round_trip(tmp_path):
